@@ -23,7 +23,7 @@ use cadel_obs::net::{
     API_SUBSCRIBERS_OPEN, API_TIMEOUTS_TOTAL, API_WORKER_PANICS_TOTAL,
 };
 use cadel_obs::{Event, Level, Stopwatch};
-use cadel_server::{ServerError, SubmitOutcome};
+use cadel_server::{ConflictError, ServerError, SubmitOutcome};
 use cadel_types::json::Json;
 use cadel_types::{RuleId, SimTime};
 use std::io::{self, Write};
@@ -881,6 +881,11 @@ fn fleet_error(error: &FleetError) -> Response {
 fn server_error(error: &ServerError) -> Response {
     let (status, reason, code) = match error {
         ServerError::Lang(_) => (422, "Unprocessable Entity", "language_error"),
+        // A rule the checks refuse outright (a dimension clash) is the
+        // client's error, not a conflict with other rules.
+        ServerError::Conflict(ConflictError::Rule(_)) => {
+            (422, "Unprocessable Entity", "rule_error")
+        }
         ServerError::UnknownUser(_) => (404, "Not Found", "unknown_user"),
         ServerError::AccessDenied(_) => (403, "Forbidden", "access_denied"),
         ServerError::ReadOnly => (503, "Service Unavailable", "read_only"),

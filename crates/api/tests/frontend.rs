@@ -234,6 +234,31 @@ fn rule_lifecycle_over_the_wire() {
         )
         .expect("garbled submit");
     assert_eq!(garbled.status, 422, "{}", garbled.text());
+    // So does a rule that parses but compares one sensor under two
+    // dimensions: it is refused, not reported as a conflict.
+    let clash = client
+        .post(
+            "/tenants/unit-0000/rules",
+            &Json::obj(vec![
+                ("user", Json::str("resident")),
+                (
+                    "sentence",
+                    Json::str(
+                        "If the temperature is higher than 26 degrees and the temperature \
+                         is lower than 60 percent, turn on the air conditioner.",
+                    ),
+                ),
+            ]),
+        )
+        .expect("clash submit");
+    assert_eq!(clash.status, 422, "{}", clash.text());
+    let doc = clash.json().expect("json body");
+    assert_eq!(doc.get("error").and_then(Json::as_str), Some("rule_error"));
+    assert!(
+        clash.text().contains("dimension mismatch"),
+        "{}",
+        clash.text()
+    );
     // An unknown user is a typed 404.
     let ghost = client
         .post(

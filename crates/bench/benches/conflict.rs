@@ -11,15 +11,17 @@
 //! * `e2_extract` — the database extraction step over a size sweep;
 //! * `e2_solve_100x4` — the paper's "logical product of four inequalities
 //!   … 100 times" micro-measurement;
-//! * `e2_full_check` — `find_conflicts` (AST path, recompiles every
-//!   system per call) over the same-device sweep;
-//! * `ir_checker` — [`ConflictChecker`] on the same workloads: *cold*
-//!   (fresh cache, reusing the database's precompiled systems) and *warm*
-//!   (memoized verdict replay keyed by rule revisions).
+//! * `e2_full_check/ast` — `find_conflicts`, the brute-force oracle
+//!   (recompiles every system per call), over the same-device sweep;
+//! * `e2_full_check/ir-*` — [`ConflictGraph::analyze`], the production
+//!   path, on the same workloads: *cold* (an unstored probe, so no
+//!   verdict memoizes; the database's precompiled systems are reused) and
+//!   *warm* (a stored probe, so verdicts replay from the revision-keyed
+//!   memo).
 
 use cadel_bench::timing::{run, section};
 use cadel_bench::{e2_database, e2_probe, two_inequality_condition, SHARED_DEVICE};
-use cadel_conflict::{find_conflicts, ConflictChecker};
+use cadel_conflict::{find_conflicts, ConflictGraph};
 use cadel_rule::VarPool;
 use cadel_simplex::is_satisfiable;
 use cadel_types::DeviceId;
@@ -70,7 +72,7 @@ fn main() {
         });
     }
 
-    section("e2_full_conflict_check (AST vs compiled checker, 10k rules)");
+    section("e2_full_conflict_check (AST oracle vs conflict graph, 10k rules)");
     for same_device in [10u64, 100, 1_000] {
         let db = e2_database(10_000, same_device);
         let probe = e2_probe();
@@ -79,27 +81,26 @@ fn main() {
             assert_eq!(conflicts.len() as u64, same_device);
             conflicts.len()
         });
-        // Cold: a fresh cache every call — measures precompiled-system
-        // reuse alone (the probe is unstored, so nothing memoizes).
+        // Cold: the probe is unstored, so no verdict memoizes — measures
+        // precompiled-system reuse alone. The graph's nodes are built
+        // once, outside the timed region, as registration keeps them.
+        let mut graph = ConflictGraph::default();
+        graph.sync(&db);
         run(&format!("e2_full_check/ir-cold/{same_device}"), || {
-            let mut checker = ConflictChecker::new();
-            let conflicts = checker
-                .find_conflicts(black_box(&db), black_box(&probe))
-                .unwrap();
-            assert_eq!(conflicts.len() as u64, same_device);
-            conflicts.len()
+            let report = graph.analyze(black_box(&db), black_box(&probe)).unwrap();
+            assert_eq!(report.conflicts.len() as u64, same_device);
+            report.conflicts.len()
         });
         // Warm: the probe is stored, so verdicts replay from the
-        // revision-keyed cache after the first call.
+        // revision-keyed memo after the first call.
         let mut db = db;
         db.insert(probe.clone()).unwrap();
-        let mut checker = ConflictChecker::new();
+        let mut graph = ConflictGraph::default();
+        graph.sync(&db);
         run(&format!("e2_full_check/ir-warm/{same_device}"), || {
-            let conflicts = checker
-                .find_conflicts(black_box(&db), black_box(&probe))
-                .unwrap();
-            assert_eq!(conflicts.len() as u64, same_device);
-            conflicts.len()
+            let report = graph.analyze(black_box(&db), black_box(&probe)).unwrap();
+            assert_eq!(report.conflicts.len() as u64, same_device);
+            report.conflicts.len()
         });
     }
 

@@ -2,11 +2,11 @@
 //!
 //! * **A3 (ablation)** — trigger indexing: one sensor event against the
 //!   index vs the index-less full scan, and the cost of an idle tick.
-//! * **IR** — compiled rule programs vs the AST interpreter. Every rule
-//!   watches one shared sensor (so each event makes all of them
-//!   candidates) through a condition mixing event atoms (string-heavy in
-//!   the interpreter) and numeric constraints; 1 in 50 rules actually
-//!   flips on the alternating reading.
+//! * **IR** — compiled rule programs with every rule a candidate. Every
+//!   rule watches one shared sensor (so each event makes all of them
+//!   candidates) through a condition mixing event atoms and numeric
+//!   constraints; 1 in 50 rules actually flips on the alternating
+//!   reading.
 
 use cadel_bench::timing::{run, section};
 use cadel_engine::Engine;
@@ -47,12 +47,11 @@ fn a3_engine(n: u64, use_index: bool) -> Engine {
 
 /// IR fleet: every rule watches the shared sensor, so a reading change
 /// re-evaluates all `n` conditions. Two always-true event atoms and an
-/// always-true bound pad each condition with the work compilation
-/// removes; the final threshold is crossable only for 1 rule in 50.
-fn ir_engine(n: u64, compiled: bool) -> Engine {
+/// always-true bound pad each condition; the final threshold is
+/// crossable only for 1 rule in 50.
+fn ir_engine(n: u64) -> Engine {
     let shared = SensorKey::new(DeviceId::new("sensor-shared"), "reading");
     let mut engine = Engine::new(ControlPoint::new(Registry::new()));
-    engine.set_use_compiled(compiled);
     engine
         .context_mut()
         .set_persistent_event("bench", "always-on");
@@ -120,28 +119,16 @@ fn main() {
         }
     }
 
-    section("ir_step_all_candidates (compiled vs interpreted)");
+    section("ir_step_all_candidates (compiled programs)");
     for n in [10u64, 100, 1_000] {
-        let mut ratio = [0.0f64; 2];
-        for (slot, (label, compiled)) in [("interpreted", false), ("compiled", true)]
-            .iter()
-            .enumerate()
-        {
-            let mut engine = ir_engine(n, *compiled);
-            let bus = engine.control().registry().event_bus().clone();
-            let mut seq = 2u64;
-            let m = run(&format!("ir_step/{label}/{n}"), || {
-                seq += 1;
-                let value = if seq.is_multiple_of(2) { 30 } else { 70 };
-                publish_reading(&bus, "sensor-shared", seq, value);
-                black_box(engine.step(SimTime::from_millis(seq)).firings.len())
-            });
-            ratio[slot] = m.median_ns();
-        }
-        println!(
-            "{:<58} {:>13.2}x",
-            format!("ir_step/speedup(interpreted/compiled)/{n}"),
-            ratio[0] / ratio[1]
-        );
+        let mut engine = ir_engine(n);
+        let bus = engine.control().registry().event_bus().clone();
+        let mut seq = 2u64;
+        run(&format!("ir_step/compiled/{n}"), || {
+            seq += 1;
+            let value = if seq.is_multiple_of(2) { 30 } else { 70 };
+            publish_reading(&bus, "sensor-shared", seq, value);
+            black_box(engine.step(SimTime::from_millis(seq)).firings.len())
+        });
     }
 }

@@ -14,6 +14,7 @@ use cadel_bench::timing::{run, section};
 use cadel_engine::{ContextStore, Evaluator, HeldTracker};
 use cadel_lang::ast::Command;
 use cadel_lang::{parse_command, Compiler, Dictionary, Lexicon, MapResolver};
+use cadel_rule::RuleDb;
 use cadel_types::{DeviceId, PersonId, Quantity, RuleId, SensorKey, SimTime, Unit, Value};
 use std::hint::black_box;
 
@@ -124,7 +125,14 @@ fn main() {
         .build(RuleId::new(1))
         .unwrap();
 
+    // The compiled rule object as the engine holds it: a span in the rule
+    // database's program arena, read against the context's slot boards.
+    let mut db = RuleDb::new();
+    db.insert(rule.clone()).unwrap();
+    let program = *db.program_ref(rule.id()).unwrap();
     let mut ctx = ContextStore::default();
+    ctx.attach_interner(db.interner().clone());
+    ctx.sync_ir();
     ctx.set_now(SimTime::from_millis(1));
     ctx.set_value(
         SensorKey::new(DeviceId::new("thermo-lr"), "temperature"),
@@ -137,8 +145,9 @@ fn main() {
     let mut held = HeldTracker::new();
 
     run("a2_evaluate_compiled_rule", || {
-        let mut ev = Evaluator::new(&ctx, &mut held);
-        assert!(ev.condition_holds(black_box(rule.condition())));
+        assert!(db
+            .arena()
+            .condition_holds(black_box(&program), &ctx, &mut held));
     });
 
     // The "interpretation" alternative the paper rejects: re-parsing and

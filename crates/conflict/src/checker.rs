@@ -1,16 +1,16 @@
 //! Incremental conflict detection over precompiled rule programs.
 //!
-//! [`find_conflicts`](crate::find_conflicts) recompiles every constraint
-//! system from the AST on each call. At registration time that cost is paid
-//! once per *pair* of same-device rules, every time any rule is added — the
-//! E2 workload grows quadratically. [`ConflictChecker`] removes both
-//! redundancies:
+//! [`find_conflicts`](crate::find_conflicts), the brute-force oracle,
+//! recompiles every constraint system from the AST on each call. At
+//! registration time that cost is paid once per *pair* of same-device
+//! rules, every time any rule is added — the E2 workload grows
+//! quadratically. [`ConflictChecker`] removes both redundancies:
 //!
-//! * **Precompiled systems.** When the [`RuleDb`] holds a compiled
-//!   [`RuleProgram`](cadel_ir::RuleProgram) for a rule (the normal case),
-//!   its per-conjunct constraint systems are reused as-is; joining two
-//!   conjuncts is a variable-remap ([`merge_conjuncts`]) instead of two
-//!   AST walks through a fresh `VarPool`.
+//! * **Precompiled systems.** Every rule the [`RuleDb`] stores has a
+//!   compiled [`RuleProgram`]; its per-conjunct constraint systems are
+//!   reused as-is, and joining two conjuncts is a variable-remap
+//!   ([`merge_conjuncts`]) instead of two AST walks through a fresh
+//!   `VarPool`.
 //! * **Memoized verdicts.** Pairwise results are cached under
 //!   `(rule, revision, rule, revision)`. The database stamps a fresh
 //!   revision whenever a rule is (re)stored, so a cache hit is always
@@ -22,13 +22,10 @@
 //! drops every verdict touching a removed rule so churn cannot grow the
 //! map without bound.
 //!
-//! Rules without a program (a compile failure, e.g. a dimension clash
-//! inside one rule) fall back to the AST path of
-//! [`check_conflict`](crate::check_conflict), so the checker's verdicts
-//! match the plain functions on every input. Each fallback is counted
-//! (`conflict_compile_fallback_total`) and surfaced once per rule as a
-//! `conflict.compile_fallback` warning — a rule stuck on the slow path is
-//! visible instead of silently re-compiled on every scan.
+//! A probe whose conjuncts do not compile (a dimension clash inside one
+//! rule) is an error from [`ConflictChecker::probe_context`]; registration
+//! refuses such a rule in [`check_consistency`](crate::check_consistency)
+//! before any pair is checked.
 //!
 //! The per-pair entry points ([`ConflictChecker::probe_context`] +
 //! [`ConflictChecker::check_pair`]) are the decision procedure under the
@@ -38,37 +35,27 @@
 use crate::check::Conflict;
 use crate::discrete::discrete_compatible;
 use crate::error::ConflictError;
-use cadel_ir::{merge_conjuncts, CompiledConjunct};
-use cadel_obs::{Event, LazyCounter, LazyHistogram, Level, Stopwatch};
+use cadel_ir::{merge_conjuncts, CompiledConjunct, RuleProgram};
+use cadel_obs::LazyCounter;
 use cadel_rule::{compile_conjuncts, Rule, RuleDb, RuleError};
 use cadel_simplex::{solve, Solution};
 use cadel_types::RuleId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Conflict scans (one per [`ConflictChecker::find_conflicts`] call).
-static CHECKS: LazyCounter = LazyCounter::new("conflict_checks_total");
-/// Same-device rule pairs considered across all scans.
+/// Same-device rule pairs decided.
 static PAIR_CHECKS: LazyCounter = LazyCounter::new("conflict_pair_checks_total");
 /// Pairs answered from the memo cache.
 static MEMO_HITS: LazyCounter = LazyCounter::new("conflict_memo_hits_total");
-/// Pairs that had to be computed (solver or AST path).
+/// Pairs that had to be computed by the solver.
 static MEMO_MISSES: LazyCounter = LazyCounter::new("conflict_memo_misses_total");
 /// Computed pair verdicts that found a conflict.
 static PAIRS_CONFLICTING: LazyCounter = LazyCounter::new("conflict_pairs_conflicting_total");
 /// Memoized verdicts dropped by eviction (rule removal or cache sweep).
 static MEMO_EVICTED: LazyCounter = LazyCounter::new("conflict_memo_evicted_total");
-/// Pair checks that fell back to the AST path because a rule has no
-/// compiled program (its conjuncts failed to compile).
-static COMPILE_FALLBACKS: LazyCounter = LazyCounter::new("conflict_compile_fallback_total");
-/// Wall-clock latency of one whole scan.
-static CHECK_NS: LazyHistogram = LazyHistogram::new("conflict_check_duration_ns");
 
 /// Default bound on memoized pairwise verdicts.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
-
-/// At most this many distinct rules get a `conflict.compile_fallback`
-/// warning per checker — the counter keeps counting past it.
-const FALLBACK_NOTE_CAP: usize = 128;
 
 #[derive(Clone, Debug)]
 struct CacheEntry {
@@ -85,15 +72,24 @@ pub struct ProbeContext<'a> {
     /// The database revision when the probe is stored there unchanged
     /// (enables memoization); `None` for an unstored/modified probe.
     rev: Option<u64>,
-    /// One-shot compilation for an unstored probe; `None` when the
-    /// stored program is used instead, or compilation failed.
-    compiled: Option<Vec<CompiledConjunct>>,
+    systems: ProbeSystems,
+}
+
+/// Where a probe's conjunct systems come from.
+#[derive(Debug)]
+enum ProbeSystems {
+    /// The probe is stored unchanged: its program's systems.
+    Stored(Arc<RuleProgram>),
+    /// An unstored or modified probe, compiled once for the scan.
+    Compiled(Vec<CompiledConjunct>),
 }
 
 impl ProbeContext<'_> {
-    /// The probe rule this context was built for.
-    pub fn probe(&self) -> &Rule {
-        self.probe
+    fn conjuncts(&self) -> &[CompiledConjunct] {
+        match &self.systems {
+            ProbeSystems::Stored(program) => program.conjuncts(),
+            ProbeSystems::Compiled(conjuncts) => conjuncts,
+        }
     }
 }
 
@@ -111,7 +107,6 @@ pub struct ConflictChecker {
     cache: HashMap<(RuleId, u64, RuleId, u64), CacheEntry>,
     capacity: usize,
     tick: u64,
-    fallback_noted: HashSet<RuleId>,
 }
 
 impl Default for ConflictChecker {
@@ -134,7 +129,6 @@ impl ConflictChecker {
             cache: HashMap::new(),
             capacity,
             tick: 0,
-            fallback_noted: HashSet::new(),
         }
     }
 
@@ -159,93 +153,57 @@ impl ConflictChecker {
     pub fn evict_rule(&mut self, id: RuleId) -> usize {
         let before = self.cache.len();
         self.cache.retain(|(a, _, b, _), _| *a != id && *b != id);
-        self.fallback_noted.remove(&id);
         let evicted = before - self.cache.len();
         MEMO_EVICTED.add(evicted as u64);
         evicted
     }
 
-    /// Finds every enabled same-device rule in `db` that conflicts with
-    /// `probe` — the compiled equivalent of
-    /// [`find_conflicts`](crate::find_conflicts), with identical results.
-    ///
-    /// The probe's constraint systems are taken from the database when the
-    /// probe is already stored there unchanged (enabling memoization), and
-    /// compiled once for the whole scan otherwise.
+    /// Prepares the compiled view of `probe` for a scan: the stored
+    /// program (and its revision, enabling memoization) when `db` holds
+    /// the probe unchanged, a one-shot compilation of its conjunct systems
+    /// otherwise.
     ///
     /// # Errors
     ///
-    /// Returns [`ConflictError`] on solver overflow or dimension mismatch.
-    pub fn find_conflicts(
-        &mut self,
+    /// Returns [`ConflictError::Rule`] when an unstored probe's conjuncts
+    /// do not compile (a dimension clash inside one conjunct).
+    pub fn probe_context<'a>(
+        &self,
         db: &RuleDb,
-        probe: &Rule,
-    ) -> Result<Vec<Conflict>, ConflictError> {
-        let sw = Stopwatch::start();
-        CHECKS.inc();
-        let result = self.find_conflicts_inner(db, probe);
-        CHECK_NS.record(&sw);
-        result
-    }
-
-    fn find_conflicts_inner(
-        &mut self,
-        db: &RuleDb,
-        probe: &Rule,
-    ) -> Result<Vec<Conflict>, ConflictError> {
-        let ctx = self.probe_context(db, probe);
-        let mut conflicts = Vec::new();
-        for existing in db.rules_for_device(probe.action().device()) {
-            if existing.id() == probe.id() || !existing.is_enabled() {
-                continue;
-            }
-            conflicts.extend(self.check_pair(db, &ctx, existing)?);
-        }
-        Ok(conflicts)
-    }
-
-    /// Prepares the compiled view of `probe` for a scan: resolves its
-    /// revision when stored in `db` unchanged, and compiles its conjunct
-    /// systems once otherwise. A compile failure is counted and warned
-    /// (rate-limited per rule), and the scan falls back to the AST path.
-    pub fn probe_context<'a>(&mut self, db: &RuleDb, probe: &'a Rule) -> ProbeContext<'a> {
+        probe: &'a Rule,
+    ) -> Result<ProbeContext<'a>, ConflictError> {
         // The probe is cacheable only when the database holds this exact
         // rule: its revision then keys the verdict. An unstored (or
         // since-modified) probe gets a one-shot compilation instead.
-        let rev = match db.get(probe.id()) {
-            Some(stored) if stored == probe => db.revision(probe.id()),
+        let stored = match db.get(probe.id()) {
+            Some(stored) if stored == probe => db.revision(probe.id()).zip(db.program(probe.id())),
             _ => None,
         };
-        let compiled = match rev {
-            Some(_) => None, // use the stored program directly
-            None => match compile_conjuncts(probe) {
-                Ok(compiled) => Some(compiled),
-                Err(error) => {
-                    COMPILE_FALLBACKS.inc();
-                    self.note_fallback(probe.id(), Some(&error));
-                    None
-                }
-            },
+        let (rev, systems) = match stored {
+            Some((rev, program)) => (Some(rev), ProbeSystems::Stored(Arc::clone(program))),
+            None => (None, ProbeSystems::Compiled(compile_conjuncts(probe)?)),
         };
-        ProbeContext {
+        Ok(ProbeContext {
             probe,
             rev,
-            compiled,
-        }
+            systems,
+        })
     }
 
     /// Decides one probe/existing pair: memoized verdict when both
-    /// revisions are known, compiled-system solve otherwise, AST fallback
-    /// when either side has no program. Semantics match
-    /// [`check_conflict`](crate::check_conflict) exactly.
+    /// revisions are known, a solve over the precompiled systems
+    /// otherwise. Semantics match [`check_conflict`](crate::check_conflict)
+    /// exactly.
     ///
     /// The caller is responsible for candidate selection (same device,
-    /// enabled, not the probe itself) — this is the per-edge decision
-    /// procedure under the conflict graph.
+    /// enabled, not the probe itself, stored in `db`) — this is the
+    /// per-edge decision procedure under the conflict graph.
     ///
     /// # Errors
     ///
-    /// Returns [`ConflictError`] on solver overflow or dimension mismatch.
+    /// Returns [`ConflictError`] on solver overflow or dimension mismatch,
+    /// and [`RuleError::UnknownRule`] when `existing` is not stored in
+    /// `db`.
     pub fn check_pair(
         &mut self,
         db: &RuleDb,
@@ -268,23 +226,15 @@ impl ConflictChecker {
             }
         }
         MEMO_MISSES.inc();
-        let probe_conjuncts: Option<&[CompiledConjunct]> = match ctx.rev {
-            Some(_) => db.program(probe.id()).map(|p| p.conjuncts()),
-            None => ctx.compiled.as_deref(),
-        };
-        let verdict = match (probe_conjuncts, db.program(existing.id())) {
-            (Some(pc), Some(program)) => {
-                check_conflict_compiled(probe, pc, existing, program.conjuncts())?
-            }
-            // Either side failed to compile: AST fallback.
-            (probe_side, existing_side) => {
-                if probe_side.is_some() && existing_side.is_none() {
-                    COMPILE_FALLBACKS.inc();
-                    self.note_fallback(existing.id(), None);
-                }
-                crate::check::check_conflict(probe, existing)?
-            }
-        };
+        let existing_program = db
+            .program(existing.id())
+            .ok_or(RuleError::UnknownRule(existing.id()))?;
+        let verdict = check_conflict_compiled(
+            probe,
+            ctx.conjuncts(),
+            existing,
+            existing_program.conjuncts(),
+        )?;
         if verdict.is_some() {
             PAIRS_CONFLICTING.inc();
         }
@@ -320,26 +270,6 @@ impl ConflictChecker {
         self.cache.retain(|_, e| e.last_used > cutoff);
         MEMO_EVICTED.add((before - self.cache.len()) as u64);
     }
-
-    /// Emits the `conflict.compile_fallback` warning once per rule (up
-    /// to a small cap) so a rule stuck on the AST slow path is visible
-    /// without flooding the event stream on every scan.
-    fn note_fallback(&mut self, id: RuleId, error: Option<&RuleError>) {
-        if self.fallback_noted.len() >= FALLBACK_NOTE_CAP || !self.fallback_noted.insert(id) {
-            return;
-        }
-        if cadel_obs::enabled() {
-            let detail = match error {
-                Some(error) => error.to_string(),
-                None => "stored rule has no compiled program".to_owned(),
-            };
-            cadel_obs::emit(
-                Event::new("conflict.compile_fallback", Level::Warn)
-                    .with_field("rule", id.raw())
-                    .with_field("error", detail),
-            );
-        }
-    }
 }
 
 /// Pairwise conflict check over precompiled conjunct systems; semantics
@@ -347,7 +277,7 @@ impl ConflictChecker {
 ///
 /// `a_sys` / `b_sys` must be the compiled systems of `a` / `b`, aligned
 /// index-for-index with each rule's DNF (as produced by
-/// [`compile_conjuncts`] or stored in a [`RuleProgram`](cadel_ir::RuleProgram)).
+/// [`compile_conjuncts`] or stored in a [`RuleProgram`]).
 fn check_conflict_compiled(
     a: &Rule,
     a_sys: &[CompiledConjunct],
@@ -367,7 +297,7 @@ fn check_conflict_compiled(
             }
             // The merge unifies shared sensors exactly like a shared
             // VarPool would, with a's variables first — so the witness
-            // ordering matches the AST path.
+            // ordering matches the brute-force oracle.
             let (system, keys) = merge_conjuncts(ca_sys, cb_sys).map_err(RuleError::from)?;
             if let Solution::Feasible(assignment) = solve(&system)? {
                 let witness = keys
@@ -419,6 +349,34 @@ mod tests {
             .unwrap()
     }
 
+    /// Every enabled same-device rule in `db` that conflicts with `probe`,
+    /// decided pair by pair through the checker — the scan the conflict
+    /// graph performs before footprint pruning.
+    fn scan(
+        checker: &mut ConflictChecker,
+        db: &RuleDb,
+        probe: &Rule,
+    ) -> Result<Vec<Conflict>, ConflictError> {
+        let ctx = checker.probe_context(db, probe)?;
+        let mut conflicts = Vec::new();
+        for existing in db.rules_for_device(probe.action().device()) {
+            if existing.id() != probe.id() && existing.is_enabled() {
+                conflicts.extend(checker.check_pair(db, &ctx, existing)?);
+            }
+        }
+        Ok(conflicts)
+    }
+
+    /// Tom's rule from the paper, conflicting with Alan's and Emily's.
+    fn paper_tom() -> Rule {
+        aircon_at(
+            "tom",
+            25,
+            temp(RelOp::Gt, 26).and(humid(RelOp::Gt, 65)),
+            200,
+        )
+    }
+
     fn paper_db() -> RuleDb {
         let mut db = RuleDb::new();
         db.insert(aircon_at(
@@ -443,14 +401,9 @@ mod tests {
     #[test]
     fn checker_agrees_with_plain_find_conflicts() {
         let db = paper_db();
-        let tom = aircon_at(
-            "tom",
-            25,
-            temp(RelOp::Gt, 26).and(humid(RelOp::Gt, 65)),
-            200,
-        );
+        let tom = paper_tom();
         let plain = find_conflicts(&db, &tom).unwrap();
-        let compiled = ConflictChecker::new().find_conflicts(&db, &tom).unwrap();
+        let compiled = scan(&mut ConflictChecker::new(), &db, &tom).unwrap();
         assert_eq!(plain, compiled);
         let partners: Vec<u64> = compiled.iter().map(|c| c.rule_b().raw()).collect();
         assert_eq!(partners, vec![100, 101]);
@@ -462,31 +415,21 @@ mod tests {
     #[test]
     fn unstored_probe_is_not_cached() {
         let db = paper_db();
-        let tom = aircon_at(
-            "tom",
-            25,
-            temp(RelOp::Gt, 26).and(humid(RelOp::Gt, 65)),
-            200,
-        );
+        let tom = paper_tom();
         let mut checker = ConflictChecker::new();
-        checker.find_conflicts(&db, &tom).unwrap();
+        scan(&mut checker, &db, &tom).unwrap();
         assert_eq!(checker.cached_pairs(), 0);
     }
 
     #[test]
     fn stored_probe_memoizes_and_replays() {
         let mut db = paper_db();
-        let tom = aircon_at(
-            "tom",
-            25,
-            temp(RelOp::Gt, 26).and(humid(RelOp::Gt, 65)),
-            200,
-        );
+        let tom = paper_tom();
         db.insert(tom.clone()).unwrap();
         let mut checker = ConflictChecker::new();
-        let first = checker.find_conflicts(&db, &tom).unwrap();
+        let first = scan(&mut checker, &db, &tom).unwrap();
         assert_eq!(checker.cached_pairs(), 3); // one verdict per partner
-        let second = checker.find_conflicts(&db, &tom).unwrap();
+        let second = scan(&mut checker, &db, &tom).unwrap();
         assert_eq!(first, second);
         assert_eq!(checker.cached_pairs(), 3); // pure replay, no growth
     }
@@ -494,15 +437,10 @@ mod tests {
     #[test]
     fn reinserting_a_changed_rule_misses_the_cache() {
         let mut db = paper_db();
-        let tom = aircon_at(
-            "tom",
-            25,
-            temp(RelOp::Gt, 26).and(humid(RelOp::Gt, 65)),
-            200,
-        );
+        let tom = paper_tom();
         db.insert(tom.clone()).unwrap();
         let mut checker = ConflictChecker::new();
-        assert_eq!(checker.find_conflicts(&db, &tom).unwrap().len(), 2);
+        assert_eq!(scan(&mut checker, &db, &tom).unwrap().len(), 2);
 
         // Replace Tom's rule with a condition disjoint from every stored
         // band (t>25, t>29, t<0): the fresh revision keys new cache
@@ -510,16 +448,16 @@ mod tests {
         let mild_tom = aircon_at("tom", 25, temp(RelOp::Gt, 10).and(temp(RelOp::Lt, 20)), 200);
         db.remove(RuleId::new(200)).unwrap();
         db.insert(mild_tom.clone()).unwrap();
-        assert!(checker.find_conflicts(&db, &mild_tom).unwrap().is_empty());
+        assert!(scan(&mut checker, &db, &mild_tom).unwrap().is_empty());
         checker.clear();
         assert_eq!(checker.cached_pairs(), 0);
     }
 
     #[test]
-    fn uncompilable_rules_fall_back_to_the_ast_path() {
-        // A rule whose condition clashes dimensions never gets a program,
-        // so the pair goes through plain check_conflict.
-        let mut db = RuleDb::new();
+    fn uncompilable_probe_is_an_error() {
+        // A probe whose conjunct clashes dimensions cannot be stored, and
+        // the checker refuses it exactly where the oracle does.
+        let db = paper_db();
         let clash = Condition::Atom(Atom::Constraint(ConstraintAtom::new(
             SensorKey::new(DeviceId::new("multi"), "reading"),
             RelOp::Gt,
@@ -530,28 +468,37 @@ mod tests {
             RelOp::Gt,
             Quantity::from_integer(60, Unit::Percent),
         ))));
-        db.insert(aircon_at("alan", 24, clash, 100)).unwrap();
-        assert!(db.program(RuleId::new(100)).is_none());
+        let probe = aircon_at("alan", 24, clash, 300);
+        assert!(find_conflicts(&db, &probe).is_err());
+        let err = ConflictChecker::new()
+            .probe_context(&db, &probe)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ConflictError::Rule(RuleError::DimensionMismatch { .. })
+        ));
+    }
 
+    #[test]
+    fn unstored_existing_rule_is_an_error() {
+        let db = paper_db();
         let tom = aircon_at("tom", 25, temp(RelOp::Gt, 26), 200);
+        let ghost = aircon_at("ghost", 20, temp(RelOp::Gt, 20), 999);
         let mut checker = ConflictChecker::new();
-        // Plain path errors on the dimension clash; so must the checker.
-        assert!(find_conflicts(&db, &tom).is_err());
-        assert!(checker.find_conflicts(&db, &tom).is_err());
+        let ctx = checker.probe_context(&db, &tom).unwrap();
+        assert_eq!(
+            checker.check_pair(&db, &ctx, &ghost).unwrap_err(),
+            ConflictError::Rule(RuleError::UnknownRule(RuleId::new(999)))
+        );
     }
 
     #[test]
     fn evict_rule_drops_both_sides_of_the_pair() {
         let mut db = paper_db();
-        let tom = aircon_at(
-            "tom",
-            25,
-            temp(RelOp::Gt, 26).and(humid(RelOp::Gt, 65)),
-            200,
-        );
+        let tom = paper_tom();
         db.insert(tom.clone()).unwrap();
         let mut checker = ConflictChecker::new();
-        checker.find_conflicts(&db, &tom).unwrap();
+        scan(&mut checker, &db, &tom).unwrap();
         assert_eq!(checker.cached_pairs(), 3);
         // Evicting a partner drops only its pair; evicting the probe
         // drops the rest.
@@ -576,7 +523,7 @@ mod tests {
                 200,
             );
             db.insert(tom.clone()).unwrap();
-            checker.find_conflicts(&db, &tom).unwrap();
+            scan(&mut checker, &db, &tom).unwrap();
             db.remove(RuleId::new(200)).unwrap();
             checker.evict_rule(RuleId::new(200));
             assert!(
@@ -593,32 +540,22 @@ mod tests {
         // With a capacity smaller than one scan's pair count, the checker
         // still answers correctly — eviction affects cost, not verdicts.
         let mut db = paper_db();
-        let tom = aircon_at(
-            "tom",
-            25,
-            temp(RelOp::Gt, 26).and(humid(RelOp::Gt, 65)),
-            200,
-        );
+        let tom = paper_tom();
         db.insert(tom.clone()).unwrap();
         let mut checker = ConflictChecker::with_capacity(2);
-        let first = checker.find_conflicts(&db, &tom).unwrap();
+        let first = scan(&mut checker, &db, &tom).unwrap();
         assert!(checker.cached_pairs() <= 2);
-        let second = checker.find_conflicts(&db, &tom).unwrap();
+        let second = scan(&mut checker, &db, &tom).unwrap();
         assert_eq!(first, second);
     }
 
     #[test]
     fn zero_capacity_disables_memoization() {
         let mut db = paper_db();
-        let tom = aircon_at(
-            "tom",
-            25,
-            temp(RelOp::Gt, 26).and(humid(RelOp::Gt, 65)),
-            200,
-        );
+        let tom = paper_tom();
         db.insert(tom.clone()).unwrap();
         let mut checker = ConflictChecker::with_capacity(0);
-        assert_eq!(checker.find_conflicts(&db, &tom).unwrap().len(), 2);
+        assert_eq!(scan(&mut checker, &db, &tom).unwrap().len(), 2);
         assert_eq!(checker.cached_pairs(), 0);
     }
 }

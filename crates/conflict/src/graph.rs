@@ -261,9 +261,10 @@ struct NodeInfo {
     effects: Vec<(String, EnvDirection)>,
     /// Event channels the action raises, from the [`EnvTable`].
     raises: Vec<String>,
-    /// `None` when the rule's conjuncts did not compile or solve —
-    /// every pair touching such a node takes the checker path, so the
-    /// fallback behavior matches brute force exactly.
+    /// `None` when a conjunct system errored in the solver (or, for an
+    /// unstored probe, did not compile) — every pair touching such a node
+    /// takes the checker path, which reproduces brute force's error
+    /// behavior exactly.
     numeric: Option<NumericInfo>,
 }
 
@@ -716,7 +717,7 @@ impl ConflictGraph {
                 None => {
                     PAIRS_SOLVED.inc();
                     if ctx.is_none() {
-                        ctx = Some(self.checker.probe_context(db, probe));
+                        ctx = Some(self.checker.probe_context(db, probe)?);
                     }
                     let ctx = ctx.as_ref().expect("just filled");
                     if let Some(conflict) = self.checker.check_pair(db, ctx, existing)? {
@@ -887,8 +888,9 @@ impl ConflictGraph {
     /// Whether the probe's condition and stored rule `b_id`'s condition
     /// can hold together — the paper's co-satisfiability check without
     /// the action filter. Disjoint-footprint pairs are answered from
-    /// cached witnesses; undecidable (uncompiled) pairs answer `true`,
-    /// the over-reporting direction advisories can afford.
+    /// cached witnesses; undecidable pairs (a node without solved
+    /// systems) answer `true`, the over-reporting direction advisories can
+    /// afford.
     fn cosatisfiable(
         &self,
         db: &RuleDb,

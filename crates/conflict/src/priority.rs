@@ -24,7 +24,6 @@ use std::fmt;
 
 /// A ranked list of rules for one device, optionally scoped to a context.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PriorityOrder {
     device: DeviceId,
     context: Option<Condition>,
@@ -128,7 +127,6 @@ impl Resolution {
 /// before default orders, so a specific agreement ("while Alan just got
 /// home") overrides the household default.
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PriorityStore {
     orders: Vec<PriorityOrder>,
 }
@@ -139,7 +137,8 @@ impl PriorityStore {
         PriorityStore::default()
     }
 
-    /// Registers an order; returns its index.
+    /// Registers an order; returns its index, stable for the store's
+    /// lifetime (orders are never removed).
     pub fn add_order(&mut self, order: PriorityOrder) -> usize {
         self.orders.push(order);
         self.orders.len() - 1
@@ -161,15 +160,6 @@ impl PriorityStore {
         self.add_order(order)
     }
 
-    /// Removes an order by index, if present.
-    pub fn remove_order(&mut self, index: usize) -> Option<PriorityOrder> {
-        if index < self.orders.len() {
-            Some(self.orders.remove(index))
-        } else {
-            None
-        }
-    }
-
     /// All orders, registration sequence.
     pub fn orders(&self) -> &[PriorityOrder] {
         &self.orders
@@ -186,8 +176,11 @@ impl PriorityStore {
     /// Arbitrates among candidate rules that fired simultaneously on
     /// `device`.
     ///
-    /// `context_holds` reports whether a guard condition currently holds
-    /// (the engine evaluates it against the live context store).
+    /// `context_holds` reports whether the guard of the context-scoped
+    /// order at the given index (as returned by
+    /// [`add_order`](PriorityStore::add_order)) currently holds; the engine
+    /// evaluates the guard it compiled for that order against the live
+    /// context store. It is called only for orders with a context.
     ///
     /// The first applicable order (context-scoped ones first) that ranks
     /// at least one candidate decides; among ranked candidates the lowest
@@ -197,7 +190,7 @@ impl PriorityStore {
         &self,
         device: &DeviceId,
         candidates: &[RuleId],
-        mut context_holds: impl FnMut(&Condition) -> bool,
+        mut context_holds: impl FnMut(usize) -> bool,
     ) -> Resolution {
         if candidates.is_empty() {
             return Resolution::Unresolved(Vec::new());
@@ -205,19 +198,15 @@ impl PriorityStore {
         if candidates.len() == 1 {
             return Resolution::Winner(candidates[0]);
         }
-        let scoped = self
-            .orders
-            .iter()
-            .filter(|o| o.device() == device && o.context().is_some());
-        let default = self
-            .orders
-            .iter()
-            .filter(|o| o.device() == device && o.context().is_none());
-        for order in scoped.chain(default) {
-            if let Some(ctx) = order.context() {
-                if !context_holds(ctx) {
-                    continue;
-                }
+        let for_device = |scoped: bool| {
+            self.orders
+                .iter()
+                .enumerate()
+                .filter(move |(_, o)| o.device() == device && o.context().is_some() == scoped)
+        };
+        for (index, order) in for_device(true).chain(for_device(false)) {
+            if order.context().is_some() && !context_holds(index) {
+                continue;
             }
             let best = candidates
                 .iter()
@@ -235,7 +224,6 @@ impl PriorityStore {
 /// (footnote 1 of the paper: "in general, the partial order should be
 /// defined among those conflicting rules").
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PriorityGraph {
     /// `edges[a]` contains `b` when `a` outranks `b`.
     edges: BTreeMap<RuleId, BTreeSet<RuleId>>,
@@ -391,6 +379,10 @@ mod tests {
         );
         let r = store.resolve(&tv(), &[id(1), id(2), id(3)], |_| true);
         assert_eq!(r.winner(), Some(id(3)));
+        // The callback receives each order's store index: only Alan's
+        // order (index 1) holding hands Alan the TV.
+        let r = store.resolve(&tv(), &[id(1), id(2), id(3)], |order| order == 1);
+        assert_eq!(r.winner(), Some(id(2)));
     }
 
     #[test]
@@ -475,14 +467,5 @@ mod tests {
         // Context off: the scoped order does not apply.
         let r = store.resolve(&tv(), &[id(1), id(2), id(3)], |_| false);
         assert!(matches!(r, Resolution::Unresolved(_)));
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn store_serde_round_trip() {
-        let mut store = PriorityStore::new();
-        store.add_order(PriorityOrder::new(tv(), vec![id(1), id(2)]).in_context(ctx("x")));
-        let json = serde_json::to_string(&store).unwrap();
-        assert_eq!(serde_json::from_str::<PriorityStore>(&json).unwrap(), store);
     }
 }

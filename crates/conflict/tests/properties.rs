@@ -1,155 +1,169 @@
-//! Property tests over the conflict checker's core guarantees.
+//! Property tests over the conflict checker's core guarantees, on seeded
+//! random rule pairs.
+//!
+//! Every verdict is decided by the production path — a [`ConflictGraph`]
+//! over a database holding the existing rule — and cross-checked against
+//! the brute-force oracle [`check_conflict`].
 
-// Requires the `proptest` feature (and its dev-dependency); the default
-// build is offline and compiles this file to nothing.
-#![cfg(feature = "proptest")]
-
-use cadel_conflict::{check_conflict, check_consistency};
+use cadel_conflict::{check_conflict, check_consistency, ConflictGraph};
 use cadel_rule::{
-    ActionSpec, Atom, Condition, ConstraintAtom, EventAtom, PresenceAtom, Rule, Verb,
+    ActionSpec, Atom, Condition, ConstraintAtom, EventAtom, PresenceAtom, Rule, RuleDb, Verb,
 };
 use cadel_simplex::RelOp;
-use cadel_types::{DeviceId, PersonId, Quantity, RuleId, SensorKey, Unit};
-use proptest::prelude::*;
+use cadel_types::{DeviceId, PersonId, Quantity, Rng, RuleId, SensorKey, Unit};
 
-fn arb_relop() -> impl Strategy<Value = RelOp> {
-    prop_oneof![
-        Just(RelOp::Lt),
-        Just(RelOp::Le),
-        Just(RelOp::Gt),
-        Just(RelOp::Ge),
-        Just(RelOp::Eq),
-    ]
+const CASES: u64 = 96;
+const OPS: [RelOp; 5] = [RelOp::Lt, RelOp::Le, RelOp::Gt, RelOp::Ge, RelOp::Eq];
+
+fn sensor(i: u64) -> SensorKey {
+    SensorKey::new(DeviceId::new(format!("sensor-{i}")), "reading")
 }
 
-fn arb_atom() -> impl Strategy<Value = Atom> {
-    prop_oneof![
+fn arb_atom(rng: &mut Rng) -> Atom {
+    match rng.below(3) {
         // Numeric constraints over 3 shared sensors.
-        (0u32..3, arb_relop(), -10i64..40).prop_map(|(s, op, t)| {
-            Atom::Constraint(ConstraintAtom::new(
-                SensorKey::new(DeviceId::new(format!("sensor-{s}")), "reading"),
-                op,
-                Quantity::from_integer(t, Unit::Celsius),
-            ))
-        }),
+        0 => Atom::Constraint(ConstraintAtom::new(
+            sensor(rng.below(3)),
+            *rng.pick(&OPS),
+            Quantity::from_integer(rng.range_i64(-10, 39), Unit::Celsius),
+        )),
         // Presence of 2 people over 2 places.
-        (0u32..2, 0u32..2).prop_map(|(p, r)| {
-            Atom::Presence(PresenceAtom::person_at(
-                format!("person-{p}"),
-                format!("room-{r}"),
-            ))
-        }),
+        1 => Atom::Presence(PresenceAtom::person_at(
+            format!("person-{}", rng.below(2)),
+            format!("room-{}", rng.below(2)),
+        )),
         // Events on a shared channel.
-        (0u32..3).prop_map(|e| Atom::Event(EventAtom::new("chan", format!("event-{e}")))),
-    ]
+        _ => Atom::Event(EventAtom::new("chan", format!("event-{}", rng.below(3)))),
+    }
 }
 
-fn arb_condition() -> impl Strategy<Value = Condition> {
-    proptest::collection::vec(arb_atom(), 1..4).prop_flat_map(|atoms| {
-        (Just(atoms), proptest::bool::ANY).prop_map(|(atoms, use_or)| {
-            let mut iter = atoms.into_iter().map(Condition::Atom);
-            let first = iter.next().expect("at least one atom");
-            iter.fold(first, |acc, c| if use_or { acc.or(c) } else { acc.and(c) })
-        })
-    })
-}
-
-fn arb_rule(id: u64) -> impl Strategy<Value = Rule> {
-    (arb_condition(), 0u32..2, 0i64..3).prop_map(move |(condition, verb, setpoint)| {
-        let verb = if verb == 0 {
-            Verb::TurnOn
+/// One to three atoms joined all by `and` or all by `or`.
+fn arb_condition(rng: &mut Rng) -> Condition {
+    let use_or = rng.chance(1, 2);
+    let first = Condition::Atom(arb_atom(rng));
+    (0..rng.below(3)).fold(first, |acc, _| {
+        let next = Condition::Atom(arb_atom(rng));
+        if use_or {
+            acc.or(next)
         } else {
-            Verb::TurnOff
-        };
-        Rule::builder(PersonId::new(format!("user-{id}")))
-            .condition(condition)
-            .action(
-                ActionSpec::new(DeviceId::new("shared-device"), verb).with_setting(
-                    "temperature",
-                    Quantity::from_integer(20 + setpoint, Unit::Celsius),
-                ),
-            )
-            .build(RuleId::new(id))
-            .expect("generated rules are simple enough to build")
+            acc.and(next)
+        }
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// A rule on the shared device: `verb` with a temperature setting.
+fn rule(id: u64, condition: Condition, verb: Verb, setpoint: i64) -> Rule {
+    let setting = Quantity::from_integer(setpoint, Unit::Celsius);
+    let action = ActionSpec::new(DeviceId::new("shared-device"), verb);
+    Rule::builder(PersonId::new(format!("user-{id}")))
+        .condition(condition)
+        .action(action.with_setting("temperature", setting))
+        .build(RuleId::new(id))
+        .expect("generated rules are simple enough to build")
+}
 
-    /// The conflict verdict is symmetric: whether two rules can collide
-    /// does not depend on which one is "being registered".
-    #[test]
-    fn conflict_verdict_is_symmetric(a in arb_rule(1), b in arb_rule(2)) {
-        let ab = check_conflict(&a, &b).unwrap().is_some();
-        let ba = check_conflict(&b, &a).unwrap().is_some();
-        prop_assert_eq!(ab, ba);
+fn arb_rule(rng: &mut Rng, id: u64) -> Rule {
+    let verb = if rng.chance(1, 2) {
+        Verb::TurnOn
+    } else {
+        Verb::TurnOff
+    };
+    rule(id, arb_condition(rng), verb, 20 + rng.range_i64(0, 2))
+}
+
+fn reading(op: RelOp, n: i64) -> Condition {
+    Condition::Atom(Atom::Constraint(ConstraintAtom::new(
+        sensor(0),
+        op,
+        Quantity::from_integer(n, Unit::Celsius),
+    )))
+}
+
+/// Whether `probe` conflicts with `existing`: the conflict graph's verdict,
+/// asserted equal to the brute-force oracle's.
+fn conflicts(probe: &Rule, existing: &Rule) -> bool {
+    let mut db = RuleDb::new();
+    db.insert(existing.clone()).unwrap();
+    let report = ConflictGraph::default().analyze(&db, probe).unwrap();
+    let oracle = check_conflict(probe, existing).unwrap().is_some();
+    assert_eq!(
+        !report.conflicts.is_empty(),
+        oracle,
+        "graph and oracle disagree on {probe} vs {existing}"
+    );
+    oracle
+}
+
+/// The conflict verdict is symmetric: whether two rules can collide does
+/// not depend on which one is "being registered".
+#[test]
+fn conflict_verdict_is_symmetric() {
+    let mut rng = Rng::new(0x5);
+    for _ in 0..CASES {
+        let (a, b) = (arb_rule(&mut rng, 1), arb_rule(&mut rng, 2));
+        assert_eq!(conflicts(&a, &b), conflicts(&b, &a), "{a} vs {b}");
     }
+}
 
-    /// A rule never conflicts with an exact copy of itself under a new id
-    /// and owner (identical actions are compatible by §4.4).
-    #[test]
-    fn rule_never_conflicts_with_its_clone(a in arb_rule(1)) {
-        let clone = a.clone().reassigned(RuleId::new(99), PersonId::new("other"));
-        prop_assert!(check_conflict(&a, &clone).unwrap().is_none());
+/// A rule never conflicts with an exact copy of itself under a new id and
+/// owner (identical actions are compatible by §4.4).
+#[test]
+fn rule_never_conflicts_with_its_clone() {
+    let mut rng = Rng::new(0xC1);
+    for _ in 0..CASES {
+        let a = arb_rule(&mut rng, 1);
+        let clone = a
+            .clone()
+            .reassigned(RuleId::new(99), PersonId::new("other"));
+        assert!(!conflicts(&a, &clone), "{a}");
     }
+}
 
-    /// Conflicting rules are individually consistent: a conflict requires
-    /// both conditions to hold somewhere, so each must be satisfiable.
-    #[test]
-    fn conflicts_imply_consistency(a in arb_rule(1), b in arb_rule(2)) {
-        if check_conflict(&a, &b).unwrap().is_some() {
-            prop_assert!(check_consistency(&a).unwrap().is_satisfiable());
-            prop_assert!(check_consistency(&b).unwrap().is_satisfiable());
+/// Conflicting rules are individually consistent: a conflict requires both
+/// conditions to hold somewhere, so each must be satisfiable.
+#[test]
+fn conflicts_imply_consistency() {
+    let mut rng = Rng::new(0xC0);
+    for _ in 0..CASES {
+        let (a, b) = (arb_rule(&mut rng, 1), arb_rule(&mut rng, 2));
+        if conflicts(&a, &b) {
+            assert!(check_consistency(&a).unwrap().is_satisfiable(), "{a}");
+            assert!(check_consistency(&b).unwrap().is_satisfiable(), "{b}");
         }
     }
+}
 
-    /// An inconsistent rule conflicts with nothing.
-    #[test]
-    fn inconsistent_rules_conflict_with_nothing(b in arb_rule(2)) {
-        let impossible = Condition::Atom(Atom::Constraint(ConstraintAtom::new(
-            SensorKey::new(DeviceId::new("sensor-0"), "reading"),
-            RelOp::Gt,
-            Quantity::from_integer(50, Unit::Celsius),
-        )))
-        .and(Condition::Atom(Atom::Constraint(ConstraintAtom::new(
-            SensorKey::new(DeviceId::new("sensor-0"), "reading"),
-            RelOp::Lt,
-            Quantity::from_integer(-50, Unit::Celsius),
-        ))));
-        let a = Rule::builder(PersonId::new("x"))
-            .condition(impossible)
-            .action(ActionSpec::new(DeviceId::new("shared-device"), Verb::TurnOn))
-            .build(RuleId::new(1))
-            .unwrap();
-        prop_assert!(!check_consistency(&a).unwrap().is_satisfiable());
-        prop_assert!(check_conflict(&a, &b).unwrap().is_none());
+/// An inconsistent rule conflicts with nothing.
+#[test]
+fn inconsistent_rules_conflict_with_nothing() {
+    let impossible = reading(RelOp::Gt, 50).and(reading(RelOp::Lt, -50));
+    let a = rule(1, impossible, Verb::TurnOn, 99);
+    assert!(!check_consistency(&a).unwrap().is_satisfiable());
+    let mut rng = Rng::new(0x1C);
+    for _ in 0..CASES {
+        let b = arb_rule(&mut rng, 2);
+        assert!(!conflicts(&a, &b), "{b}");
     }
+}
 
-    /// Widening a threshold can only preserve or create conflicts, never
-    /// remove them (monotonicity of satisfiability in the bound).
-    #[test]
-    fn loosening_a_lower_bound_preserves_conflicts(
-        b in arb_rule(2),
-        tight in 0i64..30,
-        slack in 1i64..10,
-    ) {
-        let make = |threshold: i64| {
-            Rule::builder(PersonId::new("x"))
-                .condition(Condition::Atom(Atom::Constraint(ConstraintAtom::new(
-                    SensorKey::new(DeviceId::new("sensor-0"), "reading"),
-                    RelOp::Gt,
-                    Quantity::from_integer(threshold, Unit::Celsius),
-                ))))
-                .action(ActionSpec::new(DeviceId::new("shared-device"), Verb::TurnOn)
-                    .with_setting("temperature", Quantity::from_integer(99, Unit::Celsius)))
-                .build(RuleId::new(1))
-                .unwrap()
-        };
-        let tight_rule = make(tight);
-        let loose_rule = make(tight - slack);
-        if check_conflict(&tight_rule, &b).unwrap().is_some() {
-            prop_assert!(check_conflict(&loose_rule, &b).unwrap().is_some());
+/// Widening a threshold can only preserve or create conflicts, never
+/// remove them (monotonicity of satisfiability in the bound).
+#[test]
+fn loosening_a_lower_bound_preserves_conflicts() {
+    let above = |threshold| rule(1, reading(RelOp::Gt, threshold), Verb::TurnOn, 99);
+    let mut rng = Rng::new(0x10);
+    let mut held = 0;
+    for _ in 0..CASES {
+        let b = arb_rule(&mut rng, 2);
+        let tight = rng.range_i64(0, 29);
+        let slack = rng.range_i64(1, 9);
+        if conflicts(&above(tight), &b) {
+            held += 1;
+            assert!(
+                conflicts(&above(tight - slack), &b),
+                "{b} at {tight}-{slack}"
+            );
         }
     }
+    assert!(held > 0, "the workload never produced a conflict to loosen");
 }

@@ -25,9 +25,9 @@
 //! Sensor values additionally carry the sim instant of their last update;
 //! a configurable [`FreshnessPolicy`] decides how conjuncts over *stale*
 //! readings evaluate (fail-closed, fail-open, or hold the last value).
-//! Both evaluation paths — the compiled IR via [`ContextView::sensor_read`]
-//! and the AST interpreter via [`ContextStore::sensor_read_key`] — share
-//! one policy implementation, preserving lockstep parity.
+//! Both evaluators — the compiled IR via [`ContextView::sensor_read`] and
+//! the reference interpreter via [`ContextStore::sensor_read_key`] — share
+//! one policy implementation, so their verdicts agree.
 
 use cadel_ir::{
     ChannelSlot, ContextView, EventSlot, PlaceSlot, SensorRead, SensorSlot, SharedInterner,
@@ -65,8 +65,7 @@ struct EventFact {
 ///
 /// Readings carry the sim timestamp of their last update; a
 /// [`FreshnessPolicy`] with a `max_age` marks older readings stale and
-/// this mode decides what the evaluators (compiled IR and AST alike) do
-/// with them.
+/// this mode decides what evaluation does with them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FreshnessMode {
     /// Stale readings evaluate as if absent: the predicate is false.
@@ -385,7 +384,7 @@ impl ContextStore {
     /// Applies the freshness policy to a raw `(value, last-update)` pair.
     /// Shared by the slot-indexed ([`ContextView::sensor_read`]) and
     /// string-keyed ([`ContextStore::sensor_read_key`]) paths so compiled
-    /// and AST evaluation stay in lockstep.
+    /// code and the reference interpreter agree.
     fn read_policy<'a>(&self, value: Option<&'a Value>, stamp: Option<SimTime>) -> SensorRead<'a> {
         let Some(value) = value else {
             return SensorRead::AssumeFalse;
@@ -413,8 +412,9 @@ impl ContextStore {
         }
     }
 
-    /// The policy-mediated reading for a string-keyed sensor (the AST
-    /// evaluator's entry point; mirrors [`ContextView::sensor_read`]).
+    /// The policy-mediated reading for a string-keyed sensor (the
+    /// reference interpreter's entry point; mirrors
+    /// [`ContextView::sensor_read`]).
     pub fn sensor_read_key(&self, key: &SensorKey) -> SensorRead<'_> {
         self.read_policy(
             self.sensor_values.get(key),

@@ -12,12 +12,13 @@ use crate::context::{
     ContextStore, FreshnessPolicy, ARRIVAL_VARIABLE, OCCUPANTS_VARIABLE, ON_AIR_VARIABLE,
 };
 use crate::error::EngineError;
-use crate::eval::{Evaluator, HeldOverlay, HeldTracker};
+use crate::eval::{HeldOverlay, HeldTracker};
 use crate::index::TriggerIndex;
 use crate::resilience::{ActuationError, Resilience, ResilienceConfig, RetryKind};
 use cadel_conflict::{PriorityOrder, PriorityStore, Resolution};
+use cadel_ir::{eval_code, CondCode, Pred};
 use cadel_obs::{Event as ObsEvent, LazyCounter, LazyGauge, LazyHistogram, Level, Span, Stopwatch};
-use cadel_rule::{ActionSpec, Rule, RuleDb, RuleError, Verb};
+use cadel_rule::{compile_condition, ActionSpec, Rule, RuleDb, RuleError, Verb};
 use cadel_types::{DeviceId, RuleId, SimTime, Value};
 use cadel_upnp::{ControlPoint, Subscription, UpnpError};
 use std::collections::{BTreeSet, HashMap};
@@ -50,13 +51,6 @@ static SHARD_RULES: LazyHistogram = LazyHistogram::new("engine_eval_shard_rules"
 static SHARD_IMBALANCE_NS: LazyHistogram = LazyHistogram::new("engine_eval_shard_imbalance_ns");
 /// Rule conditions evaluated across all steps.
 static RULES_EVALUATED: LazyCounter = LazyCounter::new("engine_rules_evaluated_total");
-/// Evaluations served by a compiled program.
-static EVAL_COMPILED: LazyCounter = LazyCounter::new("engine_eval_compiled_total");
-/// Evaluations interpreted from the AST (compiled mode off, or fallback).
-static EVAL_AST: LazyCounter = LazyCounter::new("engine_eval_ast_total");
-/// Evaluations that *wanted* a compiled program but fell back to the AST
-/// because compilation had failed for that rule.
-static AST_FALLBACKS: LazyCounter = LazyCounter::new("engine_ast_fallback_total");
 /// Firings dispatched to a device (fresh acquisition).
 static FIRINGS_DISPATCHED: LazyCounter = LazyCounter::new("engine_firings_dispatched_total");
 /// Firings suppressed by a higher-priority rule.
@@ -198,6 +192,10 @@ pub struct Engine {
     subscription: Subscription,
     rules: RuleDb,
     priorities: PriorityStore,
+    /// Each priority order's context guard, lowered once in
+    /// [`Engine::add_priority`] and index-aligned with the store's orders.
+    /// An unscoped order lowers to empty code, which holds.
+    priority_guards: Vec<(Vec<Pred>, CondCode)>,
     ctx: ContextStore,
     held: HeldTracker,
     index: TriggerIndex,
@@ -210,7 +208,6 @@ pub struct Engine {
     candidate_buf: Vec<RuleId>,
     /// Reusable evaluation-stats buffers, recycled for the same reason.
     eval_stats: shard::EvalStats,
-    use_compiled: bool,
     /// Worker threads for the evaluation phase; 1 = serial. Both paths
     /// run the same snapshot/evaluate/commit pipeline and produce
     /// byte-identical reports.
@@ -231,9 +228,6 @@ pub struct Engine {
     /// Rules whose current suppression was already announced on the
     /// conflict channel (avoids re-raising every step).
     suppress_noted: BTreeSet<RuleId>,
-    /// Rules whose compiled-program fallback was already reported as a
-    /// structured event (the counter still ticks on every occurrence).
-    fallback_noted: BTreeSet<RuleId>,
     /// Fault tolerance: per-device circuit breakers, the sim-time retry
     /// queue and the dead-letter queue.
     resilience: Resilience,
@@ -271,6 +265,7 @@ impl Engine {
             subscription,
             rules,
             priorities: PriorityStore::new(),
+            priority_guards: Vec::new(),
             ctx,
             held: HeldTracker::new(),
             index,
@@ -278,7 +273,6 @@ impl Engine {
             last_freshness,
             candidate_buf: Vec::new(),
             eval_stats: shard::EvalStats::default(),
-            use_compiled: true,
             eval_threads: 1,
             coalesce_events: true,
             last_state: HashMap::new(),
@@ -286,7 +280,6 @@ impl Engine {
             contenders: HashMap::new(),
             latched: BTreeSet::new(),
             suppress_noted: BTreeSet::new(),
-            fallback_noted: BTreeSet::new(),
             resilience: Resilience::default(),
             deferred_devices: BTreeSet::new(),
             defer_noted: BTreeSet::new(),
@@ -306,14 +299,6 @@ impl Engine {
     /// rule. Exists for the A3 ablation benchmark.
     pub fn set_use_trigger_index(&mut self, enabled: bool) {
         self.use_trigger_index = enabled;
-    }
-
-    /// Disables compiled-program evaluation: conditions are interpreted
-    /// from their ASTs instead. Exists for parity testing and the compiled
-    /// vs. interpreted benchmark; both modes produce identical
-    /// [`StepReport`]s.
-    pub fn set_use_compiled(&mut self, enabled: bool) {
-        self.use_compiled = enabled;
     }
 
     /// Sets how many worker threads the evaluation phase may use (clamped
@@ -358,8 +343,23 @@ impl Engine {
         &self.priorities
     }
 
-    /// Registers a priority order.
+    /// Registers a priority order. Its context guard is lowered once,
+    /// against the rule database's interner, so arbitration evaluates
+    /// compiled code; names only the guard mentions are interned here and
+    /// reach the context's slot boards at the next step's ingest.
     pub fn add_priority(&mut self, order: PriorityOrder) -> usize {
+        let guard = match order.context() {
+            Some(context) => {
+                let mut interner = self
+                    .rules
+                    .interner()
+                    .write()
+                    .expect("interner lock poisoned");
+                compile_condition(context, &mut interner)
+            }
+            None => (Vec::new(), CondCode::new()),
+        };
+        self.priority_guards.push(guard);
         self.priorities.add_order(order)
     }
 
@@ -419,7 +419,6 @@ impl Engine {
         self.holders.retain(|_, h| h.rule != id);
         self.latched.remove(&id);
         self.suppress_noted.remove(&id);
-        self.fallback_noted.remove(&id);
         self.defer_noted.remove(&id);
         self.resilience.purge_rule(id);
         for set in self.contenders.values_mut() {
@@ -436,22 +435,24 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Rule`] for unknown ids.
+    /// Returns [`EngineError::Rule`] for unknown ids and for a replacement
+    /// that does not compile; the incumbent then stays live.
     pub fn update_rule(&mut self, rule: Rule) -> Result<(), EngineError> {
         let id = rule.id();
         if self.rules.get(id).is_none() {
             return Err(EngineError::Rule(RuleError::UnknownRule(id)));
         }
         // De-index the old footprint before the replacement overwrites
-        // it, then index the replacement's.
+        // it, then index whatever is stored: the replacement, or the
+        // incumbent a refused replacement left in place.
         self.index.remove(id, &self.rules);
-        self.rules.replace(rule)?;
+        let replaced = self.rules.replace(rule);
         self.index.insert(id, &self.rules, &self.ctx, &self.held);
+        replaced?;
         self.last_state.remove(&id);
         self.holders.retain(|_, h| h.rule != id);
         self.latched.remove(&id);
         self.suppress_noted.remove(&id);
-        self.fallback_noted.remove(&id);
         self.defer_noted.remove(&id);
         self.resilience.purge_rule(id);
         for set in self.contenders.values_mut() {
@@ -495,7 +496,6 @@ impl Engine {
             ctx: &self.ctx,
             held: &self.held,
             holders: &self.holders,
-            use_compiled: self.use_compiled,
         };
         let verdicts = shard::evaluate(&ec, &candidates, self.eval_threads, &mut eval_stats);
         self.candidate_buf = candidates;
@@ -507,7 +507,8 @@ impl Engine {
         // Devices whose current holder's condition just lapsed: suppressed
         // contenders must get a chance to take over.
         let mut holder_lapsed: BTreeSet<DeviceId> = BTreeSet::new();
-        let (evaluated, eval_compiled, eval_ast) = self.commit_verdicts(
+        let evaluated = verdicts.len() as u64;
+        self.commit_verdicts(
             verdicts,
             now,
             &mut newly_true,
@@ -637,8 +638,6 @@ impl Engine {
         EVENTS_INGESTED.add(ingested as u64);
         EVENTS_COALESCED.add(coalesced as u64);
         RULES_EVALUATED.add(evaluated);
-        EVAL_COMPILED.add(eval_compiled);
-        EVAL_AST.add(eval_ast);
         RELEASES.add(releases.len() as u64);
         if cadel_obs::enabled() {
             for firing in &firings {
@@ -684,9 +683,7 @@ impl Engine {
         self.ctx.set_now(now);
         // Catch the slot boards up with names interned since the last step
         // (mutators keep them current otherwise).
-        if self.use_compiled {
-            self.ctx.sync_ir();
-        }
+        self.ctx.sync_ir();
         // Index of the last write per (device, variable) within this
         // batch; earlier writes to the same sensor are invisible to every
         // observer (evaluation only sees post-batch state) and are
@@ -749,12 +746,11 @@ impl Engine {
     }
 
     /// Phase 4 of [`step`](Self::step): applies evaluation verdicts
-    /// serially in ascending `RuleId` order — held-for transitions,
-    /// fallback accounting, state edges, `until` releases and
-    /// contender-pool maintenance. This is the old evaluation loop minus
-    /// the evaluation: given the same verdicts it performs the same
-    /// mutations in the same order no matter how many threads produced
-    /// them. Returns (evaluated, compiled, ast) counts.
+    /// serially in ascending `RuleId` order — held-for transitions, state
+    /// edges, `until` releases and contender-pool maintenance. This is the
+    /// old evaluation loop minus the evaluation: given the same verdicts it
+    /// performs the same mutations in the same order no matter how many
+    /// threads produced them.
     fn commit_verdicts(
         &mut self,
         verdicts: Vec<EvalVerdict>,
@@ -762,10 +758,7 @@ impl Engine {
         newly_true: &mut BTreeSet<RuleId>,
         releases: &mut Vec<(RuleId, DeviceId)>,
         holder_lapsed: &mut BTreeSet<DeviceId>,
-    ) -> (u64, u64, u64) {
-        let mut evaluated: u64 = 0;
-        let mut eval_compiled: u64 = 0;
-        let mut eval_ast: u64 = 0;
+    ) {
         for verdict in verdicts {
             let id = verdict.rule;
             if let Some(hook) = &mut self.eval_hook {
@@ -781,30 +774,10 @@ impl Engine {
                 self.index.on_held_transition(&fingerprint, change);
                 self.held.apply(fingerprint, change);
             }
-            evaluated += 1;
-            if verdict.compiled {
-                eval_compiled += 1;
-            } else {
-                eval_ast += 1;
-            }
             let Some(rule) = self.rules.get(id) else {
                 continue;
             };
             let device = rule.action().device();
-            if verdict.fallback {
-                // Wanted the compiled path, ended up interpreting: a
-                // degradation worth a counter tick per occurrence and
-                // one structured event per rule.
-                AST_FALLBACKS.inc();
-                if self.fallback_noted.insert(id) && cadel_obs::enabled() {
-                    cadel_obs::emit(
-                        ObsEvent::new("engine.ast_fallback", Level::Warn)
-                            .with_field("rule", id.raw())
-                            .with_field("owner", rule.owner().as_str())
-                            .with_field("device", device.as_str()),
-                    );
-                }
-            }
             let now_true = verdict.now_true;
             let prev = self.last_state.insert(id, now_true).unwrap_or(false);
             self.index.on_committed(id, now_true);
@@ -897,7 +870,6 @@ impl Engine {
                 }
             }
         }
-        (evaluated, eval_compiled, eval_ast)
     }
 
     /// Raises the conflict-channel event for a suppressed/displaced rule
@@ -918,12 +890,14 @@ impl Engine {
     fn arbitrate(&mut self, device: &DeviceId, contenders: &[RuleId]) -> RuleId {
         debug_assert!(!contenders.is_empty());
         let ctx = &self.ctx;
+        let guards = &self.priority_guards;
         // Priority-store context conditions may contain `held for`:
         // observe them through an overlay so the committed transitions
         // also arm the index's dwell deadlines.
         let mut overlay = HeldOverlay::new(&self.held);
-        let resolution = self.priorities.resolve(device, contenders, |condition| {
-            Evaluator::new(ctx, &mut overlay).condition_holds(condition)
+        let resolution = self.priorities.resolve(device, contenders, |order| {
+            let (preds, code) = &guards[order];
+            eval_code(code, preds, ctx, &mut overlay)
         });
         for (fingerprint, change) in overlay.take_transitions() {
             self.index.on_held_transition(&fingerprint, change);
@@ -1464,6 +1438,87 @@ mod tests {
         assert_eq!(ra, rb);
     }
 
+    /// A context-scoped order whose guard reads a sensor no rule reads:
+    /// only `add_priority` interns that slot, and the compiled guard still
+    /// decides arbitration once the reading arrives.
+    #[test]
+    fn scoped_order_on_a_sensor_no_rule_reads_decides_arbitration() {
+        let (mut engine, home) = setup();
+        engine.add_rule(hot_rule("tom", 1, 26, 25)).unwrap();
+        engine.add_rule(hot_rule("alan", 2, 25, 24)).unwrap();
+        let humidity = SensorKey::new(DeviceId::new("hygro-lr"), "humidity");
+        let interned = |engine: &Engine| {
+            let interner = engine.rules().interner().read().unwrap();
+            interner.lookup_sensor(&humidity).is_some()
+        };
+        assert!(!interned(&engine), "no rule reads the hygrometer");
+
+        let aircon = DeviceId::new("aircon-lr");
+        engine.add_priority(PriorityOrder::new(
+            aircon.clone(),
+            vec![RuleId::new(1), RuleId::new(2)],
+        ));
+        engine.add_priority(
+            PriorityOrder::new(aircon.clone(), vec![RuleId::new(2), RuleId::new(1)]).in_context(
+                Condition::Atom(Atom::Constraint(ConstraintAtom::new(
+                    humidity.clone(),
+                    RelOp::Gt,
+                    Quantity::from_integer(70, Unit::Percent),
+                ))),
+            ),
+        );
+        assert!(interned(&engine), "add_priority interns the guard's sensor");
+
+        // Dry: the guard is false, the default order hands Tom the aircon.
+        home.hygrometer
+            .set_reading(Rational::from_integer(50), mins(1))
+            .unwrap();
+        home.thermometer
+            .set_reading(Rational::from_integer(28), mins(1))
+            .unwrap();
+        engine.step(mins(1));
+        assert_eq!(engine.holder(&aircon), Some(RuleId::new(1)));
+
+        // Humid: the scoped order applies and Alan takes over.
+        home.hygrometer
+            .set_reading(Rational::from_integer(80), mins(2))
+            .unwrap();
+        let report = engine.step(mins(2));
+        assert_eq!(engine.holder(&aircon), Some(RuleId::new(2)));
+        assert!(report
+            .firings
+            .iter()
+            .any(|f| f.rule == RuleId::new(2)
+                && f.outcome == FiringOutcome::Replaced(RuleId::new(1))));
+    }
+
+    #[test]
+    fn refused_update_keeps_the_incumbent_live() {
+        let (mut engine, home) = setup();
+        let incumbent = hot_rule("tom", 1, 26, 25);
+        engine.add_rule(incumbent.clone()).unwrap();
+        // The same sensor compared as °C and as %: does not compile.
+        let humid = Condition::Atom(Atom::Constraint(ConstraintAtom::new(
+            SensorKey::new(DeviceId::new("thermo-lr"), "temperature"),
+            RelOp::Lt,
+            Quantity::from_integer(60, Unit::Percent),
+        )));
+        let clash = Rule::builder(PersonId::new("tom"))
+            .condition(incumbent.condition().clone().and(humid))
+            .action(incumbent.action().clone())
+            .build(RuleId::new(1))
+            .unwrap();
+        assert!(matches!(
+            engine.update_rule(clash),
+            Err(EngineError::Rule(RuleError::DimensionMismatch { .. }))
+        ));
+        home.thermometer
+            .set_reading(Rational::from_integer(30), SimTime::EPOCH)
+            .unwrap();
+        let report = engine.step(SimTime::from_millis(1));
+        assert_eq!(report.firings.len(), 1, "the incumbent still fires");
+    }
+
     #[test]
     fn disabled_rules_do_not_fire() {
         let (mut engine, home) = setup();
@@ -1722,79 +1777,71 @@ mod tests {
             .any(|f| matches!(f.outcome, FiringOutcome::Dispatched)));
     }
 
+    const FRESHNESS_MODES: [FreshnessMode; 3] = [
+        FreshnessMode::FailClosed,
+        FreshnessMode::FailOpen,
+        FreshnessMode::HoldLastValue,
+    ];
+
+    /// Tom's hot rule under a 10-minute freshness window in `mode`, with a
+    /// 28° reading stamped at the epoch.
+    fn hot_at_epoch(mode: FreshnessMode) -> (Engine, LivingRoomHome) {
+        let (mut engine, home) = setup();
+        engine.add_rule(hot_rule("tom", 1, 26, 25)).unwrap();
+        let policy = FreshnessPolicy::new(mode, SimDuration::from_minutes(10));
+        engine.context_mut().set_freshness_policy(policy);
+        home.thermometer
+            .set_reading(Rational::from_integer(28), SimTime::EPOCH)
+            .unwrap();
+        (engine, home)
+    }
+
+    /// A reading past its freshness window degrades by mode: `FailClosed`
+    /// drops the condition, `FailOpen` and `HoldLastValue` keep it. The
+    /// engine's compiled program and the reference interpreter agree on
+    /// that verdict at every step; the rule fires once on the fresh
+    /// reading in every mode and never re-fires on stale data.
     #[test]
     fn staleness_verdicts_agree_between_compiled_and_ast_modes() {
-        for mode in [
-            FreshnessMode::FailClosed,
-            FreshnessMode::FailOpen,
-            FreshnessMode::HoldLastValue,
-        ] {
-            let (mut compiled, home_a) = setup();
-            let (mut ast, home_b) = setup();
-            ast.set_use_compiled(false);
-            for engine in [&mut compiled, &mut ast] {
-                engine.add_rule(hot_rule("tom", 1, 26, 25)).unwrap();
-                engine
-                    .context_mut()
-                    .set_freshness_policy(FreshnessPolicy::new(
-                        mode,
-                        SimDuration::from_minutes(10),
-                    ));
-            }
-            for home in [&home_a, &home_b] {
-                home.thermometer
-                    .set_reading(Rational::from_integer(28), SimTime::EPOCH)
-                    .unwrap();
-            }
-            let mut reports_compiled = Vec::new();
-            let mut reports_ast = Vec::new();
+        for mode in FRESHNESS_MODES {
+            let (mut engine, _home) = hot_at_epoch(mode);
+            let rule = hot_rule("tom", 1, 26, 25);
+            let program = engine.rules().program(RuleId::new(1)).unwrap().clone();
             for m in [1u64, 5, 11, 20, 30] {
-                reports_compiled.push(compiled.step(mins(m)));
-                reports_ast.push(ast.step(mins(m)));
+                let report = engine.step(mins(m));
+                assert_eq!(
+                    report.firings.len(),
+                    usize::from(m == 1),
+                    "mode {mode}, minute {m}"
+                );
+                let ctx = engine.context();
+                let compiled = cadel_ir::condition_holds(&program, ctx, &mut HeldTracker::new());
+                let ast = crate::Evaluator::new(ctx, &mut HeldTracker::new())
+                    .condition_holds(rule.condition());
+                let expected = m <= 10 || mode != FreshnessMode::FailClosed;
+                assert_eq!(compiled, expected, "compiled, mode {mode}, minute {m}");
+                assert_eq!(ast, expected, "ast, mode {mode}, minute {m}");
             }
-            assert_eq!(reports_compiled, reports_ast, "mode {mode}");
         }
     }
 
     /// A reading whose age is *exactly* `max_age` is still fresh — the
     /// staleness predicate is `age > max_age`, not `>=` — and every mode
-    /// agrees, in both the compiled-IR and AST paths. One millisecond
-    /// later the reading is stale, and the modes diverge on the next
-    /// condition edge: only `FailClosed` drops the condition to false,
-    /// so only it re-fires when a fresh hot reading arrives.
+    /// agrees. One millisecond later the reading is stale, and the modes
+    /// diverge on the next condition edge: only `FailClosed` drops the
+    /// condition to false, so only it re-fires when a fresh hot reading
+    /// arrives.
     #[test]
     fn freshness_boundary_age_equal_to_max_age_is_fresh() {
-        for mode in [
-            FreshnessMode::FailClosed,
-            FreshnessMode::FailOpen,
-            FreshnessMode::HoldLastValue,
-        ] {
-            let (mut compiled, home_a) = setup();
-            let (mut ast, home_b) = setup();
-            ast.set_use_compiled(false);
-            for engine in [&mut compiled, &mut ast] {
-                engine.add_rule(hot_rule("tom", 1, 26, 25)).unwrap();
-                engine
-                    .context_mut()
-                    .set_freshness_policy(FreshnessPolicy::new(
-                        mode,
-                        SimDuration::from_minutes(10),
-                    ));
-            }
-            for home in [&home_a, &home_b] {
-                home.thermometer
-                    .set_reading(Rational::from_integer(28), SimTime::EPOCH)
-                    .unwrap();
-            }
+        for mode in FRESHNESS_MODES {
+            let (mut engine, home) = hot_at_epoch(mode);
 
             // First evaluation at exactly max_age: fresh on the nose, so
             // the rule fires in every mode.
             let at_boundary = mins(10);
-            let rc = compiled.step(at_boundary);
-            let ra = ast.step(at_boundary);
-            assert_eq!(rc, ra, "mode {mode}: boundary step diverges");
+            let report = engine.step(at_boundary);
             assert_eq!(
-                rc.firings.len(),
+                report.firings.len(),
                 1,
                 "mode {mode}: age == max_age must count as fresh"
             );
@@ -1808,78 +1855,61 @@ mod tests {
             // both keep the condition true (stale-true and held-true
             // respectively), so no edge.
             let past = at_boundary + SimDuration::from_millis(1);
-            for home in [&home_a, &home_b] {
-                home.thermometer
-                    .set_reading(Rational::from_integer(27), SimTime::EPOCH)
-                    .unwrap();
-            }
-            let rc = compiled.step(past);
-            let ra = ast.step(past);
-            assert_eq!(rc, ra, "mode {mode}: past-boundary step diverges");
-            assert!(rc.firings.is_empty(), "mode {mode}: stale data never fires");
+            home.thermometer
+                .set_reading(Rational::from_integer(27), SimTime::EPOCH)
+                .unwrap();
+            let report = engine.step(past);
+            assert!(
+                report.firings.is_empty(),
+                "mode {mode}: stale data never fires"
+            );
 
             let refresh = past + SimDuration::from_millis(1);
-            for home in [&home_a, &home_b] {
-                home.thermometer
-                    .set_reading(Rational::from_integer(28), refresh)
-                    .unwrap();
-            }
-            let rc = compiled.step(refresh);
-            let ra = ast.step(refresh);
-            assert_eq!(rc, ra, "mode {mode}: refresh step diverges");
+            home.thermometer
+                .set_reading(Rational::from_integer(28), refresh)
+                .unwrap();
+            let report = engine.step(refresh);
             let expected = usize::from(mode == FreshnessMode::FailClosed);
-            assert_eq!(rc.firings.len(), expected, "mode {mode}: re-fire count");
+            assert_eq!(report.firings.len(), expected, "mode {mode}: re-fire count");
         }
     }
 
     /// After a sensor device drops out permanently, `HoldLastValue`
     /// keeps evaluating the last reading indefinitely: the rule's
-    /// condition never goes false, the device hold survives, and the
-    /// compiled-IR and AST paths agree at every step. `FailClosed` over
-    /// the same dropout lets the condition lapse once the reading ages
-    /// out.
+    /// condition never goes false and the device hold survives.
     #[test]
     fn hold_last_value_survives_permanent_device_dropout() {
         let plan = FaultPlan::new().fail_from(mins(2));
-        let (mut compiled, home_a) = faulty_setup("thermo-lr", plan.clone());
-        let (mut ast, home_b) = faulty_setup("thermo-lr", plan);
-        ast.set_use_compiled(false);
-        for engine in [&mut compiled, &mut ast] {
-            engine.add_rule(hot_rule("tom", 1, 26, 25)).unwrap();
-            engine
-                .context_mut()
-                .set_freshness_policy(FreshnessPolicy::new(
-                    FreshnessMode::HoldLastValue,
-                    SimDuration::from_minutes(10),
-                ));
-        }
+        let (mut engine, home) = faulty_setup("thermo-lr", plan);
+        engine.add_rule(hot_rule("tom", 1, 26, 25)).unwrap();
+        engine
+            .context_mut()
+            .set_freshness_policy(FreshnessPolicy::new(
+                FreshnessMode::HoldLastValue,
+                SimDuration::from_minutes(10),
+            ));
         // Last reading before the device dies at minute 2.
-        for home in [&home_a, &home_b] {
-            home.thermometer
-                .set_reading(Rational::from_integer(28), mins(1))
-                .unwrap();
-        }
-        let rc = compiled.step(mins(1));
-        let ra = ast.step(mins(1));
-        assert_eq!(rc, ra);
-        assert_eq!(rc.firings.len(), 1);
+        home.thermometer
+            .set_reading(Rational::from_integer(28), mins(1))
+            .unwrap();
+        let report = engine.step(mins(1));
+        assert_eq!(report.firings.len(), 1);
 
         // Hours past the dropout: the reading is long stale but held, so
         // the condition stays true — no release, no re-fire, the hold
         // survives.
         for m in [20u64, 60, 180, 600] {
-            let rc = compiled.step(mins(m));
-            let ra = ast.step(mins(m));
-            assert_eq!(rc, ra, "dropout step at minute {m} diverges");
-            assert!(rc.firings.is_empty(), "minute {m}: held value re-fired");
-            assert!(rc.releases.is_empty(), "minute {m}: held value released");
-        }
-        for engine in [&compiled, &ast] {
-            assert_eq!(
-                engine.holder(&DeviceId::new("aircon-lr")),
-                Some(RuleId::new(1)),
-                "hold must survive the dropout"
+            let report = engine.step(mins(m));
+            assert!(report.firings.is_empty(), "minute {m}: held value re-fired");
+            assert!(
+                report.releases.is_empty(),
+                "minute {m}: held value released"
             );
         }
+        assert_eq!(
+            engine.holder(&DeviceId::new("aircon-lr")),
+            Some(RuleId::new(1)),
+            "hold must survive the dropout"
+        );
     }
 }

@@ -1,29 +1,21 @@
-//! Condition evaluation against the live context, including the temporal
-//! state needed for "held for" atoms.
+//! The temporal state needed for "held for" atoms, and the reference
+//! interpreter for conditions.
+//!
+//! The engine evaluates every condition from compiled `cadel-ir` code;
+//! [`Evaluator`] walks the source tree instead and exists as the oracle
+//! that tests compare the compiled programs against.
 
 use crate::context::ContextStore;
 use cadel_ir::{HeldObserver, SensorRead};
 use cadel_rule::{Atom, Condition, PresenceAtom, Subject};
 use cadel_types::{SimTime, Value};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fmt::Write as _;
-
-thread_local! {
-    /// Reusable buffer for AST `HeldFor` fingerprints. The compiled path
-    /// bakes fingerprints into its programs at lowering time; the
-    /// interpreter used to allocate a fresh `String` per evaluation of
-    /// every `HeldFor` atom — the hot-path allocation this scratch removes.
-    /// The buffer is only borrowed *after* the inner atom has been fully
-    /// evaluated, so nested `HeldFor` atoms cannot re-enter the borrow.
-    static FINGERPRINT_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
-}
 
 /// Tracks since when each duration-qualified atom's inner fact has been
 /// continuously true, so `door unlocked for 1 hour` can be decided.
 ///
-/// Observed through the [`Evaluator`] on every engine evaluation — the
-/// tracker records false→true transitions and resets on true→false.
+/// Observed on every engine evaluation — the tracker records false→true
+/// transitions and resets on true→false.
 #[derive(Clone, Debug, Default)]
 pub struct HeldTracker {
     since: HashMap<String, SimTime>,
@@ -153,28 +145,33 @@ impl HeldObserver for HeldOverlay<'_> {
     }
 }
 
-/// Compiled programs and the AST interpreter share one tracker: lowering
-/// reproduces the interpreter's fingerprints byte-for-byte, so both
-/// evaluation paths observe (and reset) the same continuous-truth state.
+/// Compiled programs and the reference interpreter share one tracker
+/// format: lowering reproduces the interpreter's fingerprints
+/// byte-for-byte, so both observe (and reset) the same continuous-truth
+/// state.
 impl cadel_ir::HeldObserver for HeldTracker {
     fn observe(&mut self, fingerprint: &str, inner_true: bool, now: SimTime) -> Option<SimTime> {
         HeldTracker::observe(self, fingerprint, inner_true, now)
     }
 }
 
-/// Evaluates conditions against a [`ContextStore`].
+/// The reference interpreter: evaluates a condition tree directly against
+/// a [`ContextStore`].
 ///
-/// Generic over the held-for observer so the same interpreter serves the
-/// serial engine (mutable [`HeldTracker`]) and the parallel evaluation
-/// workers (read-only `HeldOverlay`).
-pub struct Evaluator<'a, H = HeldTracker> {
+/// The engine never calls it — it evaluates the compiled programs the
+/// rule database stores. The interpreter is the oracle those programs are
+/// tested against (a condition's program and its tree must agree on every
+/// context), so it stays deliberately simple: a direct walk of the tree
+/// with the same short-circuit order and freshness semantics as the
+/// compiled code.
+pub struct Evaluator<'a> {
     ctx: &'a ContextStore,
-    held: &'a mut H,
+    held: &'a mut HeldTracker,
 }
 
-impl<'a, H: HeldObserver> Evaluator<'a, H> {
+impl<'a> Evaluator<'a> {
     /// Creates an evaluator borrowing the context and the held-for state.
-    pub fn new(ctx: &'a ContextStore, held: &'a mut H) -> Evaluator<'a, H> {
+    pub fn new(ctx: &'a ContextStore, held: &'a mut HeldTracker) -> Evaluator<'a> {
         Evaluator { ctx, held }
     }
 
@@ -192,8 +189,8 @@ impl<'a, H: HeldObserver> Evaluator<'a, H> {
     pub fn atom_holds(&mut self, atom: &Atom) -> bool {
         match atom {
             // Sensor-backed atoms read through the freshness policy, the
-            // same one the compiled path applies in `ir::eval_pred` —
-            // degraded verdicts must agree between the two evaluators.
+            // same one compiled code applies in `ir::eval_pred` — degraded
+            // verdicts must agree between the two evaluators.
             Atom::Constraint(c) => match self.ctx.sensor_read_key(c.sensor()) {
                 SensorRead::Value(Value::Number(q)) => {
                     if !q.is_comparable_to(&c.threshold()) {
@@ -223,16 +220,11 @@ impl<'a, H: HeldObserver> Evaluator<'a, H> {
             Atom::HeldFor { inner, duration } => {
                 let inner_true = self.atom_holds(inner);
                 let now = self.ctx.now();
-                FINGERPRINT_SCRATCH.with(|scratch| {
-                    let mut fingerprint = scratch.borrow_mut();
-                    fingerprint.clear();
-                    write!(fingerprint, "{inner}~{}", duration.as_millis())
-                        .expect("formatting into a String cannot fail");
-                    match self.held.observe(&fingerprint, inner_true, now) {
-                        Some(since) => now.since(since) >= *duration,
-                        None => false,
-                    }
-                })
+                let fingerprint = format!("{inner}~{}", duration.as_millis());
+                match self.held.observe(&fingerprint, inner_true, now) {
+                    Some(since) => now.since(since) >= *duration,
+                    None => false,
+                }
             }
             // `Atom` is non-exhaustive: future atom kinds default to false
             // (fail closed) until evaluation support is added.

@@ -20,8 +20,8 @@
 //! * freshness deadlines (`stamp + max_age + 1ms`) for stamped sensors
 //!   under an active [`FreshnessPolicy`](crate::FreshnessPolicy), so
 //!   staleness no longer forces a full scan;
-//! * the always-on sets: `temporal` rules (clock windows, event dwells,
-//!   uncompiled rules), currently-`true` rules (falling edges, transient
+//! * the always-on sets: `temporal` rules (clock windows, event dwells),
+//!   currently-`true` rules (falling edges, transient
 //!   expiry and `until` releases), and `pending` rules that have never
 //!   committed a verdict.
 //!
@@ -66,8 +66,8 @@ pub struct TriggerIndex {
     by_sensor: Vec<Vec<u32>>,
     by_place: Vec<Vec<u32>>,
     by_channel: Vec<Vec<u32>>,
-    /// Rules that must be evaluated every step: clock/date windows,
-    /// ineligible dwells, and rules with no compiled program.
+    /// Rules that must be evaluated every step: clock/date windows and
+    /// ineligible dwells.
     temporal: BTreeSet<u32>,
     /// Rules whose last committed verdict was `true` — falling edges
     /// (transient-event expiry, dwell resets, `until` releases) happen
@@ -127,7 +127,7 @@ impl TriggerIndex {
     /// deadlines for windows already open in `held`), arms freshness
     /// deadlines for its already-stamped sensors when a policy is
     /// active, and marks it pending so it is evaluated until its first
-    /// committed verdict. Rules without a compiled program are temporal.
+    /// committed verdict.
     pub(crate) fn insert(
         &mut self,
         id: RuleId,
@@ -140,12 +140,12 @@ impl TriggerIndex {
             // re-insert by unposting the current footprint first.
             self.remove(id, db);
         }
-        let ord = self.alloc_ord(id);
-        self.pending.insert(ord);
         let Some(r) = db.program_ref(id).copied() else {
-            self.temporal.insert(ord);
+            // Not stored: nothing to index.
             return;
         };
+        let ord = self.alloc_ord(id);
+        self.pending.insert(ord);
         let arena = db.arena();
         if r.temporal() {
             self.temporal.insert(ord);

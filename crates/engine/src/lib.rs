@@ -10,8 +10,11 @@
 //! * [`ContextStore`] — the live picture of the home (sensor values,
 //!   presence, active events, clock/calendar), fed by UPnP
 //!   property-change events.
-//! * [`Evaluator`] / [`HeldTracker`] — condition evaluation, including the
-//!   temporal bookkeeping behind "door unlocked **for 1 hour**".
+//! * [`HeldTracker`] — the temporal bookkeeping behind "door unlocked
+//!   **for 1 hour**". Conditions are evaluated from their compiled
+//!   programs; [`Evaluator`] is the reference tree-walking interpreter
+//!   that tests compare those programs against, and the engine never
+//!   calls it.
 //! * [`TriggerIndex`] — slot-keyed inverted indexes over the compiled
 //!   program arena plus dwell/freshness deadline heaps, so a step's cost
 //!   scales with the dirty set, not the rule count (benchmarks P3/P4

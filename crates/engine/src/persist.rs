@@ -212,7 +212,6 @@ impl Engine {
             ("contenders", contenders),
             ("latched", rule_set_to_json(&self.latched)),
             ("suppress_noted", rule_set_to_json(&self.suppress_noted)),
-            ("fallback_noted", rule_set_to_json(&self.fallback_noted)),
             ("defer_noted", rule_set_to_json(&self.defer_noted)),
             (
                 "deferred_devices",
@@ -325,7 +324,6 @@ impl Engine {
         }
         self.latched = rule_set_from_json(doc, "latched")?;
         self.suppress_noted = rule_set_from_json(doc, "suppress_noted")?;
-        self.fallback_noted = rule_set_from_json(doc, "fallback_noted")?;
         self.defer_noted = rule_set_from_json(doc, "defer_noted")?;
         self.deferred_devices = arr_of(doc, "deferred_devices")?
             .iter()
@@ -742,6 +740,47 @@ mod tests {
             let doc = freshness_policy_to_json(&policy);
             assert_eq!(freshness_policy_from_json(&doc).unwrap(), policy);
         }
+    }
+
+    /// A checkpoint written before lowering became total: it carries the
+    /// retired `fallback_noted` set (rule 2 was a dimension clash, then
+    /// stored without a program and interpreted instead).
+    const CHECKPOINT_WITH_FALLBACK_NOTED: &str = concat!(
+        r#"{"version":1,"now":180000,"event_window_ms":600000,"#,
+        r#""freshness":{"mode":"hold-last-value"},"#,
+        r#""sensors":[{"device":"aircon-lr","variable":"power","value":true,"at":60000},"#,
+        r#"{"device":"thermo-lr","variable":"temperature","value":{"number":28,"unit":"celsius"},"at":60000}],"#,
+        r#""presence":[],"transient_events":[],"persistent_events":[],"held":[],"#,
+        r#""last_state":[{"rule":1,"state":true},{"rule":2,"state":false}],"#,
+        r#""holders":[{"device":"aircon-lr","rule":1}],"#,
+        r#""contenders":[{"device":"aircon-lr","rules":[1]}],"#,
+        r#""latched":[],"suppress_noted":[],"fallback_noted":[2],"defer_noted":[],"#,
+        r#""deferred_devices":[],"#,
+        r#""resilience":{"config":{"failure_threshold":3,"cooldown_ms":120000,"#,
+        r#""max_cooldown_ms":960000,"retry_base_ms":30000,"retry_cap_ms":240000,"#,
+        r#""max_attempts":4,"device_budget":8,"jitter_seed":830945,"dlq_cap":256},"#,
+        r#""next_seq":0,"breakers":[],"queue":[],"dlq":[]}}"#,
+    );
+
+    #[test]
+    fn checkpoint_carrying_fallback_noted_still_imports() {
+        let doc = cadel_types::json::parse(CHECKPOINT_WITH_FALLBACK_NOTED).unwrap();
+        let registry = Registry::new();
+        LivingRoomHome::install(&registry);
+        let mut engine = Engine::new(ControlPoint::new(registry));
+        engine.add_rule(hot_rule("tom", 1, 26)).unwrap();
+        engine.import_runtime_json(&doc).unwrap();
+        assert_eq!(
+            engine.holder(&DeviceId::new("aircon-lr")),
+            Some(RuleId::new(1))
+        );
+
+        // Everything but the retired key round-trips unchanged.
+        let mut expected = doc;
+        if let Json::Obj(members) = &mut expected {
+            members.retain(|(key, _)| key != "fallback_noted");
+        }
+        assert_eq!(engine.export_runtime_json(), expected);
     }
 
     #[test]

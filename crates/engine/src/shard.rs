@@ -17,7 +17,7 @@
 
 use super::ActiveHolder;
 use crate::context::ContextStore;
-use crate::eval::{Evaluator, HeldOverlay, HeldTracker};
+use crate::eval::{HeldOverlay, HeldTracker};
 use cadel_rule::RuleDb;
 use cadel_types::{DeviceId, RuleId, SimTime};
 use std::collections::HashMap;
@@ -34,10 +34,6 @@ pub(crate) struct EvalVerdict {
     /// Whether the `until` clause demands a release: the rule has one,
     /// currently holds its device, and the clause evaluates true.
     pub until_release: bool,
-    /// Compiled evaluation was requested but unavailable (AST fallback).
-    pub fallback: bool,
-    /// The verdict came from a compiled program.
-    pub compiled: bool,
     /// Held-for transitions observed while evaluating this rule, sorted
     /// by fingerprint; `Some(since)` starts tracking, `None` stops it.
     pub held: Vec<(String, Option<SimTime>)>,
@@ -51,7 +47,6 @@ pub(crate) struct EvalContext<'a> {
     pub ctx: &'a ContextStore,
     pub held: &'a HeldTracker,
     pub holders: &'a HashMap<DeviceId, ActiveHolder>,
-    pub use_compiled: bool,
 }
 
 /// Timing evidence from one evaluation pass, for the shard metrics.
@@ -85,47 +80,30 @@ impl EvalContext<'_> {
         if !rule.is_enabled() {
             return None;
         }
-        let device = rule.action().device();
-        // Compiled evaluation runs over the rule's span in the shared
-        // program arena (contiguous predicate/opcode tables) rather than
-        // a per-rule allocation.
+        // Evaluation runs over the rule's span in the shared program arena
+        // (contiguous predicate/opcode tables) rather than a per-rule
+        // allocation.
         let arena = self.rules.arena();
-        let program = if self.use_compiled {
-            self.rules.program_ref(id).copied()
-        } else {
-            None
-        };
-        let fallback = self.use_compiled && program.is_none();
-        let now_true = match &program {
-            Some(r) => arena.condition_holds(r, self.ctx, overlay),
-            None => Evaluator::new(self.ctx, overlay).condition_holds(rule.condition()),
-        };
+        let program = self.rules.program_ref(id)?;
+        let now_true = arena.condition_holds(program, self.ctx, overlay);
         // The `until` clause is evaluated only while the rule holds its
         // device. The holder table cannot change between the step-start
         // snapshot and this rule's turn in the commit loop: commits only
         // *remove* a device's holder when that holder itself releases, so
         // a rule that was not holding at snapshot time is not holding at
         // commit time either (and vice versa).
-        let mut until_release = false;
-        if let Some(until) = rule.until() {
-            let holder_here = self
+        let until_release = rule.until().is_some()
+            && self
                 .holders
-                .get(device)
-                .map(|h| h.rule == id)
+                .get(rule.action().device())
+                .is_some_and(|h| h.rule == id)
+            && arena
+                .until_holds(program, self.ctx, overlay)
                 .unwrap_or(false);
-            if holder_here {
-                until_release = match &program {
-                    Some(r) => arena.until_holds(r, self.ctx, overlay).unwrap_or(false),
-                    None => Evaluator::new(self.ctx, overlay).condition_holds(until),
-                };
-            }
-        }
         Some(EvalVerdict {
             rule: id,
             now_true,
             until_release,
-            fallback,
-            compiled: program.is_some(),
             held: overlay.take_transitions(),
         })
     }

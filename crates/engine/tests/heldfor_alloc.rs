@@ -1,70 +1,32 @@
 //! The `held for` hot path must not allocate in steady state.
 //!
 //! Evaluating a `HeldFor` atom identifies the tracked condition by a
-//! textual fingerprint. Naively that means one `format!` String per
-//! evaluation per step — a permanent allocation tax on every rule with a
-//! dwell clause. The interpreter instead renders the fingerprint into a
-//! thread-local scratch buffer (and the compiled path precomputes it at
-//! lowering time), so steady-state evaluation allocates nothing.
+//! textual fingerprint. Rendering it per evaluation would mean one String
+//! per step — a permanent allocation tax on every rule with a dwell
+//! clause. Lowering precomputes the fingerprint into the compiled
+//! program, so steady-state evaluation allocates nothing.
 //!
-//! This test pins that with a counting global allocator: after a warm-up
-//! evaluation (which may grow the scratch buffer and insert the tracker
-//! entry), repeated evaluations of a held-for condition perform zero
-//! heap allocations. Lives in its own integration binary because the
-//! global allocator is process-wide.
+//! This test pins that on the path the engine runs — a rule's span in the
+//! database's program arena, evaluated against the context's slot boards
+//! — with a counting global allocator (`counting_alloc`): after a warm-up
+//! evaluation (which inserts the tracker entries), repeated evaluations
+//! of a held-for condition perform zero heap allocations.
 
-use cadel_engine::{ContextStore, Evaluator, HeldTracker};
-use cadel_rule::{Atom, Condition, ConstraintAtom};
+use cadel_engine::{ContextStore, HeldTracker};
+use cadel_rule::{ActionSpec, Atom, Condition, ConstraintAtom, Rule, RuleDb, Verb};
 use cadel_simplex::RelOp;
-use cadel_types::{Date, DeviceId, Quantity, SensorKey, SimDuration, SimTime, Unit, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use cadel_types::{
+    Date, DeviceId, PersonId, Quantity, SensorKey, SimDuration, SimTime, Unit, Value,
+};
+use counting_alloc::allocations_during;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// Only allocations made while the current thread has armed the counter
-// are recorded — libtest's harness threads (timers, stdout capture)
-// allocate concurrently and must not pollute the measurement.
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counting_here() -> bool {
-    // try_with: the allocator can be called during TLS teardown.
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_here() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_here() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+mod counting_alloc;
 
 #[test]
 fn steady_state_heldfor_evaluation_does_not_allocate() {
     let sensor = SensorKey::new(DeviceId::new("thermo"), "temperature");
     // Two dwell clauses under an Or: while both are pending, neither
-    // short-circuits away, so every evaluation renders both fingerprints.
+    // short-circuits away, so every evaluation observes both dwell clauses.
     let condition = Condition::Atom(Atom::held_for(
         Atom::Constraint(ConstraintAtom::new(
             sensor.clone(),
@@ -82,7 +44,20 @@ fn steady_state_heldfor_evaluation_does_not_allocate() {
         SimDuration::from_minutes(7),
     )));
 
+    let mut db = RuleDb::new();
+    let id = db
+        .register(
+            Rule::builder(PersonId::new("tom"))
+                .condition(condition)
+                .action(ActionSpec::new(DeviceId::new("fan"), Verb::TurnOn)),
+        )
+        .unwrap();
+    let program = *db.program_ref(id).expect("stored rules are compiled");
+    let arena = db.arena();
+
     let mut ctx = ContextStore::new(Date::new(2005, 6, 6).expect("static date"));
+    ctx.attach_interner(db.interner().clone());
+    ctx.sync_ir();
     ctx.set_now(SimTime::EPOCH);
     ctx.set_value(
         sensor,
@@ -90,35 +65,27 @@ fn steady_state_heldfor_evaluation_does_not_allocate() {
     );
     let mut held = HeldTracker::new();
 
-    // Warm-up: grows the thread-local scratch buffer and inserts both
-    // tracker entries (the only transitions this workload ever makes).
+    // Warm-up: inserts both tracker entries (the only transitions this
+    // workload ever makes).
     for _ in 0..3 {
-        Evaluator::new(&ctx, &mut held).condition_holds(&condition);
+        arena.condition_holds(&program, &ctx, &mut held);
     }
     assert_eq!(held.tracked(), 2, "both dwell clauses are tracked");
 
-    COUNTING.with(|c| c.set(true));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let mut holds = 0u32;
-    for _ in 0..1_000 {
-        if Evaluator::new(&ctx, &mut held).condition_holds(&condition) {
-            holds += 1;
-        }
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(false));
-
+    let (holds, allocations) = allocations_during(|| {
+        (0..1_000)
+            .filter(|_| arena.condition_holds(&program, &ctx, &mut held))
+            .count()
+    });
     assert_eq!(holds, 0, "the 5-minute dwell has not elapsed at EPOCH");
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "steady-state held-for evaluation must not allocate \
-         ({} allocations across 1000 evaluations)",
-        after - before
+         ({allocations} allocations across 1000 evaluations)"
     );
 
     // And once the dwell elapses the condition actually holds — the
-    // scratch-buffer fingerprint still matches the tracked entry.
+    // precomputed fingerprint still matches the tracked entry.
     ctx.set_now(SimTime::EPOCH + SimDuration::from_minutes(6));
-    assert!(Evaluator::new(&ctx, &mut held).condition_holds(&condition));
+    assert!(arena.condition_holds(&program, &ctx, &mut held));
 }

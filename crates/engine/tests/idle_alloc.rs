@@ -8,8 +8,7 @@
 //! recycled buffers: zero heap allocations, regardless of how many
 //! rules are loaded.
 //!
-//! Pinned with a counting global allocator, in its own integration
-//! binary because the global allocator is process-wide.
+//! Pinned with a counting global allocator (`counting_alloc`).
 
 use cadel_engine::Engine;
 use cadel_rule::{ActionSpec, Atom, Condition, ConstraintAtom, Rule, Verb};
@@ -18,48 +17,9 @@ use cadel_types::{
     DeviceId, PersonId, Quantity, RuleId, SensorKey, SimDuration, SimTime, Unit, Value,
 };
 use cadel_upnp::{ControlPoint, Registry};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use counting_alloc::allocations_during;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// Only allocations made while the current thread has armed the counter
-// are recorded — libtest's harness threads (timers, stdout capture)
-// allocate concurrently and must not pollute the measurement.
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counting_here() -> bool {
-    // try_with: the allocator can be called during TLS teardown.
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_here() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_here() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+mod counting_alloc;
 
 fn sensor(i: u64) -> SensorKey {
     SensorKey::new(DeviceId::new(format!("sensor-{i}")), "reading")
@@ -105,20 +65,15 @@ fn idle_steps_do_not_allocate() {
         assert!(report.is_empty(), "no rule can fire in this workload");
     }
 
-    COUNTING.with(|c| c.set(true));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for s in 10..1_010u64 {
-        let report = engine.step(SimTime::EPOCH + SimDuration::from_secs(s));
-        assert!(report.is_empty());
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(false));
-
+    let ((), allocations) = allocations_during(|| {
+        for s in 10..1_010u64 {
+            let report = engine.step(SimTime::EPOCH + SimDuration::from_secs(s));
+            assert!(report.is_empty());
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "idle steady-state steps must not allocate \
-         ({} allocations across 1000 steps with 64 rules loaded)",
-        after - before
+         ({allocations} allocations across 1000 steps with 64 rules loaded)"
     );
 }

@@ -1,110 +1,44 @@
-//! Lockstep parity between the compiled-IR fast path and the AST
-//! interpreter: two engines with identical rules and identical context
-//! mutations must produce byte-identical [`StepReport`]s on every step,
-//! with the trigger index both on and off.
+//! The compiled programs the engine runs, checked against the reference
+//! interpreter ([`Evaluator`]) as an oracle.
 //!
-//! The workload is randomized (deterministic SplitMix64 seeds) over every
-//! atom kind the IR can lower — numeric constraints, device state, events
-//! (transient and persistent), presence, time windows, weekdays and
-//! nested `HeldFor` — under arbitrarily nested And/Or conditions and
-//! optional `until` release clauses.
+//! An engine steps through a randomized workload (deterministic
+//! SplitMix64 seeds) under each of the three freshness modes, with the
+//! trigger index on and off. After every step, for every rule, the
+//! rule's compiled program and the tree-walking interpreter must agree on
+//! the trigger condition and the `until` clause over the engine's live
+//! context — and the condition must hold exactly when its DNF (the form
+//! the conflict checker reasons over) holds, and every constraint atom
+//! must follow its relational operator on usable readings.
+//!
+//! The workload covers every atom kind the IR can lower — numeric
+//! constraints (including non-numeric and stale readings), device state,
+//! events (transient and persistent), presence, time windows and nested
+//! `HeldFor` — under arbitrarily nested And/Or conditions and optional
+//! `until` release clauses.
 
-use cadel_engine::{ContextStore, Engine, StepReport};
-use cadel_rule::{
-    ActionSpec, Atom, Condition, ConstraintAtom, EventAtom, PresenceAtom, Rule, StateAtom, Subject,
-    Verb,
-};
-use cadel_simplex::RelOp;
+use cadel_engine::{ContextStore, Engine, Evaluator, FreshnessMode, FreshnessPolicy, HeldTracker};
+use cadel_ir::SensorRead;
+use cadel_rule::{Atom, Rule};
 use cadel_types::{
-    DayPart, DeviceId, PersonId, PlaceId, Quantity, Rng, RuleId, SensorKey, SimDuration, SimTime,
-    Unit, Value,
+    DeviceId, PersonId, PlaceId, Quantity, Rng, SensorKey, SimDuration, SimTime, Unit, Value,
 };
 use cadel_upnp::{ControlPoint, Registry};
+use workload::{arb_rule, sensor, PEOPLE, PLACES};
 
-const PEOPLE: [&str; 2] = ["tom", "alan"];
-const PLACES: [&str; 2] = ["living room", "hall"];
-const OPS: [RelOp; 5] = [RelOp::Lt, RelOp::Le, RelOp::Gt, RelOp::Ge, RelOp::Eq];
+mod workload;
 
-fn sensor(i: u64) -> SensorKey {
-    SensorKey::new(DeviceId::new(format!("sensor-{i}")), "reading")
-}
+const MODES: [FreshnessMode; 3] = [
+    FreshnessMode::FailClosed,
+    FreshnessMode::FailOpen,
+    FreshnessMode::HoldLastValue,
+];
 
-fn constraint_atom(rng: &mut Rng) -> Atom {
-    Atom::Constraint(ConstraintAtom::new(
-        sensor(rng.below(3)),
-        *rng.pick(&OPS),
-        Quantity::from_integer(rng.range_i64(-5, 15), Unit::Celsius),
-    ))
-}
-
-fn arb_atom(rng: &mut Rng) -> Atom {
-    match rng.below(8) {
-        0 | 1 => constraint_atom(rng),
-        2 => Atom::Event(EventAtom::new("chan", format!("event-{}", rng.below(3)))),
-        3 => Atom::State(StateAtom::new(
-            DeviceId::new("tv-0"),
-            "power",
-            Value::Bool(rng.chance(1, 2)),
-        )),
-        4 => Atom::Presence(PresenceAtom::person_at(
-            *rng.pick(&PEOPLE),
-            *rng.pick(&PLACES),
-        )),
-        5 => {
-            let subject = if rng.chance(1, 2) {
-                Subject::Somebody
-            } else {
-                Subject::Nobody
-            };
-            Atom::Presence(PresenceAtom::new(subject, PlaceId::new(*rng.pick(&PLACES))))
-        }
-        6 => Atom::Time(
-            rng.pick(&[DayPart::Morning, DayPart::Afternoon, DayPart::Evening])
-                .window(),
-        ),
-        _ => Atom::held_for(
-            constraint_atom(rng),
-            SimDuration::from_minutes(rng.range_i64(1, 3) as u64),
-        ),
-    }
-}
-
-fn arb_condition(rng: &mut Rng, depth: u32) -> Condition {
-    if depth == 0 || rng.chance(2, 5) {
-        return Condition::Atom(arb_atom(rng));
-    }
-    let children: Vec<Condition> = (0..rng.range_i64(1, 3))
-        .map(|_| arb_condition(rng, depth - 1))
-        .collect();
-    if rng.chance(1, 2) {
-        Condition::And(children)
-    } else {
-        Condition::Or(children)
-    }
-}
-
-fn arb_rule(rng: &mut Rng, id: u64) -> Option<Rule> {
-    let device = DeviceId::new(format!("dev-{}", rng.below(3)));
-    let verb = if rng.chance(1, 2) {
-        Verb::TurnOn
-    } else {
-        Verb::TurnOff
-    };
-    let mut builder = Rule::builder(PersonId::new(*rng.pick(&PEOPLE)))
-        .condition(arb_condition(rng, 2))
-        .action(ActionSpec::new(device, verb));
-    if rng.chance(3, 10) {
-        builder = builder.until(arb_condition(rng, 1));
-    }
-    // DNF blowup is the only way build can fail here; skip those rules.
-    builder.build(RuleId::new(id)).ok()
-}
-
-/// One context mutation, generated once and applied to both engines.
+/// One context mutation, generated from the seed and applied before a
+/// step.
 enum Mutation {
     Sensor(u64, i64),
     /// A non-numeric reading on a numeric sensor (never satisfies
-    /// constraints, in either path).
+    /// constraints).
     SensorText(u64),
     TvPower(bool),
     Event(u64),
@@ -171,69 +105,110 @@ fn apply(ctx: &mut ContextStore, mutation: &Mutation) {
     }
 }
 
-fn fresh_engine(rules: &[Rule], compiled: bool, trigger_index: bool) -> Engine {
-    let mut engine = Engine::new(ControlPoint::new(Registry::new()));
-    engine.set_use_compiled(compiled);
-    engine.set_use_trigger_index(trigger_index);
-    for rule in rules {
-        engine.add_rule(rule.clone()).unwrap();
-    }
-    engine
-}
-
-/// Runs the compiled and interpreted engines in lockstep over the same
-/// random tape and asserts identical reports at every step.
-fn run_lockstep(seed: u64, trigger_index: bool) -> Vec<StepReport> {
+/// Steps an engine through the seeded workload under one freshness mode
+/// and checks every rule's compiled program against the interpreter after
+/// every step. Returns how many steps reported something and how many
+/// verdicts were true and false, so callers can reject a vacuous run.
+fn run_against_oracle(seed: u64, mode: FreshnessMode, trigger_index: bool) -> [usize; 3] {
     let mut rng = Rng::new(seed);
     let rules: Vec<Rule> = (0..40).filter_map(|i| arb_rule(&mut rng, 1 + i)).collect();
     assert!(rules.len() >= 30, "seed {seed} generated too few rules");
 
-    let mut compiled = fresh_engine(&rules, true, trigger_index);
-    let mut interpreted = fresh_engine(&rules, false, trigger_index);
+    let mut engine = Engine::new(ControlPoint::new(Registry::new()));
+    engine.set_use_trigger_index(trigger_index);
+    engine
+        .context_mut()
+        .set_freshness_policy(FreshnessPolicy::new(mode, SimDuration::from_minutes(10)));
+    for rule in &rules {
+        engine.add_rule(rule.clone()).unwrap();
+    }
 
-    let mut reports = Vec::new();
+    // Each side keeps its own dwell history; both observe the same atoms
+    // in the same order, so the histories stay identical.
+    let mut program_held = HeldTracker::new();
+    let mut oracle_held = HeldTracker::new();
+    let mut tally = [0usize; 3];
     for step in 1..=80u64 {
         for mutation in arb_mutations(&mut rng) {
-            apply(compiled.context_mut(), &mutation);
-            apply(interpreted.context_mut(), &mutation);
+            apply(engine.context_mut(), &mutation);
         }
         let now = SimTime::EPOCH + SimDuration::from_minutes(step * 7);
-        let a = compiled.step(now);
-        let b = interpreted.step(now);
+        tally[0] += usize::from(!engine.step(now).is_empty());
+        let ctx = engine.context();
+        for rule in &rules {
+            let at = format!("{} at step {step} (seed {seed}, {mode})", rule.id());
+            let program = engine
+                .rules()
+                .program(rule.id())
+                .expect("stored rules are compiled");
+
+            let before = oracle_held.clone();
+            let tree = Evaluator::new(ctx, &mut oracle_held).condition_holds(rule.condition());
+            let compiled = cadel_ir::condition_holds(program, ctx, &mut program_held);
+            assert_eq!(compiled, tree, "condition of {at}");
+            tally[1 + usize::from(tree)] += 1;
+
+            let until_tree = rule
+                .until()
+                .map(|until| Evaluator::new(ctx, &mut oracle_held).condition_holds(until));
+            let until_compiled = cadel_ir::until_holds(program, ctx, &mut program_held);
+            assert_eq!(until_compiled, until_tree, "until of {at}");
+
+            // A condition holds exactly when its DNF does. Observation is
+            // idempotent within one instant, so the DNF evaluated from the
+            // pre-step dwell history sees the atom verdicts the tree saw.
+            let mut scratch = before;
+            let mut atom_holds = |atom: &Atom| Evaluator::new(ctx, &mut scratch).atom_holds(atom);
+            let dnf = rule.dnf().conjuncts();
+            let via_dnf = dnf.iter().any(|c| c.atoms().iter().all(&mut atom_holds));
+            assert_eq!(via_dnf, tree, "DNF of {at}");
+
+            // Constraint atoms follow their relational operator on every
+            // usable reading.
+            for atom in dnf.iter().flat_map(|c| c.atoms()) {
+                let Atom::Constraint(c) = atom.instantaneous() else {
+                    continue;
+                };
+                if let SensorRead::Value(Value::Number(q)) = ctx.sensor_read_key(c.sensor()) {
+                    let expected = c
+                        .op()
+                        .holds(q.canonical_value(), c.threshold().canonical_value());
+                    let holds = Evaluator::new(ctx, &mut HeldTracker::new())
+                        .atom_holds(&Atom::Constraint(c.clone()));
+                    assert_eq!(holds, expected, "{c} on {q}: {at}");
+                }
+            }
+        }
         assert_eq!(
-            a, b,
-            "compiled and interpreted reports diverged at step {step} (seed {seed}, \
-             trigger_index {trigger_index})"
+            program_held.tracked(),
+            oracle_held.tracked(),
+            "dwell at step {step}"
         );
-        reports.push(a);
     }
-    // The paths must also agree on who holds each device afterwards.
-    for d in 0..3 {
-        let device = DeviceId::new(format!("dev-{d}"));
-        assert_eq!(compiled.holder(&device), interpreted.holder(&device));
+    tally
+}
+
+fn assert_agreement(seeds: &[u64], trigger_index: bool) {
+    for &seed in seeds {
+        for mode in MODES {
+            // Sanity: the workload fires rules and exercises both verdicts.
+            let [reports, false_verdicts, true_verdicts] =
+                run_against_oracle(seed, mode, trigger_index);
+            assert!(reports > 0, "seed {seed} ({mode}) was inert");
+            assert!(
+                false_verdicts > 0 && true_verdicts > 0,
+                "seed {seed} ({mode}) was one-sided"
+            );
+        }
     }
-    reports
 }
 
 #[test]
 fn compiled_and_interpreted_agree_with_trigger_index() {
-    for seed in [1, 42, 4242] {
-        let reports = run_lockstep(seed, true);
-        // Sanity: the workload actually fires rules.
-        assert!(
-            reports.iter().any(|r| !r.is_empty()),
-            "seed {seed} was inert"
-        );
-    }
+    assert_agreement(&[1, 42, 4242], true);
 }
 
 #[test]
 fn compiled_and_interpreted_agree_without_trigger_index() {
-    for seed in [7, 1337] {
-        let reports = run_lockstep(seed, false);
-        assert!(
-            reports.iter().any(|r| !r.is_empty()),
-            "seed {seed} was inert"
-        );
-    }
+    assert_agreement(&[7, 1337], false);
 }

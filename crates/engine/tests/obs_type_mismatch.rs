@@ -1,14 +1,15 @@
 //! A numeric constraint reading a present-but-non-numeric value used to
 //! evaluate to a silent `false` — indistinguishable from "the room is
-//! cold" when a flaky sensor starts reporting `"offline"`. Both
-//! evaluation paths now report it: `engine_type_mismatch_total` ticks on
-//! every occurrence and a rate-limited `engine.type_mismatch` warning
-//! event carries the sensor and the offending value.
+//! cold" when a flaky sensor starts reporting `"offline"`. Both the
+//! engine's compiled evaluation and the reference interpreter now report
+//! it: `engine_type_mismatch_total` ticks on every occurrence and a
+//! rate-limited `engine.type_mismatch` warning event carries the sensor
+//! and the offending value.
 //!
 //! Lives in its own integration binary because it flips the
 //! process-global observability switch.
 
-use cadel_engine::Engine;
+use cadel_engine::{Engine, Evaluator, HeldTracker};
 use cadel_obs::RingCollector;
 use cadel_rule::{ActionSpec, Atom, Condition, ConstraintAtom, Rule, Verb};
 use cadel_simplex::RelOp;
@@ -16,8 +17,8 @@ use cadel_types::{DeviceId, PersonId, Quantity, RuleId, SensorKey, SimTime, Unit
 use cadel_upnp::{ControlPoint, Registry};
 use std::sync::Arc;
 
-fn mismatch_engine(compiled: bool, rule_id: u64) -> Engine {
-    let rule = Rule::builder(PersonId::new("tom"))
+fn mismatch_rule(rule_id: u64) -> Rule {
+    Rule::builder(PersonId::new("tom"))
         .condition(Condition::Atom(Atom::Constraint(ConstraintAtom::new(
             SensorKey::new(DeviceId::new("thermo"), "reading"),
             RelOp::Gt,
@@ -25,10 +26,12 @@ fn mismatch_engine(compiled: bool, rule_id: u64) -> Engine {
         ))))
         .action(ActionSpec::new(DeviceId::new("fan"), Verb::TurnOn))
         .build(RuleId::new(rule_id))
-        .unwrap();
+        .unwrap()
+}
+
+fn mismatch_engine(rule_id: u64) -> Engine {
     let mut engine = Engine::new(ControlPoint::new(Registry::new()));
-    engine.set_use_compiled(compiled);
-    engine.add_rule(rule).unwrap();
+    engine.add_rule(mismatch_rule(rule_id)).unwrap();
     engine
 }
 
@@ -44,28 +47,36 @@ fn non_numeric_reading_is_counted_and_reported_on_both_paths() {
     };
     let key = SensorKey::new(DeviceId::new("thermo"), "reading");
 
-    for (compiled, path) in [(true, "compiled"), (false, "ast")] {
-        let mut engine = mismatch_engine(compiled, 1);
-        engine
-            .context_mut()
-            .set_value(key.clone(), Value::Text("offline".to_owned()));
+    let mut engine = mismatch_engine(1);
+    engine
+        .context_mut()
+        .set_value(key.clone(), Value::Text("offline".to_owned()));
 
-        let before = counter();
-        let report = engine.step(SimTime::from_millis(1));
-        assert!(
-            report.firings.is_empty(),
-            "{path}: a non-numeric reading must not satisfy the constraint"
-        );
-        assert_eq!(
-            counter() - before,
-            1,
-            "{path}: one evaluation, one mismatch tick"
-        );
-    }
+    let before = counter();
+    let report = engine.step(SimTime::from_millis(1));
+    assert!(
+        report.firings.is_empty(),
+        "a non-numeric reading must not satisfy the constraint"
+    );
+    assert_eq!(counter() - before, 1, "one evaluation, one mismatch tick");
+
+    // The reference interpreter reports the same reading the same way.
+    let before = counter();
+    let holds = Evaluator::new(engine.context(), &mut HeldTracker::new())
+        .condition_holds(mismatch_rule(1).condition());
+    assert!(
+        !holds,
+        "ast: a non-numeric reading must not satisfy the constraint"
+    );
+    assert_eq!(
+        counter() - before,
+        1,
+        "ast: one evaluation, one mismatch tick"
+    );
 
     // Incomparable dimensions (a humidity reading against a temperature
     // threshold) are the same defect and tick the same counter.
-    let mut engine = mismatch_engine(true, 1);
+    let mut engine = mismatch_engine(1);
     engine.context_mut().set_value(
         key,
         Value::Number(Quantity::from_integer(60, Unit::Percent)),

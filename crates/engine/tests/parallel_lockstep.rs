@@ -1,7 +1,7 @@
 //! Lockstep determinism for the sharded step: a serial engine
 //! (`eval_threads = 1`) and a parallel one must produce byte-identical
 //! [`StepReport`]s on every step, over the same randomized workload the
-//! compiled/interpreted parity suite uses — numeric constraints, device
+//! compiled-program oracle suite uses — numeric constraints, device
 //! state, events, presence, time windows and `held for` dwell clauses
 //! under nested And/Or with optional `until` releases.
 //!
@@ -18,24 +18,20 @@
 //!   payload;
 //! * coalescing never drops event-bearing payloads — every `arrival` in
 //!   a batch raises its event even when the same sensor repeats;
-//! * the transient-event expiry boundary (inclusive at `t + W`) agrees
-//!   between the compiled and interpreted paths.
+//! * the transient-event expiry boundary is inclusive at `t + W`, and
+//!   the compiled program agrees with the reference interpreter exactly
+//!   at the boundary.
 
-use cadel_engine::{Engine, StepReport};
-use cadel_rule::{
-    ActionSpec, Atom, Condition, ConstraintAtom, EventAtom, PresenceAtom, Rule, StateAtom, Subject,
-    Verb,
-};
-use cadel_simplex::RelOp;
+use cadel_engine::{Engine, Evaluator, HeldTracker, StepReport};
+use cadel_rule::{ActionSpec, Atom, Condition, EventAtom, Rule, Verb};
 use cadel_types::{
-    DayPart, DeviceId, PersonId, PlaceId, Quantity, Rng, RuleId, SensorKey, SimDuration, SimTime,
-    Unit, Value,
+    DeviceId, PersonId, PlaceId, Quantity, Rng, RuleId, SensorKey, SimDuration, SimTime, Unit,
+    Value,
 };
 use cadel_upnp::{ControlPoint, EventBus, Registry};
+use workload::{arb_rule, PEOPLE, PLACES};
 
-const PEOPLE: [&str; 2] = ["tom", "alan"];
-const PLACES: [&str; 2] = ["living room", "hall"];
-const OPS: [RelOp; 5] = [RelOp::Lt, RelOp::Le, RelOp::Gt, RelOp::Ge, RelOp::Eq];
+mod workload;
 
 fn threads_under_test() -> usize {
     std::env::var("CADEL_EVAL_THREADS")
@@ -50,80 +46,6 @@ fn threads_under_test() -> usize {
 /// determinism matrix covers both candidate paths.
 fn trigger_index_under_test() -> bool {
     std::env::var("CADEL_TRIGGER_INDEX").map_or(true, |v| v != "0")
-}
-
-fn sensor(i: u64) -> SensorKey {
-    SensorKey::new(DeviceId::new(format!("sensor-{i}")), "reading")
-}
-
-fn constraint_atom(rng: &mut Rng) -> Atom {
-    Atom::Constraint(ConstraintAtom::new(
-        sensor(rng.below(3)),
-        *rng.pick(&OPS),
-        Quantity::from_integer(rng.range_i64(-5, 15), Unit::Celsius),
-    ))
-}
-
-fn arb_atom(rng: &mut Rng) -> Atom {
-    match rng.below(8) {
-        0 | 1 => constraint_atom(rng),
-        2 => Atom::Event(EventAtom::new("chan", format!("event-{}", rng.below(3)))),
-        3 => Atom::State(StateAtom::new(
-            DeviceId::new("tv-0"),
-            "power",
-            Value::Bool(rng.chance(1, 2)),
-        )),
-        4 => Atom::Presence(PresenceAtom::person_at(
-            *rng.pick(&PEOPLE),
-            *rng.pick(&PLACES),
-        )),
-        5 => {
-            let subject = if rng.chance(1, 2) {
-                Subject::Somebody
-            } else {
-                Subject::Nobody
-            };
-            Atom::Presence(PresenceAtom::new(subject, PlaceId::new(*rng.pick(&PLACES))))
-        }
-        6 => Atom::Time(
-            rng.pick(&[DayPart::Morning, DayPart::Afternoon, DayPart::Evening])
-                .window(),
-        ),
-        _ => Atom::held_for(
-            constraint_atom(rng),
-            SimDuration::from_minutes(rng.range_i64(1, 3) as u64),
-        ),
-    }
-}
-
-fn arb_condition(rng: &mut Rng, depth: u32) -> Condition {
-    if depth == 0 || rng.chance(2, 5) {
-        return Condition::Atom(arb_atom(rng));
-    }
-    let children: Vec<Condition> = (0..rng.range_i64(1, 3))
-        .map(|_| arb_condition(rng, depth - 1))
-        .collect();
-    if rng.chance(1, 2) {
-        Condition::And(children)
-    } else {
-        Condition::Or(children)
-    }
-}
-
-fn arb_rule(rng: &mut Rng, id: u64) -> Option<Rule> {
-    let device = DeviceId::new(format!("dev-{}", rng.below(3)));
-    let verb = if rng.chance(1, 2) {
-        Verb::TurnOn
-    } else {
-        Verb::TurnOff
-    };
-    let mut builder = Rule::builder(PersonId::new(*rng.pick(&PEOPLE)))
-        .condition(arb_condition(rng, 2))
-        .action(ActionSpec::new(device, verb));
-    if rng.chance(3, 10) {
-        builder = builder.until(arb_condition(rng, 1));
-    }
-    builder.build(RuleId::new(id)).ok()
 }
 
 /// One batch of UPnP property changes, generated once and published to
@@ -145,11 +67,10 @@ fn arb_batch(rng: &mut Rng) -> Vec<(u64, Value)> {
     batch
 }
 
-fn fresh_engine(rules: &[Rule], compiled: bool, threads: usize) -> (Engine, EventBus) {
+fn fresh_engine(rules: &[Rule], threads: usize) -> (Engine, EventBus) {
     let registry = Registry::new();
     let bus = registry.event_bus().clone();
     let mut engine = Engine::new(ControlPoint::new(registry));
-    engine.set_use_compiled(compiled);
     engine.set_eval_threads(threads);
     engine.set_use_trigger_index(trigger_index_under_test());
     for rule in rules {
@@ -160,13 +81,13 @@ fn fresh_engine(rules: &[Rule], compiled: bool, threads: usize) -> (Engine, Even
 
 /// Runs a serial and a parallel engine in lockstep over the same random
 /// tape of published batches and asserts identical reports every step.
-fn run_lockstep(seed: u64, compiled: bool, threads: usize) -> Vec<StepReport> {
+fn run_lockstep(seed: u64, threads: usize) -> Vec<StepReport> {
     let mut rng = Rng::new(seed);
     let rules: Vec<Rule> = (0..40).filter_map(|i| arb_rule(&mut rng, 1 + i)).collect();
     assert!(rules.len() >= 30, "seed {seed} generated too few rules");
 
-    let (mut serial, serial_bus) = fresh_engine(&rules, compiled, 1);
-    let (mut parallel, parallel_bus) = fresh_engine(&rules, compiled, threads);
+    let (mut serial, serial_bus) = fresh_engine(&rules, 1);
+    let (mut parallel, parallel_bus) = fresh_engine(&rules, threads);
 
     let mut reports = Vec::new();
     for step in 1..=80u64 {
@@ -202,8 +123,7 @@ fn run_lockstep(seed: u64, compiled: bool, threads: usize) -> Vec<StepReport> {
         let b = parallel.step(now);
         assert_eq!(
             a, b,
-            "serial and {threads}-thread reports diverged at step {step} \
-             (seed {seed}, compiled {compiled})"
+            "serial and {threads}-thread reports diverged at step {step} (seed {seed})"
         );
         reports.push(a);
     }
@@ -221,20 +141,8 @@ fn run_lockstep(seed: u64, compiled: bool, threads: usize) -> Vec<StepReport> {
 #[test]
 fn parallel_and_serial_agree_compiled() {
     let threads = threads_under_test();
-    for seed in [1, 42, 4242] {
-        let reports = run_lockstep(seed, true, threads);
-        assert!(
-            reports.iter().any(|r| !r.is_empty()),
-            "seed {seed} was inert"
-        );
-    }
-}
-
-#[test]
-fn parallel_and_serial_agree_interpreted() {
-    let threads = threads_under_test();
-    for seed in [7, 1337] {
-        let reports = run_lockstep(seed, false, threads);
+    for seed in [1, 42, 4242, 7, 1337] {
+        let reports = run_lockstep(seed, threads);
         assert!(
             reports.iter().any(|r| !r.is_empty()),
             "seed {seed} was inert"
@@ -246,7 +154,7 @@ fn parallel_and_serial_agree_interpreted() {
 fn more_threads_than_candidates_is_fine() {
     // Thread counts far beyond the rule count must clamp, not panic or
     // change results.
-    let reports = run_lockstep(42, true, 64);
+    let reports = run_lockstep(42, 64);
     assert!(reports.iter().any(|r| !r.is_empty()));
 }
 
@@ -258,8 +166,8 @@ fn coalescing_does_not_change_reports() {
     let mut rng = Rng::new(99);
     let rules: Vec<Rule> = (0..40).filter_map(|i| arb_rule(&mut rng, 1 + i)).collect();
 
-    let (mut coalesced, bus_a) = fresh_engine(&rules, true, 1);
-    let (mut verbatim, bus_b) = fresh_engine(&rules, true, 1);
+    let (mut coalesced, bus_a) = fresh_engine(&rules, 1);
+    let (mut verbatim, bus_b) = fresh_engine(&rules, 1);
     coalesced.set_coalesce_events(true);
     verbatim.set_coalesce_events(false);
 
@@ -327,46 +235,49 @@ fn coalescing_never_drops_arrival_payloads() {
 }
 
 /// The transient-event expiry boundary is inclusive (`t + W` still
-/// active, strictly after expired) and the compiled path agrees with the
-/// interpreter exactly at the boundary.
+/// active, strictly after expired), and the engine's compiled program
+/// agrees with the reference interpreter exactly at the boundary.
 #[test]
 fn event_expiry_boundary_compiled_and_interpreted_agree() {
     let window = SimDuration::from_minutes(10);
     let raise_at = SimTime::from_millis(5_000);
     let boundary = raise_at + window;
 
-    let build = |compiled: bool| {
-        let rule = Rule::builder(PersonId::new("tom"))
-            .condition(Condition::Atom(Atom::Event(EventAtom::new("chan", "ding"))))
-            .action(ActionSpec::new(DeviceId::new("bell"), Verb::TurnOn))
-            .build(RuleId::new(1))
-            .unwrap();
-        let mut engine = Engine::new(ControlPoint::new(Registry::new()));
-        engine.set_use_compiled(compiled);
-        engine.context_mut().set_event_window(window);
-        engine.add_rule(rule).unwrap();
-        engine
+    let rule = Rule::builder(PersonId::new("tom"))
+        .condition(Condition::Atom(Atom::Event(EventAtom::new("chan", "ding"))))
+        .action(ActionSpec::new(DeviceId::new("bell"), Verb::TurnOn))
+        .build(RuleId::new(1))
+        .unwrap();
+    let mut engine = Engine::new(ControlPoint::new(Registry::new()));
+    engine.context_mut().set_event_window(window);
+    engine.add_rule(rule.clone()).unwrap();
+    engine.context_mut().set_now(raise_at);
+    engine.context_mut().raise_event("chan", "ding");
+    // Both evaluators' verdicts over the engine's context right now.
+    let verdicts = |engine: &Engine| {
+        let program = engine.rules().program(RuleId::new(1)).unwrap();
+        let ctx = engine.context();
+        (
+            cadel_ir::condition_holds(program, ctx, &mut HeldTracker::new()),
+            Evaluator::new(ctx, &mut HeldTracker::new()).condition_holds(rule.condition()),
+        )
     };
 
-    for compiled in [true, false] {
-        let mut engine = build(compiled);
-        engine.context_mut().set_now(raise_at);
-        engine.context_mut().raise_event("chan", "ding");
+    let at_boundary = engine.step(boundary);
+    assert_eq!(
+        at_boundary.firings.len(),
+        1,
+        "the event must still be active at exactly t + W"
+    );
+    assert_eq!(verdicts(&engine), (true, true), "at t + W");
 
-        let at_boundary = engine.step(boundary);
-        assert_eq!(
-            at_boundary.firings.len(),
-            1,
-            "compiled={compiled}: the event must still be active at exactly t + W"
-        );
-
-        let past = engine.step(boundary + SimDuration::from_millis(1));
-        // One millisecond later the event is gone and the rule's state
-        // falls back to false — no new firing either way.
-        assert!(
-            past.firings.is_empty(),
-            "compiled={compiled}: the event must expire strictly after t + W"
-        );
-        assert!(!engine.context().event_active("chan", "ding"));
-    }
+    let past = engine.step(boundary + SimDuration::from_millis(1));
+    // One millisecond later the event is gone and the rule's state falls
+    // back to false — no new firing either way.
+    assert!(
+        past.firings.is_empty(),
+        "the event must expire strictly after t + W"
+    );
+    assert!(!engine.context().event_active("chan", "ding"));
+    assert_eq!(verdicts(&engine), (false, false), "after t + W");
 }

@@ -95,9 +95,7 @@ fn subtree_eligible(preds: &[Pred], index: u32) -> bool {
         | Pred::SomebodyAt(_)
         | Pred::NobodyAt(_) => true,
         Pred::HeldFor { inner, .. } => subtree_eligible(preds, *inner),
-        Pred::Event(_) | Pred::TimeIn(_) | Pred::WeekdayIs(_) | Pred::DateIs(_) | Pred::Never => {
-            false
-        }
+        Pred::Event(_) | Pred::TimeIn(_) | Pred::WeekdayIs(_) | Pred::DateIs(_) => false,
     }
 }
 
@@ -160,7 +158,7 @@ impl ProgramArena {
                         temporal = true;
                     }
                 }
-                Pred::TimeIn(_) | Pred::WeekdayIs(_) | Pred::DateIs(_) | Pred::Never => {
+                Pred::TimeIn(_) | Pred::WeekdayIs(_) | Pred::DateIs(_) => {
                     temporal = true;
                 }
                 Pred::HeldFor { .. } => {

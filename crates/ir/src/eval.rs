@@ -7,11 +7,11 @@
 //!   `ContextStore` implements it over its dense boards);
 //! * [`HeldObserver`] — the continuous-truth bookkeeping behind `HeldFor`
 //!   predicates (implemented by the engine's `HeldTracker`, shared with the
-//!   AST interpreter through identical fingerprints).
+//!   reference interpreter through identical fingerprints).
 //!
-//! Evaluation order and short-circuiting replicate the AST interpreter
-//! exactly: `HeldFor` observation is side-effectful, so a skipped child is
-//! a semantic fact, not an optimization.
+//! Evaluation order and short-circuiting replicate the reference
+//! interpreter exactly: `HeldFor` observation is side-effectful, so a
+//! skipped child is a semantic fact, not an optimization.
 
 use crate::program::{Op, Pred, RuleProgram};
 use cadel_obs::{Event as ObsEvent, LazyCounter, Level};
@@ -35,8 +35,8 @@ static TYPE_MISMATCH_SEEN: AtomicU64 = AtomicU64::new(0);
 /// Every occurrence ticks `engine_type_mismatch_total`; the structured
 /// `engine.type_mismatch` event is rate-limited (the first 8 occurrences,
 /// then every 1024th) so one mis-wired sensor in a hot loop cannot flood
-/// the collector. Shared by the compiled evaluator and the engine's AST
-/// interpreter so both paths report identically.
+/// the collector. Shared by the compiled evaluator and the engine's
+/// reference interpreter so both report identically.
 pub fn note_type_mismatch(
     path: &'static str,
     subject: &dyn fmt::Display,
@@ -179,7 +179,7 @@ fn eval_at(
                 let (value, next) = eval_at(code, preds, child, view, held);
                 if !value {
                     // Short-circuit: remaining children are not evaluated,
-                    // matching `Iterator::all` in the AST interpreter.
+                    // matching `Iterator::all` in the reference interpreter.
                     return (false, end);
                 }
                 child = next;
@@ -255,7 +255,6 @@ fn eval_pred(
                 None => false,
             }
         }
-        Pred::Never => false,
     }
 }
 

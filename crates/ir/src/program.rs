@@ -62,13 +62,10 @@ pub enum Pred {
         /// How long it must have held.
         duration: SimDuration,
         /// The tracker fingerprint — precomputed at compile time, byte-equal
-        /// to the one the AST evaluator derives, so compiled and interpreted
-        /// evaluation share one continuous-truth history.
+        /// to the one the reference interpreter derives, so both observe one
+        /// continuous-truth history.
         fingerprint: Box<str>,
     },
-    /// An atom kind this IR version cannot evaluate; always false (fail
-    /// closed), matching the AST evaluator's default arm.
-    Never,
 }
 
 /// One instruction of the flattened condition bytecode.
@@ -76,7 +73,7 @@ pub enum Pred {
 /// The code is a pre-order flattening of the original `Condition` tree:
 /// an `And`/`Or` op covers the instructions up to its `end` offset. The
 /// original tree shape and child order are preserved — evaluation must
-/// short-circuit exactly like the AST interpreter because `HeldFor`
+/// short-circuit exactly like the reference interpreter because `HeldFor`
 /// predicates have observation side effects.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Op {

@@ -10,7 +10,7 @@ pub enum Level {
     Debug,
     /// Normal operational milestones (rule registered, device dispatched).
     Info,
-    /// Degradations worth surfacing (AST fallback, dispatch failure).
+    /// Degradations worth surfacing (type mismatch, dispatch failure).
     Warn,
     /// Hard failures.
     Error,
@@ -71,7 +71,7 @@ impl From<bool> for FieldValue {
 /// One structured event. Span ends are events whose `elapsed_ns` is set.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
-    /// Dotted event name, e.g. `engine.step` or `engine.ast_fallback`.
+    /// Dotted event name, e.g. `engine.step` or `engine.type_mismatch`.
     pub name: &'static str,
     /// Severity.
     pub level: Level,
@@ -286,13 +286,13 @@ mod tests {
 
     #[test]
     fn json_renders_valid_records() {
-        let event = Event::new("engine.ast_fallback", Level::Warn)
+        let event = Event::new("engine.type_mismatch", Level::Warn)
             .with_field("rule", 7u64)
             .with_field("label", "say \"hi\"");
         let line = format_json(&event);
         assert_eq!(
             line,
-            "{\"level\":\"warn\",\"event\":\"engine.ast_fallback\",\"rule\":7,\"label\":\"say \\\"hi\\\"\"}"
+            "{\"level\":\"warn\",\"event\":\"engine.type_mismatch\",\"rule\":7,\"label\":\"say \\\"hi\\\"\"}"
         );
     }
 

@@ -665,14 +665,17 @@ mod tests {
     #[test]
     fn snapshot_while_recording_is_consistent() {
         let registry = Arc::new(MetricsRegistry::new());
+        // Register both series before any writer starts, so the first
+        // snapshot cannot race the writers' registrations.
+        let h = registry.histogram("live_ns");
+        let c = registry.counter("live_total");
         let stop = Arc::new(AtomicU64::new(0));
         let writers: Vec<_> = (0..4)
             .map(|t| {
-                let registry = Arc::clone(&registry);
+                let h = h.clone();
+                let c = c.clone();
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
-                    let h = registry.histogram("live_ns");
-                    let c = registry.counter("live_total");
                     let mut v = 1u64 + t;
                     while stop.load(Ordering::Relaxed) == 0 {
                         h.observe(v % 10_000);

@@ -9,7 +9,6 @@ use std::fmt;
 /// the appliances in `cadel-devices`; anything else can be carried by
 /// [`Verb::Custom`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Verb {
     /// "Turn on".
@@ -103,7 +102,6 @@ impl fmt::Display for Verb {
 /// One configuration setting from a `<Configuration>` clause:
 /// "with **25 degrees of temperature setting**".
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Setting {
     parameter: String,
     value: Value,
@@ -141,7 +139,6 @@ impl fmt::Display for Setting {
 /// command different behaviour — the situation the paper's conflict check
 /// exists to detect (§4.4).
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ActionSpec {
     device: DeviceId,
     verb: Verb,
@@ -326,14 +323,5 @@ mod tests {
             a.to_string(),
             "turn on aircon with 25°C of temperature setting"
         );
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let a = ActionSpec::new(aircon(), Verb::Custom("ventilate".into()))
-            .with_setting("fan", Quantity::from_integer(3, Unit::Count));
-        let json = serde_json::to_string(&a).unwrap();
-        assert_eq!(serde_json::from_str::<ActionSpec>(&json).unwrap(), a);
     }
 }

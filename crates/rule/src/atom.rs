@@ -13,7 +13,6 @@ use std::fmt;
 /// Simplex method (§4.4 — "condition in each rule is described as a logical
 /// conjunction of inequalities").
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConstraintAtom {
     sensor: SensorKey,
     op: RelOp,
@@ -64,7 +63,6 @@ impl fmt::Display for ConstraintAtom {
 
 /// Who a presence atom talks about.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Subject {
     /// A specific person ("Tom is at the living room").
     Person(PersonId),
@@ -86,7 +84,6 @@ impl fmt::Display for Subject {
 
 /// A presence fact: `subject is at place`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PresenceAtom {
     subject: Subject,
     place: PlaceId,
@@ -123,7 +120,6 @@ impl fmt::Display for PresenceAtom {
 /// A device state fact: `variable(device) == value`, e.g.
 /// `power(tv) == true` for "the TV is turned on".
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StateAtom {
     device: DeviceId,
     variable: String,
@@ -182,7 +178,6 @@ impl fmt::Display for StateAtom {
 /// Events are matched case-insensitively by channel and name against the
 /// engine's set of currently-active event facts.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EventAtom {
     channel: String,
     name: String,
@@ -223,7 +218,6 @@ impl fmt::Display for EventAtom {
 
 /// A primitive fact in a rule condition.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Atom {
     /// A numeric sensor comparison.
@@ -398,16 +392,5 @@ mod tests {
             PresenceAtom::new(Subject::Nobody, PlaceId::new("hall")).to_string(),
             "nobody at hall"
         );
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let atom = Atom::held_for(
-            Atom::Event(EventAtom::new("tv-guide", "baseball game")),
-            SimDuration::from_minutes(10),
-        );
-        let json = serde_json::to_string(&atom).unwrap();
-        assert_eq!(serde_json::from_str::<Atom>(&json).unwrap(), atom);
     }
 }

@@ -31,8 +31,10 @@ impl From<IrError> for RuleError {
 /// # Errors
 ///
 /// Returns [`RuleError::DimensionMismatch`] when a conjunct constrains the
-/// same sensor under two different physical dimensions.
+/// same sensor under two different physical dimensions. The conjunct
+/// systems are built first, so a refused rule interns nothing.
 pub fn compile_rule(rule: &Rule, interner: &mut Interner) -> Result<RuleProgram, RuleError> {
+    let conjuncts = compile_conjuncts(rule)?;
     let mut preds = Vec::new();
     let mut condition = CondCode::new();
     lower_condition(rule.condition(), interner, &mut preds, &mut condition);
@@ -41,8 +43,20 @@ pub fn compile_rule(rule: &Rule, interner: &mut Interner) -> Result<RuleProgram,
         lower_condition(u, interner, &mut preds, &mut code);
         code
     });
-    let conjuncts = compile_conjuncts(rule)?;
     Ok(RuleProgram::new(preds, condition, until, conjuncts))
+}
+
+/// Lowers a bare condition to bytecode over its own predicate table —
+/// the compiled form of a priority order's context guard, evaluated with
+/// [`cadel_ir::eval_code`].
+///
+/// Infallible: only a rule's DNF constraint systems can clash dimensions,
+/// and a bare condition builds none.
+pub fn compile_condition(condition: &Condition, interner: &mut Interner) -> (Vec<Pred>, CondCode) {
+    let mut preds = Vec::new();
+    let mut code = CondCode::new();
+    lower_condition(condition, interner, &mut preds, &mut code);
+    (preds, code)
 }
 
 /// Pre-builds the linear constraint system of every DNF conjunct of a rule,
@@ -99,7 +113,8 @@ fn collect_bounds(atom: &Atom, out: &mut CompiledConjunct) -> Result<(), RuleErr
 }
 
 /// Flattens a condition tree into bytecode, preserving child order and
-/// grouping so evaluation short-circuits exactly like the AST interpreter.
+/// grouping so evaluation short-circuits exactly like the reference
+/// interpreter.
 fn lower_condition(
     condition: &Condition,
     interner: &mut Interner,
@@ -165,15 +180,11 @@ fn lower_atom(atom: &Atom, interner: &mut Interner, preds: &mut Vec<Pred>) -> u3
             Pred::HeldFor {
                 inner: inner_idx,
                 duration: *duration,
-                // Byte-identical to the AST interpreter's tracking key so
-                // both evaluation paths share one `HeldTracker` state.
+                // Byte-identical to the reference interpreter's tracking
+                // key, so both observe one `HeldTracker` history.
                 fingerprint: format!("{inner}~{}", duration.as_millis()).into_boxed_str(),
             }
         }
-        // `Atom` is non-exhaustive; unknown future kinds fail closed,
-        // matching the interpreter's `_ => false` arm.
-        #[allow(unreachable_patterns)]
-        _ => Pred::Never,
     };
     preds.push(pred);
     (preds.len() - 1) as u32
@@ -347,6 +358,16 @@ mod tests {
         // Numeric bounds inside HeldFor still reach the conjunct system.
         assert_eq!(program.conjuncts().len(), 1);
         assert_eq!(program.conjuncts()[0].constraints().len(), 1);
+    }
+
+    #[test]
+    fn bare_condition_lowers_like_a_rule_condition() {
+        let condition = temp_gt(26).and(event("news").or(event("movie")));
+        let mut interner = Interner::new();
+        let (preds, code) = compile_condition(&condition, &mut interner);
+        let program = compile_rule(&rule_with(condition), &mut interner).unwrap();
+        assert_eq!(preds, program.preds());
+        assert_eq!(&code, program.condition());
     }
 
     #[test]

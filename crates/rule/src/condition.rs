@@ -14,9 +14,7 @@ pub const MAX_DNF_CONJUNCTS: usize = 512;
 ///
 /// `Condition::True` is the condition of an unconditional command
 /// ("Turn on the TV" with no `if`/`when` part).
-#[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub enum Condition {
     /// Always true.
     #[default]
@@ -187,7 +185,6 @@ impl fmt::Display for Condition {
 
 /// A conjunction of atoms — one disjunct of a DNF.
 #[derive(Clone, Debug, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Conjunct {
     atoms: Vec<Atom>,
 }
@@ -239,7 +236,6 @@ impl fmt::Display for Conjunct {
 /// A condition in disjunctive normal form: a disjunction of conjunctions
 /// of atoms.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dnf {
     conjuncts: Vec<Conjunct>,
 }
@@ -381,13 +377,5 @@ mod tests {
         assert!(s.contains("baseball game"));
         let dnf = c.to_dnf().unwrap();
         assert!(dnf.to_string().starts_with('['));
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let c = temp_gt(26).and(event("news").or(Condition::True));
-        let json = serde_json::to_string(&c).unwrap();
-        assert_eq!(serde_json::from_str::<Condition>(&json).unwrap(), c);
     }
 }

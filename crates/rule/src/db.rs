@@ -9,23 +9,23 @@
 //! Alongside each source [`Rule`], the database keeps the rule's compiled
 //! [`RuleProgram`] (built on registration against a shared
 //! [`Interner`](cadel_ir::Interner))
-//! and a monotonically increasing *revision* stamp. The engine evaluates
-//! the program instead of re-walking the condition tree; the conflict
-//! checker keys its pairwise memoization on revisions.
+//! and a monotonically increasing *revision* stamp. Lowering is total over
+//! stored rules: a rule that does not compile is refused, so every stored
+//! rule has a program. The engine evaluates the program instead of
+//! re-walking the condition tree; the conflict checker keys its pairwise
+//! memoization on revisions.
 
-use crate::compile::compile_rule;
+use crate::compile::{compile_conjuncts, compile_rule};
 use crate::error::RuleError;
 use crate::rule::{Rule, RuleBuilder};
 use cadel_ir::{ProgramArena, ProgramRef, RuleProgram, SharedInterner};
-use cadel_obs::{Event, LazyCounter, LazyHistogram, Level, Stopwatch};
+use cadel_obs::{LazyCounter, LazyHistogram, Stopwatch};
 use cadel_types::{DeviceId, PersonId, RuleId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Rules lowered to a program on storage (register, insert, import).
+/// Lowerings attempted on storage (register, insert, import).
 static LOWERED: LazyCounter = LazyCounter::new("rule_lower_total");
-/// Lowerings that failed (rule stored for AST interpretation instead).
-static LOWER_FAILURES: LazyCounter = LazyCounter::new("rule_lower_failures_total");
 /// Wall-clock latency of lowering one rule to its compiled program.
 static LOWER_NS: LazyHistogram = LazyHistogram::new("rule_lower_duration_ns");
 
@@ -34,9 +34,7 @@ static LOWER_NS: LazyHistogram = LazyHistogram::new("rule_lower_duration_ns");
 struct StoredRule {
     rule: Rule,
     revision: u64,
-    /// `None` when compilation failed (e.g. a dimension clash inside one
-    /// conjunct); consumers fall back to interpreting the source rule.
-    program: Option<Arc<RuleProgram>>,
+    program: Arc<RuleProgram>,
 }
 
 /// An indexed store of compiled rules.
@@ -106,13 +104,13 @@ impl RuleDb {
     /// # Errors
     ///
     /// Propagates [`RuleBuilder::build`] errors (over-complex condition,
-    /// missing action).
+    /// missing action) and returns [`RuleError::DimensionMismatch`] when
+    /// the rule does not compile; nothing is stored then (the allocated
+    /// id stays burned).
     pub fn register(&mut self, builder: RuleBuilder) -> Result<RuleId, RuleError> {
         let id = self.allocate_id();
         let rule = builder.build(id)?;
-        self.index(&rule);
-        let stored = self.compile(rule);
-        self.rules.insert(id, stored);
+        self.store(rule)?;
         Ok(id)
     }
 
@@ -120,17 +118,18 @@ impl RuleDb {
     ///
     /// # Errors
     ///
-    /// Returns [`RuleError::DuplicateRule`] if the id is taken.
+    /// Returns [`RuleError::DuplicateRule`] if the id is taken and
+    /// [`RuleError::DimensionMismatch`] when the rule does not compile;
+    /// nothing is stored on either error.
     pub fn insert(&mut self, rule: Rule) -> Result<(), RuleError> {
         if self.rules.contains_key(&rule.id()) {
             return Err(RuleError::DuplicateRule(rule.id()));
         }
-        if rule.id() >= self.next_id {
-            self.next_id = rule.id().next();
+        let id = rule.id();
+        self.store(rule)?;
+        if id >= self.next_id {
+            self.next_id = id.next();
         }
-        self.index(&rule);
-        let stored = self.compile(rule);
-        self.rules.insert(stored.rule.id(), stored);
         Ok(())
     }
 
@@ -144,8 +143,8 @@ impl RuleDb {
     ///
     /// # Errors
     ///
-    /// Propagates [`RuleBuilder::build`] errors from re-stamping the rule
-    /// under its new id.
+    /// Returns [`RuleError::DimensionMismatch`] when the rule does not
+    /// compile (nothing is stored).
     pub fn insert_remapped(&mut self, rule: Rule) -> Result<(RuleId, bool), RuleError> {
         if !self.rules.contains_key(&rule.id()) {
             let id = rule.id();
@@ -166,46 +165,42 @@ impl RuleDb {
     ///
     /// # Errors
     ///
-    /// Returns [`RuleError::UnknownRule`] if no rule holds this id.
+    /// Returns [`RuleError::UnknownRule`] if no rule holds this id and
+    /// [`RuleError::DimensionMismatch`] when the replacement does not
+    /// compile; the incumbent stays in place on either error.
     pub fn replace(&mut self, rule: Rule) -> Result<(), RuleError> {
         if !self.rules.contains_key(&rule.id()) {
             return Err(RuleError::UnknownRule(rule.id()));
         }
+        // Compile before removing, so a refused replacement leaves the
+        // incumbent untouched.
+        compile_conjuncts(&rule)?;
         self.remove(rule.id())?;
         self.insert(rule)
     }
 
-    /// Compiles a rule and stamps it with a fresh revision. Compilation
-    /// failure (a dimension clash) is not a storage error: the source rule
-    /// stays usable and consumers interpret it directly.
-    fn compile(&mut self, rule: Rule) -> StoredRule {
+    /// Compiles a rule, appends it to the arena and the indexes, and
+    /// stores it under a fresh revision. A rule that does not compile
+    /// touches nothing: no interned name, index entry or arena span.
+    fn store(&mut self, rule: Rule) -> Result<(), RuleError> {
         let sw = Stopwatch::start();
+        LOWERED.inc();
         let mut interner = self.interner.write().expect("interner lock poisoned");
-        let program = compile_rule(&rule, &mut interner).ok().map(Arc::new);
-        if let Some(program) = &program {
-            // Appended under the same lock the program was compiled under,
-            // so the arena's interned footprint matches the program's slots.
-            self.arena.insert(rule.id(), program, &mut interner);
-        }
+        let program = Arc::new(compile_rule(&rule, &mut interner)?);
+        // Appended under the same lock the program was compiled under, so
+        // the arena's interned footprint matches the program's slots.
+        self.arena.insert(rule.id(), &program, &mut interner);
         drop(interner);
         LOWER_NS.record(&sw);
-        LOWERED.inc();
-        if program.is_none() {
-            LOWER_FAILURES.inc();
-            if cadel_obs::enabled() {
-                cadel_obs::emit(
-                    Event::new("rule.lower_failed", Level::Warn)
-                        .with_field("rule", rule.id().raw())
-                        .with_field("owner", rule.owner().as_str()),
-                );
-            }
-        }
+        self.index(&rule);
         self.next_revision += 1;
-        StoredRule {
+        let stored = StoredRule {
             rule,
             revision: self.next_revision,
             program,
-        }
+        };
+        self.rules.insert(stored.rule.id(), stored);
+        Ok(())
     }
 
     /// Allocates the next free rule id without storing anything.
@@ -271,9 +266,9 @@ impl RuleDb {
         self.rules.get(&id).map(|s| &s.rule)
     }
 
-    /// The compiled program of a rule, when compilation succeeded.
+    /// The compiled program of a rule; `None` only for an unknown id.
     pub fn program(&self, id: RuleId) -> Option<&Arc<RuleProgram>> {
-        self.rules.get(&id).and_then(|s| s.program.as_ref())
+        self.rules.get(&id).map(|s| &s.program)
     }
 
     /// The arena holding every compiled program in contiguous SoA layout.
@@ -281,7 +276,7 @@ impl RuleDb {
         &self.arena
     }
 
-    /// A rule's span record in the arena, when compilation succeeded.
+    /// A rule's span record in the arena; `None` only for an unknown id.
     /// Invalidated by the next database mutation.
     pub fn program_ref(&self, id: RuleId) -> Option<&ProgramRef> {
         self.arena.program_ref(id)
@@ -345,9 +340,9 @@ impl RuleDb {
     ///
     /// # Errors
     ///
-    /// Returns [`RuleError::Serialization`] on malformed JSON and
-    /// [`RuleError::DuplicateRule`] on id collisions (rules inserted before
-    /// the collision remain inserted).
+    /// Returns [`RuleError::Serialization`] on malformed JSON and the
+    /// [`RuleDb::insert`] errors (id collision, a rule that does not
+    /// compile); rules inserted before the failing one remain inserted.
     pub fn import_json(&mut self, json: &str) -> Result<Vec<RuleId>, RuleError> {
         let rules = crate::codec::rules_from_json(json)?;
         let mut ids = Vec::with_capacity(rules.len());
@@ -357,27 +352,6 @@ impl RuleDb {
             ids.push(id);
         }
         Ok(ids)
-    }
-}
-
-/// Serialization proxy so the database round-trips as a flat rule list.
-#[cfg(feature = "serde")]
-impl serde::Serialize for RuleDb {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let rules: Vec<&Rule> = self.iter().collect();
-        rules.serialize(serializer)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for RuleDb {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let rules = Vec::<Rule>::deserialize(deserializer)?;
-        let mut db = RuleDb::new();
-        for rule in rules {
-            db.insert(rule).map_err(serde::de::Error::custom)?;
-        }
-        Ok(db)
     }
 }
 
@@ -429,10 +403,8 @@ mod tests {
         assert_ne!(db.revision(a), Some(r1));
     }
 
-    #[test]
-    fn uncompilable_rules_are_stored_without_a_program() {
-        // One conjunct constraining the same sensor as °C and % cannot be
-        // compiled, but registration still succeeds (AST fallback).
+    /// One conjunct constraining the same sensor as °C and as %.
+    fn clash_rule(owner: &str, device: &str) -> RuleBuilder {
         let key = SensorKey::new(DeviceId::new("multi"), "reading");
         let clash = Condition::Atom(Atom::Constraint(ConstraintAtom::new(
             key.clone(),
@@ -444,16 +416,51 @@ mod tests {
             RelOp::Lt,
             Quantity::from_integer(60, Unit::Percent),
         ))));
+        Rule::builder(PersonId::new(owner))
+            .condition(clash)
+            .action(ActionSpec::new(DeviceId::new(device), Verb::TurnOn))
+    }
+
+    #[test]
+    fn dimension_clash_is_refused_and_stores_nothing() {
         let mut db = RuleDb::new();
-        let id = db
-            .register(
-                Rule::builder(PersonId::new("tom"))
-                    .condition(clash)
-                    .action(ActionSpec::new(DeviceId::new("tv"), Verb::TurnOn)),
-            )
-            .unwrap();
-        assert!(db.get(id).is_some());
-        assert!(db.program(id).is_none());
+        db.register(builder("tom", "tv", "a")).unwrap();
+        let tv = DeviceId::new("tv");
+        let interned = db.interner().read().unwrap().sensor_count();
+
+        let err = db.register(clash_rule("tom", "tv")).unwrap_err();
+        assert!(matches!(err, RuleError::DimensionMismatch { .. }), "{err}");
+        let err = db
+            .insert(clash_rule("tom", "tv").build(RuleId::new(50)).unwrap())
+            .unwrap_err();
+        assert!(matches!(err, RuleError::DimensionMismatch { .. }), "{err}");
+        let err = db
+            .insert_remapped(clash_rule("tom", "tv").build(RuleId::new(1)).unwrap())
+            .unwrap_err();
+        assert!(matches!(err, RuleError::DimensionMismatch { .. }), "{err}");
+
+        assert_eq!(db.len(), 1);
+        assert_eq!(db.rules_for_device(&tv).len(), 1);
+        assert_eq!(db.rules_of_owner(&PersonId::new("tom")).len(), 1);
+        assert_eq!(db.arena().len(), 1);
+        assert_eq!(db.interner().read().unwrap().sensor_count(), interned);
+        // A refused import does not advance the id allocator either.
+        assert!(db.next_id() < RuleId::new(50));
+    }
+
+    #[test]
+    fn refused_replacement_keeps_the_incumbent() {
+        let mut db = RuleDb::new();
+        let id = db.register(builder("tom", "tv", "a")).unwrap();
+        let revision = db.revision(id);
+        let err = db
+            .replace(clash_rule("tom", "tv").build(id).unwrap())
+            .unwrap_err();
+        assert!(matches!(err, RuleError::DimensionMismatch { .. }), "{err}");
+        assert_eq!(db.revision(id), revision);
+        assert!(db.program(id).is_some());
+        assert_eq!(db.rules_for_device(&DeviceId::new("tv")).len(), 1);
+        assert_eq!(db.arena().len(), 1);
     }
 
     #[test]
@@ -612,15 +619,5 @@ mod tests {
             db.import_json("not json"),
             Err(RuleError::Serialization(_))
         ));
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip_of_whole_db() {
-        let mut db = RuleDb::new();
-        db.register(builder("tom", "stereo", "jazz")).unwrap();
-        let json = serde_json::to_string(&db).unwrap();
-        let restored: RuleDb = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored.len(), 1);
     }
 }

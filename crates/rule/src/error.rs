@@ -26,6 +26,8 @@ pub enum RuleError {
         /// Human-readable description of where the mismatch occurred.
         context: String,
     },
+    /// A rule was built without an action to perform.
+    MissingAction,
     /// Import/export serialization failed.
     Serialization(String),
 }
@@ -42,6 +44,7 @@ impl fmt::Display for RuleError {
             RuleError::DimensionMismatch { context } => {
                 write!(f, "dimension mismatch: {context}")
             }
+            RuleError::MissingAction => write!(f, "rule has no action"),
             RuleError::Serialization(msg) => write!(f, "serialization failed: {msg}"),
         }
     }

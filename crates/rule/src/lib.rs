@@ -40,7 +40,7 @@ pub mod rule;
 
 pub use action::{ActionSpec, Setting, Verb};
 pub use atom::{Atom, ConstraintAtom, EventAtom, PresenceAtom, StateAtom, Subject};
-pub use compile::{compile_conjunct, compile_conjuncts, compile_rule};
+pub use compile::{compile_condition, compile_conjunct, compile_conjuncts, compile_rule};
 pub use condition::{Condition, Conjunct, Dnf};
 pub use convert::VarPool;
 pub use db::RuleDb;

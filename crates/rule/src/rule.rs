@@ -38,7 +38,6 @@ use std::fmt;
 /// # }
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rule {
     id: RuleId,
     owner: PersonId,
@@ -195,12 +194,10 @@ impl RuleBuilder {
     ///
     /// * [`RuleError::ConditionTooComplex`] if the condition's DNF exceeds
     ///   the conjunct budget.
-    /// * [`RuleError::DimensionMismatch`] if no action was supplied (a rule
-    ///   without an action is meaningless), reported with context.
+    /// * [`RuleError::MissingAction`] if no action was supplied (a rule
+    ///   without an action is meaningless).
     pub fn build(self, id: RuleId) -> Result<Rule, RuleError> {
-        let action = self.action.ok_or_else(|| RuleError::DimensionMismatch {
-            context: "rule has no action".to_owned(),
-        })?;
+        let action = self.action.ok_or(RuleError::MissingAction)?;
         let dnf = self.condition.to_dnf()?;
         Ok(Rule {
             id,
@@ -251,6 +248,7 @@ mod tests {
             .condition(event("x"))
             .build(RuleId::new(1))
             .unwrap_err();
+        assert_eq!(err, RuleError::MissingAction);
         assert!(err.to_string().contains("no action"));
     }
 
@@ -291,18 +289,5 @@ mod tests {
             .unwrap();
         assert!(!rule.is_enabled());
         assert!(rule.with_enabled(true).is_enabled());
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let rule = Rule::builder(PersonId::new("emily"))
-            .condition(event("movie"))
-            .action(tv_on())
-            .until(event("movie ends"))
-            .build(RuleId::new(5))
-            .unwrap();
-        let json = serde_json::to_string(&rule).unwrap();
-        assert_eq!(serde_json::from_str::<Rule>(&json).unwrap(), rule);
     }
 }

@@ -25,7 +25,6 @@ use std::fmt;
 
 /// What a user may do with a device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Privilege {
     /// Reference the device's state/sensors in conditions and browse it.
     Observe,
@@ -37,7 +36,6 @@ pub enum Privilege {
 
 /// The scope a grant applies to.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scope {
     /// One concrete device.
     Device(DeviceId),
@@ -96,7 +94,6 @@ impl std::error::Error for AccessDenied {}
 
 /// The access-control policy store.
 #[derive(Clone, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessControl {
     /// Deny-by-default only when enforcement is on.
     enforcing: bool,
@@ -333,17 +330,5 @@ mod tests {
             Privilege::Observe,
         );
         assert!(acl.check_rule(&rule).is_ok());
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let mut acl = AccessControl::new();
-        acl.set_enforcing(true);
-        acl.grant(&PersonId::new("tom"), Scope::AllDevices, Privilege::Observe);
-        let json = serde_json::to_string(&acl).unwrap();
-        let back: AccessControl = serde_json::from_str(&json).unwrap();
-        assert!(back.is_enforcing());
-        assert!(back.allows(&PersonId::new("tom"), &tv(), Privilege::Observe));
     }
 }

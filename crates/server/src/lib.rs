@@ -38,7 +38,7 @@ pub mod server;
 pub mod users;
 
 pub use access::{AccessControl, AccessDenied, Privilege, Scope};
-pub use cadel_conflict::{Advisory, ConflictClass, EnvTable, GraphReport};
+pub use cadel_conflict::{Advisory, ConflictClass, ConflictError, EnvTable, GraphReport};
 pub use error::ServerError;
 pub use guidance::{DeviceQuery, GuidanceService, SensorMatch};
 pub use resolver::RegistryResolver;

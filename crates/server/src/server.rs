@@ -22,7 +22,8 @@ use crate::persist;
 use crate::resolver::RegistryResolver;
 use crate::users::UserRegistry;
 use cadel_conflict::{
-    check_consistency, Advisory, Conflict, ConflictGraph, ConsistencyReport, PriorityOrder,
+    check_consistency, Advisory, Conflict, ConflictError, ConflictGraph, ConsistencyReport,
+    PriorityOrder,
 };
 use cadel_engine::{Engine, FreshnessPolicy, ResilienceStatus, StepReport};
 use cadel_lang::ast::Command;
@@ -1100,8 +1101,9 @@ impl HomeServer {
 
     /// Imports rules from JSON, re-assigning them to `new_owner` with
     /// fresh ids and running each through the consistency/conflict
-    /// workflow. Conflicting or inconsistent rules are skipped and
-    /// reported, never silently dropped.
+    /// workflow. Conflicting, inconsistent or malformed rules (a
+    /// dimension clash inside one condition) are skipped and reported,
+    /// never silently dropped.
     ///
     /// # Errors
     ///
@@ -1124,7 +1126,15 @@ impl HomeServer {
                 .unwrap_or_else(|| rule.id().to_string());
             let id = self.engine.rules_mut().allocate_id();
             let rule = rule.reassigned(id, new_owner.clone());
-            match self.register_rule(rule)? {
+            let outcome = match self.register_rule(rule) {
+                Ok(outcome) => outcome,
+                Err(ServerError::Conflict(ConflictError::Rule(error))) => {
+                    report.skipped.push((label, error.to_string()));
+                    continue;
+                }
+                Err(other) => return Err(other),
+            };
+            match outcome {
                 SubmitOutcome::Registered { id, .. } => report.imported.push(id),
                 SubmitOutcome::RejectedInconsistent { .. } => {
                     report
@@ -1463,6 +1473,48 @@ mod tests {
         assert!(report.imported.is_empty());
         assert_eq!(report.skipped.len(), 1);
         assert!(report.skipped[0].1.contains("conflict"));
+    }
+
+    #[test]
+    fn import_skips_a_dimension_clash_and_keeps_going() {
+        use cadel_rule::{ActionSpec, Atom, ConstraintAtom, EventAtom, Verb};
+        use cadel_simplex::RelOp;
+        use cadel_types::{DeviceId, Quantity, SensorKey, Unit};
+
+        let (mut server, _home) = setup();
+        let temperature = |op, n, unit| {
+            let key = SensorKey::new(DeviceId::new("thermo-lr"), "temperature");
+            let atom = ConstraintAtom::new(key, op, Quantity::from_integer(n, unit));
+            Condition::Atom(Atom::Constraint(atom))
+        };
+        let build = |id: u64, condition: Condition, device: &str| {
+            let action = ActionSpec::new(DeviceId::new(device), Verb::TurnOn);
+            let rule = Rule::builder(PersonId::new("bea")).condition(condition);
+            rule.action(action).build(RuleId::new(id)).unwrap()
+        };
+        let movie = Condition::Atom(Atom::Event(EventAtom::new("tv-guide", "movie")));
+        let clash = temperature(RelOp::Gt, 26, Unit::Celsius).and(temperature(
+            RelOp::Lt,
+            60,
+            Unit::Percent,
+        ));
+        // The clash rule sits between two importable ones.
+        let rules = [
+            build(1, movie.clone(), "tv-lr"),
+            build(2, clash, "aircon-lr"),
+            build(3, movie, "stereo-lr"),
+        ];
+        let json = cadel_rule::codec::rules_to_json(rules.iter());
+
+        let report = server.import_rules(&PersonId::new("alan"), &json).unwrap();
+        assert_eq!(report.imported.len(), 2, "{report:?}");
+        assert_eq!(server.engine().rules().len(), 2);
+        assert_eq!(report.skipped.len(), 1);
+        assert!(
+            report.skipped[0].1.contains("dimension mismatch"),
+            "{:?}",
+            report.skipped
+        );
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {

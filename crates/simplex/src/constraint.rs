@@ -7,7 +7,6 @@ use std::fmt;
 
 /// The relational operator of a constraint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RelOp {
     /// `≤`
     Le,
@@ -69,7 +68,6 @@ impl fmt::Display for RelOp {
 
 /// A linear constraint `expr ⋈ rhs` over solver variables.
 #[derive(Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Constraint {
     expr: LinExpr,
     op: RelOp,

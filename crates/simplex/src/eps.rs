@@ -210,8 +210,6 @@ impl fmt::Display for EpsRational {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
 
     fn r(n: i64) -> Rational {
         Rational::from_integer(n)
@@ -262,28 +260,35 @@ mod tests {
         assert_eq!(EpsRational::new(r(2), r(-1)).to_string(), "2-1ε");
     }
 
-    #[cfg(feature = "proptest")]
-    fn small() -> impl Strategy<Value = EpsRational> {
-        ((-100i64..100), (-100i64..100)).prop_map(|(a, b)| {
-            EpsRational::new(Rational::from_integer(a), Rational::from_integer(b))
-        })
+    /// A seeded stream of small symbolic values `a + bε`, a and b in
+    /// [-100, 99].
+    fn small_values(seed: u64) -> impl FnMut() -> EpsRational {
+        let mut rng = cadel_types::Rng::new(seed);
+        move || EpsRational::new(r(rng.range_i64(-100, 99)), r(rng.range_i64(-100, 99)))
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn prop_order_matches_small_epsilon_substitution(a in small(), b in small()) {
-            // For ε = 1/10^6 (smaller than any ratio formed from our bounded
-            // coefficients), the symbolic order equals the concrete order.
-            let eps = Rational::new(1, 1_000_000);
-            let ca = a.substitute(eps);
-            let cb = b.substitute(eps);
-            prop_assert_eq!(a.cmp(&b), ca.cmp(&cb));
+    #[test]
+    fn order_matches_small_epsilon_substitution() {
+        // For ε = 1/10^6 (smaller than any ratio formed from the bounded
+        // coefficients), the symbolic order equals the concrete order.
+        let eps = Rational::new(1, 1_000_000);
+        let mut next = small_values(0xE95);
+        for _ in 0..512 {
+            let (a, b) = (next(), next());
+            assert_eq!(
+                a.cmp(&b),
+                a.substitute(eps).cmp(&b.substitute(eps)),
+                "{a} vs {b}"
+            );
         }
+    }
 
-        #[test]
-        fn prop_add_sub_inverse(a in small(), b in small()) {
-            prop_assert_eq!(a + b - b, a);
+    #[test]
+    fn add_sub_round_trips() {
+        let mut next = small_values(0xADD);
+        for _ in 0..512 {
+            let (a, b) = (next(), next());
+            assert_eq!(a + b - b, a, "{a}, {b}");
         }
     }
 }

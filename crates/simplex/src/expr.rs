@@ -11,11 +11,6 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// [`SensorKey`](cadel_types::SensorKey)s to `VarId`s; the solver only sees
 /// indices.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(transparent)
-)]
 pub struct VarId(u32);
 
 impl VarId {
@@ -60,7 +55,6 @@ impl fmt::Display for VarId {
 /// assert_eq!(e.coefficient(x), Rational::from_integer(2));
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinExpr {
     terms: BTreeMap<VarId, Rational>,
 }

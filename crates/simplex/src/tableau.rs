@@ -353,8 +353,6 @@ pub fn solve_simplex(constraints: &[Constraint]) -> Result<Solution, SolveError>
 mod tests {
     use super::*;
     use crate::{LinExpr, VarId};
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
 
     fn r(n: i64) -> Rational {
         Rational::from_integer(n)
@@ -505,72 +503,76 @@ mod tests {
         check_feasible(&sys);
     }
 
-    #[cfg(feature = "proptest")]
-    prop_compose! {
-        fn arb_constraint(max_vars: u32)
-            (vars in proptest::collection::vec((0..max_vars, -5i64..=5), 1..3),
-             op in prop_oneof![
-                Just(RelOp::Le), Just(RelOp::Lt), Just(RelOp::Ge),
-                Just(RelOp::Gt), Just(RelOp::Eq)
-             ],
-             rhs in -20i64..=20)
-            -> Constraint
-        {
-            let expr = LinExpr::from_terms(
-                vars.into_iter().map(|(v, c)| (VarId::new(v), r(c))),
-            );
-            Constraint::new(expr, op, r(rhs))
-        }
+    const OPS: [RelOp; 5] = [RelOp::Le, RelOp::Lt, RelOp::Ge, RelOp::Gt, RelOp::Eq];
+
+    /// A random constraint over up to `max_vars` variables: one or two
+    /// terms with coefficients in [-5, 5], right-hand side in [-20, 20].
+    fn arb_constraint(rng: &mut cadel_types::Rng, max_vars: u64) -> Constraint {
+        let terms = 1 + rng.below(2);
+        let expr = LinExpr::from_terms((0..terms).map(|_| {
+            (
+                VarId::new(rng.below(max_vars) as u32),
+                r(rng.range_i64(-5, 5)),
+            )
+        }));
+        Constraint::new(expr, *rng.pick(&OPS), r(rng.range_i64(-20, 20)))
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    fn arb_system(rng: &mut cadel_types::Rng, max_len: u64) -> Vec<Constraint> {
+        let len = rng.below(max_len + 1);
+        (0..len).map(|_| arb_constraint(rng, 3)).collect()
+    }
 
-        /// Soundness: whenever the simplex claims feasibility, its witness
-        /// really satisfies every constraint.
-        #[test]
-        fn prop_witness_is_sound(sys in proptest::collection::vec(arb_constraint(3), 0..8)) {
+    /// Soundness: whenever the simplex claims feasibility, its witness
+    /// really satisfies every constraint.
+    #[test]
+    fn witness_is_sound_on_random_systems() {
+        let mut rng = cadel_types::Rng::new(0x50D);
+        for _ in 0..256 {
+            let sys = arb_system(&mut rng, 7);
             if let Solution::Feasible(w) = solve_simplex(&sys).unwrap() {
                 for con in &sys {
-                    prop_assert!(con.is_satisfied_by(&w), "{} violated by {:?}", con, w);
+                    assert!(con.is_satisfied_by(&w), "{con} violated by {w:?}");
                 }
             }
         }
+    }
 
-        /// Agreement: on univariate systems the simplex and the interval
-        /// fast path return the same verdict.
-        #[test]
-        fn prop_agrees_with_interval_solver(
-            sys in proptest::collection::vec(
-                ((0u32..3), prop_oneof![
-                    Just(RelOp::Le), Just(RelOp::Lt), Just(RelOp::Ge),
-                    Just(RelOp::Gt), Just(RelOp::Eq)
-                 ], -20i64..=20),
-                0..10,
-            )
-        ) {
-            let sys: Vec<Constraint> = sys
-                .into_iter()
-                .map(|(var, op, rhs)| Constraint::new(v(var), op, r(rhs)))
+    /// Agreement: on univariate systems the simplex and the interval
+    /// fast path return the same verdict.
+    #[test]
+    fn agrees_with_interval_solver_on_random_bounds() {
+        let mut rng = cadel_types::Rng::new(0x1A7);
+        for _ in 0..256 {
+            let sys: Vec<Constraint> = (0..rng.below(10))
+                .map(|_| {
+                    Constraint::new(
+                        v(rng.below(3) as u32),
+                        *rng.pick(&OPS),
+                        r(rng.range_i64(-20, 20)),
+                    )
+                })
                 .collect();
             let simplex = solve_simplex(&sys).unwrap().is_feasible();
-            let interval = crate::interval::solve_intervals(&sys).unwrap().is_feasible();
-            prop_assert_eq!(simplex, interval);
+            let interval = crate::interval::solve_intervals(&sys)
+                .unwrap()
+                .is_feasible();
+            assert_eq!(simplex, interval, "{sys:?}");
         }
+    }
 
-        /// Monotonicity: adding constraints never turns an infeasible
-        /// system feasible.
-        #[test]
-        fn prop_adding_constraints_preserves_infeasibility(
-            sys in proptest::collection::vec(arb_constraint(3), 1..6),
-            extra in arb_constraint(3),
-        ) {
+    /// Monotonicity: adding constraints never turns an infeasible system
+    /// feasible.
+    #[test]
+    fn adding_constraints_preserves_infeasibility() {
+        let mut rng = cadel_types::Rng::new(0x3070);
+        for _ in 0..256 {
+            let mut sys = arb_system(&mut rng, 5);
+            sys.push(arb_constraint(&mut rng, 3));
             let before = solve_simplex(&sys).unwrap().is_feasible();
-            let mut bigger = sys.clone();
-            bigger.push(extra);
-            let after = solve_simplex(&bigger).unwrap().is_feasible();
-            prop_assert!(before || !after);
+            sys.push(arb_constraint(&mut rng, 3));
+            let after = solve_simplex(&sys).unwrap().is_feasible();
+            assert!(before || !after, "{sys:?}");
         }
     }
 }

@@ -11,7 +11,6 @@ macro_rules! string_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize), serde(transparent))]
         pub struct $name(String);
 
         impl $name {
@@ -85,11 +84,6 @@ string_id! {
 /// Identifies a registered rule. Allocated sequentially by the rule
 /// database.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(transparent)
-)]
 pub struct RuleId(u64);
 
 impl RuleId {
@@ -127,7 +121,6 @@ impl fmt::Display for RuleId {
 /// Conditions in rule objects constrain `SensorKey`s; the engine's context
 /// store maps each key to its latest [`crate::Value`].
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorKey {
     device: DeviceId,
     variable: String,
@@ -197,17 +190,6 @@ mod tests {
         assert_eq!(key.device().as_str(), "thermo-1");
         assert_eq!(key.variable(), "temperature");
         assert_eq!(key.to_string(), "thermo-1.temperature");
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let key = SensorKey::new(DeviceId::new("hygro"), "humidity");
-        let json = serde_json::to_string(&key).unwrap();
-        assert_eq!(serde_json::from_str::<SensorKey>(&json).unwrap(), key);
-        let id = PersonId::new("emily");
-        let json = serde_json::to_string(&id).unwrap();
-        assert_eq!(json, "\"emily\"");
     }
 
     #[test]

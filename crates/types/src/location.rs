@@ -10,11 +10,6 @@ use std::fmt;
 /// compared case-insensitively — `PlaceId::new("Living Room")` equals
 /// `PlaceId::new("living room")`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(transparent)
-)]
 pub struct PlaceId(String);
 
 impl PlaceId {
@@ -49,7 +44,6 @@ impl From<&str> for PlaceId {
 
 /// What kind of place a [`PlaceId`] names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PlaceKind {
     /// The whole home — the root of the topology.
     Home,
@@ -60,7 +54,6 @@ pub enum PlaceKind {
 }
 
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct PlaceNode {
     kind: PlaceKind,
     parent: Option<PlaceId>,
@@ -83,7 +76,6 @@ struct PlaceNode {
 /// # }
 /// ```
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Topology {
     root: PlaceId,
     places: BTreeMap<PlaceId, PlaceNode>,
@@ -270,9 +262,7 @@ impl Topology {
 
 /// A retrieval scope for the guidance/lookup service — "within the current
 /// room", "within the first floor", or anywhere in the home.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum LocationSelector {
     /// No location restriction.
     #[default]
@@ -388,17 +378,5 @@ mod tests {
         assert!(t
             .matches(&LocationSelector::within("attic"), &living)
             .is_err());
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let t = sample_home();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Topology = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.rooms().len(), 3);
-        assert!(back
-            .contains(&PlaceId::new("home"), &PlaceId::new("kitchen"))
-            .unwrap());
     }
 }

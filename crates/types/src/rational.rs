@@ -30,7 +30,6 @@ use crate::error::ParseRationalError;
 /// assert_eq!(third + dec, Rational::new(5, 6));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rational {
     numer: i128,
     denom: i128,
@@ -377,8 +376,6 @@ impl FromStr for Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
 
     #[test]
     fn reduces_to_lowest_terms() {
@@ -470,54 +467,48 @@ mod tests {
         assert!(Rational::approximate_f64(f64::INFINITY).is_none());
     }
 
+    /// A seeded stream of small rationals (numerator in [-1000, 999],
+    /// denominator in [1, 999]).
+    fn small_rationals(seed: u64) -> impl FnMut() -> Rational {
+        let mut rng = crate::Rng::new(seed);
+        move || {
+            let n = rng.range_i64(-1000, 999) as i128;
+            let d = rng.range_i64(1, 999) as i128;
+            Rational::new(n, d)
+        }
+    }
+
     #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let r = Rational::new(22, 7);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: Rational = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
+    fn field_laws_hold_over_random_rationals() {
+        let mut next = small_rationals(0x5EED);
+        for _ in 0..512 {
+            let (a, b, c) = (next(), next(), next());
+            assert_eq!(a + b, b + a, "commutativity: {a}, {b}");
+            assert_eq!((a + b) + c, a + (b + c), "associativity: {a}, {b}, {c}");
+            assert_eq!(a * (b + c), a * b + a * c, "distributivity: {a}, {b}, {c}");
+            assert_eq!(a + b - b, a, "inverse: {a}, {b}");
+        }
     }
 
-    #[cfg(feature = "proptest")]
-    fn small_rational() -> impl Strategy<Value = Rational> {
-        (-1000i128..1000, 1i128..1000).prop_map(|(n, d)| Rational::new(n, d))
-    }
-
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn prop_add_commutative(a in small_rational(), b in small_rational()) {
-            prop_assert_eq!(a + b, b + a);
-        }
-
-        #[test]
-        fn prop_add_associative(a in small_rational(), b in small_rational(), c in small_rational()) {
-            prop_assert_eq!((a + b) + c, a + (b + c));
-        }
-
-        #[test]
-        fn prop_mul_distributes(a in small_rational(), b in small_rational(), c in small_rational()) {
-            prop_assert_eq!(a * (b + c), a * b + a * c);
-        }
-
-        #[test]
-        fn prop_sub_add_inverse(a in small_rational(), b in small_rational()) {
-            prop_assert_eq!(a + b - b, a);
-        }
-
-        #[test]
-        fn prop_ordering_consistent_with_f64(a in small_rational(), b in small_rational()) {
+    #[test]
+    fn ordering_agrees_with_f64_over_random_rationals() {
+        let mut next = small_rationals(0x0DE5);
+        for _ in 0..512 {
+            let (a, b) = (next(), next());
             if (a.to_f64() - b.to_f64()).abs() > 1e-9 {
-                prop_assert_eq!(a < b, a.to_f64() < b.to_f64());
+                assert_eq!(a < b, a.to_f64() < b.to_f64(), "{a} vs {b}");
             }
         }
+    }
 
-        #[test]
-        fn prop_always_lowest_terms(a in small_rational()) {
+    #[test]
+    fn random_rationals_are_in_lowest_terms() {
+        let mut next = small_rationals(0x10E5);
+        for _ in 0..512 {
+            let a = next();
             let g = super::gcd(a.numer(), a.denom());
-            prop_assert!(g == 1 || a.numer() == 0);
-            prop_assert!(a.denom() > 0);
+            assert!(g == 1 || a.numer() == 0, "{a}");
+            assert!(a.denom() > 0, "{a}");
         }
     }
 }

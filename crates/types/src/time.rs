@@ -22,11 +22,6 @@ const DAY_MINUTES: u32 = 24 * 60;
 /// assert_eq!("6 pm".parse::<TimeOfDay>().unwrap(), TimeOfDay::hm(18, 0).unwrap());
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(transparent)
-)]
 pub struct TimeOfDay {
     minutes: u16,
 }
@@ -368,7 +363,6 @@ impl fmt::Display for DayPart {
 ///
 /// A window with `start == end` covers the whole day.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeWindow {
     start: TimeOfDay,
     end: TimeOfDay,
@@ -468,11 +462,6 @@ impl fmt::Display for TimeWindow {
 /// A point on the simulated timeline: milliseconds since the simulation
 /// epoch (midnight of day zero).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(transparent)
-)]
 pub struct SimTime {
     millis: u64,
 }
@@ -537,11 +526,6 @@ impl fmt::Display for SimTime {
 
 /// A span of simulated time with millisecond resolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(transparent)
-)]
 pub struct SimDuration {
     millis: u64,
 }
@@ -626,8 +610,6 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
 
     #[test]
     fn time_of_day_construction() {
@@ -779,43 +761,59 @@ mod tests {
         assert_eq!(b.since(a), SimDuration::from_secs(4));
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn prop_window_contains_agrees_with_intersects(
-            s1 in 0u32..1440, e1 in 0u32..1440, t in 0u32..1440
-        ) {
-            let w = TimeWindow::new(TimeOfDay::from_minutes(s1), TimeOfDay::from_minutes(e1));
+    #[test]
+    fn one_minute_windows_intersect_exactly_when_contained() {
+        let mut rng = crate::Rng::new(0x7115);
+        for _ in 0..1024 {
+            let (s1, e1, t) = (rng.below(1440), rng.below(1440), rng.below(1440));
+            let w = TimeWindow::new(
+                TimeOfDay::from_minutes(s1 as u32),
+                TimeOfDay::from_minutes(e1 as u32),
+            );
             let point = TimeWindow::new(
-                TimeOfDay::from_minutes(t),
-                TimeOfDay::from_minutes((t + 1) % 1440),
+                TimeOfDay::from_minutes(t as u32),
+                TimeOfDay::from_minutes(((t + 1) % 1440) as u32),
             );
             // A 1-minute window intersects w iff its minute is contained.
             if !point.is_all_day() {
-                prop_assert_eq!(w.intersects(point), w.contains(TimeOfDay::from_minutes(t)));
+                assert_eq!(
+                    w.intersects(point),
+                    w.contains(TimeOfDay::from_minutes(t as u32)),
+                    "{w:?} at minute {t}"
+                );
             }
         }
+    }
 
-        #[test]
-        fn prop_intersects_is_symmetric(
-            s1 in 0u32..1440, e1 in 0u32..1440, s2 in 0u32..1440, e2 in 0u32..1440
-        ) {
-            let a = TimeWindow::new(TimeOfDay::from_minutes(s1), TimeOfDay::from_minutes(e1));
-            let b = TimeWindow::new(TimeOfDay::from_minutes(s2), TimeOfDay::from_minutes(e2));
-            prop_assert_eq!(a.intersects(b), b.intersects(a));
+    #[test]
+    fn window_intersection_is_symmetric() {
+        let mut rng = crate::Rng::new(0x5133);
+        let mut window = || {
+            TimeWindow::new(
+                TimeOfDay::from_minutes(rng.below(1440) as u32),
+                TimeOfDay::from_minutes(rng.below(1440) as u32),
+            )
+        };
+        for _ in 0..1024 {
+            let (a, b) = (window(), window());
+            assert_eq!(a.intersects(b), b.intersects(a), "{a:?} vs {b:?}");
         }
+    }
 
-        #[test]
-        fn prop_weekday_advance_cycles(start in 0u8..7, days in 0u64..100) {
-            let w = Weekday::ALL[start as usize];
-            prop_assert_eq!(w.advance(days).advance(7 - (days % 7)), w);
-        }
-
-        #[test]
-        fn prop_date_advance_weekday_consistent(days in 0u64..400) {
-            let base = Date::new(2005, 6, 6).unwrap(); // a Monday
-            let later = base.advance(days);
-            prop_assert_eq!(later.weekday(), Weekday::Monday.advance(days));
+    #[test]
+    fn weekday_and_date_advance_stay_consistent() {
+        let mut rng = crate::Rng::new(0xDA7E);
+        let base = Date::new(2005, 6, 6).unwrap(); // a Monday
+        for _ in 0..512 {
+            let w = Weekday::ALL[rng.below(7) as usize];
+            let days = rng.below(100);
+            assert_eq!(w.advance(days).advance(7 - (days % 7)), w, "{w} + {days}");
+            let days = rng.below(400);
+            assert_eq!(
+                base.advance(days).weekday(),
+                Weekday::Monday.advance(days),
+                "{base} + {days}"
+            );
         }
     }
 }

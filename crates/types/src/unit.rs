@@ -9,7 +9,6 @@ use std::fmt;
 /// percentages explicitly; the remaining units cover the sensors shipped in
 /// `cadel-devices` (illuminance, loudness, elapsed time, counts).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum Unit {
@@ -35,7 +34,6 @@ pub enum Unit {
 /// The physical dimension a unit measures. Quantities are only comparable
 /// when their dimensions match.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Dimension {
     /// Temperature.

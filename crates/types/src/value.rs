@@ -10,7 +10,6 @@ use std::fmt;
 /// [`SensorKey`](crate::SensorKey) to its latest `Value`; condition atoms
 /// then compare these against rule thresholds.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Value {
     /// A numeric reading with unit (temperature, humidity, volume, …).
@@ -28,7 +27,6 @@ pub enum Value {
 /// The coarse type of a [`Value`], used in error messages and in device
 /// state-variable declarations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ValueKind {
     /// [`Value::Number`].
@@ -196,20 +194,5 @@ mod tests {
             "60%"
         );
         assert_eq!(Value::from(PlaceId::new("hall")).to_string(), "@hall");
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let vals = [
-            Value::Number(Quantity::from_integer(25, Unit::Celsius)),
-            Value::Bool(false),
-            Value::from("jazz"),
-            Value::from(PlaceId::new("living room")),
-        ];
-        for v in vals {
-            let json = serde_json::to_string(&v).unwrap();
-            assert_eq!(serde_json::from_str::<Value>(&json).unwrap(), v);
-        }
     }
 }

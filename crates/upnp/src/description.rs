@@ -12,7 +12,6 @@ use std::fmt;
 
 /// Direction of an action argument.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Direction {
     /// Supplied by the caller.
     In,
@@ -22,7 +21,6 @@ pub enum Direction {
 
 /// One argument of an action signature.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArgSpec {
     name: String,
     direction: Direction,
@@ -66,7 +64,6 @@ impl ArgSpec {
 
 /// The signature of an invocable action.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ActionSignature {
     name: String,
     args: Vec<ArgSpec>,
@@ -108,7 +105,6 @@ impl ActionSignature {
 
 /// A state variable exposed by a service.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StateVariableSpec {
     name: String,
     kind: ValueKind,
@@ -239,7 +235,6 @@ impl StateVariableSpec {
 /// A service hosted by a device: a typed bundle of actions and state
 /// variables.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServiceDescription {
     service_id: ServiceId,
     service_type: String,
@@ -310,7 +305,6 @@ impl ServiceDescription {
 
 /// A root device description document.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceDescription {
     udn: DeviceId,
     friendly_name: String,
@@ -527,13 +521,5 @@ mod tests {
         assert!(action.input("TEMPERATURE").is_some());
         assert!(action.input("mystery").is_none());
         assert_eq!(action.args()[0].direction(), Direction::In);
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let d = thermostat_description();
-        let json = serde_json::to_string(&d).unwrap();
-        assert_eq!(serde_json::from_str::<DeviceDescription>(&json).unwrap(), d);
     }
 }
