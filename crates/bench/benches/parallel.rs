@@ -1,22 +1,18 @@
-//! P-series: the sharded engine step.
+//! P-series: ingest coalescing.
 //!
-//! * **P1** — parallel rule evaluation: one step over a fleet where every
-//!   rule is a candidate (all watch one shared sensor), swept across
-//!   `eval_threads`. Conditions carry several constraint atoms plus a
-//!   `held for` dwell so there is real per-rule work to shard.
-//! * **P2** — ingest coalescing: a step whose batch carries many
-//!   redundant readings of the same sensors, with last-write-wins
-//!   coalescing on vs off.
+//! * **P2** — a step whose batch carries many redundant readings of the
+//!   same sensors, with last-write-wins coalescing on vs off.
 //!
-//! `CADEL_BENCH_SMOKE=1` shrinks both to CI-smoke size.
+//! (P1, the `eval_threads` sweep, was removed with the threaded
+//! evaluation path; its last numbers are in EXPERIMENTS.md.)
+//!
+//! `CADEL_BENCH_SMOKE=1` shrinks it to CI-smoke size.
 
 use cadel_bench::timing::{run, section};
 use cadel_engine::Engine;
 use cadel_rule::{ActionSpec, Atom, Condition, ConstraintAtom, Rule, Verb};
 use cadel_simplex::RelOp;
-use cadel_types::{
-    DeviceId, PersonId, Quantity, RuleId, SensorKey, SimDuration, SimTime, Unit, Value,
-};
+use cadel_types::{DeviceId, PersonId, Quantity, RuleId, SensorKey, SimTime, Unit, Value};
 use cadel_upnp::{ControlPoint, EventBus, Registry};
 use std::hint::black_box;
 
@@ -26,41 +22,6 @@ fn constraint(sensor: &SensorKey, op: RelOp, n: i64) -> Condition {
         op,
         Quantity::from_integer(n, Unit::Celsius),
     )))
-}
-
-/// P1 fleet: every rule watches the shared sensor (so one reading makes
-/// all of them candidates) through a condition of four bounds and a
-/// dwell clause; 1 rule in 50 can actually flip on the alternating
-/// reading.
-fn p1_engine(n: u64, threads: usize) -> Engine {
-    let shared = SensorKey::new(DeviceId::new("sensor-shared"), "reading");
-    let mut engine = Engine::new(ControlPoint::new(Registry::new()));
-    engine.set_eval_threads(threads);
-    for i in 0..n {
-        let threshold = if i % 50 == 0 { 50 } else { 10_000 };
-        let condition = constraint(&shared, RelOp::Gt, -1_000)
-            .and(constraint(&shared, RelOp::Lt, 1_000_000))
-            .and(Condition::Atom(Atom::held_for(
-                Atom::Constraint(ConstraintAtom::new(
-                    shared.clone(),
-                    RelOp::Gt,
-                    Quantity::from_integer(-2_000, Unit::Celsius),
-                )),
-                SimDuration::from_millis(1),
-            )))
-            .and(constraint(&shared, RelOp::Gt, threshold));
-        let rule = Rule::builder(PersonId::new("bench"))
-            .condition(condition)
-            .action(ActionSpec::new(
-                DeviceId::new(format!("device-{i}")),
-                Verb::TurnOn,
-            ))
-            .build(RuleId::new(i))
-            .unwrap();
-        engine.add_rule(rule).unwrap();
-    }
-    engine.step(SimTime::from_millis(1));
-    engine
 }
 
 /// P2 fleet: `rules` rules spread over `sensors` sensors.
@@ -94,22 +55,6 @@ fn publish_reading(bus: &EventBus, device: &str, seq: u64, value: i64) {
 
 fn main() {
     let smoke = std::env::var("CADEL_BENCH_SMOKE").is_ok();
-    let p1_rules: u64 = if smoke { 1_000 } else { 10_000 };
-    let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-
-    section("p1_parallel_step (all rules candidates, eval_threads sweep)");
-    for &threads in thread_counts {
-        let mut engine = p1_engine(p1_rules, threads);
-        let bus = engine.control().registry().event_bus().clone();
-        let mut seq = 2u64;
-        run(&format!("p1_step/threads-{threads}/{p1_rules}"), || {
-            seq += 1;
-            let value = if seq.is_multiple_of(2) { 30 } else { 70 };
-            publish_reading(&bus, "sensor-shared", seq, value);
-            black_box(engine.step(SimTime::from_millis(seq)).firings.len())
-        });
-    }
-
     let (p2_rules, p2_sensors, repeats) = if smoke { (200, 8, 8) } else { (1_000, 8, 16) };
     section("p2_coalesced_ingest (redundant same-sensor readings per batch)");
     for (label, coalesce) in [("coalesced", true), ("verbatim", false)] {

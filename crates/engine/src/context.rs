@@ -33,8 +33,9 @@ use cadel_ir::{
     ChannelSlot, ContextView, EventSlot, PlaceSlot, SensorRead, SensorSlot, SharedInterner,
 };
 use cadel_obs::{Event as ObsEvent, LazyCounter, Level};
+use cadel_types::unit::Dimension;
 use cadel_types::{
-    Date, DeviceId, PersonId, PlaceId, SensorKey, SimDuration, SimTime, Value, Weekday,
+    Date, DeviceId, PersonId, PlaceId, Rational, SensorKey, SimDuration, SimTime, Value, Weekday,
 };
 use cadel_upnp::PropertyChange;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -112,6 +113,21 @@ impl FreshnessPolicy {
     }
 }
 
+/// The first write to a sensor slot since the dirt log was last drained,
+/// with what the slot held just before it: the reading the previous step
+/// evaluated against. The trigger index compares it with the slot's
+/// current reading to find the thresholds the reading crossed.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SensorDirt {
+    /// The slot written.
+    pub slot: SensorSlot,
+    /// The previous reading's dimension and canonical value, `None` when
+    /// it was absent or not a number.
+    pub prev: Option<(Dimension, Rational)>,
+    /// The previous reading's update stamp.
+    pub prev_stamp: Option<SimTime>,
+}
+
 /// Dense, slot-indexed mirror of the context for compiled-rule evaluation.
 ///
 /// The string-keyed maps of [`ContextStore`] remain the source of truth;
@@ -129,6 +145,9 @@ struct IrMirror {
     /// Last-update instant per sensor slot, parallel to `sensor_board`
     /// (the dense mirror of `ContextStore::sensor_stamps`).
     stamp_board: Vec<Option<SimTime>>,
+    /// Per sensor slot, whether the dirt log already holds its first
+    /// write since the last drain (parallel to `sensor_board`).
+    logged: Vec<bool>,
     /// Expiry instant per transient event slot (compared against `now` at
     /// query time, mirroring [`ContextStore::event_active`]).
     transient_board: Vec<Option<SimTime>>,
@@ -157,8 +176,10 @@ pub struct ContextStore {
     /// records the slots it touched, so the trigger index never misses a
     /// change regardless of which door it came through. Names the interner
     /// does not know have no slot, and correctly produce no dirt: no rule
-    /// can mention them. Entries may repeat; marking is idempotent.
-    dirty_sensors: Vec<(SensorSlot, SimTime)>,
+    /// can mention them. A sensor slot is logged once per drain, at its
+    /// first write; place and channel entries may repeat (marking is
+    /// idempotent).
+    dirty_sensors: Vec<SensorDirt>,
     dirty_places: Vec<PlaceSlot>,
     dirty_channels: Vec<ChannelSlot>,
 }
@@ -195,6 +216,7 @@ impl ContextStore {
             seen_revision: None,
             sensor_board: Vec::new(),
             stamp_board: Vec::new(),
+            logged: Vec::new(),
             transient_board: Vec::new(),
             persistent_board: Vec::new(),
         });
@@ -228,6 +250,8 @@ impl ContextStore {
                     .and_then(|key| self.sensor_stamps.get(key).copied())
             })
             .collect();
+        // Slots are stable across revisions: first-write flags carry over.
+        mirror.logged.resize(interner.sensor_count(), false);
         mirror.transient_board = vec![None; interner.event_count()];
         mirror.persistent_board = vec![false; interner.event_count()];
         for i in 0..interner.event_count() {
@@ -246,19 +270,31 @@ impl ContextStore {
     }
 
     /// Writes a sensor value and its update instant through to the boards
-    /// when the interner knows the key. Names never mentioned by a rule
-    /// have no slot and are (correctly) skipped.
+    /// when the interner knows the key, logging the slot's previous
+    /// reading on its first write since the last drain. Names never
+    /// mentioned by a rule have no slot and are (correctly) skipped.
     fn mirror_sensor(&mut self, key: &SensorKey, value: &Value, at: SimTime) {
         if let Some(mirror) = &mut self.ir {
             let interner = mirror.interner.read().expect("interner lock poisoned");
             if let Some(slot) = interner.lookup_sensor(key) {
-                if slot.index() >= mirror.sensor_board.len() {
-                    mirror.sensor_board.resize(slot.index() + 1, None);
-                    mirror.stamp_board.resize(slot.index() + 1, None);
+                let i = slot.index();
+                if i >= mirror.sensor_board.len() {
+                    mirror.sensor_board.resize(i + 1, None);
+                    mirror.stamp_board.resize(i + 1, None);
                 }
-                mirror.sensor_board[slot.index()] = Some(value.clone());
-                mirror.stamp_board[slot.index()] = Some(at);
-                self.dirty_sensors.push((slot, at));
+                if i >= mirror.logged.len() {
+                    mirror.logged.resize(i + 1, false);
+                }
+                if !mirror.logged[i] {
+                    mirror.logged[i] = true;
+                    self.dirty_sensors.push(SensorDirt {
+                        slot,
+                        prev: numeric(mirror.sensor_board[i].as_ref()),
+                        prev_stamp: mirror.stamp_board[i],
+                    });
+                }
+                mirror.sensor_board[i] = Some(value.clone());
+                mirror.stamp_board[i] = Some(at);
             }
         }
     }
@@ -379,6 +415,47 @@ impl ContextStore {
     /// The active staleness policy.
     pub fn freshness_policy(&self) -> FreshnessPolicy {
         self.freshness
+    }
+
+    /// Whether a reading stamped `stamp` is stale right now under a policy
+    /// that overrides stale readings (fail-closed or fail-open).
+    fn forced_stale(&self, stamp: Option<SimTime>) -> bool {
+        match self.freshness.max_age {
+            Some(max_age) if self.freshness.mode != FreshnessMode::HoldLastValue => {
+                stamp.is_none_or(|s| self.now.since(s) > max_age)
+            }
+            _ => false,
+        }
+    }
+
+    /// The closed interval of canonical values a dirtied sensor slot's
+    /// reading moved across since the previous step, with the dimension
+    /// both ends share. `None` when either end is not a usable number:
+    /// absent, not a number, of different dimensions, or stale under a
+    /// fail-closed or fail-open policy. The previous end is judged stale
+    /// at the current instant, which covers staleness at any earlier one.
+    pub(crate) fn sensor_move(&self, dirt: &SensorDirt) -> Option<(Dimension, Rational, Rational)> {
+        let mirror = self.ir.as_ref()?;
+        let (dim, v0) = dirt.prev?;
+        let i = dirt.slot.index();
+        let (d1, v1) = numeric(mirror.sensor_board.get(i)?.as_ref())?;
+        if d1 != dim
+            || self.forced_stale(dirt.prev_stamp)
+            || self.forced_stale(mirror.stamp_board[i])
+        {
+            return None;
+        }
+        Some((dim, v0.min(v1), v0.max(v1)))
+    }
+
+    /// The update stamp of the reading on a sensor slot.
+    pub(crate) fn sensor_stamp(&self, slot: SensorSlot) -> Option<SimTime> {
+        self.ir
+            .as_ref()?
+            .stamp_board
+            .get(slot.index())
+            .copied()
+            .flatten()
     }
 
     /// Applies the freshness policy to a raw `(value, last-update)` pair.
@@ -581,8 +658,8 @@ impl ContextStore {
     }
 
     /// Sensor slots written since the last [`ContextStore::clear_dirt`],
-    /// with the stamp of each write.
-    pub(crate) fn dirty_sensors(&self) -> &[(SensorSlot, SimTime)] {
+    /// each once, with the reading it held before its first write.
+    pub(crate) fn dirty_sensors(&self) -> &[SensorDirt] {
         &self.dirty_sensors
     }
 
@@ -599,6 +676,13 @@ impl ContextStore {
     /// Empties the dirt log (capacity is retained, so a steady-state step
     /// with no traffic performs no allocation).
     pub(crate) fn clear_dirt(&mut self) {
+        if let Some(mirror) = &mut self.ir {
+            for dirt in &self.dirty_sensors {
+                if let Some(flag) = mirror.logged.get_mut(dirt.slot.index()) {
+                    *flag = false;
+                }
+            }
+        }
         self.dirty_sensors.clear();
         self.dirty_places.clear();
         self.dirty_channels.clear();
@@ -622,6 +706,14 @@ impl ContextStore {
             .get(place)
             .map(|s| !s.is_empty())
             .unwrap_or(false)
+    }
+}
+
+/// The dimension and canonical value of a numeric reading.
+fn numeric(value: Option<&Value>) -> Option<(Dimension, Rational)> {
+    match value {
+        Some(Value::Number(q)) => Some((q.dimension(), q.canonical_value())),
+        _ => None,
     }
 }
 
@@ -786,6 +878,7 @@ impl ContextStore {
             mirror.seen_revision = None;
             mirror.sensor_board.clear();
             mirror.stamp_board.clear();
+            mirror.logged.clear();
             mirror.transient_board.clear();
             mirror.persistent_board.clear();
         }

@@ -1,10 +1,10 @@
 //! The rule execution module (paper §4.1): event ingestion, condition
 //! evaluation, runtime conflict arbitration and device dispatch.
 //!
-//! [`Engine::step`] runs as a three-phase pipeline — batched ingest with
-//! per-sensor coalescing, read-only (optionally parallel) rule
-//! evaluation, and a serial commit in ascending `RuleId` order — so
-//! serial and parallel runs produce byte-identical [`StepReport`]s. See
+//! [`Engine::step`] runs as a pipeline — batched ingest with per-sensor
+//! coalescing, candidate selection through the trigger index, read-only
+//! rule evaluation, a serial commit of the verdicts that changed in
+//! ascending `RuleId` order, and per-device arbitration and dispatch. See
 //! `docs/CONCURRENCY.md`.
 
 use self::shard::{EvalContext, EvalVerdict};
@@ -30,8 +30,8 @@ use std::fmt;
 #[path = "persist.rs"]
 pub mod persist;
 
-/// The read-only parallel evaluation phase. A child of this module for
-/// the same reason: workers borrow the engine's private runtime state.
+/// The read-only evaluation phase. A child of this module for the same
+/// reason: it borrows the engine's private runtime state.
 #[path = "shard.rs"]
 mod shard;
 
@@ -42,13 +42,6 @@ static EVENTS_INGESTED: LazyCounter = LazyCounter::new("engine_events_ingested_t
 /// Ingested events dropped by batch coalescing (a later reading of the
 /// same sensor superseded them within one step).
 static EVENTS_COALESCED: LazyCounter = LazyCounter::new("engine_events_coalesced_total");
-/// Worker threads used by the most recent evaluation phase.
-static EVAL_THREADS: LazyGauge = LazyGauge::new("engine_eval_threads");
-/// Candidate rules per evaluation shard.
-static SHARD_RULES: LazyHistogram = LazyHistogram::new("engine_eval_shard_rules");
-/// Spread between the slowest and fastest shard of one parallel
-/// evaluation pass, in nanoseconds (shard imbalance).
-static SHARD_IMBALANCE_NS: LazyHistogram = LazyHistogram::new("engine_eval_shard_imbalance_ns");
 /// Rule conditions evaluated across all steps.
 static RULES_EVALUATED: LazyCounter = LazyCounter::new("engine_rules_evaluated_total");
 /// Firings dispatched to a device (fresh acquisition).
@@ -73,6 +66,18 @@ static RELEASES: LazyCounter = LazyCounter::new("engine_releases_total");
 static HELDFOR_TRACKED: LazyGauge = LazyGauge::new("engine_heldfor_tracked");
 /// Wall-clock latency of one engine step.
 static STEP_NS: LazyHistogram = LazyHistogram::new("engine_step_duration_ns");
+/// Step phase 1: draining the subscription, applying the batch and
+/// servicing due retries.
+static PHASE_INGEST_NS: LazyHistogram = LazyHistogram::new("engine_phase_ingest_ns");
+/// Step phase 2: forwarding dirt into the trigger index and collecting
+/// the candidate set.
+static PHASE_CANDIDATES_NS: LazyHistogram = LazyHistogram::new("engine_phase_candidates_ns");
+/// Step phase 3: evaluating the candidates.
+static PHASE_EVALUATE_NS: LazyHistogram = LazyHistogram::new("engine_phase_evaluate_ns");
+/// Step phase 4: committing the verdicts.
+static PHASE_COMMIT_NS: LazyHistogram = LazyHistogram::new("engine_phase_commit_ns");
+/// Step phase 5: arbitrating devices, dispatching, and the step's metrics.
+static PHASE_ARBITRATE_NS: LazyHistogram = LazyHistogram::new("engine_phase_arbitrate_ns");
 
 /// The event channel on which the engine announces suppressed firings, so
 /// fallback rules ("if I cannot use the TV, record the game instead") can
@@ -206,12 +211,6 @@ pub struct Engine {
     /// Reusable candidate-id buffer: collected into each step, capacity
     /// retained so the steady-state candidate path allocates nothing.
     candidate_buf: Vec<RuleId>,
-    /// Reusable evaluation-stats buffers, recycled for the same reason.
-    eval_stats: shard::EvalStats,
-    /// Worker threads for the evaluation phase; 1 = serial. Both paths
-    /// run the same snapshot/evaluate/commit pipeline and produce
-    /// byte-identical reports.
-    eval_threads: usize,
     /// Whether ingest coalesces redundant same-sensor readings within a
     /// batch (last-write-wins). Off only for the P-series ablation.
     coalesce_events: bool,
@@ -238,10 +237,9 @@ pub struct Engine {
     /// report (avoids one `Deferred` row per step while a breaker
     /// stays open).
     defer_noted: BTreeSet<RuleId>,
-    /// Chaos hook invoked for every committed verdict (serial phase, so
-    /// deterministic at any thread count). Fleet soaks install a
-    /// panicking hook here to prove the supervisor contains a poisoned
-    /// rule set; `None` in production.
+    /// Chaos hook invoked for every evaluated verdict, in the serial
+    /// commit phase. Fleet soaks install a panicking hook here to prove
+    /// the supervisor contains a poisoned rule set; `None` in production.
     eval_hook: Option<Box<dyn FnMut(RuleId, SimTime) + Send>>,
 }
 
@@ -272,8 +270,6 @@ impl Engine {
             use_trigger_index: true,
             last_freshness,
             candidate_buf: Vec::new(),
-            eval_stats: shard::EvalStats::default(),
-            eval_threads: 1,
             coalesce_events: true,
             last_state: HashMap::new(),
             holders: HashMap::new(),
@@ -288,31 +284,19 @@ impl Engine {
     }
 
     /// Installs (or clears) the per-verdict chaos hook. The hook runs in
-    /// the serial commit phase for every evaluated rule; a panic inside
-    /// it unwinds out of [`Engine::step`] exactly like a panic in rule
-    /// bookkeeping would, which is what fleet soak tests rely on.
+    /// the serial commit phase for every evaluated rule, whether or not
+    /// its verdict changed; a panic inside it unwinds out of
+    /// [`Engine::step`] exactly like a panic in rule bookkeeping would,
+    /// which is what fleet soak tests rely on.
     pub fn set_eval_hook(&mut self, hook: Option<Box<dyn FnMut(RuleId, SimTime) + Send>>) {
         self.eval_hook = hook;
     }
 
     /// Disables the sensor-trigger index: every step re-evaluates every
-    /// rule. Exists for the A3 ablation benchmark.
+    /// rule. The full scan is the reference the index is checked against
+    /// (the parity suites), and the A3/P-series ablation.
     pub fn set_use_trigger_index(&mut self, enabled: bool) {
         self.use_trigger_index = enabled;
-    }
-
-    /// Sets how many worker threads the evaluation phase may use (clamped
-    /// to at least 1; 1 means serial). Parallel evaluation is
-    /// deterministic: any thread count produces byte-identical
-    /// [`StepReport`]s, activity timelines and checkpoints. A runtime
-    /// tuning knob, deliberately not persisted in the WAL.
-    pub fn set_eval_threads(&mut self, threads: usize) {
-        self.eval_threads = threads.max(1);
-    }
-
-    /// The configured evaluation-phase thread count.
-    pub fn eval_threads(&self) -> usize {
-        self.eval_threads
     }
 
     /// Disables ingest coalescing: every drained property change is
@@ -469,39 +453,43 @@ impl Engine {
 
         // Phase 1 — batched ingest: drain the subscription, advance the
         // clock and apply the batch with per-sensor coalescing. Every
-        // context mutation logs interned-slot dirt for phase 2.
+        // context mutation logs interned-slot dirt for phase 2. Then
+        // service due retries before evaluation, so a successful retry
+        // re-acquires its device ahead of this step's arbitration.
+        let phase = Stopwatch::start();
         let (ingested, coalesced) = self.ingest(now);
-
-        // Phase 1b — service due retries before evaluation, so a
-        // successful retry re-acquires its device ahead of this step's
-        // arbitration.
         let mut firings = Vec::new();
         self.process_retries(now, &mut firings);
+        PHASE_INGEST_NS.record(&phase);
 
         // Phase 2 — candidate set: drain the context dirt log and the
         // due deadline heaps into the trigger index and collect the
-        // dirty ∪ temporal ∪ true ∪ pending rules (ascending). The
+        // marked ∪ temporal ∪ event-true ∪ pending rules (ascending). The
         // buffer round-trips through the field so its capacity is
         // reused across steps.
+        let phase = Stopwatch::start();
         let mut candidates = std::mem::take(&mut self.candidate_buf);
         self.refresh_candidates(now, &mut candidates);
+        PHASE_CANDIDATES_NS.record(&phase);
 
-        // Phase 3 — read-only evaluation over the now-immutable context,
-        // sharded across scoped worker threads (serial at 1). Workers
-        // return per-rule verdicts plus observed held-for transitions;
-        // nothing shared is mutated until commit.
-        let mut eval_stats = std::mem::take(&mut self.eval_stats);
+        // Phase 3 — read-only evaluation over the now-immutable context:
+        // per-rule verdicts plus observed held-for transitions; nothing
+        // shared is mutated until commit.
+        let phase = Stopwatch::start();
         let ec = EvalContext {
             rules: &self.rules,
             ctx: &self.ctx,
             held: &self.held,
             holders: &self.holders,
         };
-        let verdicts = shard::evaluate(&ec, &candidates, self.eval_threads, &mut eval_stats);
+        let verdicts = shard::evaluate(&ec, &candidates);
         self.candidate_buf = candidates;
+        PHASE_EVALUATE_NS.record(&phase);
 
-        // Phase 4 — serial commit in ascending RuleId order: held-for
-        // transitions, state edges, until releases, contender pools.
+        // Phase 4 — serial commit in ascending RuleId order of the
+        // verdicts that change something: held-for transitions, state
+        // edges, until releases, contender pools.
+        let phase = Stopwatch::start();
         let mut newly_true: BTreeSet<RuleId> = BTreeSet::new();
         let mut releases: Vec<(RuleId, DeviceId)> = Vec::new();
         // Devices whose current holder's condition just lapsed: suppressed
@@ -515,10 +503,12 @@ impl Engine {
             &mut releases,
             &mut holder_lapsed,
         );
+        PHASE_COMMIT_NS.record(&phase);
 
         // Phase 5 — re-arbitrate every device whose outcome could have changed:
         //    any device with a fresh edge, and any device with several
         //    live contenders (a context change alone can flip priorities).
+        let phase = Stopwatch::start();
         let mut devices: BTreeSet<DeviceId> = BTreeSet::new();
         for id in &newly_true {
             if let Some(rule) = self.rules.get(*id) {
@@ -649,24 +639,13 @@ impl Engine {
                     FiringOutcome::Failed(_) => FIRINGS_FAILED.inc(),
                 }
             }
-            EVAL_THREADS.set(eval_stats.threads as i64);
-            for size in &eval_stats.shard_sizes {
-                SHARD_RULES.observe(*size as u64);
-            }
-            if eval_stats.shard_ns.len() > 1 {
-                let max = eval_stats.shard_ns.iter().copied().max().unwrap_or(0);
-                let min = eval_stats.shard_ns.iter().copied().min().unwrap_or(0);
-                SHARD_IMBALANCE_NS.observe(max - min);
-            }
             HELDFOR_TRACKED.set(self.held.tracked() as i64);
             span.add_field("events", ingested as u64);
             span.add_field("evaluated", evaluated);
             span.add_field("firings", firings.len() as u64);
             span.add_field("releases", releases.len() as u64);
         }
-        // Return the stats buffers to the engine so the next step reuses
-        // their capacity instead of allocating.
-        self.eval_stats = eval_stats;
+        PHASE_ARBITRATE_NS.record(&phase);
         STEP_NS.record(&sw);
         drop(span);
 
@@ -714,11 +693,12 @@ impl Engine {
     /// Phase 2 of [`step`](Self::step): the candidate set. Forwards the
     /// context's dirt log (sensor, place and channel slots touched by
     /// any mutation path since the last drain — including direct
-    /// `context_mut()` writes) into the trigger index, re-arms the
-    /// freshness deadlines when the policy changed, and collects
-    /// dirty ∪ temporal ∪ true ∪ pending into `out`, ascending. With
-    /// the index ablated the dirt and heaps are still drained (so they
-    /// stay bounded) but the candidate set is every rule.
+    /// `context_mut()` writes — with each sensor slot's previous reading)
+    /// into the trigger index, re-arms the freshness deadlines when the
+    /// policy changed, and collects the marked ∪ temporal ∪ event-true ∪
+    /// pending rules into `out`, ascending. With the index ablated the
+    /// dirt and heaps are still drained (so they stay bounded) but the
+    /// candidate set is every rule.
     fn refresh_candidates(&mut self, now: SimTime, out: &mut Vec<RuleId>) {
         let policy = self.ctx.freshness_policy();
         if policy != self.last_freshness {
@@ -726,8 +706,8 @@ impl Engine {
                 .on_policy_changed(&self.ctx.stamped_sensor_slots(), policy.max_age);
             self.last_freshness = policy;
         }
-        for &(slot, stamp) in self.ctx.dirty_sensors() {
-            self.index.note_sensor_dirt(slot, stamp, policy.max_age);
+        for dirt in self.ctx.dirty_sensors() {
+            self.index.note_sensor_dirt(dirt, &self.ctx);
         }
         for &slot in self.ctx.dirty_places() {
             self.index.mark_place(slot);
@@ -736,7 +716,8 @@ impl Engine {
             self.index.mark_channel(slot);
         }
         self.ctx.clear_dirt();
-        self.index.collect_candidates(now, out);
+        self.index
+            .collect_candidates(now, &self.rules, &self.ctx, out);
         if !self.use_trigger_index {
             out.clear();
             // `RuleDb` iterates its BTree map in ascending id order, the
@@ -747,10 +728,17 @@ impl Engine {
 
     /// Phase 4 of [`step`](Self::step): applies evaluation verdicts
     /// serially in ascending `RuleId` order — held-for transitions, state
-    /// edges, `until` releases and contender-pool maintenance. This is the
-    /// old evaluation loop minus the evaluation: given the same verdicts it
-    /// performs the same mutations in the same order no matter how many
-    /// threads produced them.
+    /// edges, `until` releases and contender-pool maintenance.
+    ///
+    /// Only a verdict that changes something does this bookkeeping: an
+    /// edge or a rule's first verdict, one that carries dwell
+    /// transitions, or one that demands an `until` release. Any other
+    /// verdict repeats the rule's last committed one, and every mutation
+    /// below would be a no-op for it: a rule that stays false is already
+    /// out of the contender pool and unlatched, and one that stays true is
+    /// already in the pool unless latched. One consequence is deliberate:
+    /// a lapsed holder's device is re-arbitrated on the step its
+    /// condition falls, not again on every later step it stays false.
     fn commit_verdicts(
         &mut self,
         verdicts: Vec<EvalVerdict>,
@@ -763,6 +751,12 @@ impl Engine {
             let id = verdict.rule;
             if let Some(hook) = &mut self.eval_hook {
                 hook(id, now);
+            }
+            if verdict.held.is_empty()
+                && !verdict.until_release
+                && self.last_state.get(&id) == Some(&verdict.now_true)
+            {
+                continue;
             }
             // Apply observed held-for transitions before this rule's
             // bookkeeping: in the serial engine the tracker was mutated
@@ -931,7 +925,7 @@ impl Engine {
         match self.invoke_action(&action) {
             Ok(()) => {
                 self.resilience.note_success(&device, now);
-                self.holders.insert(device, ActiveHolder { rule: id });
+                self.acquire(device, id);
                 match previous_holder {
                     Some(old) if old != id => FiringOutcome::Replaced(old),
                     _ => FiringOutcome::Dispatched,
@@ -947,6 +941,16 @@ impl Engine {
                 FiringOutcome::Failed(ActuationError::Device(e))
             }
         }
+    }
+
+    /// Records a rule as its device's holder. A rule with an `until`
+    /// clause is marked for the next collection: its release is evaluated
+    /// only while it holds the device, and the clause may already hold.
+    fn acquire(&mut self, device: DeviceId, id: RuleId) {
+        if self.rules.get(id).is_some_and(|r| r.until().is_some()) {
+            self.index.mark_rule(id);
+        }
+        self.holders.insert(device, ActiveHolder { rule: id });
     }
 
     /// Queues the first retry of a rule's action after a transient
@@ -985,11 +989,12 @@ impl Engine {
                     self.resilience.cancel(&entry, "condition no longer holds");
                     continue;
                 }
-                let taken_over = self
-                    .holders
-                    .get(&entry.device)
-                    .map(|h| h.rule != entry.rule)
-                    .unwrap_or(false);
+                // A holder whose condition has lapsed does not keep the
+                // device from its replacement; its `until` release still
+                // applies while it holds.
+                let taken_over = self.holders.get(&entry.device).is_some_and(|h| {
+                    h.rule != entry.rule && self.last_state.get(&h.rule) == Some(&true)
+                });
                 if taken_over {
                     self.resilience
                         .cancel(&entry, "device held by another rule");
@@ -1007,8 +1012,7 @@ impl Engine {
                     RETRIES_SUCCEEDED.inc();
                     self.resilience.note_success(&entry.device, now);
                     if entry.kind == RetryKind::Fire {
-                        self.holders
-                            .insert(entry.device.clone(), ActiveHolder { rule: entry.rule });
+                        self.acquire(entry.device.clone(), entry.rule);
                         self.defer_noted.remove(&entry.rule);
                         firings.push(Firing {
                             rule: entry.rule,
@@ -1602,6 +1606,90 @@ mod tests {
                 .resilience()
                 .breaker_state(&DeviceId::new("aircon-lr")),
             BreakerState::Closed
+        );
+    }
+
+    fn reading_rule(id: u64, sensor: &str, setpoint: i64) -> Rule {
+        let cond = Condition::Atom(Atom::Constraint(ConstraintAtom::new(
+            SensorKey::new(DeviceId::new(sensor), "reading"),
+            RelOp::Gt,
+            Quantity::from_integer(5, Unit::Celsius),
+        )));
+        Rule::builder(PersonId::new("tom"))
+            .condition(cond)
+            .action(
+                ActionSpec::new(DeviceId::new("aircon-lr"), Verb::TurnOn).with_setting(
+                    "temperature",
+                    Quantity::from_integer(setpoint, Unit::Celsius),
+                ),
+            )
+            .build(RuleId::new(id))
+            .unwrap()
+    }
+
+    /// A holder whose condition lapsed must not keep its device from the
+    /// suppressed rule that replaces it when that rule's takeover hit a
+    /// transient fault: the retry dispatches, on the trigger index exactly
+    /// as on the full scan.
+    #[test]
+    fn lapsed_holder_does_not_block_its_replacements_retry() {
+        let aircon = DeviceId::new("aircon-lr");
+        let run = |trigger_index: bool| {
+            let plan = FaultPlan::new().fail_between(mins(3), mins(3) + SimDuration::from_secs(10));
+            let (mut engine, _home) = faulty_setup("aircon-lr", plan);
+            engine.set_use_trigger_index(trigger_index);
+            engine.add_rule(reading_rule(1, "x", 20)).unwrap();
+            engine.add_rule(reading_rule(2, "y", 22)).unwrap();
+            engine.add_priority(PriorityOrder::new(
+                aircon.clone(),
+                vec![RuleId::new(1), RuleId::new(2)],
+            ));
+            let set = |engine: &mut Engine, sensor: &str, v: i64| {
+                engine.context_mut().set_value(
+                    SensorKey::new(DeviceId::new(sensor), "reading"),
+                    Value::Number(Quantity::from_integer(v, Unit::Celsius)),
+                );
+            };
+            set(&mut engine, "x", 10);
+            set(&mut engine, "y", 10);
+            let mut reports = vec![engine.step(mins(1)), engine.step(mins(2))];
+            // x drops: rule 1 lapses, rule 2 takes over into the fault.
+            set(&mut engine, "x", 0);
+            for m in 3..=6 {
+                reports.push(engine.step(mins(m)));
+            }
+            (reports, engine.holder(&aircon))
+        };
+        let (indexed, holder) = run(true);
+        assert_eq!(
+            indexed,
+            run(false).0,
+            "the index and the full scan disagree"
+        );
+        assert!(matches!(
+            indexed[2].firings[0].outcome,
+            FiringOutcome::Failed(ref e) if e.is_retryable()
+        ));
+        assert_eq!(
+            indexed[3].dispatched()[0].rule,
+            RuleId::new(2),
+            "the retry at 00:04 must take the device over"
+        );
+        assert_eq!(holder, Some(RuleId::new(2)));
+    }
+
+    #[test]
+    fn disabled_rule_is_not_a_candidate_after_its_first_step() {
+        let (mut engine, _home) = setup();
+        engine
+            .add_rule(hot_rule("tom", 1, 26, 25).with_enabled(false))
+            .unwrap();
+        engine.step(mins(1));
+        engine.step(mins(2));
+        assert!(
+            engine.candidate_buf.is_empty(),
+            "a disabled rule never commits, so it must not stay pending: {:?}",
+            engine.candidate_buf
         );
     }
 

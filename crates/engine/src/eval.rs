@@ -84,14 +84,14 @@ impl HeldTracker {
 }
 
 /// Held-for observation against an *immutable* [`HeldTracker`], recording
-/// transitions instead of applying them — the observer handed to parallel
-/// evaluation workers, whose phase must not mutate shared state.
+/// transitions instead of applying them — the observer of the read-only
+/// evaluation phase, which must not mutate shared state.
 ///
 /// Within one rule the overlay gives the same read-your-writes visibility
 /// the mutable tracker would (an `until` clause sees its trigger's
-/// observations). Across rules every worker sees the step-start snapshot;
-/// that matches the serial engine because fingerprints are pure functions
-/// of the atom, so two rules sharing a fingerprint evaluate its inner fact
+/// observations). Across rules every evaluation sees the step-start
+/// snapshot; that is sound because fingerprints are pure functions of the
+/// atom, so two rules sharing a fingerprint evaluate its inner fact
 /// identically against the same immutable context and can never record
 /// conflicting transitions. The serial commit phase drains the recorded
 /// transitions and applies them in ascending `RuleId` order.

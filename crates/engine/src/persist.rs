@@ -336,12 +336,12 @@ impl Engine {
 
         self.resilience = resilience_from_json(require(doc, "resilience")?)?;
 
-        // Re-arm the trigger index's runtime-derived state (dwell and
-        // freshness deadlines, true/pending membership) from the restored
-        // snapshot, and remember which policy the deadlines cover.
+        // Re-arm the trigger index's runtime-derived state (dwell,
+        // freshness and clock deadlines, true/pending membership) from the
+        // restored snapshot, and remember which policy the deadlines cover.
         self.last_freshness = self.ctx.freshness_policy();
         self.index
-            .rearm_after_import(&self.ctx, &self.held, &self.last_state);
+            .rearm_after_import(&self.rules, &self.ctx, &self.held, &self.last_state);
         Ok(())
     }
 }

@@ -1,19 +1,14 @@
-//! The read-only parallel evaluation phase of the sharded engine step.
+//! The read-only evaluation phase of the engine step.
 //!
-//! [`Engine::step`](crate::Engine::step) runs in three phases: a batched
-//! ingest (serial, mutates the context), this evaluation phase (read-only,
-//! optionally parallel), and a serial commit. Workers here share the
-//! engine's state immutably — the [`ContextStore`] snapshot, the rule
-//! database with its compiled programs, the step-start [`HeldTracker`] and
-//! the holder table — and return per-rule [`EvalVerdict`]s plus the
-//! held-for transitions they *observed* (via [`HeldOverlay`]) instead of
-//! mutating anything. The commit phase applies verdicts in ascending
-//! `RuleId` order, so a parallel run is byte-identical to a serial one;
-//! see `docs/CONCURRENCY.md` for the determinism argument.
-//!
-//! Sharding is by contiguous chunks of the ascending candidate list:
-//! concatenating the shard outputs in shard order restores the global
-//! `RuleId` order without a sort.
+//! [`Engine::step`](crate::Engine::step) evaluates its candidates against
+//! an immutable view of the engine's state — the [`ContextStore`], the
+//! rule database with its compiled programs, the step-start
+//! [`HeldTracker`] and the holder table — and returns per-rule
+//! [`EvalVerdict`]s plus the held-for transitions they *observed* (via
+//! [`HeldOverlay`]) instead of mutating anything. The serial commit phase
+//! then applies verdicts in ascending `RuleId` order, so the order in
+//! which rules are evaluated can never change an outcome; see
+//! `docs/CONCURRENCY.md`.
 
 use super::ActiveHolder;
 use crate::context::ContextStore;
@@ -21,11 +16,9 @@ use crate::eval::{HeldOverlay, HeldTracker};
 use cadel_rule::RuleDb;
 use cadel_types::{DeviceId, RuleId, SimTime};
 use std::collections::HashMap;
-use std::time::Instant;
 
-/// The outcome of evaluating one candidate rule against the snapshot.
-/// Everything the serial commit phase needs; nothing here references
-/// worker-local state.
+/// The outcome of evaluating one candidate rule against the snapshot:
+/// everything the serial commit phase needs.
 pub(crate) struct EvalVerdict {
     /// The evaluated rule.
     pub rule: RuleId,
@@ -39,9 +32,7 @@ pub(crate) struct EvalVerdict {
     pub held: Vec<(String, Option<SimTime>)>,
 }
 
-/// Immutable borrows of everything evaluation reads. Built once per step
-/// and shared by every worker thread — all fields are `Sync`, which the
-/// `thread::scope` spawn below enforces at compile time.
+/// Immutable borrows of everything evaluation reads, built once per step.
 pub(crate) struct EvalContext<'a> {
     pub rules: &'a RuleDb,
     pub ctx: &'a ContextStore,
@@ -49,32 +40,10 @@ pub(crate) struct EvalContext<'a> {
     pub holders: &'a HashMap<DeviceId, ActiveHolder>,
 }
 
-/// Timing evidence from one evaluation pass, for the shard metrics.
-/// Owned by the engine and recycled across steps so the idle hot path
-/// performs no per-step allocations.
-#[derive(Default)]
-pub(crate) struct EvalStats {
-    /// Worker threads actually used (1 = serial path).
-    pub threads: usize,
-    /// Candidates per shard, parallel to `shard_ns`.
-    pub shard_sizes: Vec<usize>,
-    /// Wall-clock nanoseconds each shard spent evaluating.
-    pub shard_ns: Vec<u64>,
-}
-
-impl EvalStats {
-    fn reset(&mut self, threads: usize) {
-        self.threads = threads;
-        self.shard_sizes.clear();
-        self.shard_ns.clear();
-    }
-}
-
 impl EvalContext<'_> {
     /// Evaluates one rule against the snapshot. `None` for vanished or
-    /// disabled rules (they produce no verdict, exactly as the serial
-    /// loop skipped them). The overlay is drained into the verdict, so
-    /// one overlay serves a whole shard.
+    /// disabled rules: they produce no verdict. The overlay is drained
+    /// into the verdict, so one overlay serves the whole pass.
     fn eval_rule(&self, id: RuleId, overlay: &mut HeldOverlay<'_>) -> Option<EvalVerdict> {
         let rule = self.rules.get(id)?;
         if !rule.is_enabled() {
@@ -109,64 +78,22 @@ impl EvalContext<'_> {
     }
 }
 
-/// Evaluates every candidate, sharded across up to `threads` scoped
-/// worker threads (`threads <= 1`, or fewer candidates than threads,
-/// falls back to the serial loop). Verdicts come back in ascending
-/// `RuleId` order either way.
-pub(crate) fn evaluate(
-    ec: &EvalContext<'_>,
-    candidates: &[RuleId],
-    threads: usize,
-    stats: &mut EvalStats,
-) -> Vec<EvalVerdict> {
-    let threads = threads.clamp(1, candidates.len().max(1));
-    if threads == 1 {
-        let start = Instant::now();
-        let mut overlay = HeldOverlay::new(ec.held);
-        let verdicts: Vec<EvalVerdict> = candidates
-            .iter()
-            .filter_map(|&id| ec.eval_rule(id, &mut overlay))
-            .collect();
-        stats.reset(1);
-        stats.shard_sizes.push(candidates.len());
-        stats.shard_ns.push(start.elapsed().as_nanos() as u64);
-        return verdicts;
-    }
-
-    let shard_size = candidates.len().div_ceil(threads);
-    let shards: Vec<&[RuleId]> = candidates.chunks(shard_size).collect();
-    stats.reset(shards.len());
-    stats.shard_sizes.extend(shards.iter().map(|s| s.len()));
-    let mut verdicts = Vec::with_capacity(candidates.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let mut overlay = HeldOverlay::new(ec.held);
-                    let out: Vec<EvalVerdict> = shard
-                        .iter()
-                        .filter_map(|&id| ec.eval_rule(id, &mut overlay))
-                        .collect();
-                    (out, start.elapsed().as_nanos() as u64)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (out, ns) = handle.join().expect("evaluation worker panicked");
-            verdicts.extend(out);
-            stats.shard_ns.push(ns);
-        }
-    });
-    verdicts
+/// Evaluates every candidate against the snapshot, returning verdicts
+/// in the candidates' (ascending `RuleId`) order.
+pub(crate) fn evaluate(ec: &EvalContext<'_>, candidates: &[RuleId]) -> Vec<EvalVerdict> {
+    let mut overlay = HeldOverlay::new(ec.held);
+    candidates
+        .iter()
+        .filter_map(|&id| ec.eval_rule(id, &mut overlay))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
-    /// The evaluation phase shares these across worker threads; losing
-    /// `Sync` on any of them would turn the parallel step into a compile
-    /// error far from the cause, so pin it here.
+    /// The evaluation phase reads these through shared references only;
+    /// pin that they stay `Sync`, so a read-only view of an engine can be
+    /// handed to any thread, and a regression surfaces here rather than
+    /// far from the cause.
     #[test]
     fn shared_eval_state_is_sync() {
         fn assert_sync<T: Sync>() {}

@@ -1,45 +1,29 @@
-//! Lockstep determinism for the sharded step: a serial engine
-//! (`eval_threads = 1`) and a parallel one must produce byte-identical
-//! [`StepReport`]s on every step, over the same randomized workload the
-//! compiled-program oracle suite uses — numeric constraints, device
-//! state, events, presence, time windows and `held for` dwell clauses
-//! under nested And/Or with optional `until` releases.
-//!
-//! The thread count under test defaults to 4 and is overridden with
-//! `CADEL_EVAL_THREADS` so CI can sweep the matrix (2, 8, …);
-//! `CADEL_TRIGGER_INDEX=0` additionally ablates the dirty-set trigger
-//! index so both candidate paths get the same sweep.
-//!
-//! Also pinned here, because they ride the same ingest/evaluate/commit
-//! pipeline:
+//! Ingest-pipeline invariants of the engine step:
 //!
 //! * batch coalescing is invisible — an engine that coalesces redundant
 //!   same-sensor readings reports identically to one that applies every
-//!   payload;
+//!   payload, over the randomized workload the compiled-program oracle
+//!   suite uses (numeric constraints, device state, events, presence,
+//!   time windows and `held for` dwell clauses under nested And/Or with
+//!   optional `until` releases);
 //! * coalescing never drops event-bearing payloads — every `arrival` in
 //!   a batch raises its event even when the same sensor repeats;
 //! * the transient-event expiry boundary is inclusive at `t + W`, and
 //!   the compiled program agrees with the reference interpreter exactly
 //!   at the boundary.
+//!
+//! `CADEL_TRIGGER_INDEX=0` re-runs the suite on the full scan, so the CI
+//! determinism matrix covers both candidate paths.
 
-use cadel_engine::{Engine, Evaluator, HeldTracker, StepReport};
+use cadel_engine::{Engine, Evaluator, HeldTracker};
 use cadel_rule::{ActionSpec, Atom, Condition, EventAtom, Rule, Verb};
 use cadel_types::{
-    DeviceId, PersonId, PlaceId, Quantity, Rng, RuleId, SensorKey, SimDuration, SimTime, Unit,
-    Value,
+    DeviceId, PersonId, Quantity, Rng, RuleId, SensorKey, SimDuration, SimTime, Unit, Value,
 };
 use cadel_upnp::{ControlPoint, EventBus, Registry};
-use workload::{arb_rule, PEOPLE, PLACES};
+use workload::arb_rule;
 
 mod workload;
-
-fn threads_under_test() -> usize {
-    std::env::var("CADEL_EVAL_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 2)
-        .unwrap_or(4)
-}
 
 /// `CADEL_TRIGGER_INDEX=0` re-runs the whole suite with the dirty-set
 /// trigger index ablated (every rule re-evaluated every step), so the CI
@@ -67,95 +51,15 @@ fn arb_batch(rng: &mut Rng) -> Vec<(u64, Value)> {
     batch
 }
 
-fn fresh_engine(rules: &[Rule], threads: usize) -> (Engine, EventBus) {
+fn fresh_engine(rules: &[Rule]) -> (Engine, EventBus) {
     let registry = Registry::new();
     let bus = registry.event_bus().clone();
     let mut engine = Engine::new(ControlPoint::new(registry));
-    engine.set_eval_threads(threads);
     engine.set_use_trigger_index(trigger_index_under_test());
     for rule in rules {
         engine.add_rule(rule.clone()).unwrap();
     }
     (engine, bus)
-}
-
-/// Runs a serial and a parallel engine in lockstep over the same random
-/// tape of published batches and asserts identical reports every step.
-fn run_lockstep(seed: u64, threads: usize) -> Vec<StepReport> {
-    let mut rng = Rng::new(seed);
-    let rules: Vec<Rule> = (0..40).filter_map(|i| arb_rule(&mut rng, 1 + i)).collect();
-    assert!(rules.len() >= 30, "seed {seed} generated too few rules");
-
-    let (mut serial, serial_bus) = fresh_engine(&rules, 1);
-    let (mut parallel, parallel_bus) = fresh_engine(&rules, threads);
-
-    let mut reports = Vec::new();
-    for step in 1..=80u64 {
-        let now = SimTime::EPOCH + SimDuration::from_minutes(step * 7);
-        for (s, value) in arb_batch(&mut rng) {
-            for bus in [&serial_bus, &parallel_bus] {
-                bus.publish_change(
-                    DeviceId::new(format!("sensor-{s}")),
-                    "reading".to_owned(),
-                    value.clone(),
-                    now,
-                );
-            }
-        }
-        if rng.chance(1, 3) {
-            let event = format!("event-{}", rng.below(3));
-            serial.context_mut().raise_event("chan", &event);
-            parallel.context_mut().raise_event("chan", &event);
-        }
-        if rng.chance(1, 3) {
-            let person = PersonId::new(*rng.pick(&PEOPLE));
-            let place = if rng.chance(1, 3) {
-                None
-            } else {
-                Some(PlaceId::new(*rng.pick(&PLACES)))
-            };
-            serial
-                .context_mut()
-                .set_presence(person.clone(), place.clone());
-            parallel.context_mut().set_presence(person, place);
-        }
-        let a = serial.step(now);
-        let b = parallel.step(now);
-        assert_eq!(
-            a, b,
-            "serial and {threads}-thread reports diverged at step {step} (seed {seed})"
-        );
-        reports.push(a);
-    }
-    for d in 0..3 {
-        let device = DeviceId::new(format!("dev-{d}"));
-        assert_eq!(
-            serial.holder(&device),
-            parallel.holder(&device),
-            "holder tables diverged (seed {seed})"
-        );
-    }
-    reports
-}
-
-#[test]
-fn parallel_and_serial_agree_compiled() {
-    let threads = threads_under_test();
-    for seed in [1, 42, 4242, 7, 1337] {
-        let reports = run_lockstep(seed, threads);
-        assert!(
-            reports.iter().any(|r| !r.is_empty()),
-            "seed {seed} was inert"
-        );
-    }
-}
-
-#[test]
-fn more_threads_than_candidates_is_fine() {
-    // Thread counts far beyond the rule count must clamp, not panic or
-    // change results.
-    let reports = run_lockstep(42, 64);
-    assert!(reports.iter().any(|r| !r.is_empty()));
 }
 
 /// Coalescing is an ingest optimization, never a semantic change: an
@@ -166,8 +70,8 @@ fn coalescing_does_not_change_reports() {
     let mut rng = Rng::new(99);
     let rules: Vec<Rule> = (0..40).filter_map(|i| arb_rule(&mut rng, 1 + i)).collect();
 
-    let (mut coalesced, bus_a) = fresh_engine(&rules, 1);
-    let (mut verbatim, bus_b) = fresh_engine(&rules, 1);
+    let (mut coalesced, bus_a) = fresh_engine(&rules);
+    let (mut verbatim, bus_b) = fresh_engine(&rules);
     coalesced.set_coalesce_events(true);
     verbatim.set_coalesce_events(false);
 

@@ -13,11 +13,12 @@
 //!   (`And`/`Or` `end` offsets stay span-local, so evaluation slices the
 //!   span and passes the global predicate table);
 //! * footprint columns — the interned [`SensorSlot`]s, [`PlaceSlot`]s and
-//!   [`ChannelSlot`]s a rule's condition *and* `until` clause read, plus
-//!   its `held for` fingerprints ([`HeldKey`]), extracted once with an
-//!   exhaustive match over [`Pred`] so inverted indexes are built without
-//!   ever touching the AST (and a new predicate kind is a compile error
-//!   here, not a silent every-step fallback).
+//!   [`ChannelSlot`]s a rule's condition *and* `until` clause read, its
+//!   numeric thresholds ([`NumThreshold`]) and clock predicates
+//!   ([`ClockPred`]), plus its `held for` fingerprints ([`HeldKey`]),
+//!   extracted once with an exhaustive match over [`Pred`] so inverted
+//!   indexes are built without ever touching the AST (and a new predicate
+//!   kind is a compile error here, not a silent every-step fallback).
 //!
 //! Removal tombstones a rule's spans; the arena compacts (rebuilds and
 //! rebase-remaps all spans) once dead entries outnumber live ones. Spans
@@ -27,8 +28,61 @@
 use crate::interner::{ChannelSlot, Interner, PlaceSlot, SensorSlot};
 use crate::program::{Op, Pred, RuleProgram};
 use crate::{ContextView, HeldObserver};
-use cadel_types::{RuleId, SimDuration};
+use cadel_simplex::RelOp;
+use cadel_types::unit::Dimension;
+use cadel_types::{Date, Rational, RuleId, SimDuration, SimTime, TimeWindow, Weekday};
 use std::collections::HashMap;
+
+/// One [`Pred::NumCmp`] of a rule: the sensor it reads, the operator, and
+/// the threshold it compares against, in canonical units of `dim`. Its
+/// truth can change only when a usable reading of `dim` moves across
+/// `threshold` (or onto or off it), which is what the engine's crossing
+/// postings key on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NumThreshold {
+    /// The sensor board slot read.
+    pub slot: SensorSlot,
+    /// The comparison operator.
+    pub op: RelOp,
+    /// The dimension a reading must have to satisfy the predicate.
+    pub dim: Dimension,
+    /// The canonical threshold.
+    pub threshold: Rational,
+}
+
+/// A predicate over the clock or the calendar alone: its truth changes
+/// only at instants it can compute in advance.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClockPred {
+    /// [`Pred::TimeIn`].
+    TimeIn(TimeWindow),
+    /// [`Pred::WeekdayIs`].
+    WeekdayIs(Weekday),
+    /// [`Pred::DateIs`].
+    DateIs(Date),
+}
+
+impl ClockPred {
+    /// The first instant strictly after `now` at which the predicate's
+    /// truth can change, given the weekday and date at `now`; `None` when
+    /// it can never change again. A date still ahead re-arms at every
+    /// midnight until it arrives.
+    pub fn next_change_after(self, now: SimTime, today: Weekday, date: Date) -> Option<SimTime> {
+        match self {
+            ClockPred::TimeIn(window) => window.next_change_after(now),
+            ClockPred::WeekdayIs(day) => {
+                let days_until = (day.index() + 7 - today.index()) % 7;
+                Some(now.midnight_after_days(if days_until == 0 {
+                    1
+                } else {
+                    days_until as u64
+                }))
+            }
+            ClockPred::DateIs(day) if day < date => None,
+            ClockPred::DateIs(_) => Some(now.midnight_after_days(1)),
+        }
+    }
+}
 
 /// One `held for` predicate of a rule: where its [`Pred::HeldFor`] lives
 /// in the arena table, and whether its inner subtree is purely
@@ -53,6 +107,9 @@ pub struct ProgramRef {
     condition: (u32, u32),
     until: Option<(u32, u32)>,
     sensors: (u32, u32),
+    states: (u32, u32),
+    numerics: (u32, u32),
+    clocks: (u32, u32),
     places: (u32, u32),
     channels: (u32, u32),
     helds: (u32, u32),
@@ -60,10 +117,12 @@ pub struct ProgramRef {
 }
 
 impl ProgramRef {
-    /// Whether the rule's verdict can change with the passage of time or
-    /// non-property context alone (time-of-day / weekday / date windows,
-    /// ineligible dwells, or unevaluable predicates) and must therefore be
-    /// re-evaluated every step rather than only when dirty.
+    /// Whether the rule's verdict can change without any change the
+    /// engine can index — a dwell over a clock or event predicate, or an
+    /// event pattern with no channel slot — so it must be re-evaluated
+    /// every step rather than only when marked. Clock predicates alone do
+    /// not make a rule temporal: [`ProgramArena::clock_preds`] exposes
+    /// them for scheduling at their next boundary.
     pub fn temporal(&self) -> bool {
         self.temporal
     }
@@ -75,6 +134,11 @@ pub struct ProgramArena {
     preds: Vec<Pred>,
     ops: Vec<Op>,
     sensor_col: Vec<SensorSlot>,
+    state_col: Vec<SensorSlot>,
+    /// Indexes of each rule's `NumCmp` predicates in the global table.
+    num_col: Vec<u32>,
+    /// Indexes of each rule's clock predicates in the global table.
+    clock_col: Vec<u32>,
     place_col: Vec<PlaceSlot>,
     channel_col: Vec<ChannelSlot>,
     held_col: Vec<HeldKey>,
@@ -137,14 +201,22 @@ impl ProgramArena {
         // subtrees too. This match is deliberately exhaustive: adding a
         // `Pred` variant must force a decision about how it is indexed.
         let sensors = self.sensor_col.len() as u32;
+        let states = self.state_col.len() as u32;
+        let numerics = self.num_col.len() as u32;
+        let clocks = self.clock_col.len() as u32;
         let places = self.place_col.len() as u32;
         let channels = self.channel_col.len() as u32;
         let helds = self.held_col.len() as u32;
         let mut temporal = false;
         for index in pred_base as usize..self.preds.len() {
             match &self.preds[index] {
-                Pred::NumCmp { slot, .. } | Pred::StateEq { slot, .. } => {
+                Pred::NumCmp { slot, .. } => {
                     self.sensor_col.push(*slot);
+                    self.num_col.push(index as u32);
+                }
+                Pred::StateEq { slot, .. } => {
+                    self.sensor_col.push(*slot);
+                    self.state_col.push(*slot);
                 }
                 Pred::PersonAt { place, .. } | Pred::SomebodyAt(place) | Pred::NobodyAt(place) => {
                     self.place_col.push(interner.place_slot(place));
@@ -159,7 +231,7 @@ impl ProgramArena {
                     }
                 }
                 Pred::TimeIn(_) | Pred::WeekdayIs(_) | Pred::DateIs(_) => {
-                    temporal = true;
+                    self.clock_col.push(index as u32);
                 }
                 Pred::HeldFor { .. } => {
                     // Inner indexes were already rebased, so eligibility
@@ -174,6 +246,7 @@ impl ProgramArena {
             }
         }
         sort_dedup_tail(&mut self.sensor_col, sensors as usize);
+        sort_dedup_tail(&mut self.state_col, states as usize);
         sort_dedup_tail(&mut self.place_col, places as usize);
         sort_dedup_tail(&mut self.channel_col, channels as usize);
 
@@ -184,6 +257,9 @@ impl ProgramArena {
                 condition,
                 until,
                 sensors: (sensors, self.sensor_col.len() as u32),
+                states: (states, self.state_col.len() as u32),
+                numerics: (numerics, self.num_col.len() as u32),
+                clocks: (clocks, self.clock_col.len() as u32),
                 places: (places, self.place_col.len() as u32),
                 channels: (channels, self.channel_col.len() as u32),
                 helds: (helds, self.held_col.len() as u32),
@@ -258,6 +334,18 @@ impl ProgramArena {
             let condition = rebase_code(&mut next, r.condition);
             let until = r.until.map(|span| rebase_code(&mut next, span));
             let sensors = copy_col(&mut next.sensor_col, &self.sensor_col, r.sensors);
+            let states = copy_col(&mut next.state_col, &self.state_col, r.states);
+            let rebase = |col: &mut Vec<u32>, src: &[u32], (s, e): (u32, u32)| {
+                let start = col.len() as u32;
+                col.extend(
+                    src[s as usize..e as usize]
+                        .iter()
+                        .map(|&i| i - old_base + pred_base),
+                );
+                (start, col.len() as u32)
+            };
+            let numerics = rebase(&mut next.num_col, &self.num_col, r.numerics);
+            let clocks = rebase(&mut next.clock_col, &self.clock_col, r.clocks);
             let places = copy_col(&mut next.place_col, &self.place_col, r.places);
             let channels = copy_col(&mut next.channel_col, &self.channel_col, r.channels);
             let helds_start = next.held_col.len() as u32;
@@ -276,6 +364,9 @@ impl ProgramArena {
                     condition,
                     until,
                     sensors,
+                    states,
+                    numerics,
+                    clocks,
                     places,
                     channels,
                     helds: (helds_start, next.held_col.len() as u32),
@@ -295,6 +386,48 @@ impl ProgramArena {
     /// deduplicated).
     pub fn sensor_slots(&self, r: &ProgramRef) -> &[SensorSlot] {
         &self.sensor_col[r.sensors.0 as usize..r.sensors.1 as usize]
+    }
+
+    /// The sensor slots a rule reads through state comparisons
+    /// ([`Pred::StateEq`]; sorted, deduplicated).
+    pub fn state_slots(&self, r: &ProgramRef) -> &[SensorSlot] {
+        &self.state_col[r.states.0 as usize..r.states.1 as usize]
+    }
+
+    /// The rule's numeric comparisons, one per [`Pred::NumCmp`] in its
+    /// condition and `until` clause (in predicate order; may repeat).
+    pub fn numeric_thresholds<'a>(
+        &'a self,
+        r: &ProgramRef,
+    ) -> impl Iterator<Item = NumThreshold> + 'a {
+        self.num_col[r.numerics.0 as usize..r.numerics.1 as usize]
+            .iter()
+            .map(|&i| match &self.preds[i as usize] {
+                Pred::NumCmp {
+                    slot,
+                    op,
+                    threshold,
+                    dim,
+                } => NumThreshold {
+                    slot: *slot,
+                    op: *op,
+                    dim: *dim,
+                    threshold: *threshold,
+                },
+                other => unreachable!("numeric column points at {other:?}"),
+            })
+    }
+
+    /// The rule's clock and calendar predicates, in predicate order.
+    pub fn clock_preds<'a>(&'a self, r: &ProgramRef) -> impl Iterator<Item = ClockPred> + 'a {
+        self.clock_col[r.clocks.0 as usize..r.clocks.1 as usize]
+            .iter()
+            .map(|&i| match &self.preds[i as usize] {
+                Pred::TimeIn(window) => ClockPred::TimeIn(*window),
+                Pred::WeekdayIs(day) => ClockPred::WeekdayIs(*day),
+                Pred::DateIs(date) => ClockPred::DateIs(*date),
+                other => unreachable!("clock column points at {other:?}"),
+            })
     }
 
     /// The place slots a rule's presence predicates read.
@@ -509,8 +642,19 @@ mod tests {
         assert_eq!(fps, ["leaf~1", "mid~2"]);
 
         let r2 = *arena.program_ref(RuleId::new(2)).unwrap();
-        assert!(r2.temporal());
+        // A clock window is scheduled, not evaluated every step.
+        assert!(!r2.temporal());
         assert_eq!(arena.sensor_slots(&r2), &[slot_a, slot_b]);
+        assert!(arena.state_slots(&r2).is_empty());
+        assert_eq!(
+            arena.clock_preds(&r2).collect::<Vec<_>>(),
+            [ClockPred::TimeIn(TimeWindow::new(
+                cadel_types::TimeOfDay::hm(6, 0).unwrap(),
+                cadel_types::TimeOfDay::hm(12, 0).unwrap(),
+            ))]
+        );
+        let thresholds: Vec<SensorSlot> = arena.numeric_thresholds(&r2).map(|n| n.slot).collect();
+        assert_eq!(thresholds, [slot_b, slot_a]);
 
         // Evaluating through the arena matches evaluating the program.
         let view = NullView;
@@ -531,6 +675,25 @@ mod tests {
                 &mut h
             ))
         );
+    }
+
+    #[test]
+    fn calendar_predicates_change_only_at_midnight() {
+        let monday = cadel_types::Date::new(2005, 6, 6).unwrap();
+        let noon = SimTime::EPOCH + SimDuration::from_hours(12);
+        let day = |d: u64| SimTime::EPOCH + SimDuration::from_hours(24 * d);
+        let next = |p: ClockPred| p.next_change_after(noon, Weekday::Monday, monday);
+        // Today's weekday ends at the next midnight; another weekday
+        // starts at its own midnight.
+        assert_eq!(next(ClockPred::WeekdayIs(Weekday::Monday)), Some(day(1)));
+        assert_eq!(next(ClockPred::WeekdayIs(Weekday::Thursday)), Some(day(3)));
+        assert_eq!(next(ClockPred::WeekdayIs(Weekday::Sunday)), Some(day(6)));
+        // A past date never changes again; today's and future ones are
+        // re-checked at the next midnight.
+        let past = cadel_types::Date::new(2005, 6, 5).unwrap();
+        assert_eq!(next(ClockPred::DateIs(past)), None);
+        assert_eq!(next(ClockPred::DateIs(monday)), Some(day(1)));
+        assert_eq!(next(ClockPred::DateIs(monday.advance(30))), Some(day(1)));
     }
 
     #[test]
@@ -573,5 +736,53 @@ mod tests {
         // Removing an unknown id is a no-op.
         arena.remove(RuleId::new(99));
         assert_eq!(arena.len(), 1);
+    }
+
+    #[test]
+    fn compaction_rebases_threshold_and_clock_columns() {
+        let mut interner = Interner::new();
+        let slot = interner.sensor_slot(&SensorKey::new(DeviceId::new("a"), "t"));
+        let window = TimeWindow::new(
+            cadel_types::TimeOfDay::hm(6, 0).unwrap(),
+            cadel_types::TimeOfDay::hm(9, 0).unwrap(),
+        );
+        let program = |threshold: i64| {
+            RuleProgram::new(
+                vec![
+                    Pred::NumCmp {
+                        slot,
+                        op: RelOp::Ge,
+                        threshold: Rational::from_integer(threshold),
+                        dim: Dimension::Temperature,
+                    },
+                    Pred::TimeIn(window),
+                ],
+                vec![Op::And { end: 3 }, Op::Pred(0), Op::Pred(1)],
+                None,
+                Vec::new(),
+            )
+        };
+        let mut arena = ProgramArena::new();
+        for i in 0..8u64 {
+            arena.insert(RuleId::new(i), &program(i as i64), &mut interner);
+        }
+        for i in 0..7u64 {
+            arena.remove(RuleId::new(i));
+        }
+        let r = *arena.program_ref(RuleId::new(7)).unwrap();
+        let thresholds: Vec<NumThreshold> = arena.numeric_thresholds(&r).collect();
+        assert_eq!(
+            thresholds,
+            [NumThreshold {
+                slot,
+                op: RelOp::Ge,
+                dim: Dimension::Temperature,
+                threshold: Rational::from_integer(7),
+            }]
+        );
+        assert_eq!(
+            arena.clock_preds(&r).collect::<Vec<_>>(),
+            [ClockPred::TimeIn(window)]
+        );
     }
 }

@@ -31,7 +31,7 @@ pub mod eval;
 pub mod interner;
 pub mod program;
 
-pub use arena::{HeldKey, ProgramArena, ProgramRef};
+pub use arena::{ClockPred, HeldKey, NumThreshold, ProgramArena, ProgramRef};
 pub use error::IrError;
 pub use eval::{
     condition_holds, eval_code, note_type_mismatch, until_holds, ContextView, HeldObserver,

@@ -620,14 +620,6 @@ impl HomeServer {
         self.engine.resilience().status()
     }
 
-    /// Sets the number of worker threads the engine shards rule
-    /// evaluation across (1 = fully serial). Purely a throughput knob:
-    /// parallel and serial runs produce identical step reports, so this
-    /// is not WAL-logged and does not survive recovery.
-    pub fn set_eval_threads(&mut self, threads: usize) {
-        self.engine.set_eval_threads(threads);
-    }
-
     /// Sets the sensor-staleness policy applied when rule conditions
     /// read sensor values (see [`cadel_engine::FreshnessPolicy`]).
     ///

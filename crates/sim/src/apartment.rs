@@ -1,4 +1,4 @@
-//! A multi-unit "apartment block" load scenario for the sharded engine.
+//! A multi-unit "apartment block" load scenario for the engine.
 //!
 //! Where the Fig. 1 living room reproduces the paper's timeline with a
 //! handful of rules, this scenario scales it out: `units` apartments,
@@ -16,9 +16,9 @@
 //! and publishes through the real UPnP event bus — sometimes twice, so
 //! batches carry the redundant same-sensor readings the engine's ingest
 //! coalescer exists for. The whole workload is deterministic in the
-//! seed, which is what makes it useful: the parallel-evaluation soak
-//! runs the same seed at different `eval_threads` and demands identical
-//! activity timelines and server snapshots.
+//! seed, which is what makes it useful: the trigger-index parity soak
+//! runs the same seed on the index and on the full scan and demands
+//! identical activity timelines and server snapshots.
 
 use crate::activity::ActivityTimeline;
 use crate::schedule::Simulation;

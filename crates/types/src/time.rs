@@ -9,6 +9,10 @@ use std::str::FromStr;
 
 /// Minutes in a day.
 const DAY_MINUTES: u32 = 24 * 60;
+/// Milliseconds in a minute.
+const MINUTE_MILLIS: u64 = 60_000;
+/// Milliseconds in a day.
+const DAY_MILLIS: u64 = DAY_MINUTES as u64 * MINUTE_MILLIS;
 
 /// A time of day with minute resolution, `00:00 ..= 23:59`.
 ///
@@ -445,6 +449,32 @@ impl TimeWindow {
     pub fn duration_minutes(self) -> u32 {
         self.segments().iter().map(|(a, b)| b - a).sum()
     }
+
+    /// The first instant strictly after `t` at which
+    /// [`contains`](Self::contains) of the clock's time of day can change
+    /// its answer, or `None` for an all-day window, which never changes.
+    ///
+    /// Time of day has minute resolution, so the answer is constant within
+    /// each minute and can flip only at the first millisecond of the
+    /// minute `start` or `end`, on any day.
+    pub fn next_change_after(self, t: SimTime) -> Option<SimTime> {
+        if self.is_all_day() {
+            return None;
+        }
+        let day_start = t.millis - t.millis % DAY_MILLIS;
+        [self.start, self.end]
+            .into_iter()
+            .map(|boundary| {
+                let at = day_start + boundary.minutes() as u64 * MINUTE_MILLIS;
+                if at > t.millis {
+                    at
+                } else {
+                    at + DAY_MILLIS
+                }
+            })
+            .min()
+            .map(SimTime::from_millis)
+    }
 }
 
 impl Default for TimeWindow {
@@ -482,12 +512,19 @@ impl SimTime {
 
     /// Whole days elapsed since the epoch.
     pub fn day_index(self) -> u64 {
-        self.millis / (DAY_MINUTES as u64 * 60_000)
+        self.millis / DAY_MILLIS
+    }
+
+    /// Midnight at the start of the day `days` after this instant's day:
+    /// `0` is today's midnight, `1` the next one, where the weekday and
+    /// the date change.
+    pub fn midnight_after_days(self, days: u64) -> SimTime {
+        SimTime::from_millis((self.day_index() + days) * DAY_MILLIS)
     }
 
     /// The wall-clock time of day at this instant.
     pub fn time_of_day(self) -> TimeOfDay {
-        let minutes = (self.millis / 60_000) % DAY_MINUTES as u64;
+        let minutes = (self.millis / MINUTE_MILLIS) % DAY_MINUTES as u64;
         TimeOfDay::from_minutes(minutes as u32)
     }
 
@@ -814,6 +851,75 @@ mod tests {
                 Weekday::Monday.advance(days),
                 "{base} + {days}"
             );
+        }
+    }
+
+    #[test]
+    fn next_change_lands_on_the_nearest_boundary() {
+        let at = |d: u64, h: u64, m: u64, ms: u64| {
+            SimTime::from_millis(((d * 24 + h) * 60 + m) * 60_000 + ms)
+        };
+        let hm = |h, m| TimeOfDay::hm(h, m).unwrap();
+        let evening = TimeWindow::new(hm(18, 0), hm(23, 0));
+        assert_eq!(
+            evening.next_change_after(at(0, 9, 0, 0)),
+            Some(at(0, 18, 0, 0))
+        );
+        // Exactly on a boundary: the next change is the other one.
+        assert_eq!(
+            evening.next_change_after(at(0, 18, 0, 0)),
+            Some(at(0, 23, 0, 0))
+        );
+        assert_eq!(
+            evening.next_change_after(at(0, 17, 59, 59_999)),
+            Some(at(0, 18, 0, 0))
+        );
+        assert_eq!(
+            evening.next_change_after(at(0, 23, 0, 1)),
+            Some(at(1, 18, 0, 0))
+        );
+        // Wrapping midnight.
+        let night = TimeWindow::new(hm(22, 0), hm(6, 0));
+        assert_eq!(
+            night.next_change_after(at(2, 23, 0, 0)),
+            Some(at(3, 6, 0, 0))
+        );
+        assert_eq!(
+            night.next_change_after(at(3, 6, 0, 0)),
+            Some(at(3, 22, 0, 0))
+        );
+        // All day never changes.
+        assert_eq!(TimeWindow::ALL_DAY.next_change_after(at(0, 1, 0, 0)), None);
+        assert_eq!(at(2, 13, 5, 7).midnight_after_days(1), at(3, 0, 0, 0));
+        assert_eq!(at(2, 13, 5, 7).midnight_after_days(0), at(2, 0, 0, 0));
+    }
+
+    #[test]
+    fn window_truth_is_constant_until_the_next_change() {
+        let mut rng = crate::Rng::new(0xB0DE);
+        for _ in 0..256 {
+            let w = TimeWindow::new(
+                TimeOfDay::from_minutes(rng.below(1440) as u32),
+                TimeOfDay::from_minutes(rng.below(1440) as u32),
+            );
+            let t = SimTime::from_millis(rng.below(3 * DAY_MILLIS));
+            let truth = |t: SimTime| w.contains(t.time_of_day());
+            match w.next_change_after(t) {
+                None => assert!(w.is_all_day()),
+                Some(next) => {
+                    assert!(next > t);
+                    // Constant on [t, next), checked minute by minute.
+                    let mut probe = t;
+                    while probe < next {
+                        assert_eq!(truth(probe), truth(t), "{w:?} at {probe}");
+                        probe = SimTime::from_millis(
+                            (probe.as_millis() / MINUTE_MILLIS + 1) * MINUTE_MILLIS,
+                        );
+                    }
+                    // A non-empty, non-full window flips at every boundary.
+                    assert_ne!(truth(next), truth(t), "{w:?} at {next}");
+                }
+            }
         }
     }
 }

@@ -1,30 +1,20 @@
-//! Parallel evaluation must be invisible: the same seeded workload run
-//! serially (`eval_threads = 1`) and sharded across worker threads must
+//! The trigger index must be invisible: the same seeded workload run on
+//! the index and on the full scan (every rule evaluated every step) must
 //! produce byte-identical activity timelines and server snapshots.
 //!
-//! Two workloads, both deterministic:
+//! Two workloads, both deterministic and both over real devices:
 //!
 //! * the Fig. 1 living-room scenario under the fault-injection plan from
 //!   the resilience soak — faults, retries, breakers and releases all
-//!   flow through the serial commit phase, so none of it may diverge;
+//!   flow through the commit and arbitration phases, so none of it may
+//!   diverge;
 //! * the apartment-block load scenario — many units, same-device
-//!   contention, `held for` dwell clauses and batched redundant sensor
-//!   readings through the ingest coalescer.
-//!
-//! The thread count defaults to 4 and is overridden with
-//! `CADEL_EVAL_THREADS` so CI can sweep the matrix (2, 8, …).
+//!   contention, `held for` dwell clauses, `until` releases and batched
+//!   redundant sensor readings through the ingest coalescer.
 
 use cadel::sim::{ApartmentBlockScenario, LivingRoomScenario, ScenarioWorld};
 use cadel::types::{DeviceId, SimDuration, SimTime};
 use cadel::upnp::FaultPlan;
-
-fn threads_under_test() -> usize {
-    std::env::var("CADEL_EVAL_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 2)
-        .unwrap_or(4)
-}
 
 fn hm(h: u64, m: u64) -> SimTime {
     SimTime::EPOCH + SimDuration::from_hours(h) + SimDuration::from_minutes(m)
@@ -32,7 +22,7 @@ fn hm(h: u64, m: u64) -> SimTime {
 
 /// The resilience soak's fault plan: transient aircon faults, a hard TV
 /// outage, stereo event latency and a thermometer dropout.
-fn faulty_world(eval_threads: usize) -> ScenarioWorld {
+fn faulty_world(trigger_index: bool) -> ScenarioWorld {
     let faults = vec![
         (
             DeviceId::new("aircon-lr"),
@@ -58,51 +48,55 @@ fn faulty_world(eval_threads: usize) -> ScenarioWorld {
         ),
     ];
     let mut scenario = LivingRoomScenario::build_with_faults(faults);
-    scenario.server_mut().set_eval_threads(eval_threads);
+    scenario
+        .server_mut()
+        .engine_mut()
+        .set_use_trigger_index(trigger_index);
     scenario.run()
 }
 
 #[test]
-fn living_room_fault_soak_is_thread_count_invariant() {
-    let threads = threads_under_test();
-    let serial = faulty_world(1);
-    let parallel = faulty_world(threads);
+fn living_room_fault_soak_is_index_invariant() {
+    let indexed = faulty_world(true);
+    let full_scan = faulty_world(false);
 
     assert_eq!(
-        serial.activity.render(),
-        parallel.activity.render(),
-        "activity timelines diverged between 1 and {threads} threads"
+        indexed.activity.render(),
+        full_scan.activity.render(),
+        "activity timelines diverged between the trigger index and the full scan"
     );
     assert_eq!(
-        serial.server.snapshot_json().to_compact(),
-        parallel.server.snapshot_json().to_compact(),
-        "server snapshots diverged between 1 and {threads} threads"
+        indexed.server.snapshot_json().to_compact(),
+        full_scan.server.snapshot_json().to_compact(),
+        "server snapshots diverged between the trigger index and the full scan"
     );
     // Sanity: the workload was not inert.
-    assert!(serial.activity.rows().iter().any(|r| r.firings() > 0));
+    assert!(indexed.activity.rows().iter().any(|r| r.firings() > 0));
 }
 
 #[test]
-fn apartment_block_is_thread_count_invariant() {
-    let threads = threads_under_test();
-    let run = |eval_threads: usize| {
+fn apartment_block_is_index_invariant() {
+    let run = |trigger_index: bool| {
         let mut scenario = ApartmentBlockScenario::build(12, 23);
-        scenario.server_mut().set_eval_threads(eval_threads);
+        scenario
+            .server_mut()
+            .engine_mut()
+            .set_use_trigger_index(trigger_index);
         scenario.run(120)
     };
-    let serial = run(1);
-    let parallel = run(threads);
+    let indexed = run(true);
+    let full_scan = run(false);
 
     assert_eq!(
-        serial.activity.render(),
-        parallel.activity.render(),
-        "apartment activity diverged between 1 and {threads} threads"
+        indexed.activity.render(),
+        full_scan.activity.render(),
+        "apartment activity diverged between the trigger index and the full scan"
     );
     assert_eq!(
-        serial.server.snapshot_json().to_compact(),
-        parallel.server.snapshot_json().to_compact(),
-        "apartment snapshots diverged between 1 and {threads} threads"
+        indexed.server.snapshot_json().to_compact(),
+        full_scan.server.snapshot_json().to_compact(),
+        "apartment snapshots diverged between the trigger index and the full scan"
     );
-    let dispatched: usize = serial.activity.rows().iter().map(|r| r.dispatched).sum();
+    let dispatched: usize = indexed.activity.rows().iter().map(|r| r.dispatched).sum();
     assert!(dispatched > 0, "apartment workload was inert");
 }
