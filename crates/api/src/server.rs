@@ -713,14 +713,23 @@ fn post_rule(shared: &Shared, tenant: &str, request: &Request) -> Response {
         Err(error) => return bad_request(&error),
     };
     with_tenant_server(shared, tenant, |server| {
-        server.submit(&user, &sentence).map(|outcome| {
-            let status = match &outcome {
-                SubmitOutcome::Registered { .. } => (201, "Created"),
-                SubmitOutcome::ConflictDetected { .. } => (409, "Conflict"),
-                _ => (200, "OK"),
-            };
-            Response::json(status.0, status.1, &proto::render_outcome(&outcome))
-        })
+        let outcome = server.submit(&user, &sentence)?;
+        let status = match &outcome {
+            SubmitOutcome::Registered { .. } => (201, "Created"),
+            SubmitOutcome::ConflictDetected { ticket, .. } => {
+                // No route confirms or cancels a parked rule, so one left
+                // pending would hold the rule and its conflict witnesses
+                // until the tenant restarts.
+                server.cancel_pending(*ticket)?;
+                (409, "Conflict")
+            }
+            _ => (200, "OK"),
+        };
+        Ok(Response::json(
+            status.0,
+            status.1,
+            &proto::render_outcome(&outcome),
+        ))
     })
 }
 
@@ -754,21 +763,25 @@ fn set_rule_enabled(shared: &Shared, tenant: &str, id: &str, request: &Request) 
         });
     };
     with_tenant_server(shared, tenant, |server| {
-        server.set_rule_enabled(rule, enabled).map(|outcome| {
-            // Re-enabling can resurface a conflict (the rule stays in its
-            // previous state until the priority dialog settles it).
-            if let SubmitOutcome::ConflictDetected { .. } = &outcome {
-                return Response::json(409, "Conflict", &proto::render_outcome(&outcome));
-            }
-            Response::json(
-                200,
-                "OK",
-                &Json::obj(vec![
-                    ("rule", Json::Int(rule.raw() as i64)),
-                    ("enabled", Json::Bool(enabled)),
-                ]),
-            )
-        })
+        let outcome = server.set_rule_enabled(rule, enabled)?;
+        // Re-enabling can resurface a conflict: the rule stays in its
+        // previous state, and (as in `post_rule`) nothing is left parked.
+        if let SubmitOutcome::ConflictDetected { ticket, .. } = &outcome {
+            server.cancel_pending(*ticket)?;
+            return Ok(Response::json(
+                409,
+                "Conflict",
+                &proto::render_outcome(&outcome),
+            ));
+        }
+        Ok(Response::json(
+            200,
+            "OK",
+            &Json::obj(vec![
+                ("rule", Json::Int(rule.raw() as i64)),
+                ("enabled", Json::Bool(enabled)),
+            ]),
+        ))
     })
 }
 

@@ -5,7 +5,7 @@ use cadel_api::{subscribe, ApiClient, ApiConfig, ApiServer, RateLimitConfig};
 use cadel_fleet::{Fleet, FleetConfig};
 use cadel_sim::{tenant_name, unit_tenant_builder};
 use cadel_types::json::Json;
-use cadel_types::{SimDuration, SimTime};
+use cadel_types::{RuleId, SimDuration, SimTime};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -275,6 +275,52 @@ fn rule_lifecycle_over_the_wire() {
     assert_eq!(ghost.status, 404, "{}", ghost.text());
 
     drop(server);
+}
+
+#[test]
+fn a_conflicting_rule_is_refused_without_parking_it() {
+    let server = ApiServer::bind(
+        "127.0.0.1:0",
+        unit_fleet("unpark", 1, FleetConfig::default()),
+        fast_config(),
+    )
+    .expect("bind");
+    let mut client = ApiClient::connect(server.addr()).expect("connect");
+    let mut post = |path: &str, body: Json| {
+        let path = format!("/tenants/unit-0000/rules{path}");
+        let response = client.post(&path, &body).expect("post");
+        let doc = response.json().expect("json body");
+        (response.status, doc.get("ticket").and_then(Json::as_int))
+    };
+    let parked = |ticket: i64| {
+        server.with_fleet(|fleet| {
+            let home = fleet.server_of("unit-0000").expect("tenant is live");
+            home.pending_conflicts(RuleId::new(ticket as u64)).is_some()
+        })
+    };
+    let sentence = "If the temperature is higher than 28 degrees, turn off the air conditioner.";
+    let cool_off = || {
+        Json::obj(vec![
+            ("user", Json::str("resident")),
+            ("sentence", Json::str(sentence)),
+        ])
+    };
+    let enabled = |on| Json::obj(vec![("enabled", Json::Bool(on))]);
+
+    // Turning the air conditioner off above 28 °C contests the unit's
+    // cooling rule (on above 26 °C): 409, and the refused rule is not
+    // left parked.
+    let (status, ticket) = post("", cool_off());
+    assert_eq!(status, 409);
+    assert!(!parked(ticket.expect("ticket")));
+    // With both air-conditioner rules disabled the same rule registers;
+    // re-enabling the cooling rule then conflicts with it, and that 409
+    // parks nothing either.
+    assert_eq!(post("/1/enabled", enabled(false)).0, 200);
+    assert_eq!(post("/2/enabled", enabled(false)).0, 200);
+    assert_eq!(post("", cool_off()).0, 201);
+    assert_eq!(post("/1/enabled", enabled(true)), (409, Some(1)));
+    assert!(!parked(1));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! **E2 — "Time for Detecting Conflicting Rules"** (paper §5), plus the
-//! compiled-checker series.
+//! conflict-graph series.
 //!
 //! The paper's workload: 10,000 registered rules, 100 of them on the same
 //! device as the new rule, each condition a conjunction of two
@@ -13,11 +13,9 @@
 //!   … 100 times" micro-measurement;
 //! * `e2_full_check/ast` — `find_conflicts`, the brute-force oracle
 //!   (recompiles every system per call), over the same-device sweep;
-//! * `e2_full_check/ir-*` — [`ConflictGraph::analyze`], the production
-//!   path, on the same workloads: *cold* (an unstored probe, so no
-//!   verdict memoizes; the database's precompiled systems are reused) and
-//!   *warm* (a stored probe, so verdicts replay from the revision-keyed
-//!   memo).
+//! * `e2_full_check/graph` — [`ConflictGraph::analyze`], the production
+//!   path, on the same workloads: the probe is lowered once per call and
+//!   merged with the database's precompiled systems.
 
 use cadel_bench::timing::{run, section};
 use cadel_bench::{e2_database, e2_probe, two_inequality_condition, SHARED_DEVICE};
@@ -81,23 +79,11 @@ fn main() {
             assert_eq!(conflicts.len() as u64, same_device);
             conflicts.len()
         });
-        // Cold: the probe is unstored, so no verdict memoizes — measures
-        // precompiled-system reuse alone. The graph's nodes are built
-        // once, outside the timed region, as registration keeps them.
+        // The graph's nodes are built once, outside the timed region, as
+        // registration keeps them.
         let mut graph = ConflictGraph::default();
         graph.sync(&db);
-        run(&format!("e2_full_check/ir-cold/{same_device}"), || {
-            let report = graph.analyze(black_box(&db), black_box(&probe)).unwrap();
-            assert_eq!(report.conflicts.len() as u64, same_device);
-            report.conflicts.len()
-        });
-        // Warm: the probe is stored, so verdicts replay from the
-        // revision-keyed memo after the first call.
-        let mut db = db;
-        db.insert(probe.clone()).unwrap();
-        let mut graph = ConflictGraph::default();
-        graph.sync(&db);
-        run(&format!("e2_full_check/ir-warm/{same_device}"), || {
+        run(&format!("e2_full_check/graph/{same_device}"), || {
             let report = graph.analyze(black_box(&db), black_box(&probe)).unwrap();
             assert_eq!(report.conflicts.len() as u64, same_device);
             report.conflicts.len()

@@ -16,6 +16,16 @@ pub struct ConsistencyReport {
 }
 
 impl ConsistencyReport {
+    /// The report for a condition of `total_conjuncts` disjuncts whose
+    /// `dead_conjuncts` can never hold.
+    pub(crate) fn new(dead_conjuncts: Vec<usize>, total_conjuncts: usize) -> ConsistencyReport {
+        ConsistencyReport {
+            satisfiable: dead_conjuncts.len() < total_conjuncts,
+            dead_conjuncts,
+            total_conjuncts,
+        }
+    }
+
     /// Whether the condition can hold at all. An inconsistent rule should
     /// be bounced back to the user ("the module warns the user to modify
     /// the condition").
@@ -56,11 +66,15 @@ impl fmt::Display for ConsistencyReport {
 }
 
 /// Checks whether a rule's condition is satisfiable (the *inconsistency
-/// check* run at registration).
+/// check* of §4.4), lowering it through a fresh `VarPool`.
 ///
 /// Each DNF disjunct is tested independently: its numeric atoms go through
 /// the simplex, its discrete atoms through [`discrete_compatible`]. The
 /// rule is consistent when at least one disjunct passes both.
+///
+/// This is the oracle: registration takes the same verdict from
+/// [`ConflictGraph::analyze`](crate::ConflictGraph::analyze), which lowers
+/// the rule once for consistency and conflicts together.
 ///
 /// # Errors
 ///
@@ -77,11 +91,7 @@ pub fn check_consistency(rule: &Rule) -> Result<ConsistencyReport, ConflictError
             dead.push(i);
         }
     }
-    Ok(ConsistencyReport {
-        satisfiable: dead.len() < conjuncts.len(),
-        dead_conjuncts: dead,
-        total_conjuncts: conjuncts.len(),
-    })
+    Ok(ConsistencyReport::new(dead, conjuncts.len()))
 }
 
 /// Evidence that two rules conflict: which disjuncts can co-fire and a
@@ -96,7 +106,7 @@ pub struct Conflict {
 }
 
 impl Conflict {
-    /// Assembles a conflict record (shared with the compiled-path checker).
+    /// Assembles a conflict record (shared with the conflict graph).
     pub(crate) fn new(
         rule_a: RuleId,
         rule_b: RuleId,

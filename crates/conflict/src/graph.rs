@@ -6,19 +6,26 @@
 //! a home with dozens of rules, quadratic pain for a dense one. The
 //! [`ConflictGraph`] keeps a lightweight node per registered rule holding
 //! its *footprints* (actuated device, sensors read, environment channels
-//! read and written, event channels listened and raised), reusing the
-//! sensor/place/channel columns [`ProgramArena`](cadel_ir::ProgramArena)
-//! already extracts at compile time. Candidate pairs are clustered by
-//! those footprints, and most pairs are decided **without any Simplex
-//! solve**:
+//! read and written, event channels listened and raised) and the
+//! per-conjunct constraint systems the [`RuleDb`] compiled for it, shared
+//! rather than copied. Candidate pairs are clustered by those footprints,
+//! and most pairs are decided **without any Simplex solve**:
 //!
 //! * only [`Atom::Constraint`] atoms contribute linear constraints, so
 //!   when two rules' sensor footprints are disjoint their merged system
 //!   is block-diagonal — joint feasibility is exactly "each side's
 //!   conjunct is feasible on its own", which the graph answers from
 //!   per-conjunct witnesses cached at node build time;
-//! * pairs that do share sensors go to the memoized
-//!   [`ConflictChecker`], which stays the per-edge decision procedure.
+//! * pairs that do share sensors are decided by one merged solve of the
+//!   two rules' conjunct systems, with the same semantics as
+//!   [`check_conflict`](crate::check_conflict).
+//!
+//! [`ConflictGraph::analyze`] is the whole registration check of §4.4.
+//! It lowers the probe once: the same per-conjunct solves that give the
+//! probe's witnesses decide its consistency (exactly as
+//! [`check_consistency`](crate::check_consistency), the oracle, does),
+//! and a probe whose every conjunct is dead is reported inconsistent
+//! before any pair is looked at.
 //!
 //! On top of the paper's device-level class, the graph detects three
 //! advisory classes from the smart-home conflict taxonomies (Huang et
@@ -42,18 +49,19 @@
 //! values — the taxonomy literature treats them as interaction *smells*
 //! that want a human decision, not an automatic rejection.
 
-use crate::check::Conflict;
-use crate::checker::{ConflictChecker, ProbeContext};
+use crate::check::{Conflict, ConsistencyReport};
+use crate::checker::{cheap_pair, solve_each, solved_pair, Witnesses};
 use crate::discrete::discrete_compatible;
 use crate::env::{EnvDirection, EnvTable};
 use crate::error::ConflictError;
 use cadel_ir::{merge_conjuncts, CompiledConjunct};
 use cadel_obs::{LazyCounter, LazyGauge, LazyHistogram, Stopwatch};
 use cadel_rule::{compile_conjuncts, Atom, Conjunct, Rule, RuleDb, RuleError};
-use cadel_simplex::{solve, Constraint, RelOp, Solution, VarId};
-use cadel_types::{DeviceId, Rational, RuleId, SensorKey};
+use cadel_simplex::{solve, Constraint, RelOp, VarId};
+use cadel_types::{DeviceId, RuleId, SensorKey};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Whole-graph analyses (one per [`ConflictGraph::analyze`]).
 static ANALYSES: LazyCounter = LazyCounter::new("conflict_graph_analyses_total");
@@ -62,8 +70,10 @@ static PAIRS: LazyCounter = LazyCounter::new("conflict_graph_pairs_total");
 /// Candidate pairs decided without a merged Simplex solve (action
 /// filter or disjoint-footprint witness path).
 static PAIRS_PRUNED: LazyCounter = LazyCounter::new("conflict_graph_pairs_pruned_total");
-/// Candidate pairs handed to the pairwise checker (solver path).
+/// Candidate pairs decided by a merged Simplex solve (solver path).
 static PAIRS_SOLVED: LazyCounter = LazyCounter::new("conflict_graph_simplex_pairs_total");
+/// Solver-path pairs that found a conflict.
+static PAIRS_CONFLICTING: LazyCounter = LazyCounter::new("conflict_pairs_conflicting_total");
 /// Advisories produced by analyses and sweeps.
 static ADVISORIES: LazyCounter = LazyCounter::new("conflict_graph_advisories_total");
 /// Node (re)builds — one per new or changed rule observed by `sync`.
@@ -216,25 +226,22 @@ impl fmt::Display for Advisory {
     }
 }
 
-/// The outcome of one graph analysis: blocking device-class conflicts
-/// plus non-blocking multi-class advisories.
-#[derive(Clone, Debug, Default)]
+/// The outcome of one graph analysis: the probe's own consistency,
+/// blocking device-class conflicts, and non-blocking multi-class
+/// advisories.
+#[derive(Clone, Debug)]
 pub struct GraphReport {
+    /// Whether the probe's condition can hold at all (same verdict as
+    /// [`check_consistency`](crate::check_consistency)). An inconsistent
+    /// probe is analyzed no further: it has no conflicts and no
+    /// advisories.
+    pub consistency: ConsistencyReport,
     /// Device-class conflicts (same semantics as
     /// [`find_conflicts`](crate::find_conflicts) — these gate
     /// registration behind arbitration).
     pub conflicts: Vec<Conflict>,
     /// Non-blocking advisories across the other classes.
     pub advisories: Vec<Advisory>,
-}
-
-/// The per-conjunct compiled systems and feasibility witnesses of one
-/// rule, cached at node build time. A witness of `None` marks a dead
-/// (individually infeasible) conjunct.
-#[derive(Clone, Debug)]
-struct NumericInfo {
-    systems: Vec<CompiledConjunct>,
-    witnesses: Vec<Option<Vec<(SensorKey, Rational)>>>,
 }
 
 /// One rule's footprints — everything candidate clustering needs,
@@ -245,10 +252,10 @@ struct NodeInfo {
     enabled: bool,
     /// The actuated device.
     device: DeviceId,
-    /// Sensors the condition (and until clause) reads. From the arena's
-    /// sensor column when the rule compiled — a conservative superset of
-    /// the numeric footprint (it includes state-equality sensors), which
-    /// only ever sends extra pairs to the solver, never skips one.
+    /// Sensors the condition (and until clause) reads — a conservative
+    /// superset of the numeric footprint (it includes state-equality
+    /// sensors), which only ever sends extra pairs to the solver, never
+    /// skips one.
     sensors: BTreeSet<SensorKey>,
     /// Devices those sensors live on (trigger-edge targets).
     reads_devices: BTreeSet<DeviceId>,
@@ -261,54 +268,39 @@ struct NodeInfo {
     effects: Vec<(String, EnvDirection)>,
     /// Event channels the action raises, from the [`EnvTable`].
     raises: Vec<String>,
-    /// `None` when a conjunct system errored in the solver (or, for an
-    /// unstored probe, did not compile) — every pair touching such a node
-    /// takes the checker path, which reproduces brute force's error
-    /// behavior exactly.
-    numeric: Option<NumericInfo>,
+    /// The per-conjunct constraint systems, aligned with the rule's DNF.
+    /// A stored rule's are the [`RuleDb`] program's own, shared.
+    systems: Arc<[CompiledConjunct]>,
+    /// `None` when a conjunct system errored in the solver — every
+    /// device pair touching such a node takes the solver path, which
+    /// reproduces brute force's error behavior exactly, and the advisory
+    /// passes skip it.
+    witnesses: Option<Witnesses>,
 }
 
-/// Builds the footprint node for `rule`. `stored` selects the arena
-/// fast path (footprint columns + precompiled systems already exist);
-/// otherwise footprints come from the AST and the conjunct systems are
-/// compiled once.
-fn build_node(env: &EnvTable, db: &RuleDb, rule: &Rule, stored: bool) -> NodeInfo {
+/// Builds the footprint node for `rule` from its condition and `until`
+/// clause: the sensors of constraint and state atoms (through nested
+/// `held for`) and the event channels listened on.
+fn build_node(
+    env: &EnvTable,
+    rule: &Rule,
+    revision: u64,
+    systems: Arc<[CompiledConjunct]>,
+    witnesses: Option<Witnesses>,
+) -> NodeInfo {
     let mut sensors = BTreeSet::new();
     let mut event_channels = BTreeSet::new();
-    let program_ref = if stored {
-        db.program_ref(rule.id())
-    } else {
-        None
-    };
-    match program_ref {
-        Some(r) => {
-            let interner = db.interner().read().unwrap();
-            let arena = db.arena();
-            for slot in arena.sensor_slots(r) {
-                if let Some(key) = interner.sensor_key(*slot) {
-                    sensors.insert(key.clone());
-                }
-            }
-            for slot in arena.channel_slots(r) {
-                if let Some(channel) = interner.channel_key(*slot) {
-                    event_channels.insert(channel.to_owned());
-                }
-            }
+    let mut atoms = rule.condition().atoms();
+    if let Some(until) = rule.until() {
+        atoms.extend(until.atoms());
+    }
+    for atom in atoms {
+        let inner = atom.instantaneous();
+        if let Some(key) = inner.sensor_key() {
+            sensors.insert(key);
         }
-        None => {
-            let mut atoms = rule.condition().atoms();
-            if let Some(until) = rule.until() {
-                atoms.extend(until.atoms());
-            }
-            for atom in atoms {
-                let inner = atom.instantaneous();
-                if let Some(key) = inner.sensor_key() {
-                    sensors.insert(key);
-                }
-                if let Atom::Event(e) = inner {
-                    event_channels.insert(e.channel().to_owned());
-                }
-            }
+        if let Atom::Event(e) = inner {
+            event_channels.insert(e.channel().to_owned());
         }
     }
     let reads_devices = sensors.iter().map(|k| k.device().clone()).collect();
@@ -316,33 +308,8 @@ fn build_node(env: &EnvTable, db: &RuleDb, rule: &Rule, stored: bool) -> NodeInf
         .iter()
         .map(|k| k.variable().to_ascii_lowercase())
         .collect();
-    let systems: Option<Vec<CompiledConjunct>> = if stored {
-        db.program(rule.id()).map(|p| p.conjuncts().to_vec())
-    } else {
-        compile_conjuncts(rule).ok()
-    };
-    let numeric = systems.and_then(|systems| {
-        let mut witnesses = Vec::with_capacity(systems.len());
-        for sys in &systems {
-            match solve(sys.constraints()) {
-                Ok(Solution::Feasible(assignment)) => witnesses.push(Some(
-                    sys.vars()
-                        .iter()
-                        .cloned()
-                        .zip(assignment.iter().copied())
-                        .collect(),
-                )),
-                Ok(_) => witnesses.push(None),
-                // A solver error at node build makes the node
-                // unsplittable: its pairs go through the checker, which
-                // reproduces brute force's error behavior.
-                Err(_) => return None,
-            }
-        }
-        Some(NumericInfo { systems, witnesses })
-    });
     NodeInfo {
-        revision: db.revision(rule.id()).unwrap_or(0),
+        revision,
         enabled: rule.is_enabled(),
         device: rule.action().device().clone(),
         sensors,
@@ -351,37 +318,25 @@ fn build_node(env: &EnvTable, db: &RuleDb, rule: &Rule, stored: bool) -> NodeInf
         event_channels,
         effects: env.effects_of(rule.action()).to_vec(),
         raises: env.raised_channels(rule.action()).to_vec(),
-        numeric,
+        systems,
+        witnesses,
     }
 }
 
-/// Decides a disjoint-footprint pair without a merged solve: the joint
-/// system is block-diagonal, so a conjunct pair is co-satisfiable iff
-/// both sides are individually feasible and their discrete atoms agree.
-/// The returned witness is the two per-conjunct witnesses concatenated
-/// in merge order (`a`'s variables first).
-fn cheap_pair(
-    a: &Rule,
-    wa: &[Option<Vec<(SensorKey, Rational)>>],
-    b: &Rule,
-    wb: &[Option<Vec<(SensorKey, Rational)>>],
-) -> Option<Conflict> {
-    for (i, ca) in a.dnf().conjuncts().iter().enumerate() {
-        let Some(wa_i) = wa.get(i).and_then(|w| w.as_ref()) else {
-            continue;
-        };
-        for (j, cb) in b.dnf().conjuncts().iter().enumerate() {
-            let Some(wb_j) = wb.get(j).and_then(|w| w.as_ref()) else {
-                continue;
-            };
-            if !discrete_compatible(ca.atoms().iter().chain(cb.atoms().iter())) {
-                continue;
-            }
-            let witness = wa_i.iter().cloned().chain(wb_j.iter().cloned()).collect();
-            return Some(Conflict::new(a.id(), b.id(), i, j, witness));
-        }
-    }
-    None
+/// The §4.4 consistency verdict from per-conjunct witnesses: a conjunct
+/// is dead when it is numerically infeasible or its discrete atoms are
+/// incompatible — the rule [`check_consistency`](crate::check_consistency)
+/// applies.
+fn consistency_of(rule: &Rule, witnesses: &Witnesses) -> ConsistencyReport {
+    let conjuncts = rule.dnf().conjuncts();
+    let dead = conjuncts
+        .iter()
+        .zip(witnesses)
+        .enumerate()
+        .filter(|(_, (c, w))| w.is_none() || !discrete_compatible(c.atoms().iter()))
+        .map(|(i, _)| i)
+        .collect();
+    ConsistencyReport::new(dead, conjuncts.len())
 }
 
 /// The negation of a single linear constraint, as constraints. `Eq`
@@ -400,12 +355,14 @@ fn negations(c: &Constraint) -> Vec<Constraint> {
 
 /// Whether conjunct `ca` implies conjunct `cb`.
 ///
-/// Discrete atoms use syntactic containment (every non-numeric atom of
-/// `cb` appears verbatim in `ca`); numeric constraints use the solver:
-/// `sys(ca) ∧ ¬c` must be infeasible for every constraint `c` of `cb`.
-/// The prefilter — every sensor `cb` constrains must appear in `ca`
-/// with the same dimension — answers the common distinct-sensor case
-/// with zero solves.
+/// Every atom of `cb` other than a plain comparison — discrete atoms
+/// and `held for` atoms alike — must appear verbatim in `ca`: the
+/// numeric systems hold only a `held for` atom's inner comparison, not
+/// its dwell time, so `t > 30` does not imply `t > 25 held for 10
+/// minutes`. Plain comparisons use the solver: `sys(ca) ∧ ¬c` must be
+/// infeasible for every constraint `c` of `cb`. The prefilter — every
+/// sensor `cb` constrains must appear in `ca` with the same dimension —
+/// answers the common distinct-sensor case with zero solves.
 fn conjunct_implies(
     ca: &Conjunct,
     ca_sys: &CompiledConjunct,
@@ -413,8 +370,7 @@ fn conjunct_implies(
     cb_sys: &CompiledConjunct,
 ) -> Result<bool, ConflictError> {
     for atom in cb.atoms() {
-        let numeric = matches!(atom.instantaneous(), Atom::Constraint(_));
-        if !numeric && !ca.atoms().contains(atom) {
+        if !matches!(atom, Atom::Constraint(_)) && !ca.atoms().contains(atom) {
             return Ok(false);
         }
     }
@@ -446,19 +402,20 @@ fn conjunct_implies(
 /// vacuous implication.
 fn condition_implies(
     a: &Rule,
-    an: &NumericInfo,
+    a_sys: &[CompiledConjunct],
+    a_wit: &Witnesses,
     b: &Rule,
-    bn: &NumericInfo,
+    b_sys: &[CompiledConjunct],
 ) -> Result<bool, ConflictError> {
     let mut any_live = false;
     for (i, ca) in a.dnf().conjuncts().iter().enumerate() {
-        if an.witnesses.get(i).is_none_or(|w| w.is_none()) {
+        if a_wit.get(i).is_none_or(|w| w.is_none()) {
             continue; // dead conjunct: vacuously covered
         }
         any_live = true;
         let mut covered = false;
         for (j, cb) in b.dnf().conjuncts().iter().enumerate() {
-            if conjunct_implies(ca, &an.systems[i], cb, &bn.systems[j])? {
+            if conjunct_implies(ca, &a_sys[i], cb, &b_sys[j])? {
                 covered = true;
                 break;
             }
@@ -480,7 +437,6 @@ fn condition_implies(
 /// invalidation hooks.
 #[derive(Clone, Debug)]
 pub struct ConflictGraph {
-    checker: ConflictChecker,
     env: EnvTable,
     nodes: HashMap<RuleId, NodeInfo>,
     /// device → rules actuating it.
@@ -506,7 +462,6 @@ impl ConflictGraph {
     /// Creates an empty graph using `env` for environmental effects.
     pub fn new(env: EnvTable) -> ConflictGraph {
         ConflictGraph {
-            checker: ConflictChecker::new(),
             env,
             nodes: HashMap::new(),
             actuators: BTreeMap::new(),
@@ -520,11 +475,6 @@ impl ConflictGraph {
     /// The environment-effect table in use.
     pub fn env(&self) -> &EnvTable {
         &self.env
-    }
-
-    /// The pairwise checker underneath (memo statistics, capacity).
-    pub fn checker(&self) -> &ConflictChecker {
-        &self.checker
     }
 
     /// Rules currently represented in the graph.
@@ -557,10 +507,15 @@ impl ConflictGraph {
         for id in stale {
             if let Some(old) = self.nodes.remove(&id) {
                 self.unindex(id, &old);
-                self.checker.evict_rule(id);
             }
             let rule = db.get(id).expect("stale id came from db.iter()");
-            let node = build_node(&self.env, db, rule, true);
+            let program = db.program(id).expect("every stored rule has a program");
+            let systems = Arc::clone(program.conjuncts());
+            // A solver error leaves the node without witnesses; see
+            // `NodeInfo::witnesses`.
+            let witnesses = solve_each(&systems).ok();
+            let revision = db.revision(id).expect("stored rules carry a revision");
+            let node = build_node(&self.env, rule, revision, systems, witnesses);
             self.index(id, &node);
             self.nodes.insert(id, node);
             REBUILDS.inc();
@@ -568,13 +523,12 @@ impl ConflictGraph {
         NODES.set(self.nodes.len() as i64);
     }
 
-    /// Drops a rule's node, its index entries, and its memoized pairwise
-    /// verdicts. Safe to call for ids the graph never saw.
+    /// Drops a rule's node and its index entries. Safe to call for ids
+    /// the graph never saw.
     pub fn remove(&mut self, id: RuleId) {
         if let Some(node) = self.nodes.remove(&id) {
             self.unindex(id, &node);
         }
-        self.checker.evict_rule(id);
         NODES.set(self.nodes.len() as i64);
     }
 
@@ -633,65 +587,76 @@ impl ConflictGraph {
         }
     }
 
-    /// The probe's footprint view: the cached node when the probe is
-    /// stored in `db` unchanged, a transient build otherwise (a fresh
-    /// submission or a customization candidate).
-    fn probe_node(&self, db: &RuleDb, probe: &Rule) -> NodeInfo {
-        if db.get(probe.id()) == Some(probe) {
-            if let Some(node) = self.nodes.get(&probe.id()) {
-                return node.clone();
-            }
-        }
-        build_node(&self.env, db, probe, false)
+    /// The probe's node and consistency verdict, lowered once: its
+    /// conjunct systems and their witnesses feed consistency, the device
+    /// pass and every advisory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConflictError::Rule`] when a conjunct does not compile
+    /// (a dimension clash) and [`ConflictError::Solve`] when a conjunct's
+    /// solve fails — the inputs on which
+    /// [`check_consistency`](crate::check_consistency) errors.
+    fn probe_node(&self, probe: &Rule) -> Result<(NodeInfo, ConsistencyReport), ConflictError> {
+        let systems: Arc<[CompiledConjunct]> = compile_conjuncts(probe)?.into();
+        let witnesses = solve_each(&systems)?;
+        let consistency = consistency_of(probe, &witnesses);
+        let node = build_node(&self.env, probe, 0, systems, Some(witnesses));
+        Ok((node, consistency))
     }
 
-    /// Full multi-class analysis of `probe` against the rule set:
-    /// blocking device-class conflicts (verdicts identical to
+    /// The whole registration check of §4.4 for `probe`: its own
+    /// consistency, then — for a consistent probe — blocking
+    /// device-class conflicts (verdicts identical to
     /// [`find_conflicts`](crate::find_conflicts)) plus chain/loop,
     /// shadowing/redundancy, and environmental advisories.
     ///
     /// # Errors
     ///
     /// Returns [`ConflictError`] on solver overflow or dimension
-    /// mismatch — the same inputs on which the brute-force scan errors.
+    /// mismatch — the same inputs on which the brute-force
+    /// [`check_consistency`](crate::check_consistency) and
+    /// [`find_conflicts`](crate::find_conflicts) error.
     pub fn analyze(&mut self, db: &RuleDb, probe: &Rule) -> Result<GraphReport, ConflictError> {
         let sw = Stopwatch::start();
         ANALYSES.inc();
-        self.sync(db);
-        let pnode = self.probe_node(db, probe);
-        let conflicts = self.device_conflicts(db, probe, &pnode)?;
-        let mut advisories = Vec::new();
-        self.probe_chains(probe, &pnode, &mut advisories);
-        self.probe_shadowing(db, probe, &pnode, &mut advisories)?;
-        self.probe_environmental(db, probe, &pnode, &mut advisories)?;
-        ADVISORIES.add(advisories.len() as u64);
+        let (pnode, consistency) = self.probe_node(probe)?;
+        let mut report = GraphReport {
+            consistency,
+            conflicts: Vec::new(),
+            advisories: Vec::new(),
+        };
+        if report.consistency.is_satisfiable() {
+            self.sync(db);
+            report.conflicts = self.device_conflicts(db, probe, &pnode)?;
+            self.probe_chains(probe, &pnode, &mut report.advisories);
+            self.probe_shadowing(db, probe, &pnode, &mut report.advisories)?;
+            self.probe_environmental(db, probe, &pnode, &mut report.advisories)?;
+            ADVISORIES.add(report.advisories.len() as u64);
+        }
         ANALYZE_NS.record(&sw);
-        Ok(GraphReport {
-            conflicts,
-            advisories,
-        })
+        Ok(report)
     }
 
     /// Device-class scan over the actuator cluster, footprint-pruned.
     fn device_conflicts(
-        &mut self,
+        &self,
         db: &RuleDb,
         probe: &Rule,
         pnode: &NodeInfo,
     ) -> Result<Vec<Conflict>, ConflictError> {
-        let candidates: Vec<RuleId> = self
-            .actuators
-            .get(probe.action().device())
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default();
-        let mut ctx: Option<ProbeContext<'_>> = None;
+        let Some(cluster) = self.actuators.get(probe.action().device()) else {
+            return Ok(Vec::new());
+        };
         let mut out = Vec::new();
-        for id in candidates {
+        for &id in cluster {
             if id == probe.id() {
                 continue;
             }
-            let Some(existing) = db.get(id) else { continue };
-            if !existing.is_enabled() {
+            let (Some(existing), Some(node)) = (db.get(id), self.nodes.get(&id)) else {
+                continue;
+            };
+            if !node.enabled {
                 continue;
             }
             PAIRS.inc();
@@ -699,32 +664,22 @@ impl ConflictGraph {
                 PAIRS_PRUNED.inc();
                 continue;
             }
-            // Decide block-diagonal pairs from cached witnesses; the
-            // node borrow must end before the checker (a sibling field)
-            // is borrowed mutably below.
-            let cheap = match (self.nodes.get(&id), &pnode.numeric) {
-                (Some(node), Some(pn)) if pnode.sensors.is_disjoint(&node.sensors) => node
-                    .numeric
-                    .as_ref()
-                    .map(|nn| cheap_pair(probe, &pn.witnesses, existing, &nn.witnesses)),
-                _ => None,
-            };
-            match cheap {
-                Some(verdict) => {
+            let verdict = match (&pnode.witnesses, &node.witnesses) {
+                // Block-diagonal pairs are decided from cached witnesses.
+                (Some(pw), Some(nw)) if pnode.sensors.is_disjoint(&node.sensors) => {
                     PAIRS_PRUNED.inc();
-                    out.extend(verdict);
+                    cheap_pair(probe, pw, existing, nw)
                 }
-                None => {
+                _ => {
                     PAIRS_SOLVED.inc();
-                    if ctx.is_none() {
-                        ctx = Some(self.checker.probe_context(db, probe)?);
+                    let verdict = solved_pair(probe, &pnode.systems, existing, &node.systems)?;
+                    if verdict.is_some() {
+                        PAIRS_CONFLICTING.inc();
                     }
-                    let ctx = ctx.as_ref().expect("just filled");
-                    if let Some(conflict) = self.checker.check_pair(db, ctx, existing)? {
-                        out.push(conflict);
-                    }
+                    verdict
                 }
-            }
+            };
+            out.extend(verdict);
         }
         Ok(out)
     }
@@ -817,9 +772,6 @@ impl ConflictGraph {
         pnode: &NodeInfo,
         out: &mut Vec<Advisory>,
     ) -> Result<(), ConflictError> {
-        let Some(pn) = &pnode.numeric else {
-            return Ok(());
-        };
         let Some(cluster) = self.actuators.get(probe.action().device()) else {
             return Ok(());
         };
@@ -834,8 +786,7 @@ impl ConflictGraph {
             if !node.enabled {
                 continue;
             }
-            let Some(en) = &node.numeric else { continue };
-            if let Some(advisory) = shadow_verdict(probe, pn, existing, en)? {
+            if let Some(advisory) = shadow_verdict(probe, pnode, existing, node)? {
                 out.push(advisory);
             }
         }
@@ -888,9 +839,8 @@ impl ConflictGraph {
     /// Whether the probe's condition and stored rule `b_id`'s condition
     /// can hold together — the paper's co-satisfiability check without
     /// the action filter. Disjoint-footprint pairs are answered from
-    /// cached witnesses; undecidable pairs (a node without solved
-    /// systems) answer `true`, the over-reporting direction advisories can
-    /// afford.
+    /// cached witnesses; undecidable pairs (a node without witnesses)
+    /// answer `true`, the over-reporting direction advisories can afford.
     fn cosatisfiable(
         &self,
         db: &RuleDb,
@@ -904,15 +854,15 @@ impl ConflictGraph {
         let Some(bn) = self.nodes.get(&b_id) else {
             return Ok(false);
         };
-        let (Some(x), Some(y)) = (&an.numeric, &bn.numeric) else {
+        let (Some(x), Some(y)) = (&an.witnesses, &bn.witnesses) else {
             return Ok(true);
         };
         let disjoint = an.sensors.is_disjoint(&bn.sensors);
         for (i, ca) in a.dnf().conjuncts().iter().enumerate() {
             for (j, cb) in b.dnf().conjuncts().iter().enumerate() {
                 if disjoint {
-                    let live = x.witnesses.get(i).is_some_and(Option::is_some)
-                        && y.witnesses.get(j).is_some_and(Option::is_some);
+                    let live = x.get(i).is_some_and(Option::is_some)
+                        && y.get(j).is_some_and(Option::is_some);
                     if live && discrete_compatible(ca.atoms().iter().chain(cb.atoms().iter())) {
                         return Ok(true);
                     }
@@ -921,7 +871,7 @@ impl ConflictGraph {
                         continue;
                     }
                     let (sys, _) =
-                        merge_conjuncts(&x.systems[i], &y.systems[j]).map_err(RuleError::from)?;
+                        merge_conjuncts(&an.systems[i], &bn.systems[j]).map_err(RuleError::from)?;
                     if solve(&sys)?.is_feasible() {
                         return Ok(true);
                     }
@@ -984,10 +934,7 @@ impl ConflictGraph {
                     if !na.enabled || !nb.enabled {
                         continue;
                     }
-                    let (Some(an), Some(bn)) = (&na.numeric, &nb.numeric) else {
-                        continue;
-                    };
-                    if let Some(advisory) = shadow_verdict(a, an, b, bn)? {
+                    if let Some(advisory) = shadow_verdict(a, na, b, nb)? {
                         out.push(advisory);
                     }
                 }
@@ -1037,13 +984,17 @@ impl ConflictGraph {
 
 /// The shadowing/redundancy verdict for one pair, trying `a ⇒ b` first,
 /// then `b ⇒ a`. Same-device pairs with equal actions are redundancy,
-/// pairs with conflicting actions are shadowing.
+/// pairs with conflicting actions are shadowing. A node without
+/// witnesses (a solver error at build) reports nothing.
 fn shadow_verdict(
     a: &Rule,
-    an: &NumericInfo,
+    an: &NodeInfo,
     b: &Rule,
-    bn: &NumericInfo,
+    bn: &NodeInfo,
 ) -> Result<Option<Advisory>, ConflictError> {
+    let (Some(aw), Some(bw)) = (&an.witnesses, &bn.witnesses) else {
+        return Ok(None);
+    };
     let classify = |covered: &Rule, by: &Rule| {
         if covered.action().conflicts_with(by.action()) {
             Advisory::Shadowing {
@@ -1057,10 +1008,10 @@ fn shadow_verdict(
             }
         }
     };
-    if condition_implies(a, an, b, bn)? {
+    if condition_implies(a, &an.systems, aw, b, &bn.systems)? {
         return Ok(Some(classify(a, b)));
     }
-    if condition_implies(b, bn, a, an)? {
+    if condition_implies(b, &bn.systems, bw, a, &an.systems)? {
         return Ok(Some(classify(b, a)));
     }
     Ok(None)
@@ -1069,9 +1020,9 @@ fn shadow_verdict(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::find_conflicts;
+    use crate::check::{check_consistency, find_conflicts};
     use cadel_rule::{ActionSpec, Condition, ConstraintAtom, StateAtom, Verb};
-    use cadel_types::{PersonId, Quantity, Unit, Value};
+    use cadel_types::{PersonId, Quantity, SimDuration, Unit, Value};
 
     fn sensor(device: &str, variable: &str, op: RelOp, n: i64, unit: Unit) -> Condition {
         Condition::Atom(Atom::Constraint(ConstraintAtom::new(
@@ -1104,7 +1055,7 @@ mod tests {
         )
     }
 
-    fn assert_agrees_with_brute_force(db: &RuleDb, probe: &Rule) {
+    fn assert_agrees_with_brute_force(db: &RuleDb, probe: &Rule) -> GraphReport {
         let brute = find_conflicts(db, probe).unwrap();
         let graph = ConflictGraph::default().analyze(db, probe).unwrap();
         let key = |c: &Conflict| (c.rule_a(), c.rule_b(), c.conjunct_a(), c.conjunct_b());
@@ -1112,12 +1063,14 @@ mod tests {
             brute.iter().map(key).collect::<Vec<_>>(),
             graph.conflicts.iter().map(key).collect::<Vec<_>>(),
         );
+        assert_eq!(graph.consistency, check_consistency(probe).unwrap());
+        graph
     }
 
     #[test]
     fn shared_sensor_pairs_agree_with_brute_force() {
-        // The paper's aircon trio: all three share thermo/hygro, so
-        // every pair takes the solver path.
+        // The paper's aircon trio plus a sub-zero rule: all share the
+        // thermometer, so every pair takes the solver path.
         let mut db = RuleDb::new();
         db.insert(rule(
             100,
@@ -1131,12 +1084,56 @@ mod tests {
             aircon_set(27),
         ))
         .unwrap();
+        db.insert(rule(102, temp(RelOp::Lt, 0), aircon_set(20)))
+            .unwrap();
         let probe = rule(
             200,
             temp(RelOp::Gt, 26).and(humid(RelOp::Gt, 65)),
             aircon_set(25),
         );
-        assert_agrees_with_brute_force(&db, &probe);
+        let report = assert_agrees_with_brute_force(&db, &probe);
+        let partners: Vec<u64> = report.conflicts.iter().map(|c| c.rule_b().raw()).collect();
+        assert_eq!(partners, vec![100, 101]);
+        // The merged solve unifies shared sensors like the oracle's
+        // shared `VarPool`: witness ordering and content match too.
+        let brute = find_conflicts(&db, &probe).unwrap();
+        assert_eq!(brute, report.conflicts);
+        assert_eq!(report.conflicts[0].witness().len(), 2);
+    }
+
+    #[test]
+    fn uncompilable_probe_is_an_error() {
+        // A probe whose conjunct clashes dimensions cannot be stored;
+        // `analyze` refuses it exactly where the oracles do.
+        let mut db = RuleDb::new();
+        db.insert(rule(100, temp(RelOp::Gt, 25), aircon_set(27)))
+            .unwrap();
+        let reading = |n, unit| sensor("multi", "reading", RelOp::Gt, n, unit);
+        let clash = reading(26, Unit::Celsius).and(reading(60, Unit::Percent));
+        let probe = rule(300, clash, aircon_set(24));
+        assert!(find_conflicts(&db, &probe).is_err());
+        assert!(check_consistency(&probe).is_err());
+        let err = ConflictGraph::default().analyze(&db, &probe).unwrap_err();
+        assert!(matches!(
+            err,
+            ConflictError::Rule(RuleError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn inconsistent_probe_is_analyzed_no_further() {
+        let mut db = RuleDb::new();
+        db.insert(rule(100, temp(RelOp::Gt, 25), aircon_set(24)))
+            .unwrap();
+        let dead = temp(RelOp::Gt, 30).and(temp(RelOp::Lt, 20));
+        let mut graph = ConflictGraph::default();
+        let report = graph
+            .analyze(&db, &rule(200, dead, aircon_set(25)))
+            .unwrap();
+        assert!(!report.consistency.is_satisfiable());
+        assert!(report.conflicts.is_empty() && report.advisories.is_empty());
+        // The verdict comes before the graph syncs with the database.
+        assert_eq!(graph.node_count(), 0);
     }
 
     #[test]
@@ -1294,6 +1291,59 @@ mod tests {
     }
 
     #[test]
+    fn held_for_dwell_is_not_dropped_from_implication() {
+        let held = |op, n, minutes| {
+            let Condition::Atom(atom) = temp(op, n) else {
+                unreachable!()
+            };
+            Condition::Atom(Atom::held_for(atom, SimDuration::from_minutes(minutes)))
+        };
+        let implied = |db: &RuleDb, probe: Rule| {
+            let mut both = db.clone();
+            let report = ConflictGraph::default().analyze(db, &probe).unwrap();
+            both.insert(probe).unwrap();
+            let sweep = ConflictGraph::default().advisories(&both).unwrap();
+            let implications = |a: &Advisory| {
+                matches!(a, Advisory::Shadowing { .. } | Advisory::Redundancy { .. })
+            };
+            let found: Vec<Advisory> = report.advisories.into_iter().filter(implications).collect();
+            assert_eq!(
+                found,
+                sweep.into_iter().filter(implications).collect::<Vec<_>>()
+            );
+            found
+        };
+        // Stored: t > 25 held for 10 minutes. It does not fire during its
+        // first 10 minutes above 25, so none of these probes is implied.
+        let mut db = RuleDb::new();
+        db.insert(rule(20, held(RelOp::Gt, 25, 10), aircon_set(27)))
+            .unwrap();
+        assert_eq!(
+            implied(&db, rule(21, temp(RelOp::Gt, 30), aircon_set(27))),
+            []
+        );
+        assert_eq!(
+            implied(&db, rule(22, temp(RelOp::Gt, 30), aircon_set(22))),
+            []
+        );
+        assert_eq!(
+            implied(&db, rule(23, held(RelOp::Gt, 30, 5), aircon_set(27))),
+            []
+        );
+        // Sound: t > 30 held for 10 minutes does imply t > 25.
+        let mut db = RuleDb::new();
+        db.insert(rule(30, temp(RelOp::Gt, 25), aircon_set(27)))
+            .unwrap();
+        assert_eq!(
+            implied(&db, rule(31, held(RelOp::Gt, 30, 10), aircon_set(27))),
+            [Advisory::Redundancy {
+                rule: RuleId::new(31),
+                duplicate_of: RuleId::new(30),
+            }]
+        );
+    }
+
+    #[test]
     fn environmental_conflict_is_cross_device_only() {
         let mut db = RuleDb::new();
         // Aircon cools when humid; heater heats when the lux is low.
@@ -1377,11 +1427,10 @@ mod tests {
         let disabled = db.get(RuleId::new(50)).unwrap().clone().with_enabled(false);
         db.replace(disabled).unwrap();
         assert!(graph.analyze(&db, &probe).unwrap().conflicts.is_empty());
-        // Removal drops the node and its memoized verdicts.
+        // Removal drops the node.
         db.remove(RuleId::new(50)).unwrap();
         assert!(graph.analyze(&db, &probe).unwrap().conflicts.is_empty());
         assert_eq!(graph.node_count(), 0);
-        assert_eq!(graph.checker().cached_pairs(), 0);
     }
 
     #[test]

@@ -1,38 +1,45 @@
 //! Consistency checking, conflict detection and priority management —
 //! the paper's §4.4 "Consistency and Conflict Check Module".
 //!
-//! Three responsibilities:
+//! Four responsibilities:
 //!
-//! 1. **Inconsistency check** ([`check_consistency`]): when a rule is
-//!    registered, decide whether its condition can hold at all. A condition
-//!    whose every disjunct is unsatisfiable (numerically, via
-//!    `cadel-simplex`, or discretely — e.g. the same person demanded in two
-//!    rooms at once) is rejected so the user can fix it.
-//! 2. **Conflict detection** ([`check_conflict`], [`find_conflicts`]): a
-//!    new rule conflicts with an existing one when (a) both target the same
-//!    device with *different* actions and (b) their conditions can hold
-//!    *simultaneously*. Detection extracts same-device rules through the
-//!    [`RuleDb`](cadel_rule::RuleDb) index and solves the concatenated
-//!    constraint systems — exactly the procedure timed in experiment E2.
+//! 1. **Inconsistency check**: when a rule is registered, decide whether
+//!    its condition can hold at all. A condition whose every disjunct is
+//!    unsatisfiable (numerically, via `cadel-simplex`, or discretely — e.g.
+//!    the same person demanded in two rooms at once) is rejected so the
+//!    user can fix it.
+//! 2. **Conflict detection**: a new rule conflicts with an existing one
+//!    when (a) both target the same device with *different* actions and
+//!    (b) their conditions can hold *simultaneously*. Detection extracts
+//!    same-device rules through the [`RuleDb`](cadel_rule::RuleDb) index
+//!    and solves the concatenated constraint systems — exactly the
+//!    procedure timed in experiment E2.
 //! 3. **Priority management** ([`PriorityStore`], [`PriorityGraph`]): when
 //!    a conflict is confirmed, users rank the conflicting rules; rankings
 //!    may be *context-scoped* ("Alan outranks Tom **when Alan got home from
 //!    work**; Tom outranks Alan **when today is Tom's birthday**" — §3.2).
 //!    The engine consults the store at runtime to arbitrate simultaneous
 //!    firings.
-//! 4. **The conflict graph** ([`ConflictGraph`]): the scale layer over
-//!    detection. Rules become footprint nodes (actuated device, sensors
-//!    read, environment channels moved, events raised), candidate pairs
-//!    are pruned by footprint before any Simplex solve, and three
-//!    advisory classes beyond the paper's device class are detected:
-//!    rule chains/loops, shadowing/redundancy, and cross-device
-//!    environmental conflicts via the declarative [`EnvTable`].
+//! 4. **The conflict graph** ([`ConflictGraph`]): the production path
+//!    for 1 and 2. [`ConflictGraph::analyze`] lowers a submitted rule
+//!    once and answers both checks from the same solves. Rules become
+//!    footprint nodes (actuated device, sensors read, environment
+//!    channels moved, events raised), candidate pairs are pruned by
+//!    footprint before any Simplex solve, and three advisory classes
+//!    beyond the paper's device class are detected: rule chains/loops,
+//!    shadowing/redundancy, and cross-device environmental conflicts via
+//!    the declarative [`EnvTable`].
+//!
+//! [`check_consistency`], [`check_conflict`] and [`find_conflicts`] are the
+//! brute-force oracles: they lower each rule through a fresh `VarPool` and
+//! solve every same-device pair. Tests and benches compare the graph
+//! against them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod checker;
+mod checker;
 pub mod discrete;
 pub mod env;
 pub mod error;
@@ -40,7 +47,6 @@ pub mod graph;
 pub mod priority;
 
 pub use check::{check_conflict, check_consistency, find_conflicts, Conflict, ConsistencyReport};
-pub use checker::ConflictChecker;
 pub use discrete::discrete_compatible;
 pub use env::{EnvDirection, EnvTable};
 pub use error::ConflictError;

@@ -413,7 +413,7 @@ impl Engine {
 
     /// Replaces a rule in place under its existing id (customization:
     /// edit or enable/disable). The replacement is recompiled with a
-    /// fresh revision — invalidating memoized conflict verdicts — and the
+    /// fresh revision — so the conflict graph rebuilds its node — and the
     /// old rule's runtime state (holds, contention, retries) is purged,
     /// exactly as a remove-then-add would.
     ///

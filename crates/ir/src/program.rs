@@ -8,6 +8,7 @@ use cadel_types::unit::Dimension;
 use cadel_types::{
     Date, PersonId, PlaceId, Rational, SensorKey, SimDuration, TimeWindow, Value, Weekday,
 };
+use std::sync::Arc;
 
 /// A compiled primitive predicate — one entry of a program's predicate
 /// table. Each variant mirrors one `Atom` kind of the rule layer, with
@@ -221,19 +222,20 @@ pub fn merge_conjuncts(
 
 /// A rule compiled to its executable form: the paper's *rule object*.
 ///
-/// Holds everything the engine's fast path and the conflict checker need,
+/// Holds everything the engine's fast path and the conflict graph need,
 /// derived once at registration time:
 ///
 /// * [`RuleProgram::condition`] / [`RuleProgram::until`] — flattened
 ///   bytecode over the shared predicate table;
 /// * [`RuleProgram::conjuncts`] — one precompiled linear-constraint system
-///   per DNF disjunct, aligned index-for-index with the rule's `Dnf`.
+///   per DNF disjunct, aligned index-for-index with the rule's `Dnf`,
+///   behind an `Arc` so the conflict graph shares them instead of copying.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RuleProgram {
     preds: Vec<Pred>,
     condition: CondCode,
     until: Option<CondCode>,
-    conjuncts: Vec<CompiledConjunct>,
+    conjuncts: Arc<[CompiledConjunct]>,
 }
 
 impl RuleProgram {
@@ -248,7 +250,7 @@ impl RuleProgram {
             preds,
             condition,
             until,
-            conjuncts,
+            conjuncts: conjuncts.into(),
         }
     }
 
@@ -269,7 +271,7 @@ impl RuleProgram {
 
     /// The precompiled constraint system of each DNF conjunct, in DNF
     /// order.
-    pub fn conjuncts(&self) -> &[CompiledConjunct] {
+    pub fn conjuncts(&self) -> &Arc<[CompiledConjunct]> {
         &self.conjuncts
     }
 }

@@ -4,7 +4,7 @@
 //! slot-indexed predicates, the condition tree becomes flat bytecode with
 //! the same shape and short-circuit order, and each DNF conjunct's linear
 //! constraints are pre-built into a local solver system for the conflict
-//! checker.
+//! graph.
 
 use crate::atom::{Atom, Subject};
 use crate::condition::{Condition, Conjunct};
@@ -62,7 +62,7 @@ pub fn compile_condition(condition: &Condition, interner: &mut Interner) -> (Vec
 /// Pre-builds the linear constraint system of every DNF conjunct of a rule,
 /// over conjunct-local solver variables.
 ///
-/// The result is independent of any interner, so the conflict checker can
+/// The result is independent of any interner, so the conflict graph can
 /// compile a probe rule that is not (yet) registered. Conjuncts align
 /// index-for-index with [`Rule::dnf`].
 ///

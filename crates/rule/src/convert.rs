@@ -1,10 +1,11 @@
 //! Conversion of condition conjuncts into `cadel-simplex` systems.
 //!
-//! The conflict checker works on numeric constraint systems; this module
-//! interns sensor variables into dense solver indices and extracts the
-//! linear constraints of a conjunct. Non-numeric atoms (presence, events,
-//! device states, time windows) are handled separately by the discrete
-//! compatibility checks in `cadel-conflict`.
+//! The brute-force conflict oracles in `cadel-conflict` work on numeric
+//! constraint systems; this module interns sensor variables into dense
+//! solver indices and extracts the linear constraints of a conjunct.
+//! Non-numeric atoms (presence, events, device states, time windows) are
+//! handled separately by the discrete compatibility checks in
+//! `cadel-conflict`.
 
 use crate::atom::Atom;
 use crate::condition::Conjunct;

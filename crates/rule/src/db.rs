@@ -12,10 +12,10 @@
 //! and a monotonically increasing *revision* stamp. Lowering is total over
 //! stored rules: a rule that does not compile is refused, so every stored
 //! rule has a program. The engine evaluates the program instead of
-//! re-walking the condition tree; the conflict checker keys its pairwise
-//! memoization on revisions.
+//! re-walking the condition tree; the conflict graph shares the program's
+//! conjunct systems and rebuilds a rule's node when its revision changes.
 
-use crate::compile::{compile_conjuncts, compile_rule};
+use crate::compile::compile_rule;
 use crate::error::RuleError;
 use crate::rule::{Rule, RuleBuilder};
 use cadel_ir::{ProgramArena, ProgramRef, RuleProgram, SharedInterner};
@@ -71,7 +71,7 @@ pub struct RuleDb {
     /// Compiled programs in contiguous SoA layout, appended alongside the
     /// per-rule `Arc<RuleProgram>` at compile time. The engine's hot path
     /// and inverted indexes read rules through the arena; the `Arc`s stay
-    /// for the conflict checker and public API.
+    /// for the conflict graph and public API.
     arena: ProgramArena,
 }
 
@@ -159,9 +159,10 @@ impl RuleDb {
     }
 
     /// Replaces an existing rule in place (customization path), keeping
-    /// its id. The replacement is recompiled and stamped with a **fresh
-    /// revision**, so anything memoized against the old `(id, revision)`
-    /// pair — notably pairwise conflict verdicts — is invalidated.
+    /// its id. The replacement is compiled once and stamped with a
+    /// **fresh revision**, so anything derived from the old
+    /// `(id, revision)` pair — notably the conflict graph's node — is
+    /// rebuilt.
     ///
     /// # Errors
     ///
@@ -172,21 +173,22 @@ impl RuleDb {
         if !self.rules.contains_key(&rule.id()) {
             return Err(RuleError::UnknownRule(rule.id()));
         }
-        // Compile before removing, so a refused replacement leaves the
-        // incumbent untouched.
-        compile_conjuncts(&rule)?;
-        self.remove(rule.id())?;
-        self.insert(rule)
+        self.store(rule)
     }
 
     /// Compiles a rule, appends it to the arena and the indexes, and
-    /// stores it under a fresh revision. A rule that does not compile
-    /// touches nothing: no interned name, index entry or arena span.
+    /// stores it under a fresh revision, displacing a stored rule with
+    /// the same id. A rule that does not compile touches nothing: no
+    /// interned name, index entry or arena span, and no displaced rule.
     fn store(&mut self, rule: Rule) -> Result<(), RuleError> {
         let sw = Stopwatch::start();
         LOWERED.inc();
-        let mut interner = self.interner.write().expect("interner lock poisoned");
+        let interner = Arc::clone(&self.interner);
+        let mut interner = interner.write().expect("interner lock poisoned");
         let program = Arc::new(compile_rule(&rule, &mut interner)?);
+        if self.rules.contains_key(&rule.id()) {
+            self.remove(rule.id())?;
+        }
         // Appended under the same lock the program was compiled under, so
         // the arena's interned footprint matches the program's slots.
         self.arena.insert(rule.id(), &program, &mut interner);
@@ -538,13 +540,14 @@ mod tests {
     }
 
     #[test]
-    fn replace_bumps_the_revision_so_memoized_verdicts_die() {
+    fn replace_bumps_the_revision_so_derived_state_rebuilds() {
         let mut db = RuleDb::new();
         let id = db.register(builder("tom", "tv", "a")).unwrap();
         let before = db.revision(id).unwrap();
 
-        // A conflict memo keyed on (id, revision) would now be stale:
-        // the replacement carries different behaviour under the same id.
+        // Anything derived from (id, revision), such as a conflict-graph
+        // node, is now stale: the replacement carries different behaviour
+        // under the same id.
         let replacement = builder("tom", "tv", "b").build(id).unwrap();
         db.replace(replacement).unwrap();
         let after = db.revision(id).unwrap();

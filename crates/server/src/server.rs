@@ -22,8 +22,7 @@ use crate::persist;
 use crate::resolver::RegistryResolver;
 use crate::users::UserRegistry;
 use cadel_conflict::{
-    check_consistency, Advisory, Conflict, ConflictError, ConflictGraph, ConsistencyReport,
-    PriorityOrder,
+    Advisory, Conflict, ConflictError, ConflictGraph, ConsistencyReport, PriorityOrder,
 };
 use cadel_engine::{Engine, FreshnessPolicy, ResilienceStatus, StepReport};
 use cadel_lang::ast::Command;
@@ -634,7 +633,7 @@ impl HomeServer {
     }
 
     /// Removes a registered rule, durably, and evicts its conflict-graph
-    /// node (and every memoized pairwise verdict it participated in).
+    /// node.
     ///
     /// # Errors
     ///
@@ -673,6 +672,20 @@ impl HomeServer {
                 && order.rank_of(conflict.rule_a()).is_some()
                 && order.rank_of(conflict.rule_b()).is_some()
         })
+    }
+
+    /// Counts and emits the rejection of a rule whose condition can never
+    /// hold.
+    fn reject_inconsistent(rule: &Rule, report: ConsistencyReport) -> SubmitOutcome {
+        RULES_INCONSISTENT.inc();
+        if cadel_obs::enabled() {
+            cadel_obs::emit(
+                Event::new("server.rule_rejected_inconsistent", Level::Warn)
+                    .with_field("rule", rule.id().raw())
+                    .with_field("owner", rule.owner().as_str()),
+            );
+        }
+        SubmitOutcome::RejectedInconsistent { report }
     }
 
     /// Counts and emits the non-blocking advisories of a graph analysis.
@@ -717,21 +730,12 @@ impl HomeServer {
             )));
         }
         if rule.is_enabled() {
-            let report = check_consistency(&rule)?;
-            if !report.is_satisfiable() {
-                RULES_INCONSISTENT.inc();
-                if cadel_obs::enabled() {
-                    cadel_obs::emit(
-                        Event::new("server.rule_rejected_inconsistent", Level::Warn)
-                            .with_field("rule", id.raw())
-                            .with_field("owner", rule.owner().as_str()),
-                    );
-                }
-                return Ok(SubmitOutcome::RejectedInconsistent { report });
-            }
             // The graph skips the probe's own id, so a customize is
             // checked against every *other* rule only.
             let graph_report = self.graph.analyze(self.engine.rules(), &rule)?;
+            if !graph_report.consistency.is_satisfiable() {
+                return Ok(Self::reject_inconsistent(&rule, graph_report.consistency));
+            }
             self.note_advisories(id, &graph_report.advisories);
             let device = rule.action().device().clone();
             let conflicts: Vec<Conflict> = graph_report
@@ -910,24 +914,18 @@ impl HomeServer {
     /// Returns [`ServerError::Conflict`] on solver failures.
     pub fn register_rule(&mut self, rule: Rule) -> Result<SubmitOutcome, ServerError> {
         self.access.check_rule(&rule)?;
-        let report = check_consistency(&rule)?;
-        if !report.is_satisfiable() {
-            RULES_INCONSISTENT.inc();
-            if cadel_obs::enabled() {
-                cadel_obs::emit(
-                    Event::new("server.rule_rejected_inconsistent", Level::Warn)
-                        .with_field("rule", rule.id().raw())
-                        .with_field("owner", rule.owner().as_str()),
-                );
-            }
-            return Ok(SubmitOutcome::RejectedInconsistent { report });
-        }
-        // The conflict graph prunes candidate pairs by footprint and
-        // memoizes pairwise verdicts, so registering the N-th rule
-        // solves only the new, genuinely overlapping pairs. Device-class
-        // conflicts gate registration; the advisory classes (chains,
-        // loops, shadowing, environmental) warn without blocking.
+        // One analysis lowers the rule once and answers both §4.4
+        // questions: whether its condition can hold at all, and which
+        // rules it conflicts with. The graph prunes candidate pairs by
+        // footprint, so registering the N-th rule solves only the
+        // genuinely overlapping pairs. Device-class conflicts gate
+        // registration; the advisory classes (chains, loops, shadowing,
+        // environmental) warn without blocking.
         let graph_report = self.graph.analyze(self.engine.rules(), &rule)?;
+        let report = graph_report.consistency;
+        if !report.is_satisfiable() {
+            return Ok(Self::reject_inconsistent(&rule, report));
+        }
         self.note_advisories(rule.id(), &graph_report.advisories);
         let conflicts = graph_report.conflicts;
         if conflicts.is_empty() {
