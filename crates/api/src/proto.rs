@@ -6,12 +6,13 @@
 //! frontend stays std-only.
 
 use cadel_fleet::{Admission, FleetHealth, Ingress};
-use cadel_server::{Advisory, SubmitOutcome};
+use cadel_server::{Advisory, PriorityOrder, SubmitOutcome};
 use cadel_types::json::Json;
-use cadel_types::{DeviceId, PersonId, Quantity, Rational, SimTime, Unit, Value};
+use cadel_types::{DeviceId, PersonId, Quantity, Rational, RuleId, SimTime, Unit, Value};
 
 /// A typed payload rejection: rendered as `422 Unprocessable Entity`
-/// with `{"error": code, "message": ...}`.
+/// (`400 Bad Request` for a malformed `priority`) with
+/// `{"error": code, "message": ...}`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BadRequest {
     /// Machine-readable code.
@@ -118,6 +119,71 @@ pub fn parse_rule_submit(doc: &Json) -> Result<(PersonId, String), BadRequest> {
     ))
 }
 
+/// The optional `priority` of a rule submission: a ranking, highest
+/// first, and a label.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PriorityRequest {
+    /// Rule ids, with `None` standing for the submitted rule (`"new"`).
+    pub ranking: Vec<Option<RuleId>>,
+    /// The order's label, if any.
+    pub label: Option<String>,
+}
+
+impl PriorityRequest {
+    /// The unscoped order this request makes for the submitted rule `id`
+    /// on `device`.
+    pub fn order_for(&self, id: RuleId, device: DeviceId) -> PriorityOrder {
+        let ranking = self.ranking.iter().map(|r| r.unwrap_or(id)).collect();
+        let order = PriorityOrder::new(device, ranking);
+        match &self.label {
+            Some(label) => order.with_label(label.clone()),
+            None => order,
+        }
+    }
+}
+
+/// Parses the optional `"priority": {"ranking": [...], "label": "..."}`
+/// of a `POST /tenants/{t}/rules` body. A ranking entry is a rule id or
+/// the string `"new"` for the submitted rule. Unknown members (a
+/// `context`, say) are refused rather than ignored.
+pub fn parse_priority(doc: &Json) -> Result<Option<PriorityRequest>, BadRequest> {
+    let Some(priority) = doc.get("priority") else {
+        return Ok(None);
+    };
+    let Json::Obj(members) = priority else {
+        return Err(BadRequest::new(
+            "wrong_type",
+            "field 'priority' must be an object",
+        ));
+    };
+    if let Some((key, _)) = members.iter().find(|(k, _)| k != "ranking" && k != "label") {
+        return Err(BadRequest::new(
+            "unknown_field",
+            format!("unknown priority field '{key}'"),
+        ));
+    }
+    let entries = field(priority, "ranking")?
+        .as_arr()
+        .ok_or_else(|| BadRequest::new("wrong_type", "field 'ranking' must be an array"))?;
+    if entries.is_empty() {
+        return Err(BadRequest::new("empty_ranking", "ranking array is empty"));
+    }
+    let ranking = entries
+        .iter()
+        .map(|entry| match entry {
+            Json::Int(n) if *n >= 0 => Ok(Some(RuleId::new(*n as u64))),
+            Json::Str(s) if s == "new" => Ok(None),
+            _ => Err(BadRequest::new(
+                "bad_ranking_entry",
+                "a ranking entry must be a rule id or \"new\"",
+            )),
+        })
+        .collect::<Result<_, _>>()?;
+    let label = priority.get("label").map(|_| str_field(priority, "label"));
+    let label = label.transpose()?;
+    Ok(Some(PriorityRequest { ranking, label }))
+}
+
 /// Renders a registration outcome.
 pub fn render_outcome(outcome: &SubmitOutcome) -> Json {
     match outcome {
@@ -138,12 +204,21 @@ pub fn render_outcome(outcome: &SubmitOutcome) -> Json {
             ("outcome", Json::str("rejected_inconsistent")),
             ("report", Json::str(report.to_string())),
         ]),
-        SubmitOutcome::ConflictDetected { ticket, conflicts } => Json::obj(vec![
+        SubmitOutcome::ConflictDetected { conflicts, .. } => Json::obj(vec![
             ("outcome", Json::str("conflict_detected")),
-            ("ticket", Json::Int(ticket.raw() as i64)),
             (
                 "conflicts",
-                Json::Arr(conflicts.iter().map(|c| Json::str(c.to_string())).collect()),
+                Json::Arr(
+                    conflicts
+                        .iter()
+                        .map(|c| {
+                            Json::obj(vec![
+                                ("with", Json::Int(c.rule_b().raw() as i64)),
+                                ("detail", Json::str(c.to_string())),
+                            ])
+                        })
+                        .collect(),
+                ),
             ),
         ]),
         SubmitOutcome::ConditionWordDefined { word } => Json::obj(vec![
@@ -278,5 +353,48 @@ mod tests {
             let doc = parse(body).unwrap();
             assert_eq!(parse_readings(&doc).unwrap_err().code, code, "{body}");
         }
+    }
+
+    #[test]
+    fn priority_rejections_are_typed() {
+        let cases = [
+            (r#"{"priority":"new"}"#, "wrong_type"),
+            (r#"{"priority":{"label":"x"}}"#, "missing_field"),
+            (r#"{"priority":{"ranking":{}}}"#, "wrong_type"),
+            (r#"{"priority":{"ranking":[]}}"#, "empty_ranking"),
+            (
+                r#"{"priority":{"ranking":["new",-1]}}"#,
+                "bad_ranking_entry",
+            ),
+            (
+                r#"{"priority":{"ranking":["new",true]}}"#,
+                "bad_ranking_entry",
+            ),
+            (
+                r#"{"priority":{"ranking":["new"],"label":7}}"#,
+                "wrong_type",
+            ),
+            (
+                r#"{"priority":{"ranking":["new"],"context":"Alan is home"}}"#,
+                "unknown_field",
+            ),
+        ];
+        for (body, code) in cases {
+            let doc = parse(body).unwrap();
+            assert_eq!(parse_priority(&doc).unwrap_err().code, code, "{body}");
+        }
+    }
+
+    #[test]
+    fn priority_parses_ids_new_and_label() {
+        assert_eq!(parse_priority(&parse(r#"{"user":"u"}"#).unwrap()), Ok(None));
+        let doc = parse(r#"{"priority":{"ranking":["new",3],"label":"Alan first"}}"#).unwrap();
+        let request = parse_priority(&doc).unwrap().expect("priority present");
+        assert_eq!(request.ranking, vec![None, Some(RuleId::new(3))]);
+        let order = request.order_for(RuleId::new(9), DeviceId::new("aircon"));
+        assert_eq!(order.ranking(), &[RuleId::new(9), RuleId::new(3)]);
+        assert_eq!(order.device(), &DeviceId::new("aircon"));
+        assert_eq!(order.label(), Some("Alan first"));
+        assert!(order.context().is_none());
     }
 }

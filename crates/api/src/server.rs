@@ -712,17 +712,29 @@ fn post_rule(shared: &Shared, tenant: &str, request: &Request) -> Response {
         Ok(parsed) => parsed,
         Err(error) => return bad_request(&error),
     };
+    let priority = match proto::parse_priority(&doc) {
+        Ok(priority) => priority,
+        Err(error) => return malformed(&error),
+    };
     with_tenant_server(shared, tenant, |server| {
-        let outcome = server.submit(&user, &sentence)?;
+        let outcome = match &priority {
+            None => server.submit(&user, &sentence)?,
+            // The sentence is parsed, compiled and analyzed once, by the
+            // same stateless call an in-process caller arbitrates with.
+            Some(priority) => {
+                let Some(rule) = server.compile_rule(&user, &sentence)? else {
+                    return Ok(malformed(&BadRequest {
+                        code: "priority_on_definition",
+                        message: "a word-definition sentence takes no priority".into(),
+                    }));
+                };
+                let order = priority.order_for(rule.id(), rule.action().device().clone());
+                server.arbitrate(&user, rule, order)?
+            }
+        };
         let status = match &outcome {
             SubmitOutcome::Registered { .. } => (201, "Created"),
-            SubmitOutcome::ConflictDetected { ticket, .. } => {
-                // No route confirms or cancels a parked rule, so one left
-                // pending would hold the rule and its conflict witnesses
-                // until the tenant restarts.
-                server.cancel_pending(*ticket)?;
-                (409, "Conflict")
-            }
+            SubmitOutcome::ConflictDetected { .. } => (409, "Conflict"),
             _ => (200, "OK"),
         };
         Ok(Response::json(
@@ -765,9 +777,8 @@ fn set_rule_enabled(shared: &Shared, tenant: &str, id: &str, request: &Request) 
     with_tenant_server(shared, tenant, |server| {
         let outcome = server.set_rule_enabled(rule, enabled)?;
         // Re-enabling can resurface a conflict: the rule stays in its
-        // previous state, and (as in `post_rule`) nothing is left parked.
-        if let SubmitOutcome::ConflictDetected { ticket, .. } = &outcome {
-            server.cancel_pending(*ticket)?;
+        // previous state.
+        if let SubmitOutcome::ConflictDetected { .. } = &outcome {
             return Ok(Response::json(
                 409,
                 "Conflict",
@@ -862,6 +873,11 @@ fn bad_request(error: &BadRequest) -> Response {
     Response::error(422, "Unprocessable Entity", error.code, &error.message)
 }
 
+/// A `priority` the wire cannot turn into an order: `400`.
+fn malformed(error: &BadRequest) -> Response {
+    Response::error(400, "Bad Request", error.code, &error.message)
+}
+
 fn unknown_tenant(tenant: &str) -> Response {
     Response::error(
         404,
@@ -901,6 +917,7 @@ fn server_error(error: &ServerError) -> Response {
         }
         ServerError::UnknownUser(_) => (404, "Not Found", "unknown_user"),
         ServerError::AccessDenied(_) => (403, "Forbidden", "access_denied"),
+        ServerError::OrderRefused(_) => (422, "Unprocessable Entity", "order_refused"),
         ServerError::ReadOnly => (503, "Service Unavailable", "read_only"),
         ServerError::Store(_) => (503, "Service Unavailable", "store_error"),
         ServerError::Engine(_) => (404, "Not Found", "engine_error"),

@@ -3,6 +3,7 @@
 
 use cadel_api::{subscribe, ApiClient, ApiConfig, ApiServer, RateLimitConfig};
 use cadel_fleet::{Fleet, FleetConfig};
+use cadel_server::{Privilege, Scope};
 use cadel_sim::{tenant_name, unit_tenant_builder};
 use cadel_types::json::Json;
 use cadel_types::{RuleId, SimDuration, SimTime};
@@ -277,6 +278,41 @@ fn rule_lifecycle_over_the_wire() {
     drop(server);
 }
 
+/// The air conditioner's `with` partners named in a 409 body.
+fn conflict_partners(doc: &Json) -> Vec<i64> {
+    doc.get("conflicts")
+        .and_then(Json::as_arr)
+        .expect("a 409 lists its conflicts")
+        .iter()
+        .map(|c| {
+            assert!(
+                c.get("detail").and_then(Json::as_str).is_some(),
+                "each conflict carries its detail: {c:?}"
+            );
+            c.get("with").and_then(Json::as_int).expect("with")
+        })
+        .collect()
+}
+
+/// Turning the air conditioner off above 28 °C contests both of the
+/// unit's air-conditioner rules: cooling (1, on above 26 °C) and drying
+/// (2, on above 70 % humidity).
+const COOL_OFF: &str =
+    "If the temperature is higher than 28 degrees, turn off the air conditioner.";
+
+fn cool_off(priority: Option<Json>) -> Json {
+    let mut members = vec![
+        ("user", Json::str("resident")),
+        ("sentence", Json::str(COOL_OFF)),
+    ];
+    members.extend(priority.map(|p| ("priority", p)));
+    Json::obj(members)
+}
+
+fn ranking(entries: Vec<Json>) -> Json {
+    Json::obj(vec![("ranking", Json::Arr(entries))])
+}
+
 #[test]
 fn a_conflicting_rule_is_refused_without_parking_it() {
     let server = ApiServer::bind(
@@ -289,38 +325,158 @@ fn a_conflicting_rule_is_refused_without_parking_it() {
     let mut post = |path: &str, body: Json| {
         let path = format!("/tenants/unit-0000/rules{path}");
         let response = client.post(&path, &body).expect("post");
-        let doc = response.json().expect("json body");
-        (response.status, doc.get("ticket").and_then(Json::as_int))
+        (response.status, response.json().expect("json body"))
     };
-    let parked = |ticket: i64| {
+    let rules = || {
         server.with_fleet(|fleet| {
             let home = fleet.server_of("unit-0000").expect("tenant is live");
-            home.pending_conflicts(RuleId::new(ticket as u64)).is_some()
+            home.engine().rules().len()
         })
-    };
-    let sentence = "If the temperature is higher than 28 degrees, turn off the air conditioner.";
-    let cool_off = || {
-        Json::obj(vec![
-            ("user", Json::str("resident")),
-            ("sentence", Json::str(sentence)),
-        ])
     };
     let enabled = |on| Json::obj(vec![("enabled", Json::Bool(on))]);
 
-    // Turning the air conditioner off above 28 °C contests the unit's
-    // cooling rule (on above 26 °C): 409, and the refused rule is not
-    // left parked.
-    let (status, ticket) = post("", cool_off());
+    // 409 names both partners, and the refused rule is not kept.
+    let (status, doc) = post("", cool_off(None));
     assert_eq!(status, 409);
-    assert!(!parked(ticket.expect("ticket")));
+    assert_eq!(conflict_partners(&doc), vec![1, 2]);
+    assert!(doc.get("ticket").is_none());
+    assert_eq!(rules(), 3);
     // With both air-conditioner rules disabled the same rule registers;
     // re-enabling the cooling rule then conflicts with it, and that 409
-    // parks nothing either.
+    // leaves the cooling rule disabled.
     assert_eq!(post("/1/enabled", enabled(false)).0, 200);
     assert_eq!(post("/2/enabled", enabled(false)).0, 200);
-    assert_eq!(post("", cool_off()).0, 201);
-    assert_eq!(post("/1/enabled", enabled(true)), (409, Some(1)));
-    assert!(!parked(1));
+    let (status, doc) = post("", cool_off(None));
+    assert_eq!(status, 201);
+    let added = doc.get("rule").and_then(Json::as_int).expect("rule id");
+    let (status, doc) = post("/1/enabled", enabled(true));
+    assert_eq!(status, 409);
+    assert_eq!(conflict_partners(&doc), vec![added]);
+    assert_eq!(rules(), 4);
+    let cooling_enabled = server.with_fleet(|fleet| {
+        let home = fleet.server_of("unit-0000").expect("tenant is live");
+        home.engine()
+            .rules()
+            .get(RuleId::new(1))
+            .map(|r| r.is_enabled())
+    });
+    assert_eq!(cooling_enabled, Some(false));
+}
+
+#[test]
+fn a_priority_arbitrates_the_submission_over_the_wire() {
+    let server = ApiServer::bind(
+        "127.0.0.1:0",
+        unit_fleet("arbitrate", 1, FleetConfig::default()),
+        fast_config(),
+    )
+    .expect("bind");
+    let mut client = ApiClient::connect(server.addr()).expect("connect");
+    let mut post = |body: Json| {
+        let response = client
+            .post("/tenants/unit-0000/rules", &body)
+            .expect("post");
+        (response.status, response.json().expect("json body"))
+    };
+    let snapshot = || {
+        server.with_fleet(|fleet| {
+            let home = fleet.server_of("unit-0000").expect("tenant is live");
+            home.snapshot_json().to_compact()
+        })
+    };
+    let new = || Json::str("new");
+    let id = |n| Json::Int(n);
+
+    // A priority on a word definition is a typed 400 (malformed
+    // priorities are covered in `hostile_parse.rs`).
+    let before = snapshot();
+    let definition = Json::obj(vec![
+        ("user", Json::str("resident")),
+        (
+            "sentence",
+            Json::str(
+                "Let's call the condition that temperature is higher than 28 degrees sweltering",
+            ),
+        ),
+        ("priority", ranking(vec![new()])),
+    ]);
+    let (status, doc) = post(definition);
+    assert_eq!(status, 400);
+    assert_eq!(
+        doc.get("error").and_then(Json::as_str),
+        Some("priority_on_definition")
+    );
+    // An order that does not rank the submitted rule is refused: 422.
+    let (status, doc) = post(cool_off(Some(ranking(vec![id(1), id(2)]))));
+    assert_eq!(status, 422);
+    assert_eq!(
+        doc.get("error").and_then(Json::as_str),
+        Some("order_refused")
+    );
+    assert_eq!(snapshot_rules(&snapshot()), snapshot_rules(&before));
+
+    // No order on the device yet: a ranking that misses partner 2 is a
+    // 409 naming it, and nothing is stored.
+    let (status, doc) = post(cool_off(Some(ranking(vec![new(), id(1)]))));
+    assert_eq!(status, 409);
+    assert_eq!(conflict_partners(&doc), vec![2]);
+    assert_eq!(snapshot_rules(&snapshot()), snapshot_rules(&before));
+
+    // Ranking both partners installs the rule with its order.
+    let (status, doc) = post(cool_off(Some(ranking(vec![new(), id(1), id(2)]))));
+    assert_eq!(status, 201, "{doc:?}");
+    let added = doc.get("rule").and_then(Json::as_int).expect("rule id");
+    let orders = server.with_fleet(|fleet| {
+        let home = fleet.server_of("unit-0000").expect("tenant is live");
+        home.engine().priorities().orders().to_vec()
+    });
+    assert_eq!(orders.len(), 1);
+    let expected: Vec<RuleId> = [added, 1, 2]
+        .iter()
+        .map(|n| RuleId::new(*n as u64))
+        .collect();
+    assert_eq!(orders[0].ranking(), expected.as_slice());
+    // One partner, one more order: turning the lamp off above 28 °C
+    // contests only the heat-warning rule (3, on after 3 min above 25 °C).
+    let lamp_off = Json::obj(vec![
+        ("user", Json::str("resident")),
+        (
+            "sentence",
+            Json::str("If the temperature is higher than 28 degrees, turn off the lamp."),
+        ),
+        ("priority", ranking(vec![new(), id(3)])),
+    ]);
+    let (status, doc) = post(lamp_off);
+    assert_eq!(status, 201, "{doc:?}");
+    let orders = server.with_fleet(|fleet| {
+        let home = fleet.server_of("unit-0000").expect("tenant is live");
+        home.engine().priorities().orders().to_vec()
+    });
+    assert_eq!(orders.len(), 2);
+    assert_eq!(orders[1].device().as_str(), "lamp-0");
+
+    // A user without the Arbitrate privilege is refused: 403.
+    server.with_fleet(|fleet| {
+        let home = fleet.server_mut_of("unit-0000").expect("tenant is live");
+        let resident = cadel_types::PersonId::new("resident");
+        let access = home.access_mut();
+        access.grant(&resident, Scope::AllDevices, Privilege::Observe);
+        access.grant(&resident, Scope::AllDevices, Privilege::Control);
+        access.set_enforcing(true);
+    });
+    let (status, doc) = post(cool_off(Some(ranking(vec![
+        new(),
+        id(added),
+        id(1),
+        id(2),
+    ]))));
+    assert_eq!(status, 403, "{doc:?}");
+}
+
+/// The `rules` member of a snapshot document.
+fn snapshot_rules(snapshot: &str) -> Json {
+    let doc = cadel_types::json::parse(snapshot).expect("snapshot is JSON");
+    doc.get("rules").cloned().expect("snapshot lists rules")
 }
 
 #[test]

@@ -2,11 +2,10 @@
 
 use cadel_rule::RuleError;
 use cadel_simplex::SolveError;
-use cadel_types::RuleId;
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised while checking rules or managing priorities.
+/// Errors raised while checking rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConflictError {
@@ -14,14 +13,6 @@ pub enum ConflictError {
     Rule(RuleError),
     /// The satisfiability solver failed (overflow, pivot limit).
     Solve(SolveError),
-    /// Registering a pairwise preference would create a cycle, so no
-    /// consistent priority order exists.
-    PriorityCycle {
-        /// A rule on the cycle.
-        a: RuleId,
-        /// The other endpoint of the closing edge.
-        b: RuleId,
-    },
 }
 
 impl fmt::Display for ConflictError {
@@ -29,9 +20,6 @@ impl fmt::Display for ConflictError {
         match self {
             ConflictError::Rule(e) => write!(f, "rule error: {e}"),
             ConflictError::Solve(e) => write!(f, "solver error: {e}"),
-            ConflictError::PriorityCycle { a, b } => {
-                write!(f, "priority preference {a} over {b} would create a cycle")
-            }
         }
     }
 }
@@ -41,7 +29,6 @@ impl Error for ConflictError {
         match self {
             ConflictError::Rule(e) => Some(e),
             ConflictError::Solve(e) => Some(e),
-            ConflictError::PriorityCycle { .. } => None,
         }
     }
 }
@@ -72,11 +59,5 @@ mod tests {
     fn sources_chain() {
         let e = ConflictError::from(SolveError::Overflow);
         assert!(e.source().is_some());
-        let e = ConflictError::PriorityCycle {
-            a: RuleId::new(1),
-            b: RuleId::new(2),
-        };
-        assert!(e.source().is_none());
-        assert!(e.to_string().contains("cycle"));
     }
 }

@@ -14,12 +14,13 @@
 //!    same-device rules through the [`RuleDb`](cadel_rule::RuleDb) index
 //!    and solves the concatenated constraint systems — exactly the
 //!    procedure timed in experiment E2.
-//! 3. **Priority management** ([`PriorityStore`], [`PriorityGraph`]): when
-//!    a conflict is confirmed, users rank the conflicting rules; rankings
-//!    may be *context-scoped* ("Alan outranks Tom **when Alan got home from
-//!    work**; Tom outranks Alan **when today is Tom's birthday**" — §3.2).
-//!    The engine consults the store at runtime to arbitrate simultaneous
-//!    firings.
+//! 3. **Priority management** ([`PriorityStore`]): when a conflict is
+//!    confirmed, users rank the conflicting rules; rankings may be
+//!    *context-scoped* ("Alan outranks Tom **when Alan got home from
+//!    work**; Tom outranks Alan **when today is Tom's birthday**" — §3.2),
+//!    with at most one order per device and context. A conflict is
+//!    settled when [`PriorityStore::covers`] the pair, and the engine
+//!    consults the store at runtime to arbitrate simultaneous firings.
 //! 4. **The conflict graph** ([`ConflictGraph`]): the production path
 //!    for 1 and 2. [`ConflictGraph::analyze`] lowers a submitted rule
 //!    once and answers both checks from the same solves. Rules become
@@ -51,4 +52,4 @@ pub use discrete::discrete_compatible;
 pub use env::{EnvDirection, EnvTable};
 pub use error::ConflictError;
 pub use graph::{Advisory, ConflictClass, ConflictGraph, GraphReport};
-pub use priority::{PriorityGraph, PriorityOrder, PriorityStore, Resolution};
+pub use priority::{PriorityOrder, PriorityStore, Resolution};

@@ -7,19 +7,13 @@
 //! and at the same time Tom has a higher priority in the context that
 //! today is Tom's birthday" (§3.2).
 //!
-//! Two representations are provided:
-//!
-//! * [`PriorityStore`] — the paper's simplified interface: per-device
-//!   *total orders* (ranked lists), each optionally guarded by a context
-//!   condition. Context-scoped orders are consulted before default ones.
-//! * [`PriorityGraph`] — the general *partial order* of footnote 1:
-//!   pairwise preferences with cycle rejection and topological
-//!   linearization.
+//! [`PriorityStore`] keeps the paper's simplified interface: per-device
+//! *total orders* (ranked lists), each optionally guarded by a context
+//! condition, at most one per device and context. Context-scoped orders
+//! are consulted before default ones.
 
-use crate::error::ConflictError;
 use cadel_rule::Condition;
 use cadel_types::{DeviceId, RuleId};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A ranked list of rules for one device, optionally scoped to a context.
@@ -123,9 +117,10 @@ impl Resolution {
 
 /// The set of registered priority orders.
 ///
-/// Resolution consults context-scoped orders (in registration sequence)
-/// before default orders, so a specific agreement ("while Alan just got
-/// home") overrides the household default.
+/// An order's *key* is its device plus its context: the store keeps at
+/// most one order per key. Resolution consults context-scoped orders (in
+/// registration sequence) before default orders, so a specific agreement
+/// ("while Alan just got home") overrides the household default.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PriorityStore {
     orders: Vec<PriorityOrder>,
@@ -137,27 +132,22 @@ impl PriorityStore {
         PriorityStore::default()
     }
 
-    /// Registers an order; returns its index, stable for the store's
-    /// lifetime (orders are never removed).
+    /// Registers an order and returns its index. An order with the same
+    /// device and an equal context is replaced in place, keeping its
+    /// index; otherwise the order is appended. Indices are stable for the
+    /// store's lifetime (orders are never removed).
     pub fn add_order(&mut self, order: PriorityOrder) -> usize {
-        self.orders.push(order);
-        self.orders.len() - 1
-    }
-
-    /// Registers the linearization of a pairwise preference graph as an
-    /// order for `device` — the bridge from the paper's footnote-1 partial
-    /// orders to the total orders the runtime consumes.
-    pub fn add_order_from_graph(
-        &mut self,
-        device: DeviceId,
-        graph: &PriorityGraph,
-        context: Option<Condition>,
-    ) -> usize {
-        let mut order = PriorityOrder::new(device, graph.linearize());
-        if let Some(context) = context {
-            order = order.in_context(context);
+        let same_key = |o: &PriorityOrder| o.device == order.device && o.context == order.context;
+        match self.orders.iter().position(same_key) {
+            Some(index) => {
+                self.orders[index] = order;
+                index
+            }
+            None => {
+                self.orders.push(order);
+                self.orders.len() - 1
+            }
         }
-        self.add_order(order)
     }
 
     /// All orders, registration sequence.
@@ -165,12 +155,16 @@ impl PriorityStore {
         &self.orders
     }
 
-    /// The orders that arbitrate `device`.
-    pub fn orders_for_device(&self, device: &DeviceId) -> Vec<&PriorityOrder> {
+    /// Whether the pair `(a, b)` on `device` is *covered*: some order on
+    /// the device ranks both. With one order per key, that order is the
+    /// one [`resolve`](PriorityStore::resolve) consults for `{a, b}`
+    /// whenever its context is the only one that holds (for an unscoped
+    /// order, when no context holds). Outside a scoped order's context
+    /// the pair falls back to the runtime's tie rule.
+    pub fn covers(&self, device: &DeviceId, a: RuleId, b: RuleId) -> bool {
         self.orders
             .iter()
-            .filter(|o| o.device() == device)
-            .collect()
+            .any(|o| o.device() == device && o.rank_of(a).is_some() && o.rank_of(b).is_some())
     }
 
     /// Arbitrates among candidate rules that fired simultaneously on
@@ -217,94 +211,6 @@ impl PriorityStore {
             }
         }
         Resolution::Unresolved(candidates.to_vec())
-    }
-}
-
-/// A partial order of pairwise preferences with cycle rejection
-/// (footnote 1 of the paper: "in general, the partial order should be
-/// defined among those conflicting rules").
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PriorityGraph {
-    /// `edges[a]` contains `b` when `a` outranks `b`.
-    edges: BTreeMap<RuleId, BTreeSet<RuleId>>,
-}
-
-impl PriorityGraph {
-    /// Creates an empty graph.
-    pub fn new() -> PriorityGraph {
-        PriorityGraph::default()
-    }
-
-    /// Records that `winner` outranks `loser`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConflictError::PriorityCycle`] when the preference would
-    /// make the order cyclic (the graph is left unchanged).
-    pub fn add_preference(&mut self, winner: RuleId, loser: RuleId) -> Result<(), ConflictError> {
-        if winner == loser || self.outranks(loser, winner) {
-            return Err(ConflictError::PriorityCycle {
-                a: winner,
-                b: loser,
-            });
-        }
-        self.edges.entry(winner).or_default().insert(loser);
-        Ok(())
-    }
-
-    /// Whether `a` (transitively) outranks `b`.
-    pub fn outranks(&self, a: RuleId, b: RuleId) -> bool {
-        let mut stack = vec![a];
-        let mut seen = BTreeSet::new();
-        while let Some(current) = stack.pop() {
-            if !seen.insert(current) {
-                continue;
-            }
-            if let Some(next) = self.edges.get(&current) {
-                if next.contains(&b) {
-                    return true;
-                }
-                stack.extend(next.iter().copied());
-            }
-        }
-        false
-    }
-
-    /// A total order consistent with the preferences (highest first).
-    /// Rules never mentioned do not appear.
-    pub fn linearize(&self) -> Vec<RuleId> {
-        // Kahn's algorithm over the recorded nodes.
-        let mut nodes: BTreeSet<RuleId> = self.edges.keys().copied().collect();
-        for targets in self.edges.values() {
-            nodes.extend(targets.iter().copied());
-        }
-        let mut indegree: BTreeMap<RuleId, usize> = nodes.iter().map(|n| (*n, 0)).collect();
-        for targets in self.edges.values() {
-            for t in targets {
-                *indegree.get_mut(t).expect("target is a node") += 1;
-            }
-        }
-        let mut ready: BTreeSet<RuleId> = indegree
-            .iter()
-            .filter(|(_, d)| **d == 0)
-            .map(|(n, _)| *n)
-            .collect();
-        let mut out = Vec::with_capacity(nodes.len());
-        while let Some(&node) = ready.iter().next() {
-            ready.remove(&node);
-            out.push(node);
-            if let Some(targets) = self.edges.get(&node) {
-                for t in targets {
-                    let d = indegree.get_mut(t).expect("target is a node");
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.insert(*t);
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(out.len(), nodes.len(), "graph is acyclic by construction");
-        out
     }
 }
 
@@ -417,55 +323,47 @@ mod tests {
     }
 
     #[test]
-    fn graph_rejects_cycles() {
-        let mut g = PriorityGraph::new();
-        g.add_preference(id(1), id(2)).unwrap();
-        g.add_preference(id(2), id(3)).unwrap();
-        // 3 > 1 would close a cycle.
-        let err = g.add_preference(id(3), id(1)).unwrap_err();
-        assert!(matches!(err, ConflictError::PriorityCycle { .. }));
-        // Self-preference is rejected too.
-        assert!(g.add_preference(id(5), id(5)).is_err());
-        // Graph unchanged: 1 still outranks 3 transitively.
-        assert!(g.outranks(id(1), id(3)));
-        assert!(!g.outranks(id(3), id(1)));
-    }
-
-    #[test]
-    fn graph_linearizes_consistently() {
-        let mut g = PriorityGraph::new();
-        g.add_preference(id(3), id(2)).unwrap();
-        g.add_preference(id(2), id(1)).unwrap();
-        g.add_preference(id(3), id(1)).unwrap();
-        let order = g.linearize();
-        assert_eq!(order, vec![id(3), id(2), id(1)]);
-    }
-
-    #[test]
-    fn graph_linearization_respects_all_edges() {
-        let mut g = PriorityGraph::new();
-        g.add_preference(id(10), id(1)).unwrap();
-        g.add_preference(id(20), id(1)).unwrap();
-        g.add_preference(id(10), id(20)).unwrap();
-        let order = g.linearize();
-        let pos = |r: RuleId| order.iter().position(|x| *x == r).unwrap();
-        assert!(pos(id(10)) < pos(id(20)));
-        assert!(pos(id(20)) < pos(id(1)));
-    }
-
-    #[test]
-    fn graph_feeds_the_store() {
-        // Pairwise household preferences linearize into a usable order.
-        let mut g = PriorityGraph::new();
-        g.add_preference(id(3), id(1)).unwrap();
-        g.add_preference(id(3), id(2)).unwrap();
-        g.add_preference(id(2), id(1)).unwrap();
+    fn an_order_with_the_same_key_replaces_in_place() {
         let mut store = PriorityStore::new();
-        store.add_order_from_graph(tv(), &g, Some(ctx("weekend")));
-        let r = store.resolve(&tv(), &[id(1), id(2), id(3)], |_| true);
-        assert_eq!(r.winner(), Some(id(3)));
-        // Context off: the scoped order does not apply.
-        let r = store.resolve(&tv(), &[id(1), id(2), id(3)], |_| false);
-        assert!(matches!(r, Resolution::Unresolved(_)));
+        let weekend = |ranking| PriorityOrder::new(tv(), ranking).in_context(ctx("weekend"));
+        assert_eq!(
+            store.add_order(PriorityOrder::new(tv(), vec![id(3), id(1)])),
+            0
+        );
+        assert_eq!(store.add_order(weekend(vec![id(1)])), 1);
+        // Same device and no context: replaces order 0 in place.
+        let default = PriorityOrder::new(tv(), vec![id(2), id(1), id(3)]);
+        assert_eq!(store.add_order(default), 0);
+        // Same device and an equal context: replaces order 1.
+        assert_eq!(store.add_order(weekend(vec![id(1), id(2)])), 1);
+        // Another context, or another device, appends.
+        let birthday = PriorityOrder::new(tv(), vec![id(2)]).in_context(ctx("birthday"));
+        assert_eq!(store.add_order(birthday), 2);
+        let stereo = PriorityOrder::new(DeviceId::new("stereo"), vec![id(2)]);
+        assert_eq!(store.add_order(stereo), 3);
+        assert_eq!(store.orders().len(), 4);
+        assert_eq!(store.orders()[0].ranking(), &[id(2), id(1), id(3)]);
+        // The replacing order decides every pair it ranks.
+        let winner = |candidates: &[RuleId]| store.resolve(&tv(), candidates, |_| false).winner();
+        assert_eq!(winner(&[id(1), id(2)]), Some(id(2)));
+        assert_eq!(winner(&[id(1), id(3)]), Some(id(1)));
+    }
+
+    #[test]
+    fn covers_needs_one_order_that_ranks_both() {
+        let mut store = PriorityStore::new();
+        store.add_order(PriorityOrder::new(tv(), vec![id(1), id(2)]));
+        store.add_order(PriorityOrder::new(tv(), vec![id(3)]).in_context(ctx("weekend")));
+        store.add_order(PriorityOrder::new(tv(), vec![id(2), id(4)]).in_context(ctx("birthday")));
+        assert!(store.covers(&tv(), id(1), id(2)));
+        assert!(store.covers(&tv(), id(2), id(1)));
+        // A context-scoped order covers the pairs it ranks.
+        assert!(store.covers(&tv(), id(4), id(2)));
+        // Ranked only by different orders, or not at all: not covered.
+        assert!(!store.covers(&tv(), id(1), id(4)));
+        assert!(!store.covers(&tv(), id(1), id(3)));
+        assert!(!store.covers(&tv(), id(1), id(5)));
+        // An order covers pairs on its own device only.
+        assert!(!store.covers(&DeviceId::new("stereo"), id(1), id(2)));
     }
 }

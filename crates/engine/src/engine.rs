@@ -7,12 +7,11 @@
 //! ascending `RuleId` order, and per-device arbitration and dispatch. See
 //! `docs/CONCURRENCY.md`.
 
-use self::shard::{EvalContext, EvalVerdict};
 use crate::context::{
     ContextStore, FreshnessPolicy, ARRIVAL_VARIABLE, OCCUPANTS_VARIABLE, ON_AIR_VARIABLE,
 };
 use crate::error::EngineError;
-use crate::eval::{HeldOverlay, HeldTracker};
+use crate::eval::{evaluate, EvalContext, EvalVerdict, HeldOverlay, HeldTracker};
 use crate::index::TriggerIndex;
 use crate::resilience::{ActuationError, Resilience, ResilienceConfig, RetryKind};
 use cadel_conflict::{PriorityOrder, PriorityStore, Resolution};
@@ -29,11 +28,6 @@ use std::fmt;
 /// visibility.
 #[path = "persist.rs"]
 pub mod persist;
-
-/// The read-only evaluation phase. A child of this module for the same
-/// reason: it borrows the engine's private runtime state.
-#[path = "shard.rs"]
-mod shard;
 
 /// Engine steps executed.
 static STEPS: LazyCounter = LazyCounter::new("engine_steps_total");
@@ -180,8 +174,9 @@ impl fmt::Display for StepReport {
     }
 }
 
-struct ActiveHolder {
-    rule: RuleId,
+/// The rule currently holding a device.
+pub(crate) struct ActiveHolder {
+    pub(crate) rule: RuleId,
 }
 
 /// The rule execution engine.
@@ -327,10 +322,13 @@ impl Engine {
         &self.priorities
     }
 
-    /// Registers a priority order. Its context guard is lowered once,
-    /// against the rule database's interner, so arbitration evaluates
-    /// compiled code; names only the guard mentions are interned here and
-    /// reach the context's slot boards at the next step's ingest.
+    /// Registers a priority order, replacing the order with the same
+    /// device and context if there is one (see
+    /// [`PriorityStore::add_order`]), and returns its index. Its context
+    /// guard is lowered once, against the rule database's interner, so
+    /// arbitration evaluates compiled code; names only the guard mentions
+    /// are interned here and reach the context's slot boards at the next
+    /// step's ingest.
     pub fn add_priority(&mut self, order: PriorityOrder) -> usize {
         let guard = match order.context() {
             Some(context) => {
@@ -343,8 +341,13 @@ impl Engine {
             }
             None => (Vec::new(), CondCode::new()),
         };
-        self.priority_guards.push(guard);
-        self.priorities.add_order(order)
+        let index = self.priorities.add_order(order);
+        if index == self.priority_guards.len() {
+            self.priority_guards.push(guard);
+        } else {
+            self.priority_guards[index] = guard;
+        }
+        index
     }
 
     /// The context store.
@@ -482,7 +485,7 @@ impl Engine {
             held: &self.held,
             holders: &self.holders,
         };
-        let verdicts = shard::evaluate(&ec, &candidates);
+        let verdicts = evaluate(&ec, &candidates);
         self.candidate_buf = candidates;
         PHASE_EVALUATE_NS.record(&phase);
 
@@ -1494,6 +1497,48 @@ mod tests {
             .iter()
             .any(|f| f.rule == RuleId::new(2)
                 && f.outcome == FiringOutcome::Replaced(RuleId::new(1))));
+    }
+
+    /// An order that replaces another with the same key keeps its index,
+    /// and so does its compiled guard: a later scoped order still reads
+    /// its own guard, not the replaced one's.
+    #[test]
+    fn replaced_order_keeps_every_guard_index_aligned() {
+        let (mut engine, home) = setup();
+        engine.add_rule(hot_rule("tom", 1, 26, 25)).unwrap();
+        engine.add_rule(hot_rule("alan", 2, 25, 24)).unwrap();
+        let aircon = DeviceId::new("aircon-lr");
+        let humidity = |op, n| {
+            Condition::Atom(Atom::Constraint(ConstraintAtom::new(
+                SensorKey::new(DeviceId::new("hygro-lr"), "humidity"),
+                op,
+                Quantity::from_integer(n, Unit::Percent),
+            )))
+        };
+        let order = |first: u64, second: u64, context| {
+            let ranking = vec![RuleId::new(first), RuleId::new(second)];
+            PriorityOrder::new(aircon.clone(), ranking).in_context(context)
+        };
+        assert_eq!(engine.add_priority(order(2, 1, humidity(RelOp::Gt, 70))), 0);
+        assert_eq!(engine.add_priority(order(1, 2, humidity(RelOp::Gt, 70))), 0);
+        assert_eq!(engine.add_priority(order(2, 1, humidity(RelOp::Lt, 40))), 1);
+        assert_eq!(engine.priorities().orders().len(), 2);
+
+        // Humid: the replacing order hands Tom the aircon.
+        home.hygrometer
+            .set_reading(Rational::from_integer(80), mins(1))
+            .unwrap();
+        home.thermometer
+            .set_reading(Rational::from_integer(28), mins(1))
+            .unwrap();
+        engine.step(mins(1));
+        assert_eq!(engine.holder(&aircon), Some(RuleId::new(1)));
+        // Dry: the second order's own guard holds and Alan takes over.
+        home.hygrometer
+            .set_reading(Rational::from_integer(30), mins(2))
+            .unwrap();
+        engine.step(mins(2));
+        assert_eq!(engine.holder(&aircon), Some(RuleId::new(2)));
     }
 
     #[test]

@@ -103,9 +103,9 @@ pub struct Interner {
     by_channel: HashMap<String, Vec<EventSlot>>,
     places: HashMap<PlaceId, PlaceSlot>,
     place_keys: Vec<PlaceId>,
-    /// Normalized channel name → slot.
+    /// Normalized channel name → slot; slots are dense, so its length
+    /// is the channel count.
     channels: HashMap<String, ChannelSlot>,
-    channel_keys: Vec<String>,
     /// Channel slot of each event slot, parallel to `event_keys`.
     event_channels: Vec<ChannelSlot>,
     revision: u64,
@@ -251,11 +251,10 @@ impl Interner {
         if let Some(slot) = self.channels.get(channel) {
             return *slot;
         }
-        let slot = ChannelSlot::new(self.channel_keys.len() as u32);
+        let slot = ChannelSlot::new(self.channels.len() as u32);
         self.channels.insert(channel.to_owned(), slot);
-        self.channel_keys.push(channel.to_owned());
         self.revision += 1;
-        CHANNEL_SLOTS.set(self.channel_keys.len() as i64);
+        CHANNEL_SLOTS.set(self.channels.len() as i64);
         slot
     }
 
@@ -265,14 +264,9 @@ impl Interner {
         self.channels.get(channel).copied()
     }
 
-    /// The normalized name behind a channel slot.
-    pub fn channel_key(&self, slot: ChannelSlot) -> Option<&str> {
-        self.channel_keys.get(slot.index()).map(String::as_str)
-    }
-
     /// Number of interned channel slots.
     pub fn channel_count(&self) -> usize {
-        self.channel_keys.len()
+        self.channels.len()
     }
 }
 
@@ -343,7 +337,6 @@ mod tests {
         let chan = i.lookup_channel_normalized("home").expect("interned");
         assert_eq!(i.event_channel_of(ding), Some(chan));
         assert_eq!(i.channel_slot("HOME"), chan);
-        assert_eq!(i.channel_key(chan), Some("home"));
         assert_eq!(i.channel_count(), 1);
         assert_eq!(i.lookup_channel_normalized("tv-guide"), None);
     }

@@ -5,7 +5,7 @@ use cadel_conflict::ConflictError;
 use cadel_engine::EngineError;
 use cadel_lang::LangError;
 use cadel_rule::RuleError;
-use cadel_types::{PersonId, RuleId};
+use cadel_types::PersonId;
 use cadel_upnp::UpnpError;
 use std::error::Error;
 use std::fmt;
@@ -28,8 +28,11 @@ pub enum ServerError {
     UnknownUser(PersonId),
     /// A user with this id already exists.
     DuplicateUser(PersonId),
-    /// No pending registration with this ticket exists.
-    UnknownPending(RuleId),
+    /// A priority order was refused and nothing was stored: it is on
+    /// another device than the arbitrated rule, leaves that rule out,
+    /// repeats an id, or would replace the order with the same device
+    /// and context while leaving out a live rule that order ranked.
+    OrderRefused(String),
     /// The access-control policy denied the operation.
     AccessDenied(AccessDenied),
     /// The durable store failed (WAL append/recovery/snapshot I/O, or a
@@ -53,9 +56,7 @@ impl fmt::Display for ServerError {
             ServerError::Upnp(e) => write!(f, "device error: {e}"),
             ServerError::UnknownUser(p) => write!(f, "unknown user {p}"),
             ServerError::DuplicateUser(p) => write!(f, "user {p} already exists"),
-            ServerError::UnknownPending(id) => {
-                write!(f, "no pending registration for {id}")
-            }
+            ServerError::OrderRefused(reason) => write!(f, "priority order refused: {reason}"),
             ServerError::AccessDenied(d) => write!(f, "access denied: {d}"),
             ServerError::Store(message) => write!(f, "store error: {message}"),
             ServerError::ReadOnly => {

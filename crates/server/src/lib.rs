@@ -7,8 +7,9 @@
 //! This crate assembles the framework's modules into that server:
 //!
 //! * [`HomeServer`] — the rule registration workflow (parse → compile →
-//!   consistency check → conflict check → priority prompt → store), rule
-//!   import/export, and the engine step loop.
+//!   consistency check → conflict check → store, or refuse with the
+//!   conflicts for [`HomeServer::arbitrate`] to settle with a priority
+//!   order), rule import/export, and the engine step loop.
 //! * [`GuidanceService`] — the retrieval/lookup service behind the rule
 //!   description GUI of Figs 4–6 (devices by keyword/action/name/type/
 //!   location; sensors by category, location, or user-defined word; the
@@ -38,7 +39,9 @@ pub mod server;
 pub mod users;
 
 pub use access::{AccessControl, AccessDenied, Privilege, Scope};
-pub use cadel_conflict::{Advisory, ConflictClass, ConflictError, EnvTable, GraphReport};
+pub use cadel_conflict::{
+    Advisory, ConflictClass, ConflictError, EnvTable, GraphReport, PriorityOrder,
+};
 pub use error::ServerError;
 pub use guidance::{DeviceQuery, GuidanceService, SensorMatch};
 pub use resolver::RegistryResolver;

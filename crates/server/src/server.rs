@@ -9,11 +9,12 @@
 //!
 //! [`HomeServer::submit`] runs that pipeline for a CADEL sentence:
 //! parse → compile (against the live registry) → consistency check →
-//! conflict check → either register, reject, or park the rule pending a
-//! priority decision ([`SubmitOutcome::ConflictDetected`]), which the
-//! caller settles with [`HomeServer::confirm_with_priority`] /
-//! [`HomeServer::confirm_pending`] / [`HomeServer::cancel_pending`] — the
-//! programmatic form of the Fig. 7 dialog.
+//! conflict check → either register, reject, or refuse the rule with the
+//! conflicts no priority order covers
+//! ([`SubmitOutcome::ConflictDetected`]). The refused rule goes back to
+//! the caller and nothing is kept: the Fig. 7 dialog is one more call,
+//! [`HomeServer::arbitrate`], with a priority order that ranks the rule,
+//! and that call re-runs the check against the live base.
 
 use crate::access::{AccessControl, Privilege};
 use crate::error::ServerError;
@@ -23,17 +24,18 @@ use crate::resolver::RegistryResolver;
 use crate::users::UserRegistry;
 use cadel_conflict::{
     Advisory, Conflict, ConflictError, ConflictGraph, ConsistencyReport, PriorityOrder,
+    PriorityStore,
 };
 use cadel_engine::{Engine, FreshnessPolicy, ResilienceStatus, StepReport};
-use cadel_lang::ast::Command;
-use cadel_lang::{parse_command, Compiler, Lexicon};
+use cadel_lang::ast::{Command, RuleSentence};
+use cadel_lang::{parse_command, Compiler, Dictionary, Lexicon};
 use cadel_obs::{Event, LazyCounter, LazyHistogram, Level, MetricsSnapshot, Stopwatch};
-use cadel_rule::{Condition, Rule};
+use cadel_rule::Rule;
 use cadel_store::{RecoveryReport, Store, StoreError};
 use cadel_types::json::Json;
 use cadel_types::{PersonId, RuleId, SimTime, Topology};
 use cadel_upnp::ControlPoint;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Sentences submitted through [`HomeServer::submit`].
@@ -46,10 +48,11 @@ static SUBMIT_NS: LazyHistogram = LazyHistogram::new("server_submit_duration_ns"
 static RULES_REGISTERED: LazyCounter = LazyCounter::new("server_rules_registered_total");
 /// Rules rejected because their condition can never hold.
 static RULES_INCONSISTENT: LazyCounter = LazyCounter::new("server_rules_inconsistent_total");
-/// Rules parked pending a priority decision after a detected conflict.
+/// Rules (new, customized or arbitrated) refused because of a conflict
+/// that no priority order covers.
 static RULES_CONFLICTED: LazyCounter = LazyCounter::new("server_rules_conflicted_total");
 /// Rule customizations / enable-toggles that completed (including those
-/// settled through the arbitration dialog).
+/// settled through [`HomeServer::arbitrate`]).
 static RULES_CUSTOMIZED: LazyCounter = LazyCounter::new("server_rules_customized_total");
 /// Non-blocking advisories (chains, loops, shadowing, redundancy,
 /// environmental) surfaced during registration or customization.
@@ -71,17 +74,18 @@ pub enum SubmitOutcome {
         /// The consistency report to show the user.
         report: ConsistencyReport,
     },
-    /// The rule conflicts with existing rules; it is parked until the
-    /// user answers the priority prompt.
+    /// The rule conflicts with live rules that no priority order covers;
+    /// nothing was stored. The caller holds the refused rule and may
+    /// answer the priority prompt with [`HomeServer::arbitrate`].
     ConflictDetected {
-        /// Ticket for the pending rule (its allocated id).
-        ticket: RuleId,
-        /// The detected conflicts, with witnesses.
+        /// The refused rule, under the id it would have had.
+        rule: Box<Rule>,
+        /// The uncovered conflicts, with witnesses.
         conflicts: Vec<Conflict>,
     },
     /// An existing rule was customized (or re-enabled) in place —
-    /// conflict-free, or with every conflict already covered by a
-    /// priority order.
+    /// conflict-free, or with every conflict covered by a priority
+    /// order.
     Customized {
         /// The customized rule's id.
         id: RuleId,
@@ -98,9 +102,17 @@ pub enum SubmitOutcome {
     },
 }
 
-struct PendingRule {
-    rule: Rule,
-    conflicts: Vec<Conflict>,
+/// How a rule that passes the checks of [`HomeServer::decide`] is logged
+/// and installed.
+enum Commit {
+    /// A new rule: logged `rule_registered` and inserted.
+    Register,
+    /// A live rule's new definition: logged `rule_customized` and
+    /// replaced in place.
+    Customize,
+    /// A new or live rule with its priority order: logged as one
+    /// `rule_arbitrated` record, the order installed and the rule upserted.
+    Arbitrate(PriorityOrder),
 }
 
 /// The outcome of a bulk rule import (paper §4.3(iv)).
@@ -118,7 +130,6 @@ pub struct HomeServer {
     topology: Topology,
     users: UserRegistry,
     lexicon: Lexicon,
-    pending: HashMap<RuleId, PendingRule>,
     access: AccessControl,
     graph: ConflictGraph,
     /// The durable store, when the server was opened with one
@@ -154,7 +165,6 @@ impl HomeServer {
             topology,
             users: UserRegistry::new(),
             lexicon: Lexicon::english(),
-            pending: HashMap::new(),
             access,
             graph: ConflictGraph::default(),
             store: None,
@@ -640,20 +650,22 @@ impl HomeServer {
     /// Returns [`ServerError::Engine`] for unknown rules and
     /// [`ServerError::Store`] when logging fails (the rule then stays).
     pub fn remove_rule(&mut self, id: RuleId) -> Result<(), ServerError> {
-        if self.engine.rules().get(id).is_none() {
-            return Err(ServerError::Engine(cadel_engine::EngineError::Rule(
-                cadel_rule::RuleError::UnknownRule(id),
-            )));
-        }
+        self.live_rule(id)?;
         self.log_record(&persist::rule_removed(id))?;
         self.engine.remove_rule(id)?;
         self.graph.remove(id);
         Ok(())
     }
 
+    /// The live rule with this id.
+    fn live_rule(&self, id: RuleId) -> Result<&Rule, ServerError> {
+        let unknown = || ServerError::Engine(cadel_rule::RuleError::UnknownRule(id).into());
+        self.engine.rules().get(id).ok_or_else(unknown)
+    }
+
     /// Inserts a rule, or replaces the live definition when the id is
-    /// already registered — the arbitration confirm path serves both
-    /// fresh submissions and customizes of live rules.
+    /// already registered — arbitration serves both fresh submissions
+    /// and customizes of live rules.
     fn install_rule(&mut self, rule: Rule) -> Result<(), ServerError> {
         if self.engine.rules().get(rule.id()).is_some() {
             self.engine.update_rule(rule)?;
@@ -661,17 +673,6 @@ impl HomeServer {
             self.engine.add_rule(rule)?;
         }
         Ok(())
-    }
-
-    /// Whether an existing priority order already arbitrates this pair
-    /// on this device — such conflicts were settled once through the
-    /// Fig. 7 dialog and must not re-park the rule on every re-enable.
-    fn priority_covers(&self, device: &cadel_types::DeviceId, conflict: &Conflict) -> bool {
-        self.engine.priorities().orders().iter().any(|order| {
-            order.device() == device
-                && order.rank_of(conflict.rule_a()).is_some()
-                && order.rank_of(conflict.rule_b()).is_some()
-        })
     }
 
     /// Counts and emits the rejection of a rule whose condition can never
@@ -707,68 +708,24 @@ impl HomeServer {
     }
 
     /// Customizes a registered rule in place (same id, new definition),
-    /// durably — re-running the conflict workflow first. A disable (or a
-    /// change to an already-disabled rule) applies directly: it cannot
-    /// introduce a conflict. An enabled replacement is consistency- and
-    /// conflict-checked like a fresh submission; conflicts already
-    /// settled by a priority order pass through, while *new* conflicts
-    /// park the replacement as pending ([`SubmitOutcome::ConflictDetected`],
-    /// the old definition stays live) for the same
-    /// [`HomeServer::confirm_with_priority`] /
-    /// [`HomeServer::cancel_pending`] dialog as `submit`.
+    /// durably — through the same checks as a registration. A disable
+    /// (or a change to an already-disabled rule) applies directly: it
+    /// cannot introduce a conflict. An enabled replacement is checked for
+    /// consistency and conflicts; conflicts a priority order already
+    /// covers pass through, while any other conflict refuses the
+    /// replacement ([`SubmitOutcome::ConflictDetected`]) and the old
+    /// definition stays live. The caller may then
+    /// [`arbitrate`](HomeServer::arbitrate) the refused definition.
     ///
     /// # Errors
     ///
     /// Returns [`ServerError::Engine`] for unknown rules,
-    /// [`ServerError::Conflict`] on solver failures, and
+    /// [`ServerError::AccessDenied`] when the owner may not register the
+    /// new definition, [`ServerError::Conflict`] on solver failures, and
     /// [`ServerError::Store`] when logging fails (no change applied).
     pub fn customize_rule(&mut self, rule: Rule) -> Result<SubmitOutcome, ServerError> {
-        let id = rule.id();
-        if self.engine.rules().get(id).is_none() {
-            return Err(ServerError::Engine(cadel_engine::EngineError::Rule(
-                cadel_rule::RuleError::UnknownRule(id),
-            )));
-        }
-        if rule.is_enabled() {
-            // The graph skips the probe's own id, so a customize is
-            // checked against every *other* rule only.
-            let graph_report = self.graph.analyze(self.engine.rules(), &rule)?;
-            if !graph_report.consistency.is_satisfiable() {
-                return Ok(Self::reject_inconsistent(&rule, graph_report.consistency));
-            }
-            self.note_advisories(id, &graph_report.advisories);
-            let device = rule.action().device().clone();
-            let conflicts: Vec<Conflict> = graph_report
-                .conflicts
-                .into_iter()
-                .filter(|c| !self.priority_covers(&device, c))
-                .collect();
-            if !conflicts.is_empty() {
-                RULES_CONFLICTED.inc();
-                if cadel_obs::enabled() {
-                    cadel_obs::emit(
-                        Event::new("server.rule_conflict_detected", Level::Warn)
-                            .with_field("rule", id.raw())
-                            .with_field("owner", rule.owner().as_str())
-                            .with_field("conflicts", conflicts.len() as u64)
-                            .with_field("customize", true),
-                    );
-                }
-                let ticket = id;
-                self.pending.insert(ticket, PendingRule { rule, conflicts });
-                let conflicts = self.pending[&ticket].conflicts.clone();
-                return Ok(SubmitOutcome::ConflictDetected { ticket, conflicts });
-            }
-        }
-        self.log_record(&persist::rule_customized(&rule))?;
-        self.engine.update_rule(rule)?;
-        RULES_CUSTOMIZED.inc();
-        if cadel_obs::enabled() {
-            cadel_obs::emit(
-                Event::new("server.rule_customized", Level::Info).with_field("rule", id.raw()),
-            );
-        }
-        Ok(SubmitOutcome::Customized { id })
+        self.live_rule(rule.id())?;
+        self.decide(rule, Commit::Customize)
     }
 
     /// Enables or disables a registered rule, durably (a customization
@@ -784,15 +741,7 @@ impl HomeServer {
         id: RuleId,
         enabled: bool,
     ) -> Result<SubmitOutcome, ServerError> {
-        let rule = self
-            .engine
-            .rules()
-            .get(id)
-            .ok_or(ServerError::Engine(cadel_engine::EngineError::Rule(
-                cadel_rule::RuleError::UnknownRule(id),
-            )))?
-            .clone()
-            .with_enabled(enabled);
+        let rule = self.live_rule(id)?.clone().with_enabled(enabled);
         self.customize_rule(rule)
     }
 
@@ -809,13 +758,16 @@ impl HomeServer {
     }
 
     /// Adds a priority order outside the conflict dialog (e.g. a
-    /// household pre-arrangement), durably.
+    /// household pre-arrangement), durably. An order with the same device
+    /// and context is replaced.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Store`] when logging fails (no change
-    /// applied).
+    /// Returns [`ServerError::OrderRefused`] when the order would replace
+    /// one that ranks a live rule it leaves out, and
+    /// [`ServerError::Store`] when logging fails (no change applied).
     pub fn add_priority(&mut self, order: PriorityOrder) -> Result<usize, ServerError> {
+        self.with_order(&order)?;
         self.log_record(&persist::priority_added(&order))?;
         Ok(self.engine.add_priority(order))
     }
@@ -858,15 +810,12 @@ impl HomeServer {
         user: &PersonId,
         sentence: &str,
     ) -> Result<SubmitOutcome, ServerError> {
-        let dictionary = self.users.effective_dictionary(user)?;
-        let command = parse_command(sentence, &self.lexicon, &dictionary)
-            .map_err(cadel_lang::LangError::from)?;
-
-        let registry = self.engine.control().registry().clone();
+        let (dictionary, command) = self.parse(user, sentence)?;
         match command {
             Command::CondDef(def) => {
                 // Validate the definition resolves before storing it.
                 {
+                    let registry = self.engine.control().registry().clone();
                     let resolver = RegistryResolver::new(&registry, &self.topology, &self.users);
                     let compiler = Compiler::new(&resolver, &dictionary, user.clone());
                     compiler
@@ -890,18 +839,61 @@ impl HomeServer {
                 self.word_log.push((user.clone(), sentence.to_owned()));
                 Ok(SubmitOutcome::ConfigurationWordDefined { word: def.word })
             }
-            Command::Rule(sentence_ast) => {
-                let builder = {
-                    let resolver = RegistryResolver::new(&registry, &self.topology, &self.users);
-                    let compiler = Compiler::new(&resolver, &dictionary, user.clone());
-                    compiler
-                        .compile_rule(&sentence_ast)
-                        .map_err(cadel_lang::LangError::from)?
-                };
-                let id = self.engine.rules_mut().allocate_id();
-                let rule = builder.label(sentence).build(id)?;
+            Command::Rule(ast) => {
+                let rule = self.build_rule(user, &dictionary, &ast, sentence)?;
                 self.register_rule(rule)
             }
+        }
+    }
+
+    /// Parses a sentence against the user's effective dictionary.
+    fn parse(&self, user: &PersonId, sentence: &str) -> Result<(Dictionary, Command), ServerError> {
+        let dictionary = self.users.effective_dictionary(user)?;
+        let command = parse_command(sentence, &self.lexicon, &dictionary)
+            .map_err(cadel_lang::LangError::from)?;
+        Ok((dictionary, command))
+    }
+
+    /// Compiles a parsed rule sentence against the live registry under a
+    /// freshly allocated id, labelled with its sentence.
+    fn build_rule(
+        &mut self,
+        user: &PersonId,
+        dictionary: &Dictionary,
+        ast: &RuleSentence,
+        sentence: &str,
+    ) -> Result<Rule, ServerError> {
+        let builder = {
+            let registry = self.engine.control().registry().clone();
+            let resolver = RegistryResolver::new(&registry, &self.topology, &self.users);
+            let compiler = Compiler::new(&resolver, dictionary, user.clone());
+            compiler
+                .compile_rule(ast)
+                .map_err(cadel_lang::LangError::from)?
+        };
+        let id = self.engine.rules_mut().allocate_id();
+        Ok(builder.label(sentence).build(id)?)
+    }
+
+    /// Parses and compiles a rule sentence without registering it, so the
+    /// caller can [`arbitrate`](HomeServer::arbitrate) it with an order
+    /// that ranks the new rule's id. A word-definition sentence yields
+    /// `None` and defines nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServerError`] on parse/compile failures and unknown
+    /// users.
+    pub fn compile_rule(
+        &mut self,
+        user: &PersonId,
+        sentence: &str,
+    ) -> Result<Option<Rule>, ServerError> {
+        match self.parse(user, sentence)? {
+            (dictionary, Command::Rule(ast)) => {
+                self.build_rule(user, &dictionary, &ast, sentence).map(Some)
+            }
+            _ => Ok(None),
         }
     }
 
@@ -911,173 +903,166 @@ impl HomeServer {
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Conflict`] on solver failures.
+    /// Returns [`ServerError::AccessDenied`] when the owner may not
+    /// register the rule and [`ServerError::Conflict`] on solver
+    /// failures.
     pub fn register_rule(&mut self, rule: Rule) -> Result<SubmitOutcome, ServerError> {
-        self.access.check_rule(&rule)?;
-        // One analysis lowers the rule once and answers both §4.4
-        // questions: whether its condition can hold at all, and which
-        // rules it conflicts with. The graph prunes candidate pairs by
-        // footprint, so registering the N-th rule solves only the
-        // genuinely overlapping pairs. Device-class conflicts gate
-        // registration; the advisory classes (chains, loops, shadowing,
-        // environmental) warn without blocking.
-        let graph_report = self.graph.analyze(self.engine.rules(), &rule)?;
-        let report = graph_report.consistency;
-        if !report.is_satisfiable() {
-            return Ok(Self::reject_inconsistent(&rule, report));
-        }
-        self.note_advisories(rule.id(), &graph_report.advisories);
-        let conflicts = graph_report.conflicts;
-        if conflicts.is_empty() {
-            let id = rule.id();
-            let owner = rule.owner().clone();
-            self.log_record(&persist::rule_registered(&rule))?;
-            self.engine.add_rule(rule)?;
-            RULES_REGISTERED.inc();
-            if cadel_obs::enabled() {
-                cadel_obs::emit(
-                    Event::new("server.rule_registered", Level::Info)
-                        .with_field("rule", id.raw())
-                        .with_field("owner", owner.as_str()),
-                );
-            }
-            return Ok(SubmitOutcome::Registered {
-                id,
-                dead_conjuncts: report.dead_conjuncts().to_vec(),
-            });
-        }
-        RULES_CONFLICTED.inc();
-        if cadel_obs::enabled() {
-            cadel_obs::emit(
-                Event::new("server.rule_conflict_detected", Level::Warn)
-                    .with_field("rule", rule.id().raw())
-                    .with_field("owner", rule.owner().as_str())
-                    .with_field("conflicts", conflicts.len() as u64),
-            );
-        }
-        let ticket = rule.id();
-        self.pending.insert(ticket, PendingRule { rule, conflicts });
-        let conflicts = self.pending[&ticket].conflicts.clone();
-        Ok(SubmitOutcome::ConflictDetected { ticket, conflicts })
+        self.decide(rule, Commit::Register)
     }
 
-    /// The conflicts of a pending registration.
-    pub fn pending_conflicts(&self, ticket: RuleId) -> Option<&[Conflict]> {
-        self.pending.get(&ticket).map(|p| p.conflicts.as_slice())
-    }
-
-    /// Registers a pending rule together with a priority order over the
-    /// conflicting rules (highest first), optionally scoped to a context —
-    /// the "OK" path of the Fig. 7 dialog.
+    /// Installs a rule with a priority order over the rules it conflicts
+    /// with — the Fig. 7 dialog's "OK", as one stateless call. The rule is
+    /// new (refused by [`submit`](HomeServer::submit)) or a live rule's
+    /// new definition (refused by
+    /// [`customize_rule`](HomeServer::customize_rule)); the order, which
+    /// may be scoped to a context, replaces the one with the same device
+    /// and context. The check re-runs against the live base: rule and
+    /// order commit as one `rule_arbitrated` record only when the store
+    /// with the order installed [`covers`](PriorityStore::covers) every
+    /// device conflict; otherwise the uncovered conflicts come back as
+    /// [`SubmitOutcome::ConflictDetected`] and nothing is stored.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::UnknownPending`] for unknown tickets.
-    pub fn confirm_with_priority(
-        &mut self,
-        ticket: RuleId,
-        ranking: Vec<RuleId>,
-        context: Option<Condition>,
-        label: Option<String>,
-    ) -> Result<RuleId, ServerError> {
-        let pending = self
-            .pending
-            .remove(&ticket)
-            .ok_or(ServerError::UnknownPending(ticket))?;
-        let device = pending.rule.action().device().clone();
-        let mut order = PriorityOrder::new(device, ranking);
-        if let Some(context) = context {
-            order = order.in_context(context);
-        }
-        if let Some(label) = label {
-            order = order.with_label(label);
-        }
-        let owner = pending.rule.owner().clone();
-        // One record for the whole arbitration: the rule and its priority
-        // order commit (and replay) atomically.
-        self.log_record(&persist::rule_arbitrated(&pending.rule, &order))?;
-        self.engine.add_priority(order);
-        // Upsert: the pending rule may be a customize of a live rule.
-        self.install_rule(pending.rule)?;
-        RULES_REGISTERED.inc();
-        if cadel_obs::enabled() {
-            cadel_obs::emit(
-                Event::new("server.rule_registered", Level::Info)
-                    .with_field("rule", ticket.raw())
-                    .with_field("owner", owner.as_str())
-                    .with_field("arbitrated", true),
-            );
-        }
-        Ok(ticket)
-    }
-
-    /// Like [`HomeServer::confirm_with_priority`], but on behalf of a
-    /// specific user whose [`Privilege::Arbitrate`] right over the device
-    /// is checked first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServerError::AccessDenied`] when the user may not
-    /// arbitrate the device, and [`ServerError::UnknownPending`] for
-    /// unknown tickets.
-    pub fn confirm_with_priority_as(
+    /// Returns [`ServerError::AccessDenied`] when `user` may not arbitrate
+    /// the device, [`ServerError::OrderRefused`] for an order on another
+    /// device, one that leaves the rule out or repeats an id, or one that
+    /// would drop a live rule the replaced order ranked, and the errors
+    /// of [`register_rule`](HomeServer::register_rule).
+    pub fn arbitrate(
         &mut self,
         user: &PersonId,
-        ticket: RuleId,
-        ranking: Vec<RuleId>,
-        context: Option<Condition>,
-        label: Option<String>,
-    ) -> Result<RuleId, ServerError> {
-        let device = self
-            .pending
-            .get(&ticket)
-            .ok_or(ServerError::UnknownPending(ticket))?
-            .rule
-            .action()
-            .device()
-            .clone();
-        self.access.check(user, &device, Privilege::Arbitrate)?;
-        self.confirm_with_priority(ticket, ranking, context, label)
+        rule: Rule,
+        order: PriorityOrder,
+    ) -> Result<SubmitOutcome, ServerError> {
+        let (id, device) = (rule.id(), rule.action().device());
+        self.access.check(user, device, Privilege::Arbitrate)?;
+        let on = order.device();
+        let refused = |reason: String| Err(ServerError::OrderRefused(reason));
+        if on != device {
+            return refused(format!("the order is on {on}, but {id} acts on {device}"));
+        }
+        if order.rank_of(id).is_none() {
+            return refused(format!("the order on {on} does not rank {id}"));
+        }
+        let mut seen = BTreeSet::new();
+        if let Some(twice) = order.ranking().iter().find(|r| !seen.insert(**r)) {
+            return refused(format!("the order on {on} ranks {twice} twice"));
+        }
+        self.decide(rule, Commit::Arbitrate(order))
     }
 
-    /// Registers a pending rule keeping the existing priority orders (the
-    /// user accepted the current arrangement).
+    /// The priority store as it would be with `order` installed.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::UnknownPending`] for unknown tickets.
-    pub fn confirm_pending(&mut self, ticket: RuleId) -> Result<RuleId, ServerError> {
-        let pending = self
-            .pending
-            .remove(&ticket)
-            .ok_or(ServerError::UnknownPending(ticket))?;
-        let owner = pending.rule.owner().clone();
-        self.log_record(&persist::rule_registered(&pending.rule))?;
-        // Upsert: the pending rule may be a customize of a live rule.
-        self.install_rule(pending.rule)?;
-        RULES_REGISTERED.inc();
+    /// Returns [`ServerError::OrderRefused`] when `order` would replace an
+    /// order with the same key that ranks a live rule `order` leaves out:
+    /// a covered pair must not become uncovered silently.
+    fn with_order(&self, order: &PriorityOrder) -> Result<PriorityStore, ServerError> {
+        let current = self.engine.priorities();
+        let mut after = current.clone();
+        let index = after.add_order(order.clone());
+        if let Some(replaced) = current.orders().get(index) {
+            let kept: BTreeSet<RuleId> = order.ranking().iter().copied().collect();
+            let live = |id: &&RuleId| self.engine.rules().get(**id).is_some();
+            let dropped = replaced
+                .ranking()
+                .iter()
+                .filter(live)
+                .find(|id| !kept.contains(id));
+            if let Some(dropped) = dropped {
+                return Err(ServerError::OrderRefused(format!(
+                    "the order would replace '{replaced}' and drop the live {dropped}"
+                )));
+            }
+        }
+        Ok(after)
+    }
+
+    /// The one decision path of registration, customize, re-enable and
+    /// arbitration: the owner's access check, then — unless the rule is a
+    /// live rule being disabled — one analysis. An inconsistent rule is
+    /// rejected, and a rule with a device conflict that the priority store
+    /// (with the arbitrated order installed) does not cover is refused;
+    /// neither stores nor logs anything. Otherwise the rule commits.
+    fn decide(&mut self, rule: Rule, commit: Commit) -> Result<SubmitOutcome, ServerError> {
+        self.access.check_rule(&rule)?;
+        let arbitrated = match &commit {
+            Commit::Arbitrate(order) => Some(self.with_order(order)?),
+            Commit::Register | Commit::Customize => None,
+        };
+        let id = rule.id();
+        let live = self.engine.rules().get(id).is_some();
+        let mut dead_conjuncts = Vec::new();
+        if rule.is_enabled() || !live {
+            // One analysis answers both §4.4 questions: can the condition
+            // hold, and which *other* rules (the graph skips the probe's
+            // id) does it conflict with. Only device-class conflicts gate;
+            // the advisory classes warn without blocking.
+            let report = self.graph.analyze(self.engine.rules(), &rule)?;
+            if !report.consistency.is_satisfiable() {
+                return Ok(Self::reject_inconsistent(&rule, report.consistency));
+            }
+            self.note_advisories(id, &report.advisories);
+            let priorities = arbitrated.as_ref().unwrap_or(self.engine.priorities());
+            let device = rule.action().device();
+            let mut conflicts = report.conflicts;
+            conflicts.retain(|c| !priorities.covers(device, c.rule_a(), c.rule_b()));
+            if !conflicts.is_empty() {
+                RULES_CONFLICTED.inc();
+                if cadel_obs::enabled() {
+                    cadel_obs::emit(
+                        Event::new("server.rule_conflict_detected", Level::Warn)
+                            .with_field("rule", id.raw())
+                            .with_field("owner", rule.owner().as_str())
+                            .with_field("conflicts", conflicts.len() as u64)
+                            .with_field("customize", live),
+                    );
+                }
+                return Ok(SubmitOutcome::ConflictDetected {
+                    rule: Box::new(rule),
+                    conflicts,
+                });
+            }
+            dead_conjuncts = report.consistency.dead_conjuncts().to_vec();
+        }
+        let owner = rule.owner().clone();
+        let arbitrated = arbitrated.is_some();
+        match commit {
+            Commit::Register => {
+                self.log_record(&persist::rule_registered(&rule))?;
+                self.engine.add_rule(rule)?;
+            }
+            Commit::Customize => {
+                self.log_record(&persist::rule_customized(&rule))?;
+                self.engine.update_rule(rule)?;
+            }
+            Commit::Arbitrate(order) => {
+                // One record for the whole arbitration: the rule and its
+                // priority order commit (and replay) atomically.
+                self.log_record(&persist::rule_arbitrated(&rule, &order))?;
+                self.engine.add_priority(order);
+                self.install_rule(rule)?;
+            }
+        }
+        let (outcome, name) = if live {
+            RULES_CUSTOMIZED.inc();
+            (SubmitOutcome::Customized { id }, "server.rule_customized")
+        } else {
+            RULES_REGISTERED.inc();
+            let outcome = SubmitOutcome::Registered { id, dead_conjuncts };
+            (outcome, "server.rule_registered")
+        };
         if cadel_obs::enabled() {
             cadel_obs::emit(
-                Event::new("server.rule_registered", Level::Info)
-                    .with_field("rule", ticket.raw())
+                Event::new(name, Level::Info)
+                    .with_field("rule", id.raw())
                     .with_field("owner", owner.as_str())
-                    .with_field("arbitrated", true),
+                    .with_field("arbitrated", arbitrated),
             );
         }
-        Ok(ticket)
-    }
-
-    /// Abandons a pending registration (the user chose to modify the rule
-    /// instead).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServerError::UnknownPending`] for unknown tickets.
-    pub fn cancel_pending(&mut self, ticket: RuleId) -> Result<(), ServerError> {
-        self.pending
-            .remove(&ticket)
-            .map(|_| ())
-            .ok_or(ServerError::UnknownPending(ticket))
+        Ok(outcome)
     }
 
     /// Exports every registered rule as JSON (paper §4.3(iv)).
@@ -1131,8 +1116,7 @@ impl HomeServer {
                         .skipped
                         .push((label, "condition can never hold".to_owned()));
                 }
-                SubmitOutcome::ConflictDetected { ticket, conflicts } => {
-                    self.cancel_pending(ticket)?;
+                SubmitOutcome::ConflictDetected { conflicts, .. } => {
                     report.skipped.push((
                         label,
                         format!("conflicts with {} existing rule(s)", conflicts.len()),
@@ -1149,6 +1133,7 @@ impl HomeServer {
 mod tests {
     use super::*;
     use cadel_devices::LivingRoomHome;
+    use cadel_rule::Condition;
     use cadel_types::{Rational, Value};
     use cadel_upnp::{Registry, VirtualDevice};
 
@@ -1273,7 +1258,8 @@ mod tests {
             SubmitOutcome::Registered { id, .. } => id,
             other => panic!("unexpected {other:?}"),
         };
-        // Alan's overlapping rule with a different setpoint conflicts.
+        // Alan's overlapping rule with a different setpoint conflicts: it
+        // comes back refused, and nothing is stored.
         let alan_outcome = server
             .submit(
                 &alan,
@@ -1281,14 +1267,12 @@ mod tests {
                  with 24 degrees of temperature setting.",
             )
             .unwrap();
-        let (ticket, conflicts) = match alan_outcome {
-            SubmitOutcome::ConflictDetected { ticket, conflicts } => (ticket, conflicts),
-            other => panic!("expected conflict, got {other:?}"),
+        let SubmitOutcome::ConflictDetected { rule, conflicts } = alan_outcome else {
+            panic!("expected conflict, got {alan_outcome:?}");
         };
         assert_eq!(conflicts.len(), 1);
+        assert_eq!(conflicts[0].rule_a(), rule.id());
         assert_eq!(conflicts[0].rule_b(), tom_id);
-        assert!(server.pending_conflicts(ticket).is_some());
-        // Not yet registered.
         assert_eq!(server.engine().rules().len(), 1);
 
         // The household decides: Alan outranks Tom when he got home from
@@ -1297,50 +1281,153 @@ mod tests {
             "person:alan",
             "got home from work",
         )));
-        server
-            .confirm_with_priority(
-                ticket,
-                vec![ticket, tom_id],
-                Some(ctx),
-                Some("Alan got home from work".to_owned()),
-            )
-            .unwrap();
+        let alan_id = rule.id();
+        let order = PriorityOrder::new(rule.action().device().clone(), vec![alan_id, tom_id])
+            .in_context(ctx)
+            .with_label("Alan got home from work");
+        let outcome = server.arbitrate(&alan, *rule, order).unwrap();
+        assert!(
+            matches!(outcome, SubmitOutcome::Registered { id, .. } if id == alan_id),
+            "{outcome:?}"
+        );
         assert_eq!(server.engine().rules().len(), 2);
         assert_eq!(server.engine().priorities().orders().len(), 1);
-        assert!(server.pending_conflicts(ticket).is_none());
+    }
+
+    /// Three rules on one air conditioner, "if temperature > N, set it to
+    /// S": A = (25 → 27), B = (20 → 22), C = (22 → 30). Every pair
+    /// conflicts.
+    fn trio() -> (Rule, Rule, Rule) {
+        (
+            aircon_rule(1, "tom", 25, 27, true),
+            aircon_rule(2, "alan", 20, 22, true),
+            aircon_rule(3, "emily", 22, 30, true),
+        )
+    }
+
+    /// An unscoped order on the trio's air conditioner, highest first.
+    fn aircon_order(ranking: &[&Rule]) -> PriorityOrder {
+        let ranking = ranking.iter().map(|r| r.id()).collect();
+        PriorityOrder::new(cadel_types::DeviceId::new("aircon-x"), ranking)
+    }
+
+    fn registered(outcome: SubmitOutcome) {
+        assert!(
+            matches!(outcome, SubmitOutcome::Registered { .. }),
+            "expected a registration, got {outcome:?}"
+        );
     }
 
     #[test]
-    fn pending_can_be_cancelled_or_confirmed_plain() {
+    fn a_ranking_chosen_before_a_later_arbitration_is_rechecked() {
         let (mut server, _home) = setup();
-        let tom = PersonId::new("tom");
+        let (a, b, c) = trio();
         let alan = PersonId::new("alan");
-        server
-            .submit(&tom, "If temperature is higher than 26 degrees, turn on the air conditioner with 25 degrees of temperature setting.")
-            .unwrap();
-        let submit = |server: &mut HomeServer| {
-            server
-                .submit(&alan, "If temperature is higher than 25 degrees, turn on the air conditioner with 24 degrees of temperature setting.")
-                .unwrap()
+        registered(server.register_rule(a.clone()).unwrap());
+        // B conflicts with A and is refused; nothing is stored.
+        let before = server.snapshot_json();
+        let outcome = server.register_rule(b.clone()).unwrap();
+        let SubmitOutcome::ConflictDetected { conflicts, .. } = outcome else {
+            panic!("expected B to conflict, got {outcome:?}");
         };
-        // Cancel path.
-        if let SubmitOutcome::ConflictDetected { ticket, .. } = submit(&mut server) {
-            server.cancel_pending(ticket).unwrap();
-            assert_eq!(server.engine().rules().len(), 1);
-            assert!(matches!(
-                server.cancel_pending(ticket),
-                Err(ServerError::UnknownPending(_))
-            ));
-        } else {
-            panic!("expected conflict");
+        assert_eq!(conflicts[0].rule_b(), a.id());
+        assert_eq!(server.snapshot_json(), before);
+        // C conflicts only with A, and is arbitrated with [C, A].
+        let order = aircon_order(&[&c, &a]);
+        registered(server.arbitrate(&alan, c.clone(), order).unwrap());
+
+        // B's user answers with the [B, A] chosen before C existed. It
+        // would replace [C, A] and drop C, leaving B and C unranked.
+        let before = server.snapshot_json();
+        let order = aircon_order(&[&b, &a]);
+        let err = server.arbitrate(&alan, b, order).unwrap_err();
+        assert!(
+            matches!(&err, ServerError::OrderRefused(reason) if reason.contains(&c.id().to_string())),
+            "{err}"
+        );
+        assert_eq!(server.snapshot_json(), before);
+        assert_eq!(server.engine().rules().len(), 2);
+    }
+
+    #[test]
+    fn a_second_order_on_a_device_replaces_the_first_and_decides() {
+        let (mut server, _home) = setup();
+        let (a, b, c) = trio();
+        let alan = PersonId::new("alan");
+        registered(server.register_rule(a.clone()).unwrap());
+        let order = aircon_order(&[&c, &a]);
+        registered(server.arbitrate(&alan, c.clone(), order).unwrap());
+        // The user ranks B above both: the order replaces [C, A].
+        let order = aircon_order(&[&b, &c, &a]);
+        registered(server.arbitrate(&alan, b.clone(), order.clone()).unwrap());
+        let priorities = server.engine().priorities();
+        assert_eq!(priorities.orders(), &[order]);
+        let aircon = cadel_types::DeviceId::new("aircon-x");
+        let winner = |rules: &[&Rule]| {
+            let ids: Vec<RuleId> = rules.iter().map(|r| r.id()).collect();
+            priorities.resolve(&aircon, &ids, |_| false).winner()
+        };
+        assert_eq!(winner(&[&a, &b]), Some(b.id()));
+        assert_eq!(winner(&[&b, &c]), Some(b.id()));
+        assert_eq!(winner(&[&a, &c]), Some(c.id()));
+    }
+
+    #[test]
+    fn a_ranking_that_leaves_out_a_partner_is_refused() {
+        let (mut server, _home) = setup();
+        let (a, b, _) = trio();
+        registered(server.register_rule(a.clone()).unwrap());
+        let before = server.snapshot_json();
+        let order = aircon_order(&[&b]);
+        let outcome = server.arbitrate(&PersonId::new("alan"), b, order).unwrap();
+        let SubmitOutcome::ConflictDetected { conflicts, .. } = outcome else {
+            panic!("expected the partial ranking to be refused, got {outcome:?}");
+        };
+        assert_eq!(conflicts.len(), 1);
+        assert_eq!(conflicts[0].rule_b(), a.id());
+        assert_eq!(server.snapshot_json(), before);
+        assert_eq!(server.engine().rules().len(), 1);
+    }
+
+    #[test]
+    fn arbitrate_refuses_malformed_orders() {
+        let (mut server, _home) = setup();
+        let (a, b, _) = trio();
+        let alan = PersonId::new("alan");
+        registered(server.register_rule(a.clone()).unwrap());
+        let before = server.snapshot_json();
+        let elsewhere =
+            PriorityOrder::new(cadel_types::DeviceId::new("tv-lr"), vec![b.id(), a.id()]);
+        for order in [elsewhere, aircon_order(&[&a]), aircon_order(&[&b, &a, &b])] {
+            let err = server.arbitrate(&alan, b.clone(), order).unwrap_err();
+            assert!(matches!(err, ServerError::OrderRefused(_)), "{err}");
+            assert_eq!(server.snapshot_json(), before);
         }
-        // Confirm-keeping-existing-order path.
-        if let SubmitOutcome::ConflictDetected { ticket, .. } = submit(&mut server) {
-            server.confirm_pending(ticket).unwrap();
-            assert_eq!(server.engine().rules().len(), 2);
-        } else {
-            panic!("expected conflict");
-        }
+    }
+
+    #[test]
+    fn add_priority_keeps_every_live_rule_the_replaced_order_ranked() {
+        let (mut server, _home) = setup();
+        let (a, b, _) = trio();
+        registered(server.register_rule(a.clone()).unwrap());
+        let order = aircon_order(&[&b, &a]);
+        registered(
+            server
+                .arbitrate(&PersonId::new("alan"), b.clone(), order)
+                .unwrap(),
+        );
+        // Replacing [B, A] with [A] would uncover the live pair silently.
+        let err = server.add_priority(aircon_order(&[&a])).unwrap_err();
+        assert!(
+            matches!(&err, ServerError::OrderRefused(reason) if reason.contains(&b.id().to_string())),
+            "{err}"
+        );
+        // A reordering that keeps both replaces the order in place.
+        assert_eq!(server.add_priority(aircon_order(&[&a, &b])).unwrap(), 0);
+        assert_eq!(server.engine().priorities().orders().len(), 1);
+        // Once B is removed, an order may leave it out.
+        server.remove_rule(b.id()).unwrap();
+        assert_eq!(server.add_priority(aircon_order(&[&a])).unwrap(), 0);
     }
 
     #[test]
@@ -1555,18 +1642,13 @@ mod tests {
                      conditioner with 24 degrees of temperature setting.",
                 )
                 .unwrap();
-            let SubmitOutcome::ConflictDetected { ticket, conflicts } = outcome else {
+            let SubmitOutcome::ConflictDetected { rule, conflicts } = outcome else {
                 panic!("expected conflict");
             };
             let loser = conflicts[0].rule_b();
-            server
-                .confirm_with_priority(
-                    ticket,
-                    vec![ticket, loser],
-                    None,
-                    Some("Alan first".to_owned()),
-                )
-                .unwrap();
+            let order = PriorityOrder::new(rule.action().device().clone(), vec![rule.id(), loser])
+                .with_label("Alan first");
+            server.arbitrate(&alan, *rule, order).unwrap();
             server
                 .set_freshness_policy(FreshnessPolicy::new(
                     cadel_engine::FreshnessMode::FailClosed,
@@ -1734,20 +1816,23 @@ mod tests {
         // Re-enabling Tom's rule must re-report the conflict, not
         // silently re-arm the pair (the old bypass).
         let outcome = server.set_rule_enabled(tom_id, true).unwrap();
-        let SubmitOutcome::ConflictDetected { ticket, conflicts } = outcome else {
+        let SubmitOutcome::ConflictDetected { rule, conflicts } = outcome else {
             panic!("expected the re-enable to re-report the conflict, got {outcome:?}");
         };
-        assert_eq!(ticket, tom_id);
+        assert_eq!(rule.id(), tom_id);
+        assert!(rule.is_enabled());
         assert_eq!(conflicts.len(), 1);
         assert_eq!(conflicts[0].rule_b(), alan_id);
-        // The old (disabled) definition stays live until arbitration.
+        // The old (disabled) definition stays live.
         assert!(!server.engine().rules().get(tom_id).unwrap().is_enabled());
 
-        // Settling the priority applies the re-enable in place (upsert,
-        // not a duplicate registration).
-        server
-            .confirm_with_priority(ticket, vec![alan_id, tom_id], None, None)
+        // Arbitrating the refused definition applies the re-enable in
+        // place (upsert, not a duplicate registration).
+        let order = PriorityOrder::new(rule.action().device().clone(), vec![alan_id, tom_id]);
+        let outcome = server
+            .arbitrate(&PersonId::new("tom"), *rule, order)
             .unwrap();
+        assert!(matches!(outcome, SubmitOutcome::Customized { id } if id == tom_id));
         assert_eq!(server.engine().rules().len(), 2);
         assert!(server.engine().rules().get(tom_id).unwrap().is_enabled());
         assert_eq!(server.engine().priorities().orders().len(), 1);
@@ -1763,12 +1848,15 @@ mod tests {
         let outcome = server
             .register_rule(aircon_rule(912, "alan", 25, 24, true))
             .unwrap();
-        let SubmitOutcome::ConflictDetected { ticket, .. } = outcome else {
+        let SubmitOutcome::ConflictDetected { rule, .. } = outcome else {
             panic!("expected conflict");
         };
-        server
-            .confirm_with_priority(ticket, vec![ticket, tom_id], None, None)
-            .unwrap();
+        let order = PriorityOrder::new(rule.action().device().clone(), vec![rule.id(), tom_id]);
+        registered(
+            server
+                .arbitrate(&PersonId::new("alan"), *rule, order)
+                .unwrap(),
+        );
 
         // The pair is arbitrated: toggling either rule must pass straight
         // through, the settled priority order covers the conflict.
@@ -1784,7 +1872,7 @@ mod tests {
     }
 
     #[test]
-    fn customize_into_conflict_parks_the_replacement() {
+    fn customize_into_conflict_is_refused_until_arbitrated() {
         let (mut server, _home) = setup();
         server
             .register_rule(aircon_rule(921, "tom", 26, 25, true))
@@ -1798,26 +1886,28 @@ mod tests {
         let alan_id = RuleId::new(922);
 
         // Customizing it to a different setpoint creates a conflict: the
-        // replacement parks, the old definition stays live.
+        // replacement is refused, the old definition stays live.
         let outcome = server
             .customize_rule(aircon_rule(922, "alan", 25, 22, true))
             .unwrap();
-        let SubmitOutcome::ConflictDetected { ticket, conflicts } = outcome else {
+        let SubmitOutcome::ConflictDetected { rule, conflicts } = outcome else {
             panic!("expected the customize to conflict, got {outcome:?}");
         };
-        assert_eq!(ticket, alan_id);
+        assert_eq!(rule.id(), alan_id);
         assert_eq!(conflicts[0].rule_b(), tom_id);
         let live = server.engine().rules().get(alan_id).unwrap();
         assert_eq!(
             live.action(),
             aircon_rule(922, "alan", 25, 25, true).action(),
-            "old definition must stay live while pending"
+            "old definition must stay live after the refusal"
         );
 
         // Arbitration commits the customize in place.
-        server
-            .confirm_with_priority(ticket, vec![alan_id, tom_id], None, None)
+        let order = PriorityOrder::new(rule.action().device().clone(), vec![alan_id, tom_id]);
+        let outcome = server
+            .arbitrate(&PersonId::new("alan"), *rule, order)
             .unwrap();
+        assert!(matches!(outcome, SubmitOutcome::Customized { id } if id == alan_id));
         assert_eq!(server.engine().rules().len(), 2);
         assert_eq!(server.engine().priorities().orders().len(), 1);
     }
@@ -1833,12 +1923,16 @@ mod tests {
         let outcome = server
             .register_rule(aircon_rule(932, "alan", 25, 22, true))
             .unwrap();
-        let SubmitOutcome::ConflictDetected { ticket, .. } = outcome else {
+        let SubmitOutcome::ConflictDetected { rule, .. } = outcome else {
             panic!("expected conflict");
         };
-        server
-            .confirm_with_priority(ticket, vec![RuleId::new(931), ticket], None, None)
-            .unwrap();
+        let ranking = vec![RuleId::new(931), rule.id()];
+        let order = PriorityOrder::new(rule.action().device().clone(), ranking);
+        registered(
+            server
+                .arbitrate(&PersonId::new("alan"), *rule, order)
+                .unwrap(),
+        );
         let advisories = server.conflict_advisories().unwrap();
         assert!(
             advisories

@@ -12,6 +12,7 @@
 //! [`advisory_tenant_builder`] registers the pack in a durable tenant so
 //! fleet/API tests can read the advisories over the wire.
 
+use cadel_conflict::PriorityOrder;
 use cadel_fleet::{Ingress, TenantBuilder, TenantParts, TenantWorld};
 use cadel_rule::{
     ActionSpec, Atom, Condition, ConstraintAtom, PresenceAtom, Rule, StateAtom, Verb,
@@ -157,14 +158,15 @@ pub fn register_showcase(
         let id = rule.id();
         match server.register_rule(rule)? {
             SubmitOutcome::Registered { .. } => {}
-            SubmitOutcome::ConflictDetected { ticket, conflicts } => {
+            SubmitOutcome::ConflictDetected { rule, conflicts } => {
                 assert_eq!(
                     id.raw(),
                     showcase_ids::SHADOWING[1],
                     "only the shadowing pair should device-conflict"
                 );
                 let loser = conflicts[0].rule_b();
-                server.confirm_with_priority(ticket, vec![ticket, loser], None, None)?;
+                let order = PriorityOrder::new(rule.action().device().clone(), vec![id, loser]);
+                server.arbitrate(owner, *rule, order)?;
             }
             other => panic!("showcase rule {id} failed to register: {other:?}"),
         }

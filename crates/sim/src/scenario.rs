@@ -23,6 +23,7 @@
 use crate::activity::ActivityTimeline;
 use crate::schedule::Simulation;
 use crate::timechart::TimeChart;
+use cadel_conflict::PriorityOrder;
 use cadel_devices::LivingRoomHome;
 use cadel_engine::CONFLICT_CHANNEL;
 use cadel_rule::{ActionSpec, Atom, Condition, EventAtom, PresenceAtom, Rule, Verb};
@@ -147,6 +148,41 @@ fn expect_registered(outcome: SubmitOutcome) -> RuleId {
     }
 }
 
+/// The contexts of the household's priority agreements: whose presence
+/// in the living room scopes them, and their label.
+const EMILY_HOME: (&str, &str) = ("emily", "Emily got home from shopping");
+const ALAN_HOME: (&str, &str) = ("alan", "Alan got home from work");
+
+/// Answers the Fig. 7 prompt for a rule `submit` refused: `user` ranks
+/// it (the `None` in `ranking`) among every rule it conflicts with, in a
+/// context-scoped order.
+fn expect_arbitrated(
+    server: &mut HomeServer,
+    user: &PersonId,
+    outcome: SubmitOutcome,
+    ranking: &[Option<RuleId>],
+    (person, label): (&str, &str),
+) -> RuleId {
+    let SubmitOutcome::ConflictDetected { rule, conflicts } = outcome else {
+        panic!("expected a conflict, got {outcome:?}");
+    };
+    let mut partners: Vec<RuleId> = conflicts.iter().map(|c| c.rule_b()).collect();
+    let mut ranked: Vec<RuleId> = ranking.iter().flatten().copied().collect();
+    partners.sort();
+    ranked.sort();
+    assert_eq!(
+        partners,
+        ranked,
+        "{} is ranked among its partners",
+        rule.id()
+    );
+    let ranking = ranking.iter().map(|r| r.unwrap_or(rule.id())).collect();
+    let order = PriorityOrder::new(rule.action().device().clone(), ranking)
+        .in_context(presence_ctx(person))
+        .with_label(label);
+    expect_registered(server.arbitrate(user, *rule, order).expect("arbitration"))
+}
+
 impl LivingRoomScenario {
     /// Builds the home, registers the three occupants' preference rules
     /// through the full registration workflow, and answers the priority
@@ -243,109 +279,57 @@ impl LivingRoomScenario {
                 .expect("t3"),
         );
         // Her stereo rule conflicts with Tom's jazz.
-        let s3 = match server
+        let s3 = server
             .submit(&emily, "When I'm in the living room and a movie is on air, play the movie sound on the stereo.")
-            .expect("s3")
-        {
-            SubmitOutcome::ConflictDetected { ticket, conflicts } => {
-                assert!(conflicts.iter().any(|c| c.rule_b() == s1));
-                server
-                    .confirm_with_priority(
-                        ticket,
-                        vec![ticket, s1],
-                        Some(presence_ctx("emily")),
-                        Some("Emily got home from shopping".to_owned()),
-                    )
-                    .expect("priority for s3")
-            }
-            other => panic!("expected stereo conflict, got {other:?}"),
-        };
+            .expect("s3");
+        let s3 = expect_arbitrated(&mut server, &emily, s3, &[None, Some(s1)], EMILY_HOME);
         let l3 = expect_registered(
             server
                 .submit(&emily, "When I'm in the living room and a movie is on air, brighten the fluorescent light.")
                 .expect("l3"),
         );
         // Her air-conditioner rule conflicts with Tom's.
-        let a3 = match server
+        let a3 = server
             .submit(
                 &emily,
                 "If temperature is higher than 29 degrees and humidity is higher than \
                  75 percent, turn on the air conditioner with 27 degrees of temperature \
                  setting and 65 percent of humidity setting.",
             )
-            .expect("a3")
-        {
-            SubmitOutcome::ConflictDetected { ticket, .. } => server
-                .confirm_with_priority(
-                    ticket,
-                    vec![ticket, a1],
-                    Some(presence_ctx("emily")),
-                    Some("Emily got home from shopping".to_owned()),
-                )
-                .expect("priority for a3"),
-            other => panic!("expected aircon conflict, got {other:?}"),
-        };
+            .expect("a3");
+        let a3 = expect_arbitrated(&mut server, &emily, a3, &[None, Some(a1)], EMILY_HOME);
 
         // ---- Alan's preferences ---------------------------------------
         // His TV rule conflicts with Emily's: the household gives Emily the
         // upper hand while she is home.
-        let t2 = match server
+        let t2 = server
             .submit(&alan, "When I'm in the living room and a baseball game is on air, show the baseball game on the TV.")
-            .expect("t2")
-        {
-            SubmitOutcome::ConflictDetected { ticket, .. } => server
-                .confirm_with_priority(
-                    ticket,
-                    vec![t3, ticket],
-                    Some(presence_ctx("emily")),
-                    Some("Emily got home from shopping".to_owned()),
-                )
-                .expect("priority for t2"),
-            other => panic!("expected TV conflict, got {other:?}"),
-        };
-        // His air-conditioner rule conflicts with both others.
-        let a2 = match server
+            .expect("t2");
+        let t2 = expect_arbitrated(&mut server, &alan, t2, &[Some(t3), None], EMILY_HOME);
+        // His air-conditioner rule conflicts with both others; while he
+        // is home it outranks both, and Emily's outranks Tom's as in her
+        // own order.
+        let a2 = server
             .submit(
                 &alan,
                 "If temperature is higher than 25 degrees and humidity is higher than \
                  60 percent, turn on the air conditioner with 24 degrees of temperature \
                  setting and 55 percent of humidity setting.",
             )
-            .expect("a2")
-        {
-            SubmitOutcome::ConflictDetected { ticket, conflicts } => {
-                assert_eq!(conflicts.len(), 2);
-                server
-                    .confirm_with_priority(
-                        ticket,
-                        vec![ticket, a1],
-                        Some(presence_ctx("alan")),
-                        Some("Alan got home from work".to_owned()),
-                    )
-                    .expect("priority for a2")
-            }
-            other => panic!("expected aircon conflict, got {other:?}"),
-        };
+            .expect("a2");
+        let ranking = [None, Some(a3), Some(a1)];
+        let a2 = expect_arbitrated(&mut server, &alan, a2, &ranking, ALAN_HOME);
 
         // ---- Tom's courtesy rule (s′1): lower the stereo when Alan is
-        //      home ----------------------------------------------------
-        let s1_quiet = match server
+        //      home; it conflicts with both stereo rules ----------------
+        let s1_quiet = server
             .submit(
                 &tom,
                 "If Alan is at the living room, set the stereo with 15 percent of volume setting.",
             )
-            .expect("s'1")
-        {
-            SubmitOutcome::ConflictDetected { ticket, .. } => server
-                .confirm_with_priority(
-                    ticket,
-                    vec![ticket, s1],
-                    Some(presence_ctx("alan")),
-                    Some("Alan got home from work".to_owned()),
-                )
-                .expect("priority for s'1"),
-            other => panic!("expected stereo conflict, got {other:?}"),
-        };
+            .expect("s'1");
+        let ranking = [None, Some(s3), Some(s1)];
+        let s1_quiet = expect_arbitrated(&mut server, &tom, s1_quiet, &ranking, ALAN_HOME);
 
         // ---- Alan's fallback (r2): record the game when his TV rule is
         //      displaced (IR level — see module docs) -------------------

@@ -2,9 +2,10 @@
 //!
 //! Tom and Alan both automate the air conditioner with overlapping
 //! trigger ranges and different set-points; the server detects the
-//! conflict by Simplex satisfiability, shows a witness, and the household
-//! answers the priority prompt with a context-scoped order. Then the
-//! runtime demonstrates the arbitration both ways.
+//! conflict by Simplex satisfiability, refuses the rule with a witness,
+//! and the household answers the priority prompt by arbitrating the
+//! refused rule with a context-scoped order. Then the runtime
+//! demonstrates the arbitration both ways.
 //!
 //! ```text
 //! cargo run --example conflict_demo
@@ -12,7 +13,7 @@
 
 use cadel::devices::LivingRoomHome;
 use cadel::rule::{Atom, Condition, PresenceAtom};
-use cadel::server::{HomeServer, SubmitOutcome};
+use cadel::server::{HomeServer, PriorityOrder, SubmitOutcome};
 use cadel::types::{PersonId, Rational, SimDuration, SimTime, Topology, Value};
 use cadel::upnp::{ControlPoint, Registry, VirtualDevice};
 
@@ -43,29 +44,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let alan_rule = "If temperature is higher than 25 degrees and humidity is higher than \
                      60 percent, turn on the air conditioner with 24 degrees of temperature setting.";
     println!("alan: {alan_rule:?}");
-    let ticket = match server.submit(&alan, alan_rule)? {
-        SubmitOutcome::ConflictDetected { ticket, conflicts } => {
+    let rule = match server.submit(&alan, alan_rule)? {
+        SubmitOutcome::ConflictDetected { rule, conflicts } => {
             println!("  -> CONFLICT detected with {} rule(s):", conflicts.len());
             for c in &conflicts {
                 println!("     {c}");
             }
-            ticket
+            rule
         }
         other => panic!("expected a conflict, got {other:?}"),
     };
 
     // The household answers the Fig. 7 prompt: Alan outranks Tom while
-    // Alan is in the living room.
+    // Alan is in the living room. Arbitration re-checks the refused rule
+    // against the live base and installs it with the order.
     let ctx = Condition::Atom(Atom::Presence(PresenceAtom::person_at(
         "alan",
         "living room",
     )));
-    server.confirm_with_priority(
-        ticket,
-        vec![ticket, tom_id],
-        Some(ctx),
-        Some("Alan is in the living room".to_owned()),
-    )?;
+    let order = PriorityOrder::new(rule.action().device().clone(), vec![rule.id(), tom_id])
+        .in_context(ctx)
+        .with_label("Alan is in the living room");
+    match server.arbitrate(&alan, *rule, order)? {
+        SubmitOutcome::Registered { id, .. } => println!("  -> arbitrated, registered as {id}"),
+        other => panic!("expected the arbitration to register, got {other:?}"),
+    }
     println!("\npriority registered:");
     for order in server.engine().priorities().orders() {
         println!("  {order}");

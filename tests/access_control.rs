@@ -3,8 +3,9 @@
 //! through the registration workflow.
 
 use cadel::devices::LivingRoomHome;
-use cadel::server::{HomeServer, Privilege, Scope, ServerError, SubmitOutcome};
-use cadel::types::{DeviceId, PersonId, Topology};
+use cadel::rule::{ActionSpec, Rule, Verb};
+use cadel::server::{HomeServer, PriorityOrder, Privilege, Scope, ServerError, SubmitOutcome};
+use cadel::types::{DeviceId, PersonId, RuleId, Topology};
 use cadel::upnp::{ControlPoint, Registry};
 
 fn setup() -> (HomeServer, LivingRoomHome) {
@@ -145,25 +146,75 @@ fn arbitration_requires_the_privilege() {
     server.access_mut().set_enforcing(true);
 
     // Two conflicting TV rules.
-    server
-        .submit(&alan, "When a movie is on air, turn on the TV.")
-        .unwrap();
-    let ticket = match server
+    let alan_id = registered(
+        server
+            .submit(&alan, "When a movie is on air, turn on the TV.")
+            .unwrap(),
+    );
+    let rule = match server
         .submit(&kid, "When a movie is on air, turn off the TV.")
         .unwrap()
     {
-        SubmitOutcome::ConflictDetected { ticket, .. } => ticket,
+        SubmitOutcome::ConflictDetected { rule, .. } => rule,
         other => panic!("expected conflict, got {other:?}"),
     };
+    let order = PriorityOrder::new(DeviceId::new("tv-lr"), vec![rule.id(), alan_id]);
 
     // The kid may not answer the priority prompt…
     let err = server
-        .confirm_with_priority_as(&kid, ticket, vec![ticket], None, None)
+        .arbitrate(&kid, (*rule).clone(), order.clone())
         .unwrap_err();
     assert!(matches!(err, ServerError::AccessDenied(_)));
+    assert_eq!(server.engine().rules().len(), 1);
     // …but Alan may.
-    server
-        .confirm_with_priority_as(&alan, ticket, vec![ticket], None, None)
-        .unwrap();
+    registered(server.arbitrate(&alan, *rule, order).unwrap());
     assert_eq!(server.engine().rules().len(), 2);
+}
+
+fn registered(outcome: SubmitOutcome) -> RuleId {
+    match outcome {
+        SubmitOutcome::Registered { id, .. } => id,
+        other => panic!("expected a registration, got {other:?}"),
+    }
+}
+
+#[test]
+fn customize_is_checked_like_a_submission() {
+    let (mut server, _home) = setup();
+    let kid = PersonId::new("kid");
+    server.access_mut().set_enforcing(true);
+    server.access_mut().grant(
+        &kid,
+        Scope::Device(DeviceId::new("tv-lr")),
+        Privilege::Control,
+    );
+    let id = registered(server.submit(&kid, KID_TV_RULE).unwrap());
+    let alarm_rule = "When a movie is on air, turn on the alarm.";
+    assert!(matches!(
+        server.submit(&kid, alarm_rule),
+        Err(ServerError::AccessDenied(_))
+    ));
+
+    // Retargeting the registered TV rule to the alarm is the same
+    // request, and gets the same answer.
+    let tv_rule = server.engine().rules().get(id).unwrap().clone();
+    let retargeted = Rule::builder(kid.clone())
+        .condition(tv_rule.condition().clone())
+        .action(ActionSpec::new(DeviceId::new("alarm-hall"), Verb::TurnOn))
+        .build(id)
+        .unwrap();
+    let err = server.customize_rule(retargeted).unwrap_err();
+    match err {
+        ServerError::AccessDenied(d) => {
+            assert_eq!(d.device().as_str(), "alarm-hall");
+            assert_eq!(d.privilege(), Privilege::Control);
+        }
+        other => panic!("expected denial, got {other:?}"),
+    }
+    assert_eq!(server.engine().rules().get(id), Some(&tv_rule));
+    // A toggle of a rule the kid may still register passes.
+    assert!(matches!(
+        server.set_rule_enabled(id, false).unwrap(),
+        SubmitOutcome::Customized { .. }
+    ));
 }

@@ -109,17 +109,13 @@ fn scripted_ops() -> Vec<Op> {
                      conditioner with 24 degrees of temperature setting.",
                 )
                 .unwrap();
-            let SubmitOutcome::ConflictDetected { ticket, conflicts } = out else {
+            let SubmitOutcome::ConflictDetected { rule, conflicts } = out else {
                 panic!("expected a conflict, got {out:?}");
             };
             let loser = conflicts[0].rule_b();
-            s.confirm_with_priority(
-                ticket,
-                vec![ticket, loser],
-                None,
-                Some("Alan first".to_owned()),
-            )
-            .unwrap();
+            let order = PriorityOrder::new(rule.action().device().clone(), vec![rule.id(), loser])
+                .with_label("Alan first");
+            s.arbitrate(&PersonId::new("alan"), *rule, order).unwrap();
         }),
         ("add context-scoped priority", |s, _| {
             let tom = rule_owned_by(s, "tom");
