@@ -15,15 +15,37 @@
 //!   (recompiles every system per call), over the same-device sweep;
 //! * `e2_full_check/graph` — [`ConflictGraph::analyze`], the production
 //!   path, on the same workloads: the probe is lowered once per call and
-//!   merged with the database's precompiled systems.
+//!   merged with the database's precompiled systems;
+//! * `e2_size/{ast,graph}` — both paths at 1,000, 10,000 and 40,000 rules,
+//!   100 of them on the device: the analysis costs what the probe's
+//!   neighbourhood costs, not what the home costs.
+//!
+//! The run asserts the shape: `e2_full_check/graph/100` within 3× the
+//! oracle, `analyze` at 40,000 rules within 3× `analyze` at 1,000, and a
+//! repeat analysis of an unchanged base rebuilds no graph node
+//! (`conflict_graph_rebuilds_total`).
 
 use cadel_bench::timing::{run, section};
 use cadel_bench::{e2_database, e2_probe, two_inequality_condition, SHARED_DEVICE};
 use cadel_conflict::{find_conflicts, ConflictGraph};
 use cadel_rule::VarPool;
 use cadel_simplex::is_satisfiable;
-use cadel_types::DeviceId;
+use cadel_types::{DeviceId, RuleId};
 use std::hint::black_box;
+
+/// Times `analyze` of the E2 probe on a graph synced once, outside the
+/// timed region, as registration keeps it; returns the median ns.
+fn time_graph(label: &str, db: &cadel_rule::RuleDb, expected: u64) -> f64 {
+    let probe = e2_probe();
+    let mut graph = ConflictGraph::default();
+    graph.sync(db);
+    run(label, || {
+        let report = graph.analyze(black_box(db), black_box(&probe)).unwrap();
+        assert_eq!(report.conflicts.len() as u64, expected);
+        report.conflicts.len()
+    })
+    .median_ns()
+}
 
 fn main() {
     section("e2_extract_same_device (database index)");
@@ -74,20 +96,66 @@ fn main() {
     for same_device in [10u64, 100, 1_000] {
         let db = e2_database(10_000, same_device);
         let probe = e2_probe();
-        run(&format!("e2_full_check/ast/{same_device}"), || {
+        let oracle = run(&format!("e2_full_check/ast/{same_device}"), || {
             let conflicts = find_conflicts(black_box(&db), black_box(&probe)).unwrap();
             assert_eq!(conflicts.len() as u64, same_device);
             conflicts.len()
+        })
+        .median_ns();
+        let graph = time_graph(
+            &format!("e2_full_check/graph/{same_device}"),
+            &db,
+            same_device,
+        );
+        if same_device == 100 {
+            assert!(
+                graph <= 3.0 * oracle,
+                "e2_full_check/graph/100 is {:.1}x the oracle",
+                graph / oracle
+            );
+        }
+    }
+
+    section("e2_size_sweep (100 same-device rules, growing home)");
+    let mut by_size = Vec::new();
+    for total in [1_000u64, 10_000, 40_000] {
+        let db = e2_database(total, 100);
+        let probe = e2_probe();
+        run(&format!("e2_size/ast/{total}"), || {
+            find_conflicts(black_box(&db), black_box(&probe))
+                .unwrap()
+                .len()
         });
-        // The graph's nodes are built once, outside the timed region, as
-        // registration keeps them.
+        by_size.push(time_graph(&format!("e2_size/graph/{total}"), &db, 100));
+    }
+    assert!(
+        by_size[2] <= 3.0 * by_size[0],
+        "analyze at 40,000 rules is {:.1}x analyze at 1,000",
+        by_size[2] / by_size[0]
+    );
+
+    section("e2_unchanged_base (graph nodes rebuilt per analysis)");
+    {
+        cadel_obs::enable_metrics_only();
+        let rebuilds = || {
+            cadel_obs::metrics_snapshot()
+                .counter("conflict_graph_rebuilds_total")
+                .unwrap_or(0)
+        };
+        let mut db = e2_database(10_000, 100);
+        let probe = e2_probe();
         let mut graph = ConflictGraph::default();
-        graph.sync(&db);
-        run(&format!("e2_full_check/graph/{same_device}"), || {
-            let report = graph.analyze(black_box(&db), black_box(&probe)).unwrap();
-            assert_eq!(report.conflicts.len() as u64, same_device);
-            report.conflicts.len()
-        });
+        graph.analyze(&db, &probe).unwrap();
+        let before = rebuilds();
+        graph.analyze(&db, &probe).unwrap();
+        let unchanged = rebuilds() - before;
+        let rule = db.get(RuleId::new(1)).unwrap().clone();
+        db.replace(rule.with_enabled(false)).unwrap();
+        graph.analyze(&db, &probe).unwrap();
+        let after_one_change = rebuilds() - before - unchanged;
+        println!("e2_rebuilds/unchanged {unchanged}, after one change {after_one_change}");
+        assert_eq!(unchanged, 0, "a repeat analysis rebuilt nodes");
+        assert_eq!(after_one_change, 1);
     }
 
     section("e2_registration_checks_total (consistency + conflicts)");

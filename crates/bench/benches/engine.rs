@@ -2,15 +2,10 @@
 //!
 //! * **A3 (ablation)** — trigger indexing: one sensor event against the
 //!   index vs the index-less full scan, and the cost of an idle tick.
-//! * **IR** — compiled rule programs with every rule a candidate. Every
-//!   rule watches one shared sensor (so each event makes all of them
-//!   candidates) through a condition mixing event atoms and numeric
-//!   constraints; 1 in 50 rules actually flips on the alternating
-//!   reading.
 
 use cadel_bench::timing::{run, section};
 use cadel_engine::Engine;
-use cadel_rule::{ActionSpec, Atom, Condition, ConstraintAtom, EventAtom, Rule, Verb};
+use cadel_rule::{ActionSpec, Atom, Condition, ConstraintAtom, Rule, Verb};
 use cadel_simplex::RelOp;
 use cadel_types::{DeviceId, PersonId, Quantity, RuleId, SensorKey, SimTime, Unit, Value};
 use cadel_upnp::{ControlPoint, EventBus, Registry};
@@ -42,41 +37,6 @@ fn a3_engine(n: u64, use_index: bool) -> Engine {
         engine.add_rule(rule).unwrap();
     }
     engine.step(SimTime::from_millis(1)); // settle the initial pass
-    engine
-}
-
-/// IR fleet: every rule watches the shared sensor, so a reading change
-/// re-evaluates all `n` conditions. Two always-true event atoms and an
-/// always-true bound pad each condition; the final threshold is
-/// crossable only for 1 rule in 50.
-fn ir_engine(n: u64) -> Engine {
-    let shared = SensorKey::new(DeviceId::new("sensor-shared"), "reading");
-    let mut engine = Engine::new(ControlPoint::new(Registry::new()));
-    engine
-        .context_mut()
-        .set_persistent_event("bench", "always-on");
-    engine
-        .context_mut()
-        .set_persistent_event("bench", "still-on");
-    for i in 0..n {
-        let threshold = if i % 50 == 0 { 50 } else { 10_000 };
-        let condition = Condition::Atom(Atom::Event(EventAtom::new("bench", "always-on")))
-            .and(constraint(&shared, RelOp::Gt, -1_000))
-            .and(Condition::Atom(Atom::Event(EventAtom::new(
-                "bench", "still-on",
-            ))))
-            .and(constraint(&shared, RelOp::Gt, threshold));
-        let rule = Rule::builder(PersonId::new("bench"))
-            .condition(condition)
-            .action(ActionSpec::new(
-                DeviceId::new(format!("device-{i}")),
-                Verb::TurnOn,
-            ))
-            .build(RuleId::new(i))
-            .unwrap();
-        engine.add_rule(rule).unwrap();
-    }
-    engine.step(SimTime::from_millis(1));
     engine
 }
 
@@ -117,18 +77,5 @@ fn main() {
                 black_box(engine.step(SimTime::from_millis(seq)).is_empty())
             });
         }
-    }
-
-    section("ir_step_all_candidates (compiled programs)");
-    for n in [10u64, 100, 1_000] {
-        let mut engine = ir_engine(n);
-        let bus = engine.control().registry().event_bus().clone();
-        let mut seq = 2u64;
-        run(&format!("ir_step/compiled/{n}"), || {
-            seq += 1;
-            let value = if seq.is_multiple_of(2) { 30 } else { 70 };
-            publish_reading(&bus, "sensor-shared", seq, value);
-            black_box(engine.step(SimTime::from_millis(seq)).firings.len())
-        });
     }
 }

@@ -18,7 +18,7 @@ use cadel_rule::{ActionSpec, Verb};
 use std::fmt;
 
 /// Direction an action pushes an environment channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EnvDirection {
     /// The action raises the channel (heater on → temperature up).
     Up,
@@ -30,6 +30,14 @@ impl EnvDirection {
     /// Whether two directions pull the same channel apart.
     pub fn opposes(self, other: EnvDirection) -> bool {
         self != other
+    }
+
+    /// The one direction that opposes this one.
+    pub fn opposite(self) -> EnvDirection {
+        match self {
+            EnvDirection::Up => EnvDirection::Down,
+            EnvDirection::Down => EnvDirection::Up,
+        }
     }
 }
 

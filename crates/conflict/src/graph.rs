@@ -56,11 +56,13 @@ use crate::env::{EnvDirection, EnvTable};
 use crate::error::ConflictError;
 use cadel_ir::{merge_conjuncts, CompiledConjunct};
 use cadel_obs::{LazyCounter, LazyGauge, LazyHistogram, Stopwatch};
-use cadel_rule::{compile_conjuncts, Atom, Conjunct, Rule, RuleDb, RuleError};
+use cadel_rule::{compile_conjuncts, Atom, ChangeCursor, Conjunct, Rule, RuleDb, RuleError};
 use cadel_simplex::{solve, Constraint, RelOp, VarId};
 use cadel_types::{DeviceId, RuleId, SensorKey};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{btree_set, BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::iter::Peekable;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Whole-graph analyses (one per [`ConflictGraph::analyze`]).
@@ -76,7 +78,8 @@ static PAIRS_SOLVED: LazyCounter = LazyCounter::new("conflict_graph_simplex_pair
 static PAIRS_CONFLICTING: LazyCounter = LazyCounter::new("conflict_pairs_conflicting_total");
 /// Advisories produced by analyses and sweeps.
 static ADVISORIES: LazyCounter = LazyCounter::new("conflict_graph_advisories_total");
-/// Node (re)builds — one per new or changed rule observed by `sync`.
+/// Node (re)builds — one per new or changed rule observed by `sync`;
+/// zero when the rule base has not changed since the last one.
 static REBUILDS: LazyCounter = LazyCounter::new("conflict_graph_rebuilds_total");
 /// Rules currently held in the graph.
 static NODES: LazyGauge = LazyGauge::new("conflict_graph_nodes");
@@ -278,6 +281,18 @@ struct NodeInfo {
     witnesses: Option<Witnesses>,
 }
 
+impl NodeInfo {
+    /// Each environment channel the action moves, with the direction the
+    /// table lists first for it.
+    fn moves(&self) -> impl Iterator<Item = (&String, EnvDirection)> {
+        self.effects
+            .iter()
+            .enumerate()
+            .filter(|(i, (channel, _))| !self.effects[..*i].iter().any(|(c, _)| c == channel))
+            .map(|(_, (channel, direction))| (channel, *direction))
+    }
+}
+
 /// Builds the footprint node for `rule` from its condition and `until`
 /// clause: the sensors of constraint and state atoms (through nested
 /// `held for`) and the event channels listened on.
@@ -430,14 +445,16 @@ fn condition_implies(
 /// The incremental, footprint-pruned conflict graph.
 ///
 /// Hold one graph alongside the [`RuleDb`] it mirrors; every entry
-/// point calls [`ConflictGraph::sync`] first, which diffs the database
-/// by `(id, revision)` and rebuilds only changed nodes — so the graph
-/// stays correct across registration, customization, removal, and
-/// whole-database replacement (replay, import) without explicit
-/// invalidation hooks.
+/// point calls [`ConflictGraph::sync`] first, which follows the
+/// database's change feed and refreshes only the ids changed since the
+/// last sync — so the graph stays correct across registration,
+/// customization, removal, and whole-database replacement (replay,
+/// import, a clone) without explicit invalidation hooks.
 #[derive(Clone, Debug)]
 pub struct ConflictGraph {
     env: EnvTable,
+    /// The feed position `nodes` reflects; `None` before the first sync.
+    cursor: Option<ChangeCursor>,
     nodes: HashMap<RuleId, NodeInfo>,
     /// device → rules actuating it.
     actuators: BTreeMap<DeviceId, BTreeSet<RuleId>>,
@@ -447,8 +464,10 @@ pub struct ConflictGraph {
     env_readers: BTreeMap<String, BTreeSet<RuleId>>,
     /// event channel → rules listening on it.
     event_readers: BTreeMap<String, BTreeSet<RuleId>>,
-    /// environment channel → rules whose action moves it.
-    env_writers: BTreeMap<String, BTreeSet<RuleId>>,
+    /// (environment channel, direction) → rules whose action moves the
+    /// channel that way, filed under the direction [`NodeInfo::moves`]
+    /// gives, so a tug-of-war looks up only the opposing writers.
+    env_writers: BTreeMap<(String, EnvDirection), BTreeSet<RuleId>>,
 }
 
 impl Default for ConflictGraph {
@@ -463,6 +482,7 @@ impl ConflictGraph {
     pub fn new(env: EnvTable) -> ConflictGraph {
         ConflictGraph {
             env,
+            cursor: None,
             nodes: HashMap::new(),
             actuators: BTreeMap::new(),
             device_readers: BTreeMap::new(),
@@ -482,54 +502,54 @@ impl ConflictGraph {
         self.nodes.len()
     }
 
-    /// Reconciles the graph with `db`: drops nodes for removed rules,
-    /// (re)builds nodes whose stored revision changed. Idempotent and
-    /// cheap when nothing changed (one id scan).
+    /// Reconciles the graph with `db`: refreshes each id the database's
+    /// change feed lists since the last sync, so an unchanged database
+    /// costs one cursor comparison. When the feed cannot answer — the
+    /// graph never synced, `db` is another database than last time (a
+    /// clone or a rebuilt one), or the log overflowed — every id the
+    /// graph or the database holds is refreshed instead.
     pub fn sync(&mut self, db: &RuleDb) {
-        let gone: Vec<RuleId> = self
-            .nodes
-            .keys()
-            .filter(|id| db.get(**id).is_none())
-            .copied()
-            .collect();
-        for id in gone {
-            self.remove(id);
-        }
-        let stale: Vec<RuleId> = db
-            .iter()
-            .filter(|rule| {
-                self.nodes
-                    .get(&rule.id())
-                    .is_none_or(|n| Some(n.revision) != db.revision(rule.id()))
-            })
-            .map(Rule::id)
-            .collect();
-        for id in stale {
-            if let Some(old) = self.nodes.remove(&id) {
-                self.unindex(id, &old);
+        match self.cursor.and_then(|cursor| db.changes_since(cursor)) {
+            Some(changed) => {
+                for id in changed {
+                    self.refresh(db, id);
+                }
             }
-            let rule = db.get(id).expect("stale id came from db.iter()");
-            let program = db.program(id).expect("every stored rule has a program");
-            let systems = Arc::clone(program.conjuncts());
-            // A solver error leaves the node without witnesses; see
-            // `NodeInfo::witnesses`.
-            let witnesses = solve_each(&systems).ok();
-            let revision = db.revision(id).expect("stored rules carry a revision");
-            let node = build_node(&self.env, rule, revision, systems, witnesses);
-            self.index(id, &node);
-            self.nodes.insert(id, node);
-            REBUILDS.inc();
+            None => {
+                let mut ids: Vec<RuleId> = self.nodes.keys().copied().collect();
+                ids.extend(db.iter().map(Rule::id));
+                for id in ids {
+                    self.refresh(db, id);
+                }
+            }
         }
+        self.cursor = Some(db.cursor());
         NODES.set(self.nodes.len() as i64);
     }
 
-    /// Drops a rule's node and its index entries. Safe to call for ids
-    /// the graph never saw.
-    pub fn remove(&mut self, id: RuleId) {
-        if let Some(node) = self.nodes.remove(&id) {
-            self.unindex(id, &node);
+    /// Brings one rule's node in line with `db`: dropped when the rule is
+    /// gone, rebuilt when its stored revision differs from the node's,
+    /// left alone otherwise.
+    fn refresh(&mut self, db: &RuleDb, id: RuleId) {
+        let revision = db.revision(id);
+        if self.nodes.get(&id).map(|n| n.revision) == revision {
+            return;
         }
-        NODES.set(self.nodes.len() as i64);
+        if let Some(old) = self.nodes.remove(&id) {
+            self.unindex(id, &old);
+        }
+        let (Some(rule), Some(program), Some(revision)) = (db.get(id), db.program(id), revision)
+        else {
+            return;
+        };
+        let systems = Arc::clone(program.conjuncts());
+        // A solver error leaves the node without witnesses; see
+        // `NodeInfo::witnesses`.
+        let witnesses = solve_each(&systems).ok();
+        let node = build_node(&self.env, rule, revision, systems, witnesses);
+        self.index(id, &node);
+        self.nodes.insert(id, node);
+        REBUILDS.inc();
     }
 
     fn index(&mut self, id: RuleId, node: &NodeInfo) {
@@ -555,9 +575,9 @@ impl ConflictGraph {
                 .or_default()
                 .insert(id);
         }
-        for (channel, _) in &node.effects {
+        for (channel, direction) in node.moves() {
             self.env_writers
-                .entry(channel.clone())
+                .entry((channel.clone(), direction))
                 .or_default()
                 .insert(id);
         }
@@ -582,8 +602,8 @@ impl ConflictGraph {
         for channel in &node.event_channels {
             drop_from(&mut self.event_readers, channel, id);
         }
-        for (channel, _) in &node.effects {
-            drop_from(&mut self.env_writers, channel, id);
+        for (channel, direction) in node.moves() {
+            drop_from(&mut self.env_writers, &(channel.clone(), direction), id);
         }
     }
 
@@ -684,28 +704,23 @@ impl ConflictGraph {
         Ok(out)
     }
 
-    /// The rules a node's action can trigger: readers of its device's
+    /// The rules a node's action can trigger — readers of its device's
     /// sensors, readers of the environment channels it moves, and
-    /// listeners on the event channels it raises. Enabled rules only,
-    /// ascending id, never the node itself.
-    fn successors_of(&self, node: &NodeInfo, self_id: RuleId) -> BTreeSet<RuleId> {
-        let mut out = BTreeSet::new();
-        if let Some(readers) = self.device_readers.get(&node.device) {
-            out.extend(readers.iter().copied());
-        }
+    /// listeners on the event channels it raises — walked lazily.
+    fn successors(&self, node: &NodeInfo, self_id: RuleId) -> Successors<'_> {
+        let mut sources = Vec::with_capacity(1 + node.effects.len() + node.raises.len());
+        sources.extend(self.device_readers.get(&node.device));
         for (channel, _) in &node.effects {
-            if let Some(readers) = self.env_readers.get(channel) {
-                out.extend(readers.iter().copied());
-            }
+            sources.extend(self.env_readers.get(channel));
         }
         for channel in &node.raises {
-            if let Some(listeners) = self.event_readers.get(channel) {
-                out.extend(listeners.iter().copied());
-            }
+            sources.extend(self.event_readers.get(channel));
         }
-        out.remove(&self_id);
-        out.retain(|id| self.nodes.get(id).is_some_and(|n| n.enabled));
-        out
+        Successors {
+            sources: sources.into_iter().map(|s| s.iter().peekable()).collect(),
+            nodes: &self.nodes,
+            skip: self_id,
+        }
     }
 
     /// Whether `from`'s action can trigger the probe.
@@ -725,10 +740,68 @@ impl ConflictGraph {
     /// (depth-capped); a path returning to the probe is a loop, a path
     /// of two or more edges is a chain. Self-loops (a thermostat's own
     /// negative feedback) are not reported.
+    ///
+    /// Depth-first over stored successors, ascending ids for
+    /// determinism; the first cycle found wins. Each frame pulls its
+    /// next successor only when the walk comes back to it, so a loop
+    /// closed by the probe's first successor costs one step, not the
+    /// probe's whole successor set.
     fn probe_chains(&self, probe: &Rule, pnode: &NodeInfo, out: &mut Vec<Advisory>) {
-        let first = self.successors_of(pnode, probe.id());
-        // Depth-first over stored successors, ascending ids for
-        // determinism; the first cycle found wins.
+        let mut path = vec![probe.id()];
+        let mut frames = vec![self.successors(pnode, probe.id())];
+        let mut visited: BTreeSet<RuleId> = BTreeSet::new();
+        let mut chain: Option<Vec<RuleId>> = None;
+        while let Some(frame) = frames.last_mut() {
+            let Some(id) = frame.find(|next| !path.contains(next)) else {
+                frames.pop();
+                path.pop();
+                continue;
+            };
+            let node = &self.nodes[&id];
+            path.push(id);
+            if self.edge_to(node, pnode) {
+                out.push(Advisory::Loop { cycle: path });
+                return;
+            }
+            if path.len() >= 3 && chain.is_none() {
+                chain = Some(path.clone());
+            }
+            if visited.insert(id) && path.len() <= CHAIN_DEPTH_CAP {
+                frames.push(self.successors(node, id));
+            } else {
+                path.pop();
+            }
+        }
+        if let Some(path) = chain {
+            out.push(Advisory::Chain { path });
+        }
+    }
+
+    /// The eager walk [`ConflictGraph::probe_chains`] replaced: it builds
+    /// each successor set in full and pushes a path per successor. Kept
+    /// as the oracle the lazy walk must match advisory for advisory.
+    #[cfg(test)]
+    fn probe_chains_eager(&self, probe: &Rule, pnode: &NodeInfo, out: &mut Vec<Advisory>) {
+        let successors_of = |node: &NodeInfo, self_id: RuleId| -> BTreeSet<RuleId> {
+            let mut out = BTreeSet::new();
+            if let Some(readers) = self.device_readers.get(&node.device) {
+                out.extend(readers.iter().copied());
+            }
+            for (channel, _) in &node.effects {
+                if let Some(readers) = self.env_readers.get(channel) {
+                    out.extend(readers.iter().copied());
+                }
+            }
+            for channel in &node.raises {
+                if let Some(listeners) = self.event_readers.get(channel) {
+                    out.extend(listeners.iter().copied());
+                }
+            }
+            out.remove(&self_id);
+            out.retain(|id| self.nodes.get(id).is_some_and(|n| n.enabled));
+            out
+        };
+        let first = successors_of(pnode, probe.id());
         let mut stack: Vec<(RuleId, Vec<RuleId>)> = first
             .iter()
             .rev()
@@ -750,7 +823,7 @@ impl ConflictGraph {
             if !visited.insert(id) || path.len() > CHAIN_DEPTH_CAP {
                 continue;
             }
-            for &next in self.successors_of(node, id).iter().rev() {
+            for &next in successors_of(node, id).iter().rev() {
                 if !path.contains(&next) {
                     let mut longer = path.clone();
                     longer.push(next);
@@ -803,7 +876,8 @@ impl ConflictGraph {
         out: &mut Vec<Advisory>,
     ) -> Result<(), ConflictError> {
         for (channel, direction) in &pnode.effects {
-            let Some(writers) = self.env_writers.get(channel) else {
+            let opposing = (channel.clone(), direction.opposite());
+            let Some(writers) = self.env_writers.get(&opposing) else {
                 continue;
             };
             for &id in writers {
@@ -814,14 +888,6 @@ impl ConflictGraph {
                     continue;
                 };
                 if !node.enabled || node.device == *probe.action().device() {
-                    continue;
-                }
-                let opposite = node
-                    .effects
-                    .iter()
-                    .find(|(c, _)| c == channel)
-                    .is_some_and(|(_, d)| direction.opposes(*d));
-                if !opposite {
                     continue;
                 }
                 if self.cosatisfiable(db, probe, pnode, id)? {
@@ -941,10 +1007,17 @@ impl ConflictGraph {
             }
         }
 
-        // Environmental tug-of-wars.
-        for (channel, writers) in &self.env_writers {
-            let members: Vec<RuleId> = writers.iter().copied().collect();
-            for (i, &a_id) in members.iter().enumerate() {
+        // Environmental tug-of-wars: per channel, each writer against the
+        // opposing writers with a larger id.
+        let channels: BTreeSet<&String> = self.env_writers.keys().map(|(c, _)| c).collect();
+        for channel in channels {
+            let writers = |direction| self.env_writers.get(&(channel.clone(), direction));
+            let mut members: Vec<(RuleId, EnvDirection)> = [EnvDirection::Up, EnvDirection::Down]
+                .into_iter()
+                .flat_map(|d| writers(d).into_iter().flatten().map(move |&id| (id, d)))
+                .collect();
+            members.sort_unstable();
+            for (a_id, da) in members {
                 let Some(na) = self.nodes.get(&a_id) else {
                     continue;
                 };
@@ -952,22 +1025,17 @@ impl ConflictGraph {
                 if !na.enabled {
                     continue;
                 }
-                let Some(da) = na.effects.iter().find(|(c, _)| c == channel).map(|e| e.1) else {
+                let Some(opposing) = writers(da.opposite()) else {
                     continue;
                 };
-                for &b_id in &members[i + 1..] {
+                for &b_id in opposing.range((Bound::Excluded(a_id), Bound::Unbounded)) {
                     let Some(nb) = self.nodes.get(&b_id) else {
                         continue;
                     };
                     if !nb.enabled || nb.device == na.device {
                         continue;
                     }
-                    let opposite = nb
-                        .effects
-                        .iter()
-                        .find(|(c, _)| c == channel)
-                        .is_some_and(|(_, d)| da.opposes(*d));
-                    if opposite && self.cosatisfiable(db, a, na, b_id)? {
+                    if self.cosatisfiable(db, a, na, b_id)? {
                         out.push(Advisory::Environmental {
                             rule_a: a_id,
                             rule_b: b_id,
@@ -979,6 +1047,35 @@ impl ConflictGraph {
         }
         ADVISORIES.add(out.len() as u64);
         Ok(out)
+    }
+}
+
+/// The rules a node's action can trigger, in ascending id order: the
+/// merge of its reader sets without duplicates, skipping the node itself
+/// and disabled rules.
+struct Successors<'g> {
+    sources: Vec<Peekable<btree_set::Iter<'g, RuleId>>>,
+    nodes: &'g HashMap<RuleId, NodeInfo>,
+    skip: RuleId,
+}
+
+impl Iterator for Successors<'_> {
+    type Item = RuleId;
+
+    fn next(&mut self) -> Option<RuleId> {
+        loop {
+            let id = self
+                .sources
+                .iter_mut()
+                .filter_map(|source| source.peek().map(|id| **id))
+                .min()?;
+            for source in &mut self.sources {
+                source.next_if_eq(&&id);
+            }
+            if id != self.skip && self.nodes.get(&id).is_some_and(|n| n.enabled) {
+                return Some(id);
+            }
+        }
     }
 }
 
@@ -1431,6 +1528,321 @@ mod tests {
         db.remove(RuleId::new(50)).unwrap();
         assert!(graph.analyze(&db, &probe).unwrap().conflicts.is_empty());
         assert_eq!(graph.node_count(), 0);
+    }
+
+    #[test]
+    fn an_unchanged_base_rebuilds_nothing() {
+        let mut db = RuleDb::new();
+        db.insert(rule(70, temp(RelOp::Gt, 25), aircon_set(24)))
+            .unwrap();
+        let mut graph = ConflictGraph::default();
+        graph.sync(&db);
+        let built = graph.nodes[&RuleId::new(70)].revision;
+        assert_eq!(db.changes_since(graph.cursor.unwrap()).unwrap().count(), 0);
+        graph.sync(&db);
+        assert_eq!(graph.nodes[&RuleId::new(70)].revision, built);
+        // A clone is another database: the graph rescans it, and keeps
+        // the nodes whose revision the clone shares.
+        let clone = db.clone();
+        graph.sync(&clone);
+        assert_eq!(graph.node_count(), 1);
+        assert_eq!(graph.cursor, Some(clone.cursor()));
+    }
+
+    /// A seeded xorshift generator for the churn test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// The default table plus a doorbell that raises an event channel,
+    /// so every trigger-edge kind appears.
+    fn churn_env() -> EnvTable {
+        EnvTable::default_home().with_entry("doorbell", Verb::TurnOn, &[], &["visitor"])
+    }
+
+    fn churn_atom(rng: &mut Rng) -> Condition {
+        match rng.below(8) {
+            0 => Condition::Atom(Atom::State(StateAtom::new(
+                DeviceId::new(["tv", "stereo", "doorbell"][rng.below(3) as usize]),
+                "power",
+                Value::Bool(rng.chance(50)),
+            ))),
+            1 => Condition::Atom(Atom::Event(cadel_rule::EventAtom::new("visitor", "ring"))),
+            n => {
+                let (device, variable, unit) = [
+                    ("thermo", "temperature", Unit::Celsius),
+                    ("hygro", "humidity", Unit::Percent),
+                    ("lux", "luminance", Unit::Unitless),
+                ][(n % 3) as usize];
+                let op = [RelOp::Lt, RelOp::Gt, RelOp::Ge][rng.below(3) as usize];
+                sensor(device, variable, op, rng.below(40) as i64, unit)
+            }
+        }
+    }
+
+    fn churn_rule(rng: &mut Rng, id: u64) -> Rule {
+        let mut cond = churn_atom(rng);
+        if rng.chance(50) {
+            cond = cond.and(churn_atom(rng));
+        }
+        if rng.chance(20) {
+            cond = cond.or(churn_atom(rng));
+        }
+        let devices = [
+            "aircon-1",
+            "aircon-2",
+            "heater-1",
+            "window-a",
+            "humidifier-1",
+            "lamp-1",
+            "tv",
+            "stereo",
+            "doorbell",
+        ];
+        let device = DeviceId::new(devices[rng.below(devices.len() as u64) as usize]);
+        let verb = if rng.chance(75) {
+            Verb::TurnOn
+        } else {
+            Verb::TurnOff
+        };
+        let mut action = ActionSpec::new(device, verb);
+        if rng.chance(50) {
+            let level = Quantity::from_integer(rng.below(3) as i64, Unit::Unitless);
+            action = action.with_setting("level", level);
+        }
+        Rule::builder(PersonId::new("tester"))
+            .condition(cond)
+            .action(action)
+            .enabled(rng.chance(85))
+            .build(RuleId::new(id))
+            .unwrap()
+    }
+
+    /// The environmental advisories of a probe and of the sweep, found by
+    /// scanning every node instead of the direction-keyed writers.
+    fn scanned_environmental(
+        graph: &ConflictGraph,
+        db: &RuleDb,
+        probe: &Rule,
+        pnode: &NodeInfo,
+    ) -> (Vec<Advisory>, Vec<Advisory>) {
+        let mut ids: Vec<RuleId> = graph.nodes.keys().copied().collect();
+        ids.sort_unstable();
+        let direction_of = |node: &NodeInfo, channel: &String| {
+            node.effects.iter().find(|(c, _)| c == channel).map(|e| e.1)
+        };
+        let mut probed = Vec::new();
+        for (channel, direction) in &pnode.effects {
+            for &id in &ids {
+                let node = &graph.nodes[&id];
+                let opposes = direction_of(node, channel).is_some_and(|d| direction.opposes(d));
+                if id != probe.id()
+                    && opposes
+                    && node.enabled
+                    && node.device != pnode.device
+                    && graph.cosatisfiable(db, probe, pnode, id).unwrap()
+                {
+                    probed.push(Advisory::Environmental {
+                        rule_a: probe.id(),
+                        rule_b: id,
+                        channel: channel.clone(),
+                    });
+                }
+            }
+        }
+        let channels: BTreeSet<&String> = graph
+            .nodes
+            .values()
+            .flat_map(|n| n.effects.iter().map(|(c, _)| c))
+            .collect();
+        let mut swept = Vec::new();
+        for channel in channels {
+            for (i, &a) in ids.iter().enumerate() {
+                let na = &graph.nodes[&a];
+                let Some(da) = direction_of(na, channel) else {
+                    continue;
+                };
+                for &b in &ids[i + 1..] {
+                    let nb = &graph.nodes[&b];
+                    let opposes = direction_of(nb, channel).is_some_and(|d| da.opposes(d));
+                    if na.enabled
+                        && nb.enabled
+                        && opposes
+                        && na.device != nb.device
+                        && graph.cosatisfiable(db, db.get(a).unwrap(), na, b).unwrap()
+                    {
+                        swept.push(Advisory::Environmental {
+                            rule_a: a,
+                            rule_b: b,
+                            channel: channel.clone(),
+                        });
+                    }
+                }
+            }
+        }
+        (probed, swept)
+    }
+
+    fn environmental(advisories: &[Advisory]) -> Vec<Advisory> {
+        advisories
+            .iter()
+            .filter(|a| a.class() == ConflictClass::Environmental)
+            .cloned()
+            .collect()
+    }
+
+    /// What the churn test compared, so it can assert that the generator
+    /// reaches every path.
+    #[derive(Default)]
+    struct Seen {
+        loops: usize,
+        chains: usize,
+        rescans: usize,
+        environmental: usize,
+    }
+
+    /// A long-lived graph against a fresh one on `db`: the same report for
+    /// `probe` and the same sweep, environmental advisories equal to a
+    /// scan of every node, and the lazy chain walk equal to the eager one
+    /// from the probe and from every stored rule.
+    fn check_against_fresh(
+        graph: &mut ConflictGraph,
+        db: &RuleDb,
+        probe: &Rule,
+        context: &str,
+        seen: &mut Seen,
+    ) {
+        if graph.cursor.and_then(|c| db.changes_since(c)).is_none() {
+            seen.rescans += 1;
+        }
+        let mut fresh = ConflictGraph::new(churn_env());
+        let kept = graph.analyze(db, probe).unwrap();
+        let anew = fresh.analyze(db, probe).unwrap();
+        assert_eq!(kept.consistency, anew.consistency, "{context}");
+        assert_eq!(kept.conflicts, anew.conflicts, "{context}");
+        assert_eq!(kept.advisories, anew.advisories, "{context}");
+        let swept = graph.advisories(db).unwrap();
+        assert_eq!(swept, fresh.advisories(db).unwrap(), "{context}");
+        assert_eq!(graph.node_count(), db.len(), "{context}");
+
+        let (pnode, _) = graph.probe_node(probe).unwrap();
+        if kept.consistency.is_satisfiable() {
+            let (probed, scanned) = scanned_environmental(graph, db, probe, &pnode);
+            assert_eq!(environmental(&kept.advisories), probed, "{context}");
+            assert_eq!(environmental(&swept), scanned, "{context}");
+            seen.environmental += probed.len() + scanned.len();
+        }
+        let stored = db.iter().map(|rule| (rule, &graph.nodes[&rule.id()]));
+        for (from, node) in std::iter::once((probe, &pnode)).chain(stored) {
+            let (mut lazy, mut eager) = (Vec::new(), Vec::new());
+            graph.probe_chains(from, node, &mut lazy);
+            graph.probe_chains_eager(from, node, &mut eager);
+            assert_eq!(lazy, eager, "{context}, walk from {}", from.id());
+            for advisory in lazy {
+                match advisory.class() {
+                    ConflictClass::Loop => seen.loops += 1,
+                    _ => seen.chains += 1,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_lived_graph_follows_churn_like_a_fresh_one() {
+        let mut seen = Seen::default();
+        for seed in 0..40u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let mut db = RuleDb::new();
+            let mut graph = ConflictGraph::new(churn_env());
+            let mut next_id = 1u64;
+            for _ in 0..12 {
+                db.insert(churn_rule(&mut rng, next_id)).unwrap();
+                next_id += 1;
+            }
+            for step in 0..60u64 {
+                let live: Vec<RuleId> = db.iter().map(Rule::id).collect();
+                let pick = |rng: &mut Rng| live[rng.below(live.len() as u64) as usize];
+                let op = rng.below(20);
+                let context = format!("seed {seed}, step {step}, op {op}");
+                match op {
+                    _ if live.is_empty() || op < 6 => {
+                        db.insert(churn_rule(&mut rng, next_id)).unwrap();
+                        next_id += 1;
+                    }
+                    6..=9 => {
+                        let id = pick(&mut rng);
+                        db.replace(churn_rule(&mut rng, id.raw())).unwrap();
+                    }
+                    10..=12 => {
+                        let id = pick(&mut rng);
+                        let rule = db.get(id).unwrap().clone();
+                        let enabled = rule.is_enabled();
+                        db.replace(rule.with_enabled(!enabled)).unwrap();
+                    }
+                    13..=15 => {
+                        db.remove(pick(&mut rng)).unwrap();
+                    }
+                    16..=17 => {
+                        // A clone and its original diverge by one change
+                        // each, so both stand at the same version. The
+                        // graph sees the clone, then one of the two.
+                        let mut fork = db.clone();
+                        fork.insert(churn_rule(&mut rng, next_id)).unwrap();
+                        db.insert(churn_rule(&mut rng, next_id + 1)).unwrap();
+                        next_id += 2;
+                        let probe = churn_rule(&mut rng, 100_000 + step);
+                        let at = format!("{context}, clone");
+                        check_against_fresh(&mut graph, &fork, &probe, &at, &mut seen);
+                        if rng.chance(50) {
+                            db = fork;
+                        }
+                    }
+                    _ => {
+                        // More changes than the log holds, ending where
+                        // one rule is replaced for good.
+                        let id = pick(&mut rng);
+                        let rule = db.get(id).unwrap().clone();
+                        for _ in 0..=cadel_rule::CHANGE_LOG_CAPACITY {
+                            db.replace(rule.clone()).unwrap();
+                        }
+                        db.replace(churn_rule(&mut rng, id.raw())).unwrap();
+                    }
+                }
+                // Probe with a new rule, or re-probe a live one (customize).
+                let probe = if rng.chance(70) || db.is_empty() {
+                    churn_rule(&mut rng, 100_000 + step)
+                } else {
+                    let live: Vec<&Rule> = db.iter().collect();
+                    let rule = live[rng.below(live.len() as u64) as usize];
+                    churn_rule(&mut rng, rule.id().raw())
+                };
+                check_against_fresh(&mut graph, &db, &probe, &context, &mut seen);
+            }
+        }
+        // The generator reaches every path the comparison covers.
+        let Seen {
+            loops,
+            chains,
+            rescans,
+            environmental,
+        } = seen;
+        assert!(
+            loops > 1_000 && chains > 100,
+            "loops {loops}, chains {chains}"
+        );
+        assert!(rescans > 40, "rescans {rescans}");
+        assert!(environmental > 100, "environmental {environmental}");
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //!    footprint before any Simplex solve, and three advisory classes
 //!    beyond the paper's device class are detected: rule chains/loops,
 //!    shadowing/redundancy, and cross-device environmental conflicts via
-//!    the declarative [`EnvTable`].
+//!    the declarative [`EnvTable`]. The graph follows the rule
+//!    database's change feed, so an analysis costs what the probe's
+//!    neighbourhood costs, not what the home costs.
 //!
 //! [`check_consistency`], [`check_conflict`] and [`find_conflicts`] are the
 //! brute-force oracles: they lower each rule through a fresh `VarPool` and

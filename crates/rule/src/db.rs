@@ -14,6 +14,11 @@
 //! rule has a program. The engine evaluates the program instead of
 //! re-walking the condition tree; the conflict graph shares the program's
 //! conjunct systems and rebuilds a rule's node when its revision changes.
+//!
+//! Every insert, replace and removal is also written to a bounded *change
+//! feed*: a reader keeps a [`ChangeCursor`] and asks
+//! [`RuleDb::changes_since`] which ids changed after it, instead of
+//! rescanning the whole database. The feed does not know its readers.
 
 use crate::compile::compile_rule;
 use crate::error::RuleError;
@@ -21,13 +26,75 @@ use crate::rule::{Rule, RuleBuilder};
 use cadel_ir::{ProgramArena, ProgramRef, RuleProgram, SharedInterner};
 use cadel_obs::{LazyCounter, LazyHistogram, Stopwatch};
 use cadel_types::{DeviceId, PersonId, RuleId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Lowerings attempted on storage (register, insert, import).
 static LOWERED: LazyCounter = LazyCounter::new("rule_lower_total");
 /// Wall-clock latency of lowering one rule to its compiled program.
 static LOWER_NS: LazyHistogram = LazyHistogram::new("rule_lower_duration_ns");
+
+/// How many changes the feed keeps. A reader further behind than this
+/// gets `None` from [`RuleDb::changes_since`] and rescans the database.
+pub const CHANGE_LOG_CAPACITY: usize = 1024;
+
+/// Revision stamps, process-wide: a `(id, revision)` pair names one
+/// compiled artifact even across databases (a clone shares its stamps
+/// with the original, a rebuilt database never reuses them).
+static NEXT_REVISION: AtomicU64 = AtomicU64::new(1);
+/// Feed identities, process-wide.
+static NEXT_FEED: AtomicU64 = AtomicU64::new(1);
+
+/// A position in one database's change feed: the database's identity and
+/// the number of changes it had made when the cursor was taken.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChangeCursor {
+    feed: u64,
+    version: u64,
+}
+
+/// The change feed: a version counter and the ids of the last
+/// [`CHANGE_LOG_CAPACITY`] changes. Its identity is never copied: a
+/// cloned database starts a feed of its own, so a cursor taken from one
+/// database never reads another's log.
+#[derive(Debug)]
+struct ChangeFeed {
+    identity: u64,
+    version: u64,
+    log: VecDeque<RuleId>,
+}
+
+impl Default for ChangeFeed {
+    fn default() -> ChangeFeed {
+        ChangeFeed {
+            identity: NEXT_FEED.fetch_add(1, Ordering::Relaxed),
+            version: 0,
+            log: VecDeque::new(),
+        }
+    }
+}
+
+impl Clone for ChangeFeed {
+    /// A fresh identity and an empty log: no cursor of the original
+    /// matches the clone.
+    fn clone(&self) -> ChangeFeed {
+        ChangeFeed {
+            version: self.version,
+            ..ChangeFeed::default()
+        }
+    }
+}
+
+impl ChangeFeed {
+    fn record(&mut self, id: RuleId) {
+        if self.log.len() == CHANGE_LOG_CAPACITY {
+            self.log.pop_front();
+        }
+        self.log.push_back(id);
+        self.version += 1;
+    }
+}
 
 /// A rule with its compiled artifact and revision stamp.
 #[derive(Clone, Debug)]
@@ -41,6 +108,7 @@ struct StoredRule {
 ///
 /// Cloning the database clones the rules but *shares* the interner: a clone
 /// evaluates its programs against the same slot universe as the original.
+/// It does not share the change feed: a clone gets an identity of its own.
 ///
 /// # Example
 ///
@@ -67,7 +135,7 @@ pub struct RuleDb {
     by_owner: HashMap<PersonId, BTreeSet<RuleId>>,
     next_id: RuleId,
     interner: SharedInterner,
-    next_revision: u64,
+    feed: ChangeFeed,
     /// Compiled programs in contiguous SoA layout, appended alongside the
     /// per-rule `Arc<RuleProgram>` at compile time. The engine's hot path
     /// and inverted indexes read rules through the arena; the `Arc`s stay
@@ -178,30 +246,30 @@ impl RuleDb {
 
     /// Compiles a rule, appends it to the arena and the indexes, and
     /// stores it under a fresh revision, displacing a stored rule with
-    /// the same id. A rule that does not compile touches nothing: no
-    /// interned name, index entry or arena span, and no displaced rule.
+    /// the same id; the id goes to the change feed once. A rule that does
+    /// not compile touches nothing: no interned name, index entry or
+    /// arena span, no displaced rule and no feed entry.
     fn store(&mut self, rule: Rule) -> Result<(), RuleError> {
         let sw = Stopwatch::start();
         LOWERED.inc();
         let interner = Arc::clone(&self.interner);
         let mut interner = interner.write().expect("interner lock poisoned");
         let program = Arc::new(compile_rule(&rule, &mut interner)?);
-        if self.rules.contains_key(&rule.id()) {
-            self.remove(rule.id())?;
-        }
+        let id = rule.id();
+        self.unstore(id);
         // Appended under the same lock the program was compiled under, so
         // the arena's interned footprint matches the program's slots.
-        self.arena.insert(rule.id(), &program, &mut interner);
+        self.arena.insert(id, &program, &mut interner);
         drop(interner);
         LOWER_NS.record(&sw);
         self.index(&rule);
-        self.next_revision += 1;
         let stored = StoredRule {
             rule,
-            revision: self.next_revision,
+            revision: NEXT_REVISION.fetch_add(1, Ordering::Relaxed),
             program,
         };
-        self.rules.insert(stored.rule.id(), stored);
+        self.rules.insert(id, stored);
+        self.feed.record(id);
         Ok(())
     }
 
@@ -245,9 +313,16 @@ impl RuleDb {
     ///
     /// Returns [`RuleError::UnknownRule`] if absent.
     pub fn remove(&mut self, id: RuleId) -> Result<Rule, RuleError> {
-        let stored = self.rules.remove(&id).ok_or(RuleError::UnknownRule(id))?;
+        let rule = self.unstore(id).ok_or(RuleError::UnknownRule(id))?;
+        self.feed.record(id);
+        Ok(rule)
+    }
+
+    /// Takes a rule out of the map, the arena and the indexes, without a
+    /// feed entry.
+    fn unstore(&mut self, id: RuleId) -> Option<Rule> {
+        let rule = self.rules.remove(&id)?.rule;
         self.arena.remove(id);
-        let rule = stored.rule;
         if let Some(set) = self.by_device.get_mut(rule.action().device()) {
             set.remove(&id);
             if set.is_empty() {
@@ -260,7 +335,34 @@ impl RuleDb {
                 self.by_owner.remove(rule.owner());
             }
         }
-        Ok(rule)
+        Some(rule)
+    }
+
+    /// The feed's current position. Passed to [`RuleDb::changes_since`]
+    /// later, it yields the ids changed after this call.
+    pub fn cursor(&self) -> ChangeCursor {
+        ChangeCursor {
+            feed: self.feed.identity,
+            version: self.feed.version,
+        }
+    }
+
+    /// The ids inserted, replaced or removed since `cursor`, oldest
+    /// first; an id appears once per change. An empty iterator means the
+    /// database is exactly as it was at `cursor`.
+    ///
+    /// Returns `None` when the log cannot answer: the cursor was taken
+    /// from another database (a clone or a rebuilt one counts as
+    /// another), or more than [`CHANGE_LOG_CAPACITY`] changes have
+    /// happened since. The reader must then rescan the whole database.
+    pub fn changes_since(&self, cursor: ChangeCursor) -> Option<impl Iterator<Item = RuleId> + '_> {
+        let feed = &self.feed;
+        if cursor.feed != feed.identity || cursor.version > feed.version {
+            return None;
+        }
+        let behind = usize::try_from(feed.version - cursor.version).ok()?;
+        let start = feed.log.len().checked_sub(behind)?;
+        Some(feed.log.range(start..).copied())
     }
 
     /// Looks up a rule by id.
@@ -284,9 +386,10 @@ impl RuleDb {
         self.arena.program_ref(id)
     }
 
-    /// The revision stamp of a rule: unique per stored artifact, so a
-    /// `(id, revision)` pair identifies a rule's exact compiled content
-    /// (re-inserting after removal yields a new revision).
+    /// The revision stamp of a rule: unique per stored artifact across the
+    /// process, so a `(id, revision)` pair identifies a rule's exact
+    /// compiled content (re-inserting after removal yields a new
+    /// revision, and a clone shares its original's stamps).
     pub fn revision(&self, id: RuleId) -> Option<u64> {
         self.rules.get(&id).map(|s| s.revision)
     }
@@ -613,6 +716,87 @@ mod tests {
         assert!(ids.iter().all(|id| restored.program(*id).is_some()));
         // Importing the same JSON again collides.
         assert!(restored.import_json(&json).is_err());
+    }
+
+    #[test]
+    fn feed_lists_each_change_once_and_nothing_when_unchanged() {
+        let mut db = RuleDb::new();
+        let start = db.cursor();
+        let a = db.register(builder("tom", "tv", "a")).unwrap();
+        let b = db.register(builder("tom", "stereo", "b")).unwrap();
+        let mid = db.cursor();
+        db.replace(builder("tom", "tv", "c").build(a).unwrap())
+            .unwrap();
+        db.remove(b).unwrap();
+        // A refused store and a refused removal log nothing.
+        assert!(db.register(clash_rule("tom", "tv")).is_err());
+        assert!(db.remove(b).is_err());
+        let since = |c| db.changes_since(c).unwrap().collect::<Vec<_>>();
+        assert_eq!(since(start), vec![a, b, a, b]);
+        assert_eq!(since(mid), vec![a, b]);
+        assert_eq!(since(db.cursor()), vec![]);
+        // The allocator is not a change.
+        let now = db.cursor();
+        db.allocate_id();
+        db.ensure_next_id(RuleId::new(90));
+        assert_eq!(db.cursor(), now);
+    }
+
+    #[test]
+    fn a_foreign_cursor_reads_nothing() {
+        let mut db = RuleDb::new();
+        db.register(builder("tom", "tv", "a")).unwrap();
+        let mut other = RuleDb::new();
+        other.register(builder("tom", "tv", "a")).unwrap();
+        // Same history, same version: still another database.
+        assert!(db.changes_since(other.cursor()).is_none());
+        assert!(other.changes_since(db.cursor()).is_none());
+    }
+
+    #[test]
+    fn a_clone_has_a_feed_of_its_own() {
+        let mut db = RuleDb::new();
+        let before = db.cursor();
+        db.register(builder("tom", "tv", "a")).unwrap();
+        let mut clone = db.clone();
+        assert!(clone.changes_since(before).is_none());
+        assert!(clone.changes_since(db.cursor()).is_none());
+        assert!(db.changes_since(clone.cursor()).is_none());
+        // Each side keeps its own log from there on, and the clone
+        // shares the original's revision stamps.
+        let id = db.iter().next().unwrap().id();
+        assert_eq!(clone.revision(id), db.revision(id));
+        let mark = clone.cursor();
+        clone.remove(id).unwrap();
+        assert_eq!(
+            clone.changes_since(mark).unwrap().collect::<Vec<_>>(),
+            vec![id]
+        );
+        assert_eq!(db.changes_since(before).unwrap().count(), 1);
+    }
+
+    #[test]
+    fn an_overflowed_log_reads_nothing() {
+        let mut db = RuleDb::new();
+        let start = db.cursor();
+        let id = db.register(builder("tom", "tv", "a")).unwrap();
+        let one_in = db.cursor();
+        for i in 0..CHANGE_LOG_CAPACITY - 1 {
+            db.replace(builder("tom", "tv", &format!("e{i}")).build(id).unwrap())
+                .unwrap();
+        }
+        // Exactly a full log back: still answerable.
+        assert_eq!(
+            db.changes_since(start).unwrap().count(),
+            CHANGE_LOG_CAPACITY
+        );
+        db.remove(id).unwrap();
+        assert!(db.changes_since(start).is_none());
+        assert_eq!(
+            db.changes_since(one_in).unwrap().count(),
+            CHANGE_LOG_CAPACITY
+        );
+        assert_eq!(db.changes_since(db.cursor()).unwrap().count(), 0);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! | `word_defined`    | `user`, `sentence` (original CADEL text)   |
 //! | `rule_registered` | `rule`                                     |
 //! | `rule_arbitrated` | `rule`, `priority`                         |
+//! | `rule_id_reserved`| `id` (of a refused rule its caller holds)  |
 //! | `rule_removed`    | `id`                                       |
 //! | `rule_customized` | `rule` (full replacement, same id)         |
 //! | `priority_added`  | `priority`                                 |
@@ -62,6 +63,13 @@ pub(crate) fn rule_arbitrated(rule: &Rule, priority: &PriorityOrder) -> Json {
         ("type", Json::str("rule_arbitrated")),
         ("rule", rule_to_json(rule)),
         ("priority", priority_to_json(priority)),
+    ])
+}
+
+pub(crate) fn rule_id_reserved(id: RuleId) -> Json {
+    Json::obj(vec![
+        ("type", Json::str("rule_id_reserved")),
+        ("id", Json::Int(id.raw() as i64)),
     ])
 }
 

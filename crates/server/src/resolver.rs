@@ -1,11 +1,13 @@
 //! The compiler's name environment, backed by the live UPnP registry.
 //!
 //! When a user writes "turn on the light at the hall", the compiler asks
-//! this resolver what "light" at place "hall" denotes. Resolution walks
-//! the registry's cached device descriptions — the same data the guidance
-//! service browses — so a rule can only ever bind to devices that really
-//! exist, which is exactly the paper's argument for the lookup service
-//! (§3.2: users "can reach the target sensors and devices quickly").
+//! this resolver what "light" at place "hall" denotes. Resolution goes
+//! through the registry's indexes — by friendly name, keyword and
+//! state-variable name, the same data the guidance service browses — so
+//! a rule can only ever bind to devices that really exist, which is
+//! exactly the paper's argument for the lookup service (§3.2: users "can
+//! reach the target sensors and devices quickly"). Place containment is
+//! the topology's answer.
 
 use crate::users::UserRegistry;
 use cadel_lang::Resolver;
@@ -41,6 +43,22 @@ impl<'a> RegistryResolver<'a> {
         }
     }
 
+    /// Whether a registered device is installed within `scope`.
+    fn device_in(&self, udn: &DeviceId, scope: &PlaceId) -> bool {
+        self.place_matches(self.registry.location(udn).as_ref(), scope)
+    }
+
+    /// The sensors exposing state variable `name`, within `scope` when
+    /// given, in key order.
+    fn sensors_named(&self, name: &str, scope: Option<&PlaceId>) -> Vec<SensorKey> {
+        let mut candidates = self.registry.find_by_variable(name);
+        if let Some(scope) = scope {
+            candidates.retain(|key| self.device_in(key.device(), scope));
+        }
+        candidates.sort();
+        candidates
+    }
+
     /// Devices with the given friendly name (fallback: keyword),
     /// optionally filtered by location.
     fn device_candidates(&self, name: &str, location: Option<&PlaceId>) -> Vec<DeviceId> {
@@ -48,19 +66,10 @@ impl<'a> RegistryResolver<'a> {
         if candidates.is_empty() {
             candidates = self.registry.find_by_keyword(name);
         }
-        match location {
-            None => candidates,
-            Some(loc) => candidates
-                .into_iter()
-                .filter(|udn| {
-                    self.registry
-                        .description(udn)
-                        .ok()
-                        .map(|d| self.place_matches(d.location(), loc))
-                        .unwrap_or(false)
-                })
-                .collect(),
+        if let Some(loc) = location {
+            candidates.retain(|udn| self.device_in(udn, loc));
         }
+        candidates
     }
 }
 
@@ -88,22 +97,7 @@ impl Resolver for RegistryResolver<'_> {
     fn resolve_sensor(&self, name: &str, location: Option<&PlaceId>) -> Option<SensorKey> {
         // A sensor reference names a state *variable* category
         // ("temperature", "humidity"): find the devices exposing it.
-        let mut candidates: Vec<SensorKey> = Vec::new();
-        for description in self.registry.descriptions() {
-            if let Some((_, var)) = description.find_variable(name) {
-                let in_scope = match location {
-                    None => true,
-                    Some(loc) => self.place_matches(description.location(), loc),
-                };
-                if in_scope {
-                    candidates.push(SensorKey::new(
-                        description.udn().clone(),
-                        var.name().to_owned(),
-                    ));
-                }
-            }
-        }
-        candidates.sort();
+        let candidates = self.sensors_named(name, location);
         if candidates.len() == 1 {
             candidates.into_iter().next()
         } else {
@@ -112,20 +106,7 @@ impl Resolver for RegistryResolver<'_> {
     }
 
     fn ambient_sensor(&self, place: &PlaceId, kind: &str) -> Option<SensorKey> {
-        let mut candidates: Vec<SensorKey> = Vec::new();
-        for description in self.registry.descriptions() {
-            if !self.place_matches(description.location(), place) {
-                continue;
-            }
-            if let Some((_, var)) = description.find_variable(kind) {
-                candidates.push(SensorKey::new(
-                    description.udn().clone(),
-                    var.name().to_owned(),
-                ));
-            }
-        }
-        candidates.sort();
-        candidates.into_iter().next()
+        self.sensors_named(kind, Some(place)).into_iter().next()
     }
 
     fn sensor_unit(&self, sensor: &SensorKey) -> Option<Unit> {
@@ -211,6 +192,196 @@ mod tests {
         let key = r.resolve_sensor("humidity", None).unwrap();
         assert_eq!(key.device().as_str(), "hygro-lr");
         assert_eq!(r.resolve_sensor("radiation", None), None);
+    }
+
+    /// Whether a description's place lies within `scope`, by the topology.
+    fn scanned_place(topology: &Topology, place: Option<&PlaceId>, scope: &PlaceId) -> bool {
+        place.is_some_and(|p| topology.contains(scope, p).unwrap_or(p == scope))
+    }
+
+    /// Device candidates as the resolver found them before the registry
+    /// indexed variables: a description cloned per candidate for its place.
+    fn scanned_devices(
+        r: &RegistryResolver<'_>,
+        name: &str,
+        at: Option<&PlaceId>,
+    ) -> Vec<DeviceId> {
+        let mut candidates = r.registry.find_by_name(name);
+        if candidates.is_empty() {
+            candidates = r.registry.find_by_keyword(name);
+        }
+        candidates.retain(|udn| match at {
+            None => true,
+            Some(loc) => r
+                .registry
+                .description(udn)
+                .is_ok_and(|d| scanned_place(r.topology, d.location(), loc)),
+        });
+        candidates
+    }
+
+    /// Sensors as the resolver found them before: every description
+    /// cloned and scanned for the variable.
+    fn scanned_sensors(
+        r: &RegistryResolver<'_>,
+        name: &str,
+        at: Option<&PlaceId>,
+    ) -> Vec<SensorKey> {
+        let mut candidates: Vec<SensorKey> = r
+            .registry
+            .descriptions()
+            .iter()
+            .filter(|d| at.is_none_or(|loc| scanned_place(r.topology, d.location(), loc)))
+            .filter_map(|d| {
+                d.find_variable(name)
+                    .map(|(_, var)| SensorKey::new(d.udn().clone(), var.name().to_owned()))
+            })
+            .collect();
+        candidates.sort();
+        candidates
+    }
+
+    fn single<T>(mut candidates: Vec<T>) -> Option<T> {
+        (candidates.len() == 1).then(|| candidates.remove(0))
+    }
+
+    #[test]
+    fn indexed_lookups_answer_like_the_linear_scan() {
+        use cadel_devices::{AirConditioner, Hygrometer, Light, LightKind, LuxMeter, Thermometer};
+        // Shaped like a dense home: two floors of rooms, each with a
+        // thermometer, an air conditioner and a light under shared
+        // friendly names, some hygrometers and lux meters, a garden
+        // with outdoor sensors, and a shed the topology does not know.
+        let registry = Registry::new();
+        let mut topology = Topology::new("dense home");
+        let mut places = vec![PlaceId::new("dense home")];
+        for floor in ["ground", "upper"] {
+            places.push(topology.add_floor(floor).unwrap());
+            for r in 0..12 {
+                let room = format!("{floor} room {r}");
+                places.push(topology.add_room(&room, floor).unwrap());
+                let udn = |kind: &str| format!("{kind}-{floor}-{r}");
+                registry
+                    .register(Thermometer::new(&udn("thermo"), "Thermometer", &room, 22))
+                    .unwrap();
+                registry
+                    .register(AirConditioner::new(
+                        &udn("aircon"),
+                        "Air Conditioner",
+                        &room,
+                    ))
+                    .unwrap();
+                let kind = if r % 5 == 0 {
+                    LightKind::FloorLamp
+                } else {
+                    LightKind::Fluorescent
+                };
+                registry
+                    .register(Light::new(&udn("light"), "Light", &room, kind))
+                    .unwrap();
+                if r % 3 == 0 {
+                    registry
+                        .register(Hygrometer::new(&udn("hygro"), "Hygrometer", &room, 50))
+                        .unwrap();
+                }
+                if r % 4 == 1 {
+                    registry
+                        .register(LuxMeter::new(&udn("lux"), "Lux Meter", &room, 300))
+                        .unwrap();
+                }
+            }
+        }
+        places.push(topology.add_room("garden", "ground").unwrap());
+        registry
+            .register(Thermometer::new(
+                "thermo-out",
+                "Outdoor Thermometer",
+                "garden",
+                20,
+            ))
+            .unwrap();
+        registry
+            .register(Hygrometer::new(
+                "hygro-out",
+                "Outdoor Hygrometer",
+                "garden",
+                60,
+            ))
+            .unwrap();
+        registry
+            .register(Thermometer::new(
+                "thermo-shed",
+                "Shed Thermometer",
+                "shed",
+                15,
+            ))
+            .unwrap();
+        places.extend([PlaceId::new("shed"), PlaceId::new("nowhere")]);
+        let users = UserRegistry::new();
+        let r = RegistryResolver::new(&registry, &topology, &users);
+
+        let variables = [
+            "temperature",
+            "Humidity",
+            "illuminance",
+            "brightness",
+            "power",
+            "setpoint",
+            "mode",
+            "radiation",
+        ];
+        let devices = [
+            "air conditioner",
+            "Light",
+            "thermometer",
+            "lamp",
+            "climate",
+            "outdoor thermometer",
+            "shed thermometer",
+            "cooling",
+            "jacuzzi",
+        ];
+        let scopes: Vec<Option<&PlaceId>> = std::iter::once(None)
+            .chain(places.iter().map(Some))
+            .collect();
+        let (mut resolved, mut refused) = (0, 0);
+        for at in &scopes {
+            for name in variables {
+                let scanned = scanned_sensors(&r, name, *at);
+                if let Some(place) = at {
+                    assert_eq!(
+                        r.ambient_sensor(place, name),
+                        scanned.first().cloned(),
+                        "ambient {name} at {place}"
+                    );
+                }
+                let answer = r.resolve_sensor(name, *at);
+                assert_eq!(answer, single(scanned), "sensor {name} at {at:?}");
+                if answer.is_some() {
+                    resolved += 1;
+                } else {
+                    refused += 1;
+                }
+            }
+            for name in devices {
+                let answer = r.resolve_device(name, *at);
+                assert_eq!(
+                    answer,
+                    single(scanned_devices(&r, name, *at)),
+                    "device {name} at {at:?}"
+                );
+                if answer.is_some() {
+                    resolved += 1;
+                } else {
+                    refused += 1;
+                }
+            }
+        }
+        // Both outcomes occur: unique answers and ambiguous or unknown names.
+        assert!(
+            resolved > 100 && refused > 100,
+            "resolved {resolved}, refused {refused}"
+        );
     }
 
     #[test]

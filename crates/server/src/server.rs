@@ -344,6 +344,18 @@ impl HomeServer {
                     (Err(e), _) | (_, Err(e)) => Err(e),
                 }
             }
+            "rule_id_reserved" => record
+                .get("id")
+                .and_then(Json::as_int)
+                .and_then(|raw| u64::try_from(raw).ok())
+                .ok_or_else(|| {
+                    persist::bad("rule_id_reserved record: 'id' must be a non-negative integer")
+                })
+                .map(|raw| {
+                    // `raw` fits an i64, so `next` cannot overflow.
+                    let id = RuleId::new(raw);
+                    self.engine.rules_mut().ensure_next_id(id.next());
+                }),
             "rule_removed" => record
                 .get("id")
                 .and_then(Json::as_int)
@@ -642,8 +654,8 @@ impl HomeServer {
         Ok(())
     }
 
-    /// Removes a registered rule, durably, and evicts its conflict-graph
-    /// node.
+    /// Removes a registered rule, durably. The conflict graph drops its
+    /// node at its next sync, from the rule database's change feed.
     ///
     /// # Errors
     ///
@@ -653,7 +665,6 @@ impl HomeServer {
         self.live_rule(id)?;
         self.log_record(&persist::rule_removed(id))?;
         self.engine.remove_rule(id)?;
-        self.graph.remove(id);
         Ok(())
     }
 
@@ -982,18 +993,28 @@ impl HomeServer {
 
     /// The one decision path of registration, customize, re-enable and
     /// arbitration: the owner's access check, then — unless the rule is a
-    /// live rule being disabled — one analysis. An inconsistent rule is
-    /// rejected, and a rule with a device conflict that the priority store
-    /// (with the arbitrated order installed) does not cover is refused;
-    /// neither stores nor logs anything. Otherwise the rule commits.
+    /// live rule being disabled — one analysis. A registration under a
+    /// live id is refused before either. An inconsistent rule is rejected,
+    /// and a rule with a device conflict that the priority store (with the
+    /// arbitrated order installed) does not cover is refused; neither
+    /// stores anything. Otherwise the rule commits.
+    ///
+    /// A refused new rule goes back to the caller, who may arbitrate it
+    /// later, so its id is logged as reserved: the allocator must not
+    /// hand that id out again after a restart.
     fn decide(&mut self, rule: Rule, commit: Commit) -> Result<SubmitOutcome, ServerError> {
         self.access.check_rule(&rule)?;
+        let id = rule.id();
+        let live = self.engine.rules().get(id).is_some();
+        if live && matches!(commit, Commit::Register) {
+            return Err(ServerError::Engine(
+                cadel_rule::RuleError::DuplicateRule(id).into(),
+            ));
+        }
         let arbitrated = match &commit {
             Commit::Arbitrate(order) => Some(self.with_order(order)?),
             Commit::Register | Commit::Customize => None,
         };
-        let id = rule.id();
-        let live = self.engine.rules().get(id).is_some();
         let mut dead_conjuncts = Vec::new();
         if rule.is_enabled() || !live {
             // One analysis answers both §4.4 questions: can the condition
@@ -1019,6 +1040,9 @@ impl HomeServer {
                             .with_field("conflicts", conflicts.len() as u64)
                             .with_field("customize", live),
                     );
+                }
+                if !live {
+                    self.log_record(&persist::rule_id_reserved(id))?;
                 }
                 return Ok(SubmitOutcome::ConflictDetected {
                     rule: Box::new(rule),
@@ -1747,6 +1771,117 @@ mod tests {
             assert!(server.engine().rules().next_id() > id_keep);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_registration_under_a_live_id_is_refused_before_it_is_logged() {
+        let dir = temp_dir("duplicate");
+        let tom = PersonId::new("tom");
+        let original;
+        {
+            let (control, topology, _home) = fresh_world();
+            let (mut server, _) = HomeServer::open_at(control, topology, &dir).unwrap();
+            server.add_user("tom").unwrap();
+            let SubmitOutcome::Registered { id, .. } = server
+                .submit(&tom, "When a movie is on air, turn on the TV.")
+                .unwrap()
+            else {
+                panic!("expected registration");
+            };
+            original = server.engine().rules().get(id).unwrap().clone();
+            let Some(other) = server
+                .compile_rule(&tom, "When a movie is on air, turn on the stereo.")
+                .unwrap()
+            else {
+                panic!("a rule sentence");
+            };
+            let impostor = other.reassigned(id, tom.clone());
+            let err = server.register_rule(impostor).unwrap_err();
+            assert_eq!(
+                err,
+                ServerError::Engine(cadel_rule::RuleError::DuplicateRule(id).into())
+            );
+            assert_eq!(server.engine().rules().get(id), Some(&original));
+            server.sync().unwrap();
+        }
+        let (control, topology, _home) = fresh_world();
+        let (server, report) = HomeServer::open_at(control, topology, &dir).unwrap();
+        assert_eq!(report.records_skipped, 0);
+        assert_eq!(server.engine().rules().get(original.id()), Some(&original));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_rule_keeps_its_id_across_a_restart() {
+        let dir = temp_dir("reserved");
+        let (tom, alan) = (PersonId::new("tom"), PersonId::new("alan"));
+        let held;
+        {
+            let (control, topology, _home) = fresh_world();
+            let (mut server, _) = HomeServer::open_at(control, topology, &dir).unwrap();
+            server.add_user("tom").unwrap();
+            server.add_user("alan").unwrap();
+            server
+                .submit(
+                    &tom,
+                    "If temperature is higher than 26 degrees, turn on the air conditioner \
+                     with 25 degrees of temperature setting.",
+                )
+                .unwrap();
+            let outcome = server
+                .submit(
+                    &alan,
+                    "If temperature is higher than 25 degrees, turn on the air conditioner \
+                     with 24 degrees of temperature setting.",
+                )
+                .unwrap();
+            let SubmitOutcome::ConflictDetected { rule, .. } = outcome else {
+                panic!("expected conflict");
+            };
+            held = *rule;
+            server.sync().unwrap();
+        }
+        let (control, topology, _home) = fresh_world();
+        let (mut server, report) = HomeServer::open_at(control, topology, &dir).unwrap();
+        assert_eq!(report.records_skipped, 0);
+        assert!(server.engine().rules().next_id() > held.id());
+        // A rule registered after the restart gets an id of its own, so
+        // arbitrating the held rule cannot replace it.
+        let SubmitOutcome::Registered { id, .. } = server
+            .submit(&tom, "When a movie is on air, turn on the TV.")
+            .unwrap()
+        else {
+            panic!("expected registration");
+        };
+        assert_ne!(id, held.id());
+        let partner = server
+            .engine()
+            .rules()
+            .rules_for_device(held.action().device())[0]
+            .id();
+        let order = PriorityOrder::new(held.action().device().clone(), vec![held.id(), partner]);
+        let outcome = server.arbitrate(&alan, held.clone(), order).unwrap();
+        assert!(
+            matches!(outcome, SubmitOutcome::Registered { .. }),
+            "{outcome:?}"
+        );
+        assert_eq!(server.engine().rules().len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reserved_id_record_only_ever_advances_the_allocator() {
+        let (mut server, _home) = setup();
+        assert!(server.apply_record(&persist::rule_id_reserved(RuleId::new(41))));
+        assert_eq!(server.engine().rules().next_id(), RuleId::new(42));
+        assert!(server.apply_record(&persist::rule_id_reserved(RuleId::new(7))));
+        assert_eq!(server.engine().rules().next_id(), RuleId::new(42));
+        // Hostile ids are skipped with a typed error, never a panic.
+        for id in [Json::Int(-1), Json::Int(i64::MIN), Json::str("41")] {
+            let record = Json::obj(vec![("type", Json::str("rule_id_reserved")), ("id", id)]);
+            assert!(!server.apply_record(&record));
+        }
+        assert_eq!(server.engine().rules().next_id(), RuleId::new(42));
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! specified device by its device name" (and by service name) over 50
 //! virtual UPnP devices. Those retrievals are [`Registry::find_by_name`]
 //! and [`Registry::find_by_service_type`] here, backed by hash indexes
-//! that are maintained on (un)registration.
+//! that are maintained on (un)registration. The rule compiler resolves a
+//! sensor reference ("temperature") through the same kind of index,
+//! [`Registry::find_by_variable`].
 
 use crate::description::DeviceDescription;
 use crate::device::VirtualDevice;
 use crate::error::UpnpError;
 use crate::event::EventBus;
-use cadel_types::{DeviceId, PlaceId};
+use cadel_types::{DeviceId, PlaceId, SensorKey};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::RwLock;
@@ -25,6 +27,8 @@ struct RegistryInner {
     by_service_type: HashMap<String, Vec<DeviceId>>,
     by_location: HashMap<PlaceId, Vec<DeviceId>>,
     by_keyword: HashMap<String, Vec<DeviceId>>,
+    /// Lowercased state-variable name → the devices exposing it.
+    by_variable: HashMap<String, Vec<DeviceId>>,
 }
 
 /// The shared registry of live virtual devices.
@@ -92,6 +96,19 @@ impl Registry {
                 .or_default()
                 .push(udn.clone());
         }
+        for variable in description
+            .services()
+            .iter()
+            .flat_map(|s| s.state_variables())
+        {
+            let devices = inner
+                .by_variable
+                .entry(variable.name().to_ascii_lowercase())
+                .or_default();
+            if devices.last() != Some(&udn) {
+                devices.push(udn.clone());
+            }
+        }
         inner.descriptions.insert(udn.clone(), description);
         inner.devices.insert(udn.clone(), device.clone());
         drop(inner);
@@ -135,6 +152,16 @@ impl Registry {
         }
         for keyword in description.keywords() {
             prune(&mut inner.by_keyword, keyword);
+        }
+        for variable in description
+            .services()
+            .iter()
+            .flat_map(|s| s.state_variables())
+        {
+            prune(
+                &mut inner.by_variable,
+                &variable.name().to_ascii_lowercase(),
+            );
         }
         if let Some(place) = description.location() {
             if let Some(v) = inner.by_location.get_mut(place) {
@@ -185,6 +212,17 @@ impl Registry {
             .get(udn)
             .cloned()
             .ok_or_else(|| UpnpError::UnknownDevice(udn.clone()))
+    }
+
+    /// The installed location of a device, without cloning its
+    /// description; `None` for an unknown device or one with no location.
+    pub fn location(&self, udn: &DeviceId) -> Option<PlaceId> {
+        self.inner
+            .read()
+            .expect("registry lock poisoned")
+            .descriptions
+            .get(udn)
+            .and_then(|d| d.location().cloned())
     }
 
     /// All descriptions, unordered.
@@ -240,6 +278,24 @@ impl Registry {
             .get(place)
             .cloned()
             .unwrap_or_default()
+    }
+
+    /// Retrieval **by state-variable name**, case-insensitive: each device
+    /// exposing the variable, in registration order, keyed by the name
+    /// [`DeviceDescription::find_variable`] answers with (the first match
+    /// in service order).
+    pub fn find_by_variable(&self, name: &str) -> Vec<SensorKey> {
+        let inner = self.inner.read().expect("registry lock poisoned");
+        let Some(devices) = inner.by_variable.get(&name.to_ascii_lowercase()) else {
+            return Vec::new();
+        };
+        devices
+            .iter()
+            .filter_map(|udn| {
+                let (_, variable) = inner.descriptions.get(udn)?.find_variable(name)?;
+                Some(SensorKey::new(udn.clone(), variable.name()))
+            })
+            .collect()
     }
 
     /// Retrieval by keyword (paper Fig. 5: retrieval item (1)).
@@ -340,6 +396,17 @@ mod tests {
             vec![DeviceId::new("p2")]
         );
         assert_eq!(registry.find_by_keyword("TESTING").len(), 2);
+        assert_eq!(
+            registry.find_by_variable("VALUE"),
+            vec![
+                SensorKey::new(DeviceId::new("p1"), "value"),
+                SensorKey::new(DeviceId::new("p2"), "value"),
+            ]
+        );
+        assert_eq!(
+            registry.location(&DeviceId::new("p2")),
+            Some(PlaceId::new("kitchen"))
+        );
         assert!(registry.find_by_name("toaster").is_empty());
     }
 
@@ -363,6 +430,8 @@ mod tests {
         assert!(registry.find_by_name("hall probe").is_empty());
         assert!(registry.find_by_keyword("testing").is_empty());
         assert!(registry.find_by_location(&PlaceId::new("hall")).is_empty());
+        assert!(registry.find_by_variable("value").is_empty());
+        assert_eq!(registry.location(&udn), None);
         assert!(matches!(
             registry.unregister(&udn),
             Err(UpnpError::UnknownDevice(_))

@@ -73,6 +73,10 @@ fn rule_owned_by(server: &HomeServer, owner: &str) -> RuleId {
         .expect("scripted op ran out of order: owner has no rule")
 }
 
+/// Alan's air-conditioner rule, which conflicts with Tom's.
+const ALAN_COOLS: &str = "If temperature is higher than 25 degrees, turn on the air \
+                          conditioner with 24 degrees of temperature setting.";
+
 fn scripted_ops() -> Vec<Op> {
     vec![
         ("add user tom", |s, _| {
@@ -101,21 +105,24 @@ fn scripted_ops() -> Vec<Op> {
                 .unwrap();
             assert!(matches!(out, SubmitOutcome::Registered { .. }));
         }),
+        ("refuse a conflicting rule, reserving its id", |s, _| {
+            let out = s.submit(&PersonId::new("alan"), ALAN_COOLS).unwrap();
+            assert!(
+                matches!(out, SubmitOutcome::ConflictDetected { .. }),
+                "expected a conflict, got {out:?}"
+            );
+        }),
         ("arbitrate a conflict", |s, _| {
-            let out = s
-                .submit(
-                    &PersonId::new("alan"),
-                    "If temperature is higher than 25 degrees, turn on the air \
-                     conditioner with 24 degrees of temperature setting.",
-                )
-                .unwrap();
-            let SubmitOutcome::ConflictDetected { rule, conflicts } = out else {
-                panic!("expected a conflict, got {out:?}");
-            };
-            let loser = conflicts[0].rule_b();
+            let alan = PersonId::new("alan");
+            let rule = s
+                .compile_rule(&alan, ALAN_COOLS)
+                .unwrap()
+                .expect("a rule sentence");
+            let loser = rule_owned_by(s, "tom");
             let order = PriorityOrder::new(rule.action().device().clone(), vec![rule.id(), loser])
                 .with_label("Alan first");
-            s.arbitrate(&PersonId::new("alan"), *rule, order).unwrap();
+            let out = s.arbitrate(&alan, rule, order).unwrap();
+            assert!(matches!(out, SubmitOutcome::Registered { .. }), "{out:?}");
         }),
         ("add context-scoped priority", |s, _| {
             let tom = rule_owned_by(s, "tom");
