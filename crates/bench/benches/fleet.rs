@@ -3,8 +3,12 @@
 //! * **FL1** — wave throughput: one `step_ready` wave over a fleet of
 //!   unit tenants (each a full durable `HomeServer` with three rules and
 //!   its own WAL segment), swept across worker counts. Each wave
-//!   delivers every tenant's sensor batch, steps every tenant, and
-//!   group-syncs the stepped WALs.
+//!   delivers every tenant's sensor batch, steps every tenant, and has
+//!   the worker that stepped a tenant sync its WAL, which issues an
+//!   fdatasync only for the WALs the wave appended to. After the timed
+//!   sections, one counted wave asserts that: its fdatasyncs equal its
+//!   WAL appends (the tenants whose phased runtime checkpoint fell on
+//!   it), fewer than the tenants stepped.
 //! * **FL2** — supervision overhead under chaos: the same wave with a
 //!   slice of tenants whose rule-evaluation hook panics every time it is
 //!   re-armed, so each iteration pays catch_unwind quarantine plus a
@@ -49,7 +53,7 @@ fn build_fleet(root: &PathBuf, tenants: usize, workers: usize) -> Fleet {
     fleet
 }
 
-/// One full wave: deliver every tenant's batch, step, group-sync.
+/// One full wave: deliver every tenant's batch, step and sync.
 fn wave(fleet: &mut Fleet, traffic: &mut FleetTraffic, tick: u64) -> usize {
     let at = mins(tick);
     for (i, batch) in traffic.tick(at).into_iter().enumerate() {
@@ -65,7 +69,7 @@ fn main() {
     let tenants: usize = if smoke { 24 } else { 192 };
     let worker_counts: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
 
-    section("fl1_wave_throughput (tenants stepped + group-synced per wave)");
+    section("fl1_wave_throughput (tenants stepped + synced per wave)");
     for &workers in worker_counts {
         let root = bench_root(&format!("fl1-w{workers}"));
         let mut fleet = build_fleet(&root, tenants, workers);
@@ -132,4 +136,35 @@ fn main() {
         let _ = std::fs::remove_dir_all(&root);
     }
     let _ = std::panic::take_hook();
+
+    section("fl1_counted_wave (WAL appends and fdatasyncs in one wave)");
+    let root = bench_root("fl1-counted");
+    let mut fleet = build_fleet(&root, tenants, 4);
+    let mut traffic = FleetTraffic::new(tenants, 7);
+    // The first wave syncs what building the tenants logged.
+    wave(&mut fleet, &mut traffic, 1);
+    cadel::obs::enable_metrics_only();
+    let counter = |name| cadel::obs::metrics_snapshot().counter(name).unwrap_or(0);
+    let (appends, syncs) = (
+        counter("store_wal_appends_total"),
+        counter("store_syncs_total"),
+    );
+    let stepped = wave(&mut fleet, &mut traffic, 2);
+    let appends = counter("store_wal_appends_total") - appends;
+    let syncs = counter("store_syncs_total") - syncs;
+    cadel::obs::shutdown();
+    println!(
+        "  fl1 counted wave: {stepped} tenants stepped, {appends} WAL appends, {syncs} fdatasyncs"
+    );
+    assert_eq!(stepped, tenants, "every tenant has readings every wave");
+    assert_eq!(
+        syncs, appends,
+        "a wave syncs exactly the WALs it appended to"
+    );
+    assert!(
+        syncs > 0 && syncs < tenants as u64,
+        "phased checkpoints: {syncs} syncs for {tenants} tenants"
+    );
+    drop(fleet);
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -38,7 +38,12 @@ pub struct FleetConfig {
     pub step_deadline: Duration,
     /// Runtime-checkpoint cadence in successful steps (0 = never). The
     /// checkpoint is what a quarantine-restart resumes from, so a lower
-    /// cadence narrows the in-memory window lost to a panic.
+    /// cadence narrows the in-memory window lost to a panic. Each tenant
+    /// checkpoints once every this many successful steps, phased by its
+    /// fleet index `i`: after the step that brings its count to `n`
+    /// when `(n + i) % checkpoint_every == 0`. Tenants stepping in
+    /// lockstep thus spread their checkpoint appends, and the syncs
+    /// they cost, evenly over the waves.
     pub checkpoint_every: u64,
     /// Fleet-wide backpressure trips when total queued ingress exceeds
     /// this fraction of total inbox capacity.

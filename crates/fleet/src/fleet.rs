@@ -422,9 +422,13 @@ impl Fleet {
 
     /// Restarts quarantined tenants within their budget, then steps
     /// every healthy tenant with a non-empty inbox (event-driven: idle
-    /// tenants cost nothing) across the worker pool, then batch-syncs
-    /// the stepped tenants' WALs. Any tenant fault — panic, deadline
-    /// overrun, append/sync failure — quarantines that tenant only.
+    /// tenants cost nothing) across the worker pool. The worker that
+    /// stepped a tenant then syncs its WAL, which costs a system call
+    /// only when the step logged something (in steady state, the
+    /// tenant's phased runtime checkpoint). When this returns, every
+    /// tenant whose step ended [`StepStatus::Ok`] has its WAL on stable
+    /// storage. Any tenant fault — panic, deadline overrun,
+    /// append/sync failure — quarantines that tenant only.
     pub fn step_ready(&mut self, now: SimTime) -> FleetStepReport {
         let restarted = self.restart_quarantined();
         let config = self.config;
@@ -463,24 +467,6 @@ impl Fleet {
             }
         };
         outcomes.sort_by_key(|o| o.index);
-
-        // Group fsync: one batched pass over every tenant that stepped,
-        // instead of a sync per WAL append. A failing sync degrades to
-        // that tenant alone — it is quarantined, the rest of the batch
-        // proceeds.
-        for outcome in &mut outcomes {
-            if !outcome.status.is_ok() {
-                continue;
-            }
-            let tenant = &mut self.tenants[outcome.index];
-            if let Some(server) = tenant.server.as_mut() {
-                if let Err(error) = server.sync() {
-                    let fault = format!("wave sync failed: {error}");
-                    tenant.quarantine(fault.clone());
-                    outcome.status = StepStatus::StoreFault(fault);
-                }
-            }
-        }
 
         for outcome in &outcomes {
             let nanos = outcome.elapsed.as_nanos() as u64;
@@ -745,9 +731,11 @@ impl Fleet {
     }
 }
 
-/// Steps one tenant under supervision. Runs on a worker thread with
-/// exclusive ownership of the tenant; every fault path quarantines the
-/// tenant in place and the wave goes on.
+/// Steps one tenant under supervision, then syncs its WAL. Runs on a
+/// worker thread with exclusive ownership of the tenant; every fault
+/// path quarantines the tenant in place and the wave goes on. The
+/// reported `elapsed`, and so the deadline watchdog, times the step
+/// alone: a slow disk is a sync, not an overrun.
 fn step_one(
     index: usize,
     tenant: &mut Tenant,
@@ -755,8 +743,10 @@ fn step_one(
     config: &FleetConfig,
 ) -> TenantStepOutcome {
     let batch: Vec<Ingress> = tenant.inbox.drain(..).collect();
-    let checkpoint_due =
-        config.checkpoint_every > 0 && (tenant.steps + 1).is_multiple_of(config.checkpoint_every);
+    // Phased by fleet index, so tenants stepping in lockstep spread
+    // their checkpoints (and the syncs they cost) over the waves.
+    let checkpoint_due = config.checkpoint_every > 0
+        && (tenant.steps + 1 + index as u64).is_multiple_of(config.checkpoint_every);
     let started = Instant::now();
     let result = {
         let (Some(server), Some(world)) = (tenant.server.as_mut(), tenant.world.as_mut()) else {
@@ -827,10 +817,21 @@ fn step_one(
                 }
             } else {
                 tenant.steps += 1;
+                let synced = tenant.server.as_mut().map_or(Ok(()), HomeServer::sync);
+                let status = match synced {
+                    Ok(()) => StepStatus::Ok,
+                    // The step ran and its report stands, so the batch
+                    // is not requeued.
+                    Err(error) => {
+                        let fault = format!("wave sync failed: {error}");
+                        tenant.quarantine(fault.clone());
+                        StepStatus::StoreFault(fault)
+                    }
+                };
                 TenantStepOutcome {
                     index,
                     tenant: name,
-                    status: StepStatus::Ok,
+                    status,
                     report: Some(report),
                     elapsed,
                 }

@@ -18,9 +18,12 @@
 //!   engine's own coalescing classification (a superseded sensor
 //!   reading is droppable, an event-bearing payload is not), and a
 //!   fleet-wide backpressure signal tells traffic sources to back off.
-//! - **Group fsync.** Appends are buffered per tenant and synced once
-//!   per wave; a failing sync degrades to quarantining that tenant
-//!   alone.
+//! - **Wave-end durability.** Appends are buffered per tenant; the
+//!   worker that stepped a tenant syncs its WAL before the wave returns,
+//!   and a WAL with nothing new costs no system call. Runtime
+//!   checkpoints are phased by tenant index, so a wave syncs only the
+//!   tenants whose turn it is. A failing sync degrades to quarantining
+//!   that tenant alone.
 //!
 //! Fleet health is observable end to end: state gauges, panic/restart/
 //! shed counters, a step-latency histogram, and a per-tenant

@@ -265,6 +265,51 @@ fn append_faults_quarantine_the_tenant_and_restart_clears_read_only() {
 }
 
 #[test]
+fn a_failed_wave_sync_quarantines_only_that_tenant() {
+    let root = fleet_root("sync-fault");
+    let mut fleet = Fleet::new(&root, FleetConfig::default());
+    fleet.add_tenant("t0", lr_tenant).unwrap();
+    fleet.add_tenant("t1", lr_tenant).unwrap();
+
+    // Building logged each tenant's user and rule, so the first wave
+    // syncs both WALs; t0's fdatasync fails.
+    fleet.server_mut_of("t0").unwrap().inject_sync_faults(true);
+    fleet.offer("t0", temp_reading(30, mins(1))).unwrap();
+    fleet.offer("t1", temp_reading(30, mins(1))).unwrap();
+    let wave = fleet.step_ready(mins(1));
+    match &wave.outcomes[0].status {
+        StepStatus::StoreFault(fault) => {
+            assert!(fault.starts_with("wave sync failed: "), "{fault}")
+        }
+        other => panic!("unexpected status: {other:?}"),
+    }
+    assert!(
+        wave.outcomes[0].report.is_some(),
+        "the step ran; its report stands"
+    );
+    assert!(wave.outcomes[1].status.is_ok());
+    assert_eq!(fleet.state_of("t0"), Some(TenantState::Quarantined));
+    assert_eq!(fleet.state_of("t1"), Some(TenantState::Healthy));
+    assert_eq!(
+        fleet.inbox_len_of("t0"),
+        Some(0),
+        "the batch is not requeued"
+    );
+    assert!(fleet.server_of("t1").unwrap().store().unwrap().is_synced());
+    let health = fleet.health();
+    assert_eq!((health.store_faults, health.overruns), (1, 0));
+
+    // The restart reopens a healthy store and the tenant steps again.
+    fleet.offer("t0", temp_reading(29, mins(2))).unwrap();
+    let wave = fleet.step_ready(mins(2));
+    assert_eq!(wave.restarted, 1);
+    assert!(wave.outcomes[0].status.is_ok());
+    assert!(fleet.server_of("t0").unwrap().store().unwrap().is_synced());
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn strike_budget_exhaustion_parks_the_tenant_until_revived() {
     let root = fleet_root("budget");
     let mut fleet = Fleet::new(

@@ -248,12 +248,14 @@ impl HomeServer {
         self.store.as_ref()
     }
 
-    /// Flushes the WAL to stable storage (fsync). No-op on ephemeral
-    /// servers.
+    /// Flushes the WAL to stable storage (fdatasync). Free when nothing
+    /// was logged since the last successful sync: the store issues no
+    /// system call then. No-op on ephemeral servers.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Store`] on I/O failure.
+    /// Returns [`ServerError::Store`] on I/O failure; the records stay
+    /// unsynced, so the next sync retries them.
     pub fn sync(&mut self) -> Result<(), ServerError> {
         match &mut self.store {
             Some(store) => Ok(store.sync()?),
@@ -275,6 +277,16 @@ impl HomeServer {
     pub fn inject_append_faults(&mut self, on: bool) {
         if let Some(store) = &mut self.store {
             store.set_fail_appends(on);
+        }
+    }
+
+    /// Toggles injected WAL sync failures (a simulated I/O error from
+    /// fdatasync) on the backing store: [`HomeServer::sync`] fails while
+    /// anything is unsynced. No-op on ephemeral servers. Fault injection
+    /// for the fleet's wave-sync tests.
+    pub fn inject_sync_faults(&mut self, on: bool) {
+        if let Some(store) = &mut self.store {
+            store.set_fail_syncs(on);
         }
     }
 
@@ -918,7 +930,21 @@ impl HomeServer {
     /// register the rule and [`ServerError::Conflict`] on solver
     /// failures.
     pub fn register_rule(&mut self, rule: Rule) -> Result<SubmitOutcome, ServerError> {
-        self.decide(rule, Commit::Register)
+        let outcome = self.decide(rule, Commit::Register)?;
+        self.hand_back(outcome)
+    }
+
+    /// Returns an outcome to a caller that may arbitrate a refused rule
+    /// later, even after a restart: a refused new rule's id is logged as
+    /// reserved first, so the allocator never hands it out again.
+    fn hand_back(&mut self, outcome: SubmitOutcome) -> Result<SubmitOutcome, ServerError> {
+        if let SubmitOutcome::ConflictDetected { rule, .. } = &outcome {
+            let id = rule.id();
+            if self.engine.rules().get(id).is_none() {
+                self.log_record(&persist::rule_id_reserved(id))?;
+            }
+        }
+        Ok(outcome)
     }
 
     /// Installs a rule with a priority order over the rules it conflicts
@@ -960,7 +986,8 @@ impl HomeServer {
         if let Some(twice) = order.ranking().iter().find(|r| !seen.insert(**r)) {
             return refused(format!("the order on {on} ranks {twice} twice"));
         }
-        self.decide(rule, Commit::Arbitrate(order))
+        let outcome = self.decide(rule, Commit::Arbitrate(order))?;
+        self.hand_back(outcome)
     }
 
     /// The priority store as it would be with `order` installed.
@@ -997,11 +1024,9 @@ impl HomeServer {
     /// live id is refused before either. An inconsistent rule is rejected,
     /// and a rule with a device conflict that the priority store (with the
     /// arbitrated order installed) does not cover is refused; neither
-    /// stores anything. Otherwise the rule commits.
-    ///
-    /// A refused new rule goes back to the caller, who may arbitrate it
-    /// later, so its id is logged as reserved: the allocator must not
-    /// hand that id out again after a restart.
+    /// stores anything. Otherwise the rule commits. A refusal logs
+    /// nothing; [`HomeServer::hand_back`] reserves the id of a refused
+    /// rule that goes back to a caller.
     fn decide(&mut self, rule: Rule, commit: Commit) -> Result<SubmitOutcome, ServerError> {
         self.access.check_rule(&rule)?;
         let id = rule.id();
@@ -1040,9 +1065,6 @@ impl HomeServer {
                             .with_field("conflicts", conflicts.len() as u64)
                             .with_field("customize", live),
                     );
-                }
-                if !live {
-                    self.log_record(&persist::rule_id_reserved(id))?;
                 }
                 return Ok(SubmitOutcome::ConflictDetected {
                     rule: Box::new(rule),
@@ -1102,7 +1124,8 @@ impl HomeServer {
     /// fresh ids and running each through the consistency/conflict
     /// workflow. Conflicting, inconsistent or malformed rules (a
     /// dimension clash inside one condition) are skipped and reported,
-    /// never silently dropped.
+    /// never silently dropped. The report does not hand a skipped rule
+    /// back, so nothing is logged for it: its id is not reserved.
     ///
     /// # Errors
     ///
@@ -1125,7 +1148,7 @@ impl HomeServer {
                 .unwrap_or_else(|| rule.id().to_string());
             let id = self.engine.rules_mut().allocate_id();
             let rule = rule.reassigned(id, new_owner.clone());
-            let outcome = match self.register_rule(rule) {
+            let outcome = match self.decide(rule, Commit::Register) {
                 Ok(outcome) => outcome,
                 Err(ServerError::Conflict(ConflictError::Rule(error))) => {
                     report.skipped.push((label, error.to_string()));
@@ -1866,6 +1889,41 @@ mod tests {
             "{outcome:?}"
         );
         assert_eq!(server.engine().rules().len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_import_logs_nothing() {
+        let dir = temp_dir("import-refused");
+        let (tom, alan) = (PersonId::new("tom"), PersonId::new("alan"));
+        let (control, topology, _home) = fresh_world();
+        let (mut server, _) = HomeServer::open_at(control, topology, &dir).unwrap();
+        server.add_user("tom").unwrap();
+        server.add_user("alan").unwrap();
+        server
+            .submit(
+                &tom,
+                "If temperature is higher than 26 degrees, turn on the air conditioner \
+                 with 25 degrees of temperature setting.",
+            )
+            .unwrap();
+        let Some(rival) = server
+            .compile_rule(
+                &alan,
+                "If temperature is higher than 25 degrees, turn on the air conditioner \
+                 with 24 degrees of temperature setting.",
+            )
+            .unwrap()
+        else {
+            panic!("a rule sentence");
+        };
+        let json = cadel_rule::codec::rules_to_json([&rival]);
+        let wal_len = server.store().unwrap().wal_len();
+        let report = server.import_rules(&alan, &json).unwrap();
+        assert!(report.imported.is_empty(), "{report:?}");
+        assert_eq!(report.skipped.len(), 1, "{report:?}");
+        assert!(report.skipped[0].1.contains("conflicts"), "{report:?}");
+        assert_eq!(server.store().unwrap().wal_len(), wal_len);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -30,10 +30,12 @@
 //! Durability is crash-consistent rather than synchronous by default:
 //! appends buffer in the OS page cache unless
 //! [`Store::set_sync_on_append`] is enabled or [`Store::sync`] is
-//! called. Snapshots are written to a temp file and atomically renamed
-//! over the old one before the WAL is truncated, so a crash at any
-//! point during [`Store::compact`] leaves either the old or the new
-//! snapshot intact.
+//! called. The store remembers whether anything was written since its
+//! last successful sync ([`Store::is_synced`]), so a [`Store::sync`] with
+//! nothing to flush returns without a system call. Snapshots are written
+//! to a temp file and atomically renamed over the old one before the WAL
+//! is truncated, so a crash at any point during [`Store::compact`] leaves
+//! either the old or the new snapshot intact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,6 +62,9 @@ static SNAPSHOTS_CORRUPT: LazyCounter = LazyCounter::new("store_snapshots_corrup
 static RECOVER_NS: LazyHistogram = LazyHistogram::new("store_recover_duration_ns");
 static REPLAY_SKIPPED: LazyCounter = LazyCounter::new("store_replay_skipped_total");
 static APPEND_FAILURES: LazyCounter = LazyCounter::new("store_append_failures_total");
+static SYNCS: LazyCounter = LazyCounter::new("store_syncs_total");
+static SYNCS_SKIPPED: LazyCounter = LazyCounter::new("store_syncs_skipped_total");
+static SYNC_NS: LazyHistogram = LazyHistogram::new("store_sync_duration_ns");
 
 /// Counts WAL records that decoded cleanly but could not be re-applied by
 /// the replaying layer (warn-and-skip recovery). The store frames and
@@ -201,9 +206,15 @@ pub struct Store {
     wal: File,
     wal_len: u64,
     sync_on_append: bool,
+    /// Something was written to the log since its last successful sync.
+    /// Set before each write, so a write that fails partway counts too.
+    unsynced: bool,
     /// Fault injection: when set, every append fails as if the disk were
     /// full. See [`Store::set_fail_appends`].
     fail_appends: bool,
+    /// Fault injection: when set, every fdatasync of the log fails. See
+    /// [`Store::set_fail_syncs`].
+    fail_syncs: bool,
 }
 
 /// Name of the per-tenant segment directory inside a shared fleet store
@@ -223,8 +234,9 @@ pub fn segment_dir(root: impl AsRef<Path>, name: &str) -> PathBuf {
 
 impl Store {
     /// Opens (creating if absent) the store rooted at `dir`, scanning
-    /// and repairing the log. Returns the store handle plus everything
-    /// recovered from disk.
+    /// and repairing the log, then syncs the log once, so whatever an
+    /// earlier handle left unsynced reaches stable storage. Returns the
+    /// store handle plus everything recovered from disk.
     pub fn open(dir: impl AsRef<Path>) -> Result<(Store, Recovered), StoreError> {
         let sw = Stopwatch::start();
         let dir = dir.as_ref().to_path_buf();
@@ -257,10 +269,23 @@ impl Store {
                 wal.set_len(valid_len)
                     .map_err(io_err("truncating torn log tail"))?;
             }
-            wal.sync_data().map_err(io_err("syncing repaired log"))?;
         }
         wal.seek(SeekFrom::End(0))
             .map_err(io_err("seeking to log end"))?;
+        let mut store = Store {
+            dir,
+            wal,
+            wal_len: valid_len.max(HEADER_LEN),
+            sync_on_append: false,
+            unsynced: true,
+            fail_appends: false,
+            fail_syncs: false,
+        };
+        // One fdatasync on every open, repaired or not: an earlier handle
+        // may have written records it never synced (a tenant quarantined
+        // before its wave sync), and a clean first `sync` of this handle
+        // must not skip them. So a store just opened is synced.
+        store.sync_log().map_err(io_err("syncing log"))?;
 
         let report = RecoveryReport {
             records_replayed: scan.records.len() as u64,
@@ -284,13 +309,6 @@ impl Store {
         RECOVER_NS.record(&sw);
         drop(span);
 
-        let store = Store {
-            dir,
-            wal,
-            wal_len: valid_len.max(HEADER_LEN),
-            sync_on_append: false,
-            fail_appends: false,
-        };
         let recovered = Recovered {
             snapshot,
             records: scan.records,
@@ -311,6 +329,14 @@ impl Store {
         self.wal_len
     }
 
+    /// Whether everything written to the log has reached stable storage:
+    /// nothing was written since the last successful sync (explicit, per
+    /// append, or by [`Store::compact`]). A store just opened is synced.
+    /// A write or sync that failed leaves it unsynced.
+    pub fn is_synced(&self) -> bool {
+        !self.unsynced
+    }
+
     /// When enabled, every [`Store::append`] is followed by an fdatasync.
     /// Off by default: the tests and soak harness favour throughput, and
     /// crash-consistency (prefix durability) holds either way.
@@ -326,6 +352,14 @@ impl Store {
     /// read-only-flip tests; a sibling of `cadel-upnp`'s `FaultPlan`.
     pub fn set_fail_appends(&mut self, on: bool) {
         self.fail_appends = on;
+    }
+
+    /// Fault injection: when enabled, every fdatasync the log issues
+    /// fails as if the device reported an I/O error. A clean
+    /// [`Store::sync`] issues none and still succeeds. Used by the fleet
+    /// tests of a failed wave sync.
+    pub fn set_fail_syncs(&mut self, on: bool) {
+        self.fail_syncs = on;
     }
 
     /// Appends one record to the log. The payload is the compact JSON
@@ -352,15 +386,12 @@ impl Store {
         frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(bytes).to_le_bytes());
         frame.extend_from_slice(bytes);
+        self.unsynced = true;
         if let Err(source) = self.wal.write_all(&frame) {
             APPEND_FAILURES.inc();
             return Err(StoreError::Append { source });
         }
-        if let Err(source) = self
-            .sync_on_append
-            .then(|| self.wal.sync_data())
-            .transpose()
-        {
+        if let Err(source) = self.sync_on_append.then(|| self.sync_log()).transpose() {
             APPEND_FAILURES.inc();
             return Err(StoreError::Append { source });
         }
@@ -370,9 +401,33 @@ impl Store {
         Ok(())
     }
 
-    /// Forces buffered appends to stable storage.
+    /// Forces buffered appends to stable storage. When nothing was
+    /// written since the last successful sync ([`Store::is_synced`]) this
+    /// returns at once without a system call.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.wal.sync_data().map_err(io_err("syncing log"))
+        if !self.unsynced {
+            SYNCS_SKIPPED.inc();
+            return Ok(());
+        }
+        self.sync_log().map_err(io_err("syncing log"))
+    }
+
+    /// Issues one fdatasync of the log (counted and timed whether it
+    /// succeeds or not; an injected fault stands in for the system call)
+    /// and, when it succeeds, marks everything written so far as on
+    /// stable storage.
+    fn sync_log(&mut self) -> std::io::Result<()> {
+        let sw = Stopwatch::start();
+        let result = if self.fail_syncs {
+            Err(std::io::Error::other("injected sync fault (simulated EIO)"))
+        } else {
+            self.wal.sync_data()
+        };
+        SYNCS.inc();
+        SYNC_NS.record(&sw);
+        result?;
+        self.unsynced = false;
+        Ok(())
     }
 
     /// Writes `snapshot` atomically (temp file + rename) and truncates
@@ -396,15 +451,14 @@ impl Store {
         fs::rename(&tmp_path, &final_path).map_err(io_err("publishing snapshot"))?;
 
         // Only truncate the log once the snapshot is durably in place.
+        self.unsynced = true;
         self.wal
             .set_len(HEADER_LEN)
             .map_err(io_err("compacting log"))?;
         self.wal
             .seek(SeekFrom::Start(HEADER_LEN))
             .map_err(io_err("rewinding compacted log"))?;
-        self.wal
-            .sync_data()
-            .map_err(io_err("syncing compacted log"))?;
+        self.sync_log().map_err(io_err("syncing compacted log"))?;
         self.wal_len = HEADER_LEN;
         SNAPSHOTS_WRITTEN.inc();
         Ok(())
@@ -776,6 +830,74 @@ mod tests {
         assert_eq!(rb.report.records_replayed, 2);
         assert!(!rb.report.is_lossy());
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn fresh_and_reopened_stores_are_synced() {
+        let dir = temp_dir("synced-open");
+        {
+            let (mut store, _) = Store::open(&dir).unwrap();
+            assert!(store.is_synced(), "a fresh store has written nothing");
+            store.append(&rec(1)).unwrap();
+        }
+        let (store, recovered) = Store::open(&dir).unwrap();
+        assert_eq!(recovered.report.records_replayed, 1);
+        assert!(store.is_synced(), "a reopened store has written nothing");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_append_unsyncs_and_sync_resyncs() {
+        let dir = temp_dir("synced-append");
+        let (mut store, _) = Store::open(&dir).unwrap();
+        store.append(&rec(1)).unwrap();
+        assert!(!store.is_synced());
+        store.sync().unwrap();
+        assert!(store.is_synced());
+        store.sync().unwrap();
+        assert!(store.is_synced(), "a clean sync keeps it synced");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compact_and_sync_on_append_leave_the_store_synced() {
+        let dir = temp_dir("synced-compact");
+        let (mut store, _) = Store::open(&dir).unwrap();
+        store.append(&rec(1)).unwrap();
+        store
+            .compact(&Json::obj(vec![("state", Json::Int(1))]))
+            .unwrap();
+        assert!(store.is_synced());
+        store.set_sync_on_append(true);
+        store.append(&rec(2)).unwrap();
+        assert!(store.is_synced());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_sync_leaves_the_store_unsynced() {
+        let dir = temp_dir("synced-fail");
+        let (mut store, _) = Store::open(&dir).unwrap();
+        store.append(&rec(1)).unwrap();
+        store.set_fail_syncs(true);
+        assert!(matches!(store.sync(), Err(StoreError::Io { .. })));
+        assert!(!store.is_synced());
+        store.set_fail_syncs(false);
+        store.sync().unwrap();
+        assert!(store.is_synced());
+        // A clean sync issues no fdatasync, so the injected fault cannot
+        // reach it.
+        store.set_fail_syncs(true);
+        store.sync().unwrap();
+        // A failed per-append sync is a failed append, and leaves the
+        // written record unsynced.
+        store.set_sync_on_append(true);
+        assert!(matches!(
+            store.append(&rec(2)),
+            Err(StoreError::Append { .. })
+        ));
+        assert!(!store.is_synced());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

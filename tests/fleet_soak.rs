@@ -89,6 +89,10 @@ fn fault_of(index: usize) -> Fault {
 
 const TRAFFIC_SEED: u64 = 20250809;
 const ENOSPC_ARM_TICK: u64 = 8;
+/// Runtime-checkpoint cadence. A step appends nothing but its tenant's
+/// checkpoint, so an armed `ENOSPC` tenant fails an append within this
+/// many steps, whatever its checkpoint phase.
+const CHECKPOINT_EVERY: u64 = 4;
 
 struct RunResult {
     fleet: Fleet,
@@ -102,7 +106,7 @@ fn run_fleet(root: &PathBuf, tenants: usize, ticks: u64, chaos: bool) -> RunResu
         root,
         FleetConfig {
             workers: 8,
-            checkpoint_every: 4,
+            checkpoint_every: CHECKPOINT_EVERY,
             ..FleetConfig::default()
         },
     );
@@ -249,6 +253,16 @@ fn faulted_fleet_soak_isolates_tenants_and_restarts_from_wal() {
                     recovery.records_replayed > 0 || recovery.snapshot_used,
                     "tenant {i} restarted without reading its WAL"
                 );
+                if fault_of(i) == Fault::Enospc && ticks >= ENOSPC_ARM_TICK + CHECKPOINT_EVERY {
+                    let faulted_at = chaos.logs[i]
+                        .iter()
+                        .find(|line| line.contains(" store-fault "))
+                        .and_then(|line| line.split(' ').next()?.parse::<u64>().ok());
+                    assert!(
+                        faulted_at.is_some_and(|t| t < ENOSPC_ARM_TICK + CHECKPOINT_EVERY),
+                        "ENOSPC tenant {i} first failed an append at tick {faulted_at:?}"
+                    );
+                }
             }
             // (3) Actuator faults are the engine resilience layer's
             // problem; the supervisor must not quarantine for them.
