@@ -11,8 +11,8 @@
 //!   original expiries, persistent events, clock, event window,
 //!   freshness policy);
 //! * `held_for` trackers (since-instants of duration-qualified atoms);
-//! * edge-detection state, device holds, contenders, latches and
-//!   notation sets;
+//! * edge-detection state (each rule's last verdict), device holds,
+//!   contenders, latches and notation sets;
 //! * the fault-tolerance layer: breaker machines (including grown
 //!   cooldowns), the retry queue, the dead-letter queue and the
 //!   sequence counter.
@@ -20,6 +20,17 @@
 //! Export is byte-stable: every hash-map is emitted in sorted order, so
 //! two engines in identical states serialize identically — the property
 //! the crash-matrix test leans on.
+//!
+//! The document is at version 2. Version 1 wrote each rule's last
+//! verdict as a `{"rule": id, "state": bool}` object in `last_state`,
+//! two thirds of a 10,000-rule home's checkpoint; version 2 writes the
+//! same state as two ascending, disjoint id arrays, `last_true` and
+//! `last_false`, in its place. Every other member is unchanged, and
+//! import still reads version 1.
+//!
+//! Import refuses a negative time, duration, count or rule id with a
+//! typed error instead of letting it wrap into the engine's unsigned
+//! clock arithmetic.
 //!
 //! This is a child module of `engine` so it can reach the engine's
 //! private runtime fields without widening their visibility.
@@ -35,8 +46,9 @@ use cadel_types::json::Json;
 use cadel_types::{DeviceId, PersonId, PlaceId, RuleId, SensorKey, SimDuration, SimTime};
 use std::collections::BTreeSet;
 
-/// Schema version of the runtime checkpoint document.
-const RUNTIME_VERSION: i64 = 1;
+/// Schema version of the runtime checkpoint document that export
+/// writes. Import also reads version 1 (see the module docs).
+const RUNTIME_VERSION: i64 = 2;
 
 /// Serializes a freshness policy (mode + optional max age).
 pub fn freshness_policy_to_json(policy: &FreshnessPolicy) -> Json {
@@ -60,7 +72,7 @@ pub fn freshness_policy_from_json(doc: &Json) -> Result<FreshnessPolicy, EngineE
         other => return Err(bad(format!("unknown freshness mode '{other}'"))),
     };
     let max_age = match doc.get("max_age_ms") {
-        Some(ms) => Some(SimDuration::from_millis(int_of(ms, "max_age_ms")? as u64)),
+        Some(ms) => Some(SimDuration::from_millis(num_of(ms, "max_age_ms")?)),
         None => None,
     };
     Ok(FreshnessPolicy { mode, max_age })
@@ -140,19 +152,17 @@ impl Engine {
                 .collect(),
         );
 
-        let mut last_state: Vec<_> = self.last_state.iter().collect();
-        last_state.sort_by_key(|(id, _)| **id);
-        let last_state = Json::Arr(
-            last_state
-                .into_iter()
-                .map(|(id, state)| {
-                    Json::obj(vec![
-                        ("rule", Json::Int(id.raw() as i64)),
-                        ("state", Json::Bool(*state)),
-                    ])
-                })
-                .collect(),
-        );
+        let mut last_true = Vec::new();
+        let mut last_false = Vec::new();
+        for (&id, &state) in &self.last_state {
+            if state {
+                last_true.push(id);
+            } else {
+                last_false.push(id);
+            }
+        }
+        last_true.sort_unstable();
+        last_false.sort_unstable();
 
         let mut holders: Vec<_> = self.holders.iter().collect();
         holders.sort_by_key(|(device, _)| (*device).clone());
@@ -207,12 +217,13 @@ impl Engine {
             ("transient_events", transient),
             ("persistent_events", persistent),
             ("held", held),
-            ("last_state", last_state),
+            ("last_true", rule_ids_to_json(&last_true)),
+            ("last_false", rule_ids_to_json(&last_false)),
             ("holders", holders),
             ("contenders", contenders),
-            ("latched", rule_set_to_json(&self.latched)),
-            ("suppress_noted", rule_set_to_json(&self.suppress_noted)),
-            ("defer_noted", rule_set_to_json(&self.defer_noted)),
+            ("latched", rule_ids_to_json(&self.latched)),
+            ("suppress_noted", rule_ids_to_json(&self.suppress_noted)),
+            ("defer_noted", rule_ids_to_json(&self.defer_noted)),
             (
                 "deferred_devices",
                 Json::Arr(
@@ -232,16 +243,21 @@ impl Engine {
     /// sensor stamps, event expiries, holds and breaker machines come
     /// back exactly as exported.
     ///
+    /// Reads documents of version 1 and 2; they differ only in how
+    /// each rule's last verdict is written.
+    ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Persist`] on an out-of-schema document.
+    /// Returns [`EngineError::Persist`] on an out-of-schema document: a
+    /// missing member, a wrong type, a negative time, duration, count or
+    /// rule id, or a rule in both `last_true` and `last_false`.
     /// The engine's runtime state is unspecified after an error — import
     /// into a fresh engine (the recovery path always does).
     pub fn import_runtime_json(&mut self, doc: &Json) -> Result<(), EngineError> {
         let version = get_int(doc, "version")?;
-        if version != RUNTIME_VERSION {
+        if !(1..=RUNTIME_VERSION).contains(&version) {
             return Err(bad(format!(
-                "runtime checkpoint version {version} unsupported (expected {RUNTIME_VERSION})"
+                "runtime checkpoint version {version} unsupported (reads 1 to {RUNTIME_VERSION})"
             )));
         }
 
@@ -249,11 +265,9 @@ impl Engine {
         // set_now, and set_now itself expires nothing when the maps are
         // already clear.
         self.ctx.clear_dynamic_state();
+        self.ctx.set_now(time_of(doc, "now")?);
         self.ctx
-            .set_now(SimTime::from_millis(get_int(doc, "now")? as u64));
-        self.ctx.set_event_window(SimDuration::from_millis(
-            get_int(doc, "event_window_ms")? as u64
-        ));
+            .set_event_window(duration_of(doc, "event_window_ms")?);
         self.ctx
             .set_freshness_policy(freshness_policy_from_json(require(doc, "freshness")?)?);
 
@@ -264,8 +278,7 @@ impl Engine {
             );
             let value = value_from_json(require(entry, "value")?)
                 .map_err(|e| bad(format!("sensor value: {e}")))?;
-            let at = SimTime::from_millis(get_int(entry, "at")? as u64);
-            self.ctx.restore_sensor(key, value, at);
+            self.ctx.restore_sensor(key, value, time_of(entry, "at")?);
         }
         for entry in arr_of(doc, "presence")? {
             self.ctx.set_presence(
@@ -281,7 +294,7 @@ impl Engine {
             self.ctx.restore_transient_event(
                 get_str(entry, "channel")?,
                 get_str(entry, "name")?,
-                SimTime::from_millis(get_int(entry, "expires_at")? as u64),
+                time_of(entry, "expires_at")?,
             );
         }
 
@@ -289,16 +302,30 @@ impl Engine {
         for entry in arr_of(doc, "held")? {
             self.held.restore(
                 get_str(entry, "fingerprint")?.to_owned(),
-                SimTime::from_millis(get_int(entry, "since")? as u64),
+                time_of(entry, "since")?,
             );
         }
 
         self.last_state.clear();
-        for entry in arr_of(doc, "last_state")? {
-            let state = require(entry, "state")?
-                .as_bool()
-                .ok_or_else(|| bad("'state' must be a boolean"))?;
-            self.last_state.insert(rule_of(entry, "rule")?, state);
+        if version == 1 {
+            for entry in arr_of(doc, "last_state")? {
+                let state = require(entry, "state")?
+                    .as_bool()
+                    .ok_or_else(|| bad("'state' must be a boolean"))?;
+                self.last_state.insert(rule_of(entry, "rule")?, state);
+            }
+        } else {
+            for (key, state) in [("last_true", true), ("last_false", false)] {
+                for id in arr_of(doc, key)? {
+                    let id = RuleId::new(num_of(id, key)?);
+                    if self.last_state.insert(id, state) == Some(!state) {
+                        return Err(bad(format!(
+                            "rule {} is in both 'last_true' and 'last_false'",
+                            id.raw()
+                        )));
+                    }
+                }
+            }
         }
         self.holders.clear();
         for entry in arr_of(doc, "holders")? {
@@ -312,15 +339,8 @@ impl Engine {
         self.contenders.clear();
         for entry in arr_of(doc, "contenders")? {
             let device = DeviceId::new(get_str(entry, "device")?);
-            let mut rules = BTreeSet::new();
-            for id in arr_of(entry, "rules")? {
-                rules.insert(RuleId::new(
-                    id.as_int()
-                        .ok_or_else(|| bad("contender rule ids must be integers"))?
-                        as u64,
-                ));
-            }
-            self.contenders.insert(device, rules);
+            self.contenders
+                .insert(device, rule_set_from_json(entry, "rules")?);
         }
         self.latched = rule_set_from_json(doc, "latched")?;
         self.suppress_noted = rule_set_from_json(doc, "suppress_noted")?;
@@ -437,17 +457,18 @@ fn resilience_to_json(resilience: &Resilience) -> Json {
 fn resilience_from_json(doc: &Json) -> Result<Resilience, EngineError> {
     let config_doc = require(doc, "config")?;
     let config = ResilienceConfig {
-        failure_threshold: get_int(config_doc, "failure_threshold")? as u32,
-        cooldown: SimDuration::from_millis(get_int(config_doc, "cooldown_ms")? as u64),
-        max_cooldown: SimDuration::from_millis(get_int(config_doc, "max_cooldown_ms")? as u64),
-        retry_base: SimDuration::from_millis(get_int(config_doc, "retry_base_ms")? as u64),
-        retry_cap: SimDuration::from_millis(get_int(config_doc, "retry_cap_ms")? as u64),
-        max_attempts: get_int(config_doc, "max_attempts")? as u32,
-        device_budget: get_int(config_doc, "device_budget")? as usize,
+        failure_threshold: get_num(config_doc, "failure_threshold")?,
+        cooldown: duration_of(config_doc, "cooldown_ms")?,
+        max_cooldown: duration_of(config_doc, "max_cooldown_ms")?,
+        retry_base: duration_of(config_doc, "retry_base_ms")?,
+        retry_cap: duration_of(config_doc, "retry_cap_ms")?,
+        max_attempts: get_num(config_doc, "max_attempts")?,
+        device_budget: get_num(config_doc, "device_budget")?,
+        // A u64 seed round-trips through the document's i64.
         jitter_seed: get_int(config_doc, "jitter_seed")? as u64,
         // Absent in checkpoints written before the cap existed.
-        dlq_cap: match config_doc.get("dlq_cap").and_then(Json::as_int) {
-            Some(cap) => cap as usize,
+        dlq_cap: match config_doc.get("dlq_cap") {
+            Some(cap) => num_of(cap, "dlq_cap")?,
             None => ResilienceConfig::default().dlq_cap,
         },
     };
@@ -462,21 +483,21 @@ fn resilience_from_json(doc: &Json) -> Result<Resilience, EngineError> {
         resilience.restore_breaker(
             DeviceId::new(get_str(entry, "device")?),
             state,
-            get_int(entry, "failures")? as u32,
-            SimDuration::from_millis(get_int(entry, "cooldown_ms")? as u64),
-            SimTime::from_millis(get_int(entry, "reopen_at")? as u64),
+            get_num(entry, "failures")?,
+            duration_of(entry, "cooldown_ms")?,
+            time_of(entry, "reopen_at")?,
         );
     }
     for entry in arr_of(doc, "queue")? {
         resilience.restore_retry(RetryEntry {
-            seq: get_int(entry, "seq")? as u64,
+            seq: get_num(entry, "seq")?,
             rule: rule_of(entry, "rule")?,
             device: DeviceId::new(get_str(entry, "device")?),
             action: action_from_json(require(entry, "action")?)
                 .map_err(|e| bad(format!("retry action: {e}")))?,
             kind: kind_from_name(get_str(entry, "kind")?)?,
-            attempt: get_int(entry, "attempt")? as u32,
-            next_at: SimTime::from_millis(get_int(entry, "next_at")? as u64),
+            attempt: get_num(entry, "attempt")?,
+            next_at: time_of(entry, "next_at")?,
         });
     }
     for entry in arr_of(doc, "dlq")? {
@@ -486,12 +507,12 @@ fn resilience_from_json(doc: &Json) -> Result<Resilience, EngineError> {
             action: action_from_json(require(entry, "action")?)
                 .map_err(|e| bad(format!("dead-letter action: {e}")))?,
             kind: kind_from_name(get_str(entry, "kind")?)?,
-            attempts: get_int(entry, "attempts")? as u32,
+            attempts: get_num(entry, "attempts")?,
             reason: get_str(entry, "reason")?.to_owned(),
-            at: SimTime::from_millis(get_int(entry, "at")? as u64),
+            at: time_of(entry, "at")?,
         });
     }
-    resilience.restore_next_seq(get_int(doc, "next_seq")? as u64);
+    resilience.restore_next_seq(get_num(doc, "next_seq")?);
     Ok(resilience)
 }
 
@@ -518,18 +539,18 @@ fn kind_from_name(name: &str) -> Result<RetryKind, EngineError> {
     }
 }
 
-fn rule_set_to_json(set: &BTreeSet<RuleId>) -> Json {
-    Json::Arr(set.iter().map(|id| Json::Int(id.raw() as i64)).collect())
+fn rule_ids_to_json<'a>(ids: impl IntoIterator<Item = &'a RuleId>) -> Json {
+    Json::Arr(
+        ids.into_iter()
+            .map(|id| Json::Int(id.raw() as i64))
+            .collect(),
+    )
 }
 
 fn rule_set_from_json(doc: &Json, key: &str) -> Result<BTreeSet<RuleId>, EngineError> {
     arr_of(doc, key)?
         .iter()
-        .map(|id| {
-            id.as_int()
-                .map(|raw| RuleId::new(raw as u64))
-                .ok_or_else(|| bad(format!("'{key}' entries must be integer rule ids")))
-        })
+        .map(|id| Ok(RuleId::new(num_of(id, key)?)))
         .collect()
 }
 
@@ -559,8 +580,27 @@ fn int_of(doc: &Json, key: &str) -> Result<i64, EngineError> {
         .ok_or_else(|| bad(format!("'{key}' must be an integer")))
 }
 
+/// An integer member converted to the unsigned type the engine keeps it
+/// in; a negative or too-large value is refused rather than wrapped.
+fn get_num<T: TryFrom<i64>>(doc: &Json, key: &str) -> Result<T, EngineError> {
+    num_of(require(doc, key)?, key)
+}
+
+fn num_of<T: TryFrom<i64>>(doc: &Json, key: &str) -> Result<T, EngineError> {
+    let n = int_of(doc, key)?;
+    T::try_from(n).map_err(|_| bad(format!("'{key}' is out of range: {n}")))
+}
+
+fn time_of(doc: &Json, key: &str) -> Result<SimTime, EngineError> {
+    Ok(SimTime::from_millis(get_num(doc, key)?))
+}
+
+fn duration_of(doc: &Json, key: &str) -> Result<SimDuration, EngineError> {
+    Ok(SimDuration::from_millis(get_num(doc, key)?))
+}
+
 fn rule_of(doc: &Json, key: &str) -> Result<RuleId, EngineError> {
-    Ok(RuleId::new(get_int(doc, key)? as u64))
+    Ok(RuleId::new(get_num(doc, key)?))
 }
 
 fn bad(message: impl Into<String>) -> EngineError {
@@ -762,34 +802,146 @@ mod tests {
         r#""next_seq":0,"breakers":[],"queue":[],"dlq":[]}}"#,
     );
 
-    #[test]
-    fn checkpoint_carrying_fallback_noted_still_imports() {
-        let doc = cadel_types::json::parse(CHECKPOINT_WITH_FALLBACK_NOTED).unwrap();
+    /// The same state as [`CHECKPOINT_WITH_FALLBACK_NOTED`], as today's
+    /// export writes it: version 2, the two edge lists in place of
+    /// `last_state`, and no retired key.
+    const CHECKPOINT_V2: &str = concat!(
+        r#"{"version":2,"now":180000,"event_window_ms":600000,"#,
+        r#""freshness":{"mode":"hold-last-value"},"#,
+        r#""sensors":[{"device":"aircon-lr","variable":"power","value":true,"at":60000},"#,
+        r#"{"device":"thermo-lr","variable":"temperature","value":{"number":28,"unit":"celsius"},"at":60000}],"#,
+        r#""presence":[],"transient_events":[],"persistent_events":[],"held":[],"#,
+        r#""last_true":[1],"last_false":[2],"#,
+        r#""holders":[{"device":"aircon-lr","rule":1}],"#,
+        r#""contenders":[{"device":"aircon-lr","rules":[1]}],"#,
+        r#""latched":[],"suppress_noted":[],"defer_noted":[],"#,
+        r#""deferred_devices":[],"#,
+        r#""resilience":{"config":{"failure_threshold":3,"cooldown_ms":120000,"#,
+        r#""max_cooldown_ms":960000,"retry_base_ms":30000,"retry_cap_ms":240000,"#,
+        r#""max_attempts":4,"device_budget":8,"jitter_seed":830945,"dlq_cap":256},"#,
+        r#""next_seq":0,"breakers":[],"queue":[],"dlq":[]}}"#,
+    );
+
+    fn living_room_engine() -> Engine {
         let registry = Registry::new();
         LivingRoomHome::install(&registry);
         let mut engine = Engine::new(ControlPoint::new(registry));
         engine.add_rule(hot_rule("tom", 1, 26)).unwrap();
+        engine
+    }
+
+    #[test]
+    fn checkpoint_carrying_fallback_noted_still_imports() {
+        let doc = cadel_types::json::parse(CHECKPOINT_WITH_FALLBACK_NOTED).unwrap();
+        let mut engine = living_room_engine();
         engine.import_runtime_json(&doc).unwrap();
         assert_eq!(
             engine.holder(&DeviceId::new("aircon-lr")),
             Some(RuleId::new(1))
         );
 
-        // Everything but the retired key round-trips unchanged.
-        let mut expected = doc;
-        if let Json::Obj(members) = &mut expected {
-            members.retain(|(key, _)| key != "fallback_noted");
+        // The version 1 document re-exports as version 2, byte for byte.
+        assert_eq!(engine.export_runtime_json().to_compact(), CHECKPOINT_V2);
+    }
+
+    #[test]
+    fn version_1_and_version_2_import_to_the_same_state() {
+        let mut from_v1 = living_room_engine();
+        from_v1
+            .import_runtime_json(&cadel_types::json::parse(CHECKPOINT_WITH_FALLBACK_NOTED).unwrap())
+            .unwrap();
+        let mut from_v2 = living_room_engine();
+        from_v2
+            .import_runtime_json(&cadel_types::json::parse(CHECKPOINT_V2).unwrap())
+            .unwrap();
+        assert_eq!(from_v1.last_state, from_v2.last_state);
+        assert_eq!(from_v1.export_runtime_json(), from_v2.export_runtime_json());
+    }
+
+    /// `CHECKPOINT_V2` with one member's value replaced.
+    fn v2_with(key: &str, value: Json) -> Json {
+        let mut doc = cadel_types::json::parse(CHECKPOINT_V2).unwrap();
+        let Json::Obj(members) = &mut doc else {
+            unreachable!("the literal is an object")
+        };
+        members
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("the literal has the member")
+            .1 = value;
+        doc
+    }
+
+    fn import_error(doc: &Json) -> String {
+        match living_room_engine().import_runtime_json(doc) {
+            Err(EngineError::Persist(message)) => message,
+            other => panic!("expected a persist error, got {other:?}"),
         }
-        assert_eq!(engine.export_runtime_json(), expected);
+    }
+
+    #[test]
+    fn edge_lists_refuse_overlaps_and_bad_ids() {
+        let ids = |raw: &[i64]| Json::Arr(raw.iter().map(|&n| Json::Int(n)).collect());
+        let overlap = v2_with("last_false", ids(&[1, 2]));
+        assert!(import_error(&overlap).contains("both 'last_true' and 'last_false'"));
+        let negative = v2_with("last_true", ids(&[-1]));
+        assert!(import_error(&negative).contains("'last_true'"));
+        let text = v2_with("last_false", Json::Arr(vec![Json::str("2")]));
+        assert!(import_error(&text).contains("'last_false' must be an integer"));
+        let missing = {
+            let mut doc = cadel_types::json::parse(CHECKPOINT_V2).unwrap();
+            if let Json::Obj(members) = &mut doc {
+                members.retain(|(key, _)| key != "last_false");
+            }
+            doc
+        };
+        assert!(import_error(&missing).contains("'last_false'"));
+    }
+
+    /// Regression: a negative event window imported as a huge unsigned
+    /// one, and the next raised event overflowed the expiry sum (a panic
+    /// in a debug build, an event that expired at once in a release
+    /// build). A negative time or duration is now refused by name.
+    #[test]
+    fn negative_times_are_refused_by_name() {
+        let window = cadel_types::json::parse(
+            &CHECKPOINT_WITH_FALLBACK_NOTED
+                .replace(r#""event_window_ms":600000"#, r#""event_window_ms":-1"#),
+        )
+        .unwrap();
+        assert!(import_error(&window).contains("'event_window_ms' is out of range: -1"));
+        let now = v2_with("now", Json::Int(-60_000));
+        assert!(import_error(&now).contains("'now'"));
+        let stale =
+            cadel_types::json::parse(&CHECKPOINT_V2.replace(r#""at":60000}]"#, r#""at":-5}]"#))
+                .unwrap();
+        assert!(import_error(&stale).contains("'at'"));
+        let cooldown = cadel_types::json::parse(
+            &CHECKPOINT_V2.replace(r#""cooldown_ms":120000"#, r#""cooldown_ms":-120000"#),
+        )
+        .unwrap();
+        assert!(import_error(&cooldown).contains("'cooldown_ms'"));
+
+        // The refused import leaves nothing to panic on: a fresh import
+        // of the valid document still steps through an event.
+        let mut engine = living_room_engine();
+        assert!(engine.import_runtime_json(&window).is_err());
+        engine
+            .import_runtime_json(&cadel_types::json::parse(CHECKPOINT_V2).unwrap())
+            .unwrap();
+        engine.context_mut().raise_event("home", "doorbell");
+        engine.step(mins(4));
     }
 
     #[test]
     fn import_rejects_out_of_schema_documents() {
         let (mut engine, _home) = busy_engine();
-        let err = engine
-            .import_runtime_json(&Json::obj(vec![("version", Json::Int(99))]))
-            .unwrap_err();
-        assert!(err.to_string().contains("version 99"));
+        for version in [0, 3, 99, -1] {
+            let err = engine
+                .import_runtime_json(&Json::obj(vec![("version", Json::Int(version))]))
+                .unwrap_err();
+            assert!(err.to_string().contains(&format!("version {version}")));
+        }
 
         let mut doc = engine.export_runtime_json();
         if let Json::Obj(members) = &mut doc {

@@ -226,7 +226,8 @@ impl CircuitBreaker {
     pub fn on_failure(&mut self, now: SimTime, config: &ResilienceConfig) -> bool {
         match self.state {
             BreakerState::Closed => {
-                self.consecutive_failures += 1;
+                // Saturating: a restored streak can sit at `u32::MAX`.
+                self.consecutive_failures = self.consecutive_failures.saturating_add(1);
                 if self.consecutive_failures >= config.failure_threshold {
                     self.state = BreakerState::Open;
                     self.cooldown = config.cooldown;

@@ -57,6 +57,9 @@ static RULES_CUSTOMIZED: LazyCounter = LazyCounter::new("server_rules_customized
 /// Non-blocking advisories (chains, loops, shadowing, redundancy,
 /// environmental) surfaced during registration or customization.
 static RULE_ADVISORIES: LazyCounter = LazyCounter::new("server_rule_advisories_total");
+/// Wall-clock cost of [`HomeServer::checkpoint_runtime`]: the engine's
+/// export plus the WAL append (encode, checksum, write), not the sync.
+static CHECKPOINT_RUNTIME_NS: LazyHistogram = LazyHistogram::new("server_checkpoint_runtime_ns");
 
 /// What happened to a submitted CADEL sentence.
 #[derive(Debug)]
@@ -583,8 +586,11 @@ impl HomeServer {
     ///
     /// Returns [`ServerError::Store`] on I/O failure.
     pub fn checkpoint_runtime(&mut self) -> Result<(), ServerError> {
+        let sw = Stopwatch::start();
         let record = persist::runtime(self.engine.export_runtime_json());
-        self.log_record(&record)
+        let result = self.log_record(&record);
+        CHECKPOINT_RUNTIME_NS.record(&sw);
+        result
     }
 
     /// The access-control policy (paper §6 future work). Permissive until
@@ -1748,6 +1754,105 @@ mod tests {
             assert_eq!(server.engine().rules().len(), 3);
             assert_eq!(server.engine().export_runtime_json(), runtime_before);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrites a version 2 runtime document the way version 1 wrote it:
+    /// one `{"rule", "state"}` object per rule, ascending, in place of
+    /// the two edge lists.
+    fn runtime_v1(v2: &Json) -> Json {
+        let Json::Obj(members) = v2 else {
+            panic!("a runtime document is an object")
+        };
+        let ids = |key: &str| -> Vec<i64> {
+            let list = v2.get(key).and_then(Json::as_arr).expect("a v2 edge list");
+            list.iter().map(|id| id.as_int().expect("an id")).collect()
+        };
+        let mut states: Vec<(i64, bool)> =
+            ids("last_true").into_iter().map(|id| (id, true)).collect();
+        states.extend(ids("last_false").into_iter().map(|id| (id, false)));
+        states.sort();
+        let last_state = Json::Arr(
+            states
+                .into_iter()
+                .map(|(id, state)| {
+                    Json::obj(vec![("rule", Json::Int(id)), ("state", Json::Bool(state))])
+                })
+                .collect(),
+        );
+        let mut v1 = Vec::new();
+        for (key, value) in members {
+            match key.as_str() {
+                "version" => v1.push((key.clone(), Json::Int(1))),
+                "last_true" => v1.push(("last_state".to_owned(), last_state.clone())),
+                "last_false" => {}
+                _ => v1.push((key.clone(), value.clone())),
+            }
+        }
+        Json::Obj(v1)
+    }
+
+    /// A log and a snapshot written before version 2 carry version 1
+    /// runtime documents; both recover to the state that was live.
+    #[test]
+    fn version_1_runtime_documents_recover_from_the_log_and_the_snapshot() {
+        let dir = temp_dir("runtime-v1");
+        let tom = PersonId::new("tom");
+        let (live, v1) = {
+            let (control, topology, home) = fresh_world();
+            let (mut server, _) = HomeServer::open_at(control, topology, &dir).unwrap();
+            server.add_user("Tom").unwrap();
+            for sentence in [
+                "If temperature is higher than 26 degrees, turn on the air conditioner.",
+                "If temperature is lower than 10 degrees, turn on the TV.",
+            ] {
+                assert!(matches!(
+                    server.submit(&tom, sentence).unwrap(),
+                    SubmitOutcome::Registered { .. }
+                ));
+            }
+            home.thermometer
+                .set_reading(Rational::from_integer(28), SimTime::from_millis(1))
+                .unwrap();
+            server.step(SimTime::from_millis(2));
+            let live = server.engine().export_runtime_json();
+            assert_eq!(live.get("last_true").unwrap().as_arr().unwrap().len(), 1);
+            assert_eq!(live.get("last_false").unwrap().as_arr().unwrap().len(), 1);
+            let v1 = runtime_v1(&live);
+            server.log_record(&persist::runtime(v1.clone())).unwrap();
+            server.sync().unwrap();
+            (live, v1)
+        };
+
+        // The log: its last record is the version 1 document.
+        let snapshot = {
+            let (control, topology, _home) = fresh_world();
+            let (server, report) = HomeServer::open_at(control, topology, &dir).unwrap();
+            assert_eq!(report.bytes_truncated, 0);
+            assert!(!report.snapshot_used);
+            assert_eq!(server.engine().export_runtime_json(), live);
+            let mut snapshot = server.snapshot_json();
+            let Json::Obj(members) = &mut snapshot else {
+                panic!("a snapshot is an object")
+            };
+            members
+                .iter_mut()
+                .find(|(key, _)| key == "runtime")
+                .unwrap()
+                .1 = v1;
+            snapshot
+        };
+
+        // The snapshot: compacted with the version 1 document in it.
+        {
+            let (mut store, _) = Store::open(&dir).unwrap();
+            store.compact(&snapshot).unwrap();
+        }
+        let (control, topology, _home) = fresh_world();
+        let (server, report) = HomeServer::open_at(control, topology, &dir).unwrap();
+        assert!(report.snapshot_used);
+        assert_eq!(report.records_replayed, 0);
+        assert_eq!(server.engine().export_runtime_json(), live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

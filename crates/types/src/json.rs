@@ -7,7 +7,7 @@
 //!
 //! Object member order is preserved so exports are deterministic.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -119,15 +119,13 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Int(n) => push_int(out, *n),
             Json::Float(x) => {
                 if x.is_finite() {
-                    let s = format!("{x}");
+                    let start = out.len();
+                    write!(out, "{x}").expect("writing to a String cannot fail");
                     // Keep the output re-parseable as a float.
-                    if s.contains('.') || s.contains('e') || s.contains('E') {
-                        out.push_str(&s);
-                    } else {
-                        out.push_str(&s);
+                    if !out[start..].contains(['.', 'e', 'E']) {
                         out.push_str(".0");
                     }
                 } else {
@@ -176,6 +174,27 @@ impl Json {
     }
 }
 
+/// Appends the decimal form of `n` without a temporary `String`: the
+/// digits are written back to front into a stack buffer (20 bytes hold
+/// `u64::MAX`, so `i64::MIN`'s magnitude fits).
+fn push_int(out: &mut String, n: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
         out.push('\n');
@@ -195,7 +214,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -375,14 +394,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 code point (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    // Copy the run up to the next quote or backslash in
+                    // one piece. Both are ASCII, so the run ends on a
+                    // character boundary of the (valid UTF-8) input, and
+                    // validating only the run keeps the parse linear in
+                    // the input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -441,6 +464,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rng;
 
     #[test]
     fn round_trips_scalars() {
@@ -488,6 +512,127 @@ mod tests {
         for text in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
             assert!(parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn compact_output_pins_exact_bytes() {
+        let doc = Json::obj(vec![
+            ("version", Json::Int(2)),
+            ("min", Json::Int(i64::MIN)),
+            ("max", Json::Int(i64::MAX)),
+            ("zero", Json::Int(0)),
+            ("neg", Json::Int(-40)),
+            ("float", Json::Float(3.0)),
+            ("tiny", Json::Float(1e-7)),
+            ("nan", Json::Float(f64::NAN)),
+            ("text", Json::str("a\"b\\c\n\u{1}é")),
+            (
+                "list",
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::Arr(vec![])]),
+            ),
+            ("empty", Json::Obj(vec![])),
+        ]);
+        assert_eq!(
+            doc.to_compact(),
+            concat!(
+                r#"{"version":2,"min":-9223372036854775808,"max":9223372036854775807,"#,
+                r#""zero":0,"neg":-40,"float":3.0,"tiny":0.0000001,"nan":null,"#,
+                r#""text":"a\"b\\c\n\u0001é","list":[null,true,[]],"empty":{}}"#
+            )
+        );
+    }
+
+    #[test]
+    fn integers_print_as_their_decimal_form() {
+        let mut rng = Rng::new(0x1d_2024);
+        let edges = [
+            0,
+            1,
+            -1,
+            9,
+            10,
+            -10,
+            99,
+            100,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ];
+        let seeded = (0..2_000).map(|_| {
+            // Spread the magnitudes over every digit count.
+            let n = rng.next_u64() >> rng.below(64);
+            if rng.chance(1, 2) {
+                n as i64
+            } else {
+                (n as i64).wrapping_neg()
+            }
+        });
+        for n in edges.into_iter().chain(seeded) {
+            assert_eq!(Json::Int(n).to_compact(), n.to_string());
+        }
+    }
+
+    /// A seeded document over every variant, with strings drawn from
+    /// quotes, backslashes, control characters and non-ASCII text.
+    fn arb_json(rng: &mut Rng, depth: u32) -> Json {
+        const PIECES: [&str; 10] = [
+            "\"", "\\", "\n", "\t", "\u{0}", "\u{1f}", "é", "😀", "ab", "/",
+        ];
+        let leaf = depth == 0 || rng.chance(1, 2);
+        match rng.below(if leaf { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.chance(1, 2)),
+            2 => {
+                let any = rng.next_u64() as i64;
+                Json::Int(*rng.pick(&[i64::MIN, i64::MAX, -1, 0, any]))
+            }
+            3 => Json::Float(rng.range_i64(-1_000, 1_000) as f64 / 8.0),
+            4 => Json::Str((0..rng.below(6)).map(|_| *rng.pick(&PIECES)).collect()),
+            5 => Json::Arr(
+                (0..rng.below(4))
+                    .map(|_| arb_json(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.below(4))
+                    .map(|i| {
+                        (
+                            format!("k{i}{}", rng.pick(&PIECES)),
+                            arb_json(rng, depth - 1),
+                        )
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn seeded_documents_round_trip_through_the_compact_writer() {
+        let mut rng = Rng::new(0x0a11_0c8e);
+        for case in 0..500 {
+            let doc = arb_json(&mut rng, 4);
+            let text = doc.to_compact();
+            assert_eq!(parse(&text).unwrap(), doc, "case {case}: {text}");
+            assert_eq!(
+                parse(&doc.to_pretty()).unwrap(),
+                doc,
+                "case {case} (pretty)"
+            );
+        }
+    }
+
+    /// Parsing is linear in the input: a 4 MiB document of strings
+    /// parses in well under a second even in a debug build, where a scan
+    /// that re-validated the rest of the input at every string character
+    /// would take hours.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let item = Json::str("thermo-042 temperature é ".repeat(40));
+        let doc = Json::Arr(vec![item; 4 * 1024 * 1024 / 1_000]);
+        let text = doc.to_compact();
+        let started = std::time::Instant::now();
+        assert_eq!(parse(&text).unwrap(), doc);
+        assert!(started.elapsed() < std::time::Duration::from_secs(30));
     }
 
     #[test]

@@ -242,8 +242,22 @@ impl Date {
     }
 
     /// The date `days` after `self`.
+    ///
+    /// # Panics
+    ///
+    /// When the year leaves `i32` (more than about 780 billion days
+    /// ahead; a [`SimTime`] reaches at most about 213 billion).
     pub fn advance(self, mut days: u64) -> Date {
         let mut d = self;
+        // The Gregorian calendar repeats every 400 years, 146,097 days,
+        // so whole cycles move only the year; the walk below then takes
+        // at most 4,800 months however far ahead the date is.
+        let cycles = days / DAYS_PER_400_YEARS;
+        days %= DAYS_PER_400_YEARS;
+        d.year = i32::try_from(cycles * 400)
+            .ok()
+            .and_then(|years| d.year.checked_add(years))
+            .expect("the date's year fits in an i32");
         while days > 0 {
             let dim = days_in_month(d.year, d.month);
             let remaining_in_month = (dim - d.day) as u64;
@@ -263,6 +277,9 @@ impl Date {
         d
     }
 }
+
+/// Days in one 400-year Gregorian cycle.
+const DAYS_PER_400_YEARS: u64 = 146_097;
 
 fn is_leap_year(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
@@ -835,6 +852,50 @@ mod tests {
             let (a, b) = (window(), window());
             assert_eq!(a.intersects(b), b.intersects(a), "{a:?} vs {b:?}");
         }
+    }
+
+    #[test]
+    fn date_advance_skips_whole_cycles_exactly() {
+        // The month-by-month walk `advance` shortens for large jumps.
+        fn walk(mut d: Date, mut days: u64) -> Date {
+            while days > 0 {
+                let left = (days_in_month(d.year, d.month) - d.day) as u64;
+                if days <= left {
+                    d.day += days as u8;
+                    return d;
+                }
+                days -= left + 1;
+                d.day = 1;
+                (d.year, d.month) = if d.month == 12 {
+                    (d.year + 1, 1)
+                } else {
+                    (d.year, d.month + 1)
+                };
+            }
+            d
+        }
+        let mut rng = crate::Rng::new(0x400);
+        for case in 0..64 {
+            let base = if case == 0 {
+                Date::new(2000, 2, 29).unwrap()
+            } else {
+                let year = rng.range_i64(1900, 2400) as i32;
+                Date::new(year, 1 + rng.below(12) as u8, 1 + rng.below(28) as u8).unwrap()
+            };
+            let days = rng.below(3 * DAYS_PER_400_YEARS);
+            assert_eq!(base.advance(days), walk(base, days), "{base} + {days}");
+        }
+        let base = Date::new(2005, 6, 6).unwrap();
+        assert_eq!(
+            base.advance(1_000 * DAYS_PER_400_YEARS),
+            Date::new(402_005, 6, 6).unwrap()
+        );
+        // The farthest day a `SimTime` can name is still a date.
+        let last = SimTime::from_millis(u64::MAX);
+        assert_eq!(
+            base.advance(last.day_index()).weekday(),
+            Weekday::Monday.advance(last.day_index())
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! Every stage of the registration and execution pipeline must leave a
 //! trace — parse, compile, lower, Simplex, conflict check, registration,
-//! engine steps, UPnP dispatch — and the structured-event stream must
-//! carry the registration/arbitration story.
+//! engine steps, UPnP dispatch, a runtime checkpoint — and the
+//! structured-event stream must carry the registration/arbitration
+//! story.
 //!
 //! One test function only: the observability switch is process-global,
 //! so this binary owns it for its whole lifetime.
@@ -19,7 +20,8 @@ fn scenario_populates_metrics_and_events() {
     let ring = Arc::new(RingCollector::new(8_192));
     cadel::obs::install(ring.clone());
 
-    let world = LivingRoomScenario::build().run();
+    let mut world = LivingRoomScenario::build().run();
+    world.server.checkpoint_runtime().unwrap();
     let snapshot = world.server.metrics_snapshot();
 
     // --- counters: one per pipeline stage ---------------------------
@@ -64,6 +66,7 @@ fn scenario_populates_metrics_and_events() {
         "simplex_solve_duration_ns",
         "conflict_graph_analyze_duration_ns",
         "server_submit_duration_ns",
+        "server_checkpoint_runtime_ns",
         "engine_step_duration_ns",
         "upnp_invoke_duration_ns",
     ] {
