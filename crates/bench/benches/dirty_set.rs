@@ -116,11 +116,10 @@ fn main() {
 }
 
 /// Series the P5 table reads, in step order.
-const PHASES: [&str; 5] = [
+const PHASES: [&str; 4] = [
     "engine_phase_ingest_ns",
     "engine_phase_candidates_ns",
     "engine_phase_evaluate_ns",
-    "engine_phase_commit_ns",
     "engine_phase_arbitrate_ns",
 ];
 
@@ -175,7 +174,7 @@ fn p5_steps(
     engine: &mut Engine,
     steps: u64,
     mut before_step: impl FnMut(u64) -> SimTime,
-) -> ([f64; 5], u64) {
+) -> ([f64; 4], u64) {
     let evaluated = || {
         cadel_obs::metrics_snapshot()
             .counter("engine_rules_evaluated_total")
@@ -194,7 +193,7 @@ fn p5_steps(
         most = most.max(evaluated() - before);
     }
     let end = sums();
-    let mut mean = [0.0; 5];
+    let mut mean = [0.0; 4];
     for (i, m) in mean.iter_mut().enumerate() {
         *m = (end[i] - start[i]) as f64 / steps as f64;
     }
@@ -207,14 +206,8 @@ fn p5(smoke: bool) {
     section("p5_crossing_postings (one shared sensor, 1,000 thresholds, clock windows)");
     cadel_obs::enable_metrics_only();
     println!(
-        "{:<34} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
-        "case (mean µs per step)",
-        "ingest",
-        "candid.",
-        "evaluate",
-        "commit",
-        "arbitr.",
-        "evaluated"
+        "{:<34} {:>9} {:>9} {:>9} {:>9} {:>10}",
+        "case (mean µs per step)", "ingest", "candid.", "evaluate", "arbitr.", "evaluated"
     );
     // Mid-hour, so no window boundary falls inside the measured steps.
     let half_past = SimTime::EPOCH + SimDuration::from_minutes(30);
@@ -251,10 +244,10 @@ fn p5(smoke: bool) {
     cadel_obs::shutdown();
 }
 
-fn print_p5(label: &str, phases: [f64; 5], evaluated: u64) {
+fn print_p5(label: &str, phases: [f64; 4], evaluated: u64) {
     let us = phases.map(|ns| ns / 1_000.0);
     println!(
-        "{:<34} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10}",
-        label, us[0], us[1], us[2], us[3], us[4], evaluated
+        "{:<34} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10}",
+        label, us[0], us[1], us[2], us[3], evaluated
     );
 }

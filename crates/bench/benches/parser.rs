@@ -15,7 +15,7 @@ use cadel_engine::{ContextStore, Evaluator, HeldTracker};
 use cadel_lang::ast::Command;
 use cadel_lang::{parse_command, Compiler, Dictionary, Lexicon, MapResolver};
 use cadel_rule::RuleDb;
-use cadel_types::{DeviceId, PersonId, Quantity, RuleId, SensorKey, SimTime, Unit, Value};
+use cadel_types::{Date, DeviceId, PersonId, Quantity, RuleId, SensorKey, SimTime, Unit, Value};
 use std::hint::black_box;
 
 fn resolver() -> MapResolver {
@@ -130,9 +130,10 @@ fn main() {
     let mut db = RuleDb::new();
     db.insert(rule.clone()).unwrap();
     let program = *db.program_ref(rule.id()).unwrap();
-    let mut ctx = ContextStore::default();
-    ctx.attach_interner(db.interner().clone());
-    ctx.sync_ir();
+    let mut ctx = ContextStore::with_interner(
+        Date::new(2005, 6, 6).expect("static date"),
+        db.interner().clone(),
+    );
     ctx.set_now(SimTime::from_millis(1));
     ctx.set_value(
         SensorKey::new(DeviceId::new("thermo-lr"), "temperature"),

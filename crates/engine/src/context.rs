@@ -1,6 +1,6 @@
 //! The context store: the engine's live picture of the home.
 //!
-//! Everything a rule condition can test is mirrored here, fed by UPnP
+//! Everything a rule condition can test is kept here, fed by UPnP
 //! property-change events:
 //!
 //! * **Sensor/state values** — any property change is stored under its
@@ -11,16 +11,20 @@
 //!   raise a *transient* event fact that stays active for a configurable
 //!   window; changes of the TV guide's `on-air` variable maintain a
 //!   *persistent* broadcast fact that lasts until the program ends.
+//! * **Clock/calendar** — the current [`SimTime`] plus the weekday/date of
+//!   day zero, so time-window, weekday and date atoms can be decided.
+//!
+//! Readings, their update stamps and event facts live on dense boards
+//! indexed by the slots of a [`SharedInterner`]: the rule database's in an
+//! engine, so a compiled program's slot read is an array index. A write
+//! interns its name on first use; a lookup by name (the reference
+//! interpreter's path) resolves the name through the interner and reads
+//! the same board, so both evaluators see one store.
 //!
 //! Transient-event windows are **inclusive at both ends**: an event raised
 //! at `t` with window `W` is active on every step whose clock satisfies
 //! `t <= now <= t + W`, and expires strictly after `t + W`. This mirrors
-//! the freshness rule (a reading aged exactly `max_age` is still fresh)
-//! and is honored identically by the string-keyed path
-//! ([`ContextStore::event_active`]) and the compiled-IR slot path
-//! ([`ContextView::event_active_slot`]).
-//! * **Clock/calendar** — the current [`SimTime`] plus the weekday/date of
-//!   day zero, so time-window, weekday and date atoms can be decided.
+//! the freshness rule (a reading aged exactly `max_age` is still fresh).
 //!
 //! Sensor values additionally carry the sim instant of their last update;
 //! a configurable [`FreshnessPolicy`] decides how conjuncts over *stale*
@@ -30,7 +34,8 @@
 //! one policy implementation, so their verdicts agree.
 
 use cadel_ir::{
-    ChannelSlot, ContextView, EventSlot, PlaceSlot, SensorRead, SensorSlot, SharedInterner,
+    ChannelSlot, ContextView, EventSlot, Interner, PlaceSlot, SensorRead, SensorSlot,
+    SharedInterner,
 };
 use cadel_obs::{Event as ObsEvent, LazyCounter, Level};
 use cadel_types::unit::Dimension;
@@ -38,7 +43,8 @@ use cadel_types::{
     Date, DeviceId, PersonId, PlaceId, Rational, SensorKey, SimDuration, SimTime, Value, Weekday,
 };
 use cadel_upnp::PropertyChange;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::RwLockReadGuard;
 
 static STALE_READS: LazyCounter = LazyCounter::new("engine_stale_reads_total");
 
@@ -55,12 +61,6 @@ pub const ON_AIR_VARIABLE: &str = "on-air";
 pub const TV_GUIDE_CHANNEL: &str = "tv-guide";
 /// The generic person-event channel ("someone returns home").
 pub const ANY_PERSON_CHANNEL: &str = "person";
-
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct EventFact {
-    channel: String,
-    name: String,
-}
 
 /// How a conjunct over a *stale* sensor reading evaluates.
 ///
@@ -128,30 +128,25 @@ pub(crate) struct SensorDirt {
     pub prev_stamp: Option<SimTime>,
 }
 
-/// Dense, slot-indexed mirror of the context for compiled-rule evaluation.
-///
-/// The string-keyed maps of [`ContextStore`] remain the source of truth;
-/// the mirror is updated incrementally by every mutator (for names the
-/// interner already knows) and rebuilt wholesale by
-/// [`ContextStore::sync_ir`] whenever the interner's revision changed
-/// (i.e. new rules interned new names).
-#[derive(Clone, Debug)]
-struct IrMirror {
-    interner: SharedInterner,
-    /// Interner revision the boards were last rebuilt against. `None`
-    /// until the first [`ContextStore::sync_ir`].
-    seen_revision: Option<u64>,
-    sensor_board: Vec<Option<Value>>,
-    /// Last-update instant per sensor slot, parallel to `sensor_board`
-    /// (the dense mirror of `ContextStore::sensor_stamps`).
-    stamp_board: Vec<Option<SimTime>>,
-    /// Per sensor slot, whether the dirt log already holds its first
-    /// write since the last drain (parallel to `sensor_board`).
-    logged: Vec<bool>,
-    /// Expiry instant per transient event slot (compared against `now` at
-    /// query time, mirroring [`ContextStore::event_active`]).
-    transient_board: Vec<Option<SimTime>>,
-    persistent_board: Vec<bool>,
+/// One sensor slot's board entry.
+#[derive(Clone, Debug, Default)]
+struct SensorCell {
+    /// The latest reading and the sim instant it was written (the
+    /// staleness source).
+    reading: Option<(Value, SimTime)>,
+    /// Whether the dirt log already holds the slot's first write since
+    /// the last drain.
+    logged: bool,
+}
+
+/// One event slot's board entry.
+#[derive(Clone, Copy, Debug, Default)]
+struct EventCell {
+    /// When the transient fact expires; compared against `now` at query
+    /// time and cleared once the clock passes it.
+    expiry: Option<SimTime>,
+    /// Whether the persistent fact is set.
+    persistent: bool,
 }
 
 /// The engine's view of current context.
@@ -159,25 +154,31 @@ struct IrMirror {
 pub struct ContextStore {
     now: SimTime,
     epoch_date: Date,
-    sensor_values: HashMap<SensorKey, Value>,
-    /// Sim instant each sensor value was last written (staleness source).
-    sensor_stamps: HashMap<SensorKey, SimTime>,
+    /// Names to board slots; every name this store was written under is
+    /// interned here.
+    interner: SharedInterner,
+    /// Per sensor slot.
+    sensors: Vec<SensorCell>,
+    /// Per event slot, keyed by normalized (trimmed, lowercase) channel
+    /// and name.
+    events: Vec<EventCell>,
+    /// The event slots whose transient expiry is set: what
+    /// [`ContextStore::set_now`] sweeps, so its cost follows the live
+    /// facts, not every name ever written.
+    transient: Vec<EventSlot>,
     freshness: FreshnessPolicy,
     presence: HashMap<PersonId, PlaceId>,
     place_occupants: HashMap<PlaceId, BTreeSet<PersonId>>,
     device_places: HashMap<DeviceId, PlaceId>,
-    transient_events: BTreeMap<EventFact, SimTime>,
-    persistent_events: BTreeSet<EventFact>,
     event_window: SimDuration,
-    ir: Option<IrMirror>,
-    /// Dirt log: interned slots mutated since the engine last drained it.
-    /// Every mutator — property-change ingest *and* direct scenario writes
-    /// like [`ContextStore::set_value`] or [`ContextStore::raise_event`] —
+    /// Dirt log: slots mutated since the engine last drained it. Every
+    /// mutator — property-change ingest *and* direct scenario writes like
+    /// [`ContextStore::set_value`] or [`ContextStore::raise_event`] —
     /// records the slots it touched, so the trigger index never misses a
-    /// change regardless of which door it came through. Names the interner
-    /// does not know have no slot, and correctly produce no dirt: no rule
-    /// can mention them. A sensor slot is logged once per drain, at its
-    /// first write; place and channel entries may repeat (marking is
+    /// change regardless of which door it came through. A place or
+    /// channel the interner has no slot for produces no dirt: no rule
+    /// mentions it. A sensor slot is logged once per drain, at its first
+    /// write; place and channel entries may repeat (marking is
     /// idempotent).
     dirty_sensors: Vec<SensorDirt>,
     dirty_places: Vec<PlaceSlot>,
@@ -186,167 +187,89 @@ pub struct ContextStore {
 
 impl ContextStore {
     /// Creates a store whose simulation epoch (day 0) falls on
-    /// `epoch_date`.
+    /// `epoch_date`, over an interner of its own.
     pub fn new(epoch_date: Date) -> ContextStore {
+        ContextStore::with_interner(epoch_date, SharedInterner::default())
+    }
+
+    /// Creates a store over a shared interner, so compiled programs
+    /// lowered against it read this store's boards by slot. The engine
+    /// passes its rule database's interner.
+    pub fn with_interner(epoch_date: Date, interner: SharedInterner) -> ContextStore {
         ContextStore {
             now: SimTime::EPOCH,
             epoch_date,
-            sensor_values: HashMap::new(),
-            sensor_stamps: HashMap::new(),
+            interner,
+            sensors: Vec::new(),
+            events: Vec::new(),
+            transient: Vec::new(),
             freshness: FreshnessPolicy::default(),
             presence: HashMap::new(),
             place_occupants: HashMap::new(),
             device_places: HashMap::new(),
-            transient_events: BTreeMap::new(),
-            persistent_events: BTreeSet::new(),
             event_window: DEFAULT_EVENT_WINDOW,
-            ir: None,
             dirty_sensors: Vec::new(),
             dirty_places: Vec::new(),
             dirty_channels: Vec::new(),
         }
     }
 
-    /// Attaches the rule database's interner so this store can serve
-    /// compiled-rule evaluation through dense slot-indexed boards. Until an
-    /// interner is attached, [`ContextView`] reads return nothing.
-    pub fn attach_interner(&mut self, interner: SharedInterner) {
-        self.ir = Some(IrMirror {
-            interner,
-            seen_revision: None,
-            sensor_board: Vec::new(),
-            stamp_board: Vec::new(),
-            logged: Vec::new(),
-            transient_board: Vec::new(),
-            persistent_board: Vec::new(),
+    fn names(&self) -> RwLockReadGuard<'_, Interner> {
+        self.interner.read().expect("interner lock poisoned")
+    }
+
+    /// Writes a reading stamped `at`, logging the slot's previous reading
+    /// on its first write since the last drain. The key is interned on
+    /// its first write. A checkpoint import passes each reading's
+    /// original stamp, so freshness verdicts survive a restart unchanged.
+    pub(crate) fn write_sensor(&mut self, key: &SensorKey, value: Value, at: SimTime) {
+        let known = self.names().lookup_sensor(key);
+        let slot = known.unwrap_or_else(|| {
+            let mut interner = self.interner.write().expect("interner lock poisoned");
+            interner.sensor_slot(key)
         });
+        let i = slot.index();
+        if i >= self.sensors.len() {
+            self.sensors.resize_with(i + 1, SensorCell::default);
+        }
+        let cell = &mut self.sensors[i];
+        if !cell.logged {
+            cell.logged = true;
+            self.dirty_sensors.push(SensorDirt {
+                slot,
+                prev: numeric(cell.reading.as_ref().map(|(value, _)| value)),
+                prev_stamp: cell.reading.as_ref().map(|(_, at)| *at),
+            });
+        }
+        cell.reading = Some((value, at));
     }
 
-    /// Brings the slot boards up to date with the interner.
-    ///
-    /// Cheap when no new names were interned since the last call (one
-    /// relaxed read-lock and revision compare); on a revision change the
-    /// boards are rebuilt from the string-keyed maps, which stay the source
-    /// of truth.
-    pub fn sync_ir(&mut self) {
-        let Some(mirror) = &mut self.ir else {
-            return;
-        };
-        let interner = mirror.interner.read().expect("interner lock poisoned");
-        if mirror.seen_revision == Some(interner.revision()) {
-            return;
+    /// The slot of an event fact, interned on its first write, with a
+    /// board entry. Inputs must be normalized (trimmed, lowercase).
+    fn event_slot(&mut self, channel: &str, name: &str) -> EventSlot {
+        let known = self.names().lookup_event_normalized(channel, name);
+        let slot = known.unwrap_or_else(|| {
+            let mut interner = self.interner.write().expect("interner lock poisoned");
+            interner.event_slot(channel, name)
+        });
+        if slot.index() >= self.events.len() {
+            self.events.resize(slot.index() + 1, EventCell::default());
         }
-        mirror.sensor_board = (0..interner.sensor_count())
-            .map(|i| {
-                interner
-                    .sensor_key(SensorSlot::new(i as u32))
-                    .and_then(|key| self.sensor_values.get(key).cloned())
-            })
-            .collect();
-        mirror.stamp_board = (0..interner.sensor_count())
-            .map(|i| {
-                interner
-                    .sensor_key(SensorSlot::new(i as u32))
-                    .and_then(|key| self.sensor_stamps.get(key).copied())
-            })
-            .collect();
-        // Slots are stable across revisions: first-write flags carry over.
-        mirror.logged.resize(interner.sensor_count(), false);
-        mirror.transient_board = vec![None; interner.event_count()];
-        mirror.persistent_board = vec![false; interner.event_count()];
-        for i in 0..interner.event_count() {
-            let slot = EventSlot::new(i as u32);
-            let Some((channel, name)) = interner.event_key(slot) else {
-                continue;
-            };
-            let fact = EventFact {
-                channel: channel.to_owned(),
-                name: name.to_owned(),
-            };
-            mirror.persistent_board[i] = self.persistent_events.contains(&fact);
-            mirror.transient_board[i] = self.transient_events.get(&fact).copied();
-        }
-        mirror.seen_revision = Some(interner.revision());
-    }
-
-    /// Writes a sensor value and its update instant through to the boards
-    /// when the interner knows the key, logging the slot's previous
-    /// reading on its first write since the last drain. Names never
-    /// mentioned by a rule have no slot and are (correctly) skipped.
-    fn mirror_sensor(&mut self, key: &SensorKey, value: &Value, at: SimTime) {
-        if let Some(mirror) = &mut self.ir {
-            let interner = mirror.interner.read().expect("interner lock poisoned");
-            if let Some(slot) = interner.lookup_sensor(key) {
-                let i = slot.index();
-                if i >= mirror.sensor_board.len() {
-                    mirror.sensor_board.resize(i + 1, None);
-                    mirror.stamp_board.resize(i + 1, None);
-                }
-                if i >= mirror.logged.len() {
-                    mirror.logged.resize(i + 1, false);
-                }
-                if !mirror.logged[i] {
-                    mirror.logged[i] = true;
-                    self.dirty_sensors.push(SensorDirt {
-                        slot,
-                        prev: numeric(mirror.sensor_board[i].as_ref()),
-                        prev_stamp: mirror.stamp_board[i],
-                    });
-                }
-                mirror.sensor_board[i] = Some(value.clone());
-                mirror.stamp_board[i] = Some(at);
-            }
-        }
+        slot
     }
 
     /// Logs dirt for a place whose occupancy (or a person's presence at
     /// it) changed.
     fn log_place_dirt(&mut self, place: &PlaceId) {
-        if let Some(mirror) = &self.ir {
-            let interner = mirror.interner.read().expect("interner lock poisoned");
-            if let Some(slot) = interner.lookup_place(place) {
-                self.dirty_places.push(slot);
-            }
-        }
+        let slot = self.names().lookup_place(place);
+        self.dirty_places.extend(slot);
     }
 
     /// Logs dirt for an event channel. `channel` must already be
     /// normalized (trimmed, lowercase) — this is the alloc-free path.
     fn log_channel_dirt(&mut self, channel: &str) {
-        if let Some(mirror) = &self.ir {
-            let interner = mirror.interner.read().expect("interner lock poisoned");
-            if let Some(slot) = interner.lookup_channel_normalized(channel) {
-                self.dirty_channels.push(slot);
-            }
-        }
-    }
-
-    /// Writes a transient event's expiry through to the board. Inputs must
-    /// be normalized (trimmed, lowercase).
-    fn mirror_transient(&mut self, channel: &str, name: &str, expiry: SimTime) {
-        if let Some(mirror) = &mut self.ir {
-            let interner = mirror.interner.read().expect("interner lock poisoned");
-            if let Some(slot) = interner.lookup_event_normalized(channel, name) {
-                if slot.index() >= mirror.transient_board.len() {
-                    mirror.transient_board.resize(slot.index() + 1, None);
-                }
-                mirror.transient_board[slot.index()] = Some(expiry);
-            }
-        }
-    }
-
-    /// Writes a persistent event flag through to the board. Inputs must be
-    /// normalized (trimmed, lowercase).
-    fn mirror_persistent(&mut self, channel: &str, name: &str, active: bool) {
-        if let Some(mirror) = &mut self.ir {
-            let interner = mirror.interner.read().expect("interner lock poisoned");
-            if let Some(slot) = interner.lookup_event_normalized(channel, name) {
-                if slot.index() >= mirror.persistent_board.len() {
-                    mirror.persistent_board.resize(slot.index() + 1, false);
-                }
-                mirror.persistent_board[slot.index()] = active;
-            }
-        }
+        let slot = self.names().lookup_channel_normalized(channel);
+        self.dirty_channels.extend(slot);
     }
 
     /// Overrides the transient-event lifetime.
@@ -376,7 +299,15 @@ impl ContextStore {
     /// boundary) and is dropped on the next advance past it.
     pub fn set_now(&mut self, now: SimTime) {
         self.now = now;
-        self.transient_events.retain(|_, expiry| *expiry >= now);
+        let events = &mut self.events;
+        self.transient.retain(|slot| {
+            let cell = &mut events[slot.index()];
+            let live = cell.expiry.is_some_and(|expiry| expiry >= now);
+            if !live {
+                cell.expiry = None;
+            }
+            live
+        });
     }
 
     /// The weekday at the current instant.
@@ -389,22 +320,31 @@ impl ContextStore {
         self.epoch_date.advance(self.now.day_index())
     }
 
+    /// The reading on a sensor slot with its update stamp.
+    fn reading(&self, slot: SensorSlot) -> Option<&(Value, SimTime)> {
+        self.sensors.get(slot.index())?.reading.as_ref()
+    }
+
+    /// The reading stored under a key, resolved through the interner.
+    fn reading_of(&self, key: &SensorKey) -> Option<&(Value, SimTime)> {
+        let slot = self.names().lookup_sensor(key)?;
+        self.reading(slot)
+    }
+
     /// The latest value of a sensor/state variable.
     pub fn value(&self, key: &SensorKey) -> Option<&Value> {
-        self.sensor_values.get(key)
+        self.reading_of(key).map(|(value, _)| value)
     }
 
     /// Directly stores a sensor/state value (scenario scripting and
     /// initial state snapshots), stamped with the current instant.
     pub fn set_value(&mut self, key: SensorKey, value: Value) {
-        self.mirror_sensor(&key, &value, self.now);
-        self.sensor_stamps.insert(key.clone(), self.now);
-        self.sensor_values.insert(key, value);
+        self.write_sensor(&key, value, self.now);
     }
 
     /// When a sensor value was last written, if it ever was.
     pub fn sensor_updated_at(&self, key: &SensorKey) -> Option<SimTime> {
-        self.sensor_stamps.get(key).copied()
+        self.reading_of(key).map(|(_, at)| *at)
     }
 
     /// Sets the staleness policy for sensor reads.
@@ -435,14 +375,10 @@ impl ContextStore {
     /// fail-closed or fail-open policy. The previous end is judged stale
     /// at the current instant, which covers staleness at any earlier one.
     pub(crate) fn sensor_move(&self, dirt: &SensorDirt) -> Option<(Dimension, Rational, Rational)> {
-        let mirror = self.ir.as_ref()?;
         let (dim, v0) = dirt.prev?;
-        let i = dirt.slot.index();
-        let (d1, v1) = numeric(mirror.sensor_board.get(i)?.as_ref())?;
-        if d1 != dim
-            || self.forced_stale(dirt.prev_stamp)
-            || self.forced_stale(mirror.stamp_board[i])
-        {
+        let (value, stamp) = self.reading(dirt.slot)?;
+        let (d1, v1) = numeric(Some(value))?;
+        if d1 != dim || self.forced_stale(dirt.prev_stamp) || self.forced_stale(Some(*stamp)) {
             return None;
         }
         Some((dim, v0.min(v1), v0.max(v1)))
@@ -450,37 +386,30 @@ impl ContextStore {
 
     /// The update stamp of the reading on a sensor slot.
     pub(crate) fn sensor_stamp(&self, slot: SensorSlot) -> Option<SimTime> {
-        self.ir
-            .as_ref()?
-            .stamp_board
-            .get(slot.index())
-            .copied()
-            .flatten()
+        self.reading(slot).map(|(_, at)| *at)
     }
 
-    /// Applies the freshness policy to a raw `(value, last-update)` pair.
+    /// Applies the freshness policy to a reading and its update stamp.
     /// Shared by the slot-indexed ([`ContextView::sensor_read`]) and
     /// string-keyed ([`ContextStore::sensor_read_key`]) paths so compiled
     /// code and the reference interpreter agree.
-    fn read_policy<'a>(&self, value: Option<&'a Value>, stamp: Option<SimTime>) -> SensorRead<'a> {
-        let Some(value) = value else {
+    fn read_policy<'a>(&self, reading: Option<&'a (Value, SimTime)>) -> SensorRead<'a> {
+        let Some((value, stamp)) = reading else {
             return SensorRead::AssumeFalse;
         };
         let Some(max_age) = self.freshness.max_age else {
             return SensorRead::Value(value);
         };
-        let fresh = stamp.map(|s| self.now.since(s) <= max_age).unwrap_or(false);
-        if fresh {
+        if self.now.since(*stamp) <= max_age {
             return SensorRead::Value(value);
         }
         STALE_READS.inc();
         if cadel_obs::enabled() {
-            let mut event = ObsEvent::new("context.stale_read", Level::Debug)
-                .with_field("mode", self.freshness.mode.to_string());
-            if let Some(s) = stamp {
-                event = event.with_field("age_ms", self.now.since(s).as_millis());
-            }
-            cadel_obs::emit(event);
+            cadel_obs::emit(
+                ObsEvent::new("context.stale_read", Level::Debug)
+                    .with_field("mode", self.freshness.mode.to_string())
+                    .with_field("age_ms", self.now.since(*stamp).as_millis()),
+            );
         }
         match self.freshness.mode {
             FreshnessMode::FailClosed => SensorRead::AssumeFalse,
@@ -493,10 +422,7 @@ impl ContextStore {
     /// reference interpreter's entry point; mirrors
     /// [`ContextView::sensor_read`]).
     pub fn sensor_read_key(&self, key: &SensorKey) -> SensorRead<'_> {
-        self.read_policy(
-            self.sensor_values.get(key),
-            self.sensor_stamps.get(key).copied(),
-        )
+        self.read_policy(self.reading_of(key))
     }
 
     /// Where a person currently is, if known.
@@ -537,38 +463,26 @@ impl ContextStore {
 
     /// Raises a transient event, active until the event window elapses.
     pub fn raise_event(&mut self, channel: &str, name: &str) {
-        let fact = EventFact {
-            channel: channel.trim().to_ascii_lowercase(),
-            name: name.trim().to_ascii_lowercase(),
-        };
         let expiry = self.now + self.event_window;
-        self.mirror_transient(&fact.channel, &fact.name, expiry);
-        self.log_channel_dirt(&fact.channel);
-        self.transient_events.insert(fact, expiry);
+        self.restore_transient_event(channel, name, expiry);
     }
 
     /// Sets a persistent event fact (active until cleared).
     pub fn set_persistent_event(&mut self, channel: &str, name: &str) {
-        let fact = EventFact {
-            channel: channel.trim().to_ascii_lowercase(),
-            name: name.trim().to_ascii_lowercase(),
-        };
-        self.mirror_persistent(&fact.channel, &fact.name, true);
-        self.log_channel_dirt(&fact.channel);
-        self.persistent_events.insert(fact);
+        let (channel, name) = (normalize(channel), normalize(name));
+        let slot = self.event_slot(&channel, &name);
+        self.events[slot.index()].persistent = true;
+        self.log_channel_dirt(&channel);
     }
 
     /// Clears every persistent event on a channel.
     pub fn clear_persistent_channel(&mut self, channel: &str) {
-        let channel = channel.trim().to_ascii_lowercase();
+        let channel = normalize(channel);
         self.log_channel_dirt(&channel);
-        self.persistent_events.retain(|f| f.channel != channel);
-        if let Some(mirror) = &mut self.ir {
-            let interner = mirror.interner.read().expect("interner lock poisoned");
-            for slot in interner.channel_slots(&channel) {
-                if let Some(flag) = mirror.persistent_board.get_mut(slot.index()) {
-                    *flag = false;
-                }
+        let interner = self.interner.read().expect("interner lock poisoned");
+        for slot in interner.channel_slots(&channel) {
+            if let Some(cell) = self.events.get_mut(slot.index()) {
+                cell.persistent = false;
             }
         }
     }
@@ -577,16 +491,10 @@ impl ContextStore {
     /// events are active through the end of their window inclusive: raised
     /// at `t` with window `W`, the last active instant is exactly `t + W`.
     pub fn event_active(&self, channel: &str, name: &str) -> bool {
-        let fact = EventFact {
-            channel: channel.trim().to_ascii_lowercase(),
-            name: name.trim().to_ascii_lowercase(),
-        };
-        self.persistent_events.contains(&fact)
-            || self
-                .transient_events
-                .get(&fact)
-                .map(|expiry| *expiry >= self.now)
-                .unwrap_or(false)
+        let slot = self
+            .names()
+            .lookup_event_normalized(&normalize(channel), &normalize(name));
+        slot.is_some_and(|slot| self.event_active_slot(slot))
     }
 
     /// Ingests a UPnP property change, applying the conventions described
@@ -652,9 +560,7 @@ impl ContextStore {
         // value (so "the TV is turned on" reads power(tv)), stamped with
         // the change's own timestamp for staleness tracking.
         let key = SensorKey::new(change.device.clone(), change.variable.clone());
-        self.mirror_sensor(&key, &change.value, change.at);
-        self.sensor_stamps.insert(key.clone(), change.at);
-        self.sensor_values.insert(key, change.value.clone());
+        self.write_sensor(&key, change.value.clone(), change.at);
     }
 
     /// Sensor slots written since the last [`ContextStore::clear_dirt`],
@@ -676,28 +582,20 @@ impl ContextStore {
     /// Empties the dirt log (capacity is retained, so a steady-state step
     /// with no traffic performs no allocation).
     pub(crate) fn clear_dirt(&mut self) {
-        if let Some(mirror) = &mut self.ir {
-            for dirt in &self.dirty_sensors {
-                if let Some(flag) = mirror.logged.get_mut(dirt.slot.index()) {
-                    *flag = false;
-                }
-            }
+        for dirt in &self.dirty_sensors {
+            self.sensors[dirt.slot.index()].logged = false;
         }
         self.dirty_sensors.clear();
         self.dirty_places.clear();
         self.dirty_channels.clear();
     }
 
-    /// Every interned sensor slot that has a recorded update stamp. Used
-    /// to rebuild the freshness deadline heap when the policy changes.
+    /// Every sensor slot that has a recorded update stamp. Used to
+    /// rebuild the freshness deadline heap when the policy changes.
     pub(crate) fn stamped_sensor_slots(&self) -> Vec<(SensorSlot, SimTime)> {
-        let Some(mirror) = &self.ir else {
-            return Vec::new();
-        };
-        let interner = mirror.interner.read().expect("interner lock poisoned");
-        self.sensor_stamps
-            .iter()
-            .filter_map(|(key, at)| interner.lookup_sensor(key).map(|slot| (slot, *at)))
+        (0..self.sensors.len() as u32)
+            .map(SensorSlot::new)
+            .filter_map(|slot| Some((slot, self.sensor_stamp(slot)?)))
             .collect()
     }
 
@@ -717,45 +615,32 @@ fn numeric(value: Option<&Value>) -> Option<(Dimension, Rational)> {
     }
 }
 
-/// Slot-indexed reads for compiled-rule evaluation. Meaningful only after
-/// [`ContextStore::attach_interner`] and [`ContextStore::sync_ir`]; without
-/// them every slot reads as absent/inactive.
+/// An event channel or name as facts are keyed: trimmed, ASCII-lowercased.
+fn normalize(text: &str) -> String {
+    text.trim().to_ascii_lowercase()
+}
+
+/// 2005-06-06, a Monday — the week of ICDCS 2005: day zero of a store
+/// built without an explicit epoch.
+pub(crate) fn default_epoch() -> Date {
+    Date::new(2005, 6, 6).expect("static date is valid")
+}
+
+/// Slot-indexed reads for compiled-rule evaluation. Slots come from the
+/// store's interner; one it never wrote reads as absent/inactive.
 impl ContextView for ContextStore {
     fn sensor_value(&self, slot: SensorSlot) -> Option<&Value> {
-        self.ir.as_ref()?.sensor_board.get(slot.index())?.as_ref()
+        self.reading(slot).map(|(value, _)| value)
     }
 
     fn sensor_read(&self, slot: SensorSlot) -> SensorRead<'_> {
-        let Some(mirror) = &self.ir else {
-            return SensorRead::AssumeFalse;
-        };
-        let value = mirror
-            .sensor_board
-            .get(slot.index())
-            .and_then(|v| v.as_ref());
-        let stamp = mirror.stamp_board.get(slot.index()).copied().flatten();
-        self.read_policy(value, stamp)
+        self.read_policy(self.reading(slot))
     }
 
     fn event_active_slot(&self, slot: EventSlot) -> bool {
-        let Some(mirror) = &self.ir else {
-            return false;
-        };
-        if mirror
-            .persistent_board
-            .get(slot.index())
-            .copied()
-            .unwrap_or(false)
-        {
-            return true;
-        }
-        mirror
-            .transient_board
-            .get(slot.index())
-            .copied()
-            .flatten()
-            .map(|expiry| expiry >= self.now)
-            .unwrap_or(false)
+        self.events.get(slot.index()).is_some_and(|cell| {
+            cell.persistent || cell.expiry.is_some_and(|expiry| expiry >= self.now)
+        })
     }
 
     fn person_place(&self, person: &PersonId) -> Option<&PlaceId> {
@@ -781,8 +666,7 @@ impl ContextView for ContextStore {
 
 impl Default for ContextStore {
     fn default() -> Self {
-        // 2005-06-06, a Monday — the week of ICDCS 2005.
-        ContextStore::new(Date::new(2005, 6, 6).expect("static date is valid"))
+        ContextStore::new(default_epoch())
     }
 }
 
@@ -790,32 +674,31 @@ impl Default for ContextStore {
 /// stamp-preserving restore for replay. Crate-internal — the public
 /// surface is `Engine::export_runtime_json`/`import_runtime_json`.
 impl ContextStore {
+    /// An empty store over the same interner, calendar and device places
+    /// (which come from the world, not from a checkpoint): what a
+    /// checkpoint import restores into before it replaces this store.
+    pub(crate) fn emptied(&self) -> ContextStore {
+        let mut staged = ContextStore::with_interner(self.epoch_date, self.interner.clone());
+        staged.device_places = self.device_places.clone();
+        staged
+    }
+
     /// Every stored sensor value with its last-update stamp, sorted by
     /// key so checkpoint output is byte-stable.
     pub(crate) fn sensor_entries(&self) -> Vec<(SensorKey, Value, SimTime)> {
+        let interner = self.names();
         let mut entries: Vec<_> = self
-            .sensor_values
+            .sensors
             .iter()
-            .map(|(key, value)| {
-                let at = self
-                    .sensor_stamps
-                    .get(key)
-                    .copied()
-                    .unwrap_or(SimTime::EPOCH);
-                (key.clone(), value.clone(), at)
+            .enumerate()
+            .filter_map(|(i, cell)| {
+                let (value, at) = cell.reading.as_ref()?;
+                let key = interner.sensor_key(SensorSlot::new(i as u32))?;
+                Some((key.clone(), value.clone(), *at))
             })
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
-    }
-
-    /// Restores a sensor value under its *original* stamp (unlike
-    /// [`ContextStore::set_value`], which stamps with the current clock),
-    /// so freshness verdicts survive a restart unchanged.
-    pub(crate) fn restore_sensor(&mut self, key: SensorKey, value: Value, at: SimTime) {
-        self.mirror_sensor(&key, &value, at);
-        self.sensor_stamps.insert(key.clone(), at);
-        self.sensor_values.insert(key, value);
     }
 
     /// Every person with a known place, sorted by person.
@@ -829,60 +712,54 @@ impl ContextStore {
         entries
     }
 
-    /// Active transient events with their expiry instants, in fact order.
-    pub(crate) fn transient_event_entries(&self) -> Vec<(String, String, SimTime)> {
-        self.transient_events
+    /// The event facts `keep` selects, as `(channel, name, cell)` sorted
+    /// by channel and name.
+    fn event_entries(&self, keep: impl Fn(&EventCell) -> bool) -> Vec<(String, String, EventCell)> {
+        let interner = self.names();
+        let mut entries: Vec<_> = self
+            .events
             .iter()
-            .map(|(fact, expiry)| (fact.channel.clone(), fact.name.clone(), *expiry))
+            .enumerate()
+            .filter(|(_, cell)| keep(cell))
+            .filter_map(|(i, cell)| {
+                let (channel, name) = interner.event_key(EventSlot::new(i as u32))?;
+                Some((channel.to_owned(), name.to_owned(), *cell))
+            })
+            .collect();
+        entries.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+        entries
+    }
+
+    /// Transient events with their expiry instants, in fact order.
+    pub(crate) fn transient_event_entries(&self) -> Vec<(String, String, SimTime)> {
+        self.event_entries(|cell| cell.expiry.is_some())
+            .into_iter()
+            .filter_map(|(channel, name, cell)| Some((channel, name, cell.expiry?)))
             .collect()
     }
 
     /// Restores a transient event under its original expiry (unlike
     /// [`ContextStore::raise_event`], which restarts the event window).
     pub(crate) fn restore_transient_event(&mut self, channel: &str, name: &str, expiry: SimTime) {
-        let fact = EventFact {
-            channel: channel.trim().to_ascii_lowercase(),
-            name: name.trim().to_ascii_lowercase(),
-        };
-        self.mirror_transient(&fact.channel, &fact.name, expiry);
-        self.log_channel_dirt(&fact.channel);
-        self.transient_events.insert(fact, expiry);
+        let (channel, name) = (normalize(channel), normalize(name));
+        let slot = self.event_slot(&channel, &name);
+        if self.events[slot.index()].expiry.replace(expiry).is_none() {
+            self.transient.push(slot);
+        }
+        self.log_channel_dirt(&channel);
     }
 
     /// Active persistent events, in fact order.
     pub(crate) fn persistent_event_entries(&self) -> Vec<(String, String)> {
-        self.persistent_events
-            .iter()
-            .map(|fact| (fact.channel.clone(), fact.name.clone()))
+        self.event_entries(|cell| cell.persistent)
+            .into_iter()
+            .map(|(channel, name, _)| (channel, name))
             .collect()
     }
 
     /// The transient-event window currently in force.
     pub(crate) fn event_window(&self) -> SimDuration {
         self.event_window
-    }
-
-    /// Drops all *dynamic* context (sensor readings, presence, events)
-    /// ahead of a checkpoint import, which restores a complete snapshot.
-    /// Registry-derived device places survive: they come from the world,
-    /// not from the checkpoint. The IR boards are cleared and marked for
-    /// a full rebuild on the next [`ContextStore::sync_ir`].
-    pub(crate) fn clear_dynamic_state(&mut self) {
-        self.sensor_values.clear();
-        self.sensor_stamps.clear();
-        self.presence.clear();
-        self.place_occupants.clear();
-        self.transient_events.clear();
-        self.persistent_events.clear();
-        if let Some(mirror) = &mut self.ir {
-            mirror.seen_revision = None;
-            mirror.sensor_board.clear();
-            mirror.stamp_board.clear();
-            mirror.logged.clear();
-            mirror.transient_board.clear();
-            mirror.persistent_board.clear();
-        }
-        self.clear_dirt();
     }
 }
 
@@ -1057,6 +934,25 @@ mod tests {
         let missing = SensorKey::new(DeviceId::new("x"), "y");
         ctx.set_freshness_policy(FreshnessPolicy::new(FreshnessMode::FailOpen, max));
         assert_eq!(ctx.sensor_read_key(&missing), SensorRead::AssumeFalse);
+    }
+
+    /// `set_now` sweeps only the slots with a live transient fact, each
+    /// listed once, so its cost does not grow with every name written.
+    #[test]
+    fn the_expiry_sweep_holds_only_live_transient_facts() {
+        let mut ctx = ContextStore::default();
+        ctx.raise_event("person", "arrives");
+        ctx.raise_event("person", "arrives");
+        ctx.raise_event("person", "leaves");
+        ctx.set_persistent_event("tv-guide", "news");
+        assert_eq!(ctx.transient.len(), 2);
+        ctx.set_now(SimTime::EPOCH + DEFAULT_EVENT_WINDOW + SimDuration::from_secs(1));
+        assert!(ctx.transient.is_empty());
+        assert!(!ctx.event_active("person", "arrives"));
+        assert!(ctx.event_active("tv-guide", "news"));
+        ctx.raise_event("person", "leaves");
+        assert_eq!(ctx.transient.len(), 1);
+        assert!(ctx.event_active("person", "leaves"));
     }
 
     #[test]

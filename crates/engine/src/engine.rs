@@ -2,16 +2,17 @@
 //! evaluation, runtime conflict arbitration and device dispatch.
 //!
 //! [`Engine::step`] runs as a pipeline — batched ingest with per-sensor
-//! coalescing, candidate selection through the trigger index, read-only
-//! rule evaluation, a serial commit of the verdicts that changed in
-//! ascending `RuleId` order, and per-device arbitration and dispatch. See
+//! coalescing, candidate selection through the trigger index, one pass
+//! that evaluates each candidate and commits its verdict in ascending
+//! `RuleId` order, and per-device arbitration and dispatch. See
 //! `docs/CONCURRENCY.md`.
 
 use crate::context::{
-    ContextStore, FreshnessPolicy, ARRIVAL_VARIABLE, OCCUPANTS_VARIABLE, ON_AIR_VARIABLE,
+    default_epoch, ContextStore, FreshnessPolicy, ARRIVAL_VARIABLE, OCCUPANTS_VARIABLE,
+    ON_AIR_VARIABLE,
 };
 use crate::error::EngineError;
-use crate::eval::{evaluate, EvalContext, EvalVerdict, HeldOverlay, HeldTracker};
+use crate::eval::{DwellObserver, HeldTracker};
 use crate::index::TriggerIndex;
 use crate::resilience::{ActuationError, Resilience, ResilienceConfig, RetryKind};
 use cadel_conflict::{PriorityOrder, PriorityStore, Resolution};
@@ -66,11 +67,9 @@ static PHASE_INGEST_NS: LazyHistogram = LazyHistogram::new("engine_phase_ingest_
 /// Step phase 2: forwarding dirt into the trigger index and collecting
 /// the candidate set.
 static PHASE_CANDIDATES_NS: LazyHistogram = LazyHistogram::new("engine_phase_candidates_ns");
-/// Step phase 3: evaluating the candidates.
+/// Step phase 3: evaluating the candidates and committing their verdicts.
 static PHASE_EVALUATE_NS: LazyHistogram = LazyHistogram::new("engine_phase_evaluate_ns");
-/// Step phase 4: committing the verdicts.
-static PHASE_COMMIT_NS: LazyHistogram = LazyHistogram::new("engine_phase_commit_ns");
-/// Step phase 5: arbitrating devices, dispatching, and the step's metrics.
+/// Step phase 4: arbitrating devices, dispatching, and the step's metrics.
 static PHASE_ARBITRATE_NS: LazyHistogram = LazyHistogram::new("engine_phase_arbitrate_ns");
 
 /// The event channel on which the engine announces suppressed firings, so
@@ -232,9 +231,9 @@ pub struct Engine {
     /// report (avoids one `Deferred` row per step while a breaker
     /// stays open).
     defer_noted: BTreeSet<RuleId>,
-    /// Chaos hook invoked for every evaluated verdict, in the serial
-    /// commit phase. Fleet soaks install a panicking hook here to prove
-    /// the supervisor contains a poisoned rule set; `None` in production.
+    /// Chaos hook invoked for every evaluated rule, right after its
+    /// evaluation. Fleet soaks install a panicking hook here to prove the
+    /// supervisor contains a poisoned rule set; `None` in production.
     eval_hook: Option<Box<dyn FnMut(RuleId, SimTime) + Send>>,
 }
 
@@ -243,15 +242,14 @@ impl Engine {
     /// from the registry so presence readers map to their places.
     pub fn new(control: ControlPoint) -> Engine {
         let subscription = control.subscribe_all();
-        let mut ctx = ContextStore::default();
+        let rules = RuleDb::new();
+        let mut ctx = ContextStore::with_interner(default_epoch(), rules.interner().clone());
         for description in control.registry().descriptions() {
             if let Some(place) = description.location() {
                 ctx.set_device_place(description.udn().clone(), place.clone());
             }
         }
-        let rules = RuleDb::new();
-        ctx.attach_interner(rules.interner().clone());
-        let index = TriggerIndex::new(rules.interner().clone());
+        let index = TriggerIndex::new();
         let last_freshness = ctx.freshness_policy();
         Engine {
             control,
@@ -278,9 +276,9 @@ impl Engine {
         }
     }
 
-    /// Installs (or clears) the per-verdict chaos hook. The hook runs in
-    /// the serial commit phase for every evaluated rule, whether or not
-    /// its verdict changed; a panic inside it unwinds out of
+    /// Installs (or clears) the per-verdict chaos hook. The hook runs for
+    /// every evaluated rule, right after its evaluation and whether or
+    /// not its verdict changed; a panic inside it unwinds out of
     /// [`Engine::step`] exactly like a panic in rule bookkeeping would,
     /// which is what fleet soak tests rely on.
     pub fn set_eval_hook(&mut self, hook: Option<Box<dyn FnMut(RuleId, SimTime) + Send>>) {
@@ -326,9 +324,8 @@ impl Engine {
     /// device and context if there is one (see
     /// [`PriorityStore::add_order`]), and returns its index. Its context
     /// guard is lowered once, against the rule database's interner, so
-    /// arbitration evaluates compiled code; names only the guard mentions
-    /// are interned here and reach the context's slot boards at the next
-    /// step's ingest.
+    /// arbitration evaluates compiled code over the context's slot boards,
+    /// which share that interner.
     pub fn add_priority(&mut self, order: PriorityOrder) -> usize {
         let guard = match order.context() {
             Some(context) => {
@@ -475,40 +472,26 @@ impl Engine {
         self.refresh_candidates(now, &mut candidates);
         PHASE_CANDIDATES_NS.record(&phase);
 
-        // Phase 3 — read-only evaluation over the now-immutable context:
-        // per-rule verdicts plus observed held-for transitions; nothing
-        // shared is mutated until commit.
-        let phase = Stopwatch::start();
-        let ec = EvalContext {
-            rules: &self.rules,
-            ctx: &self.ctx,
-            held: &self.held,
-            holders: &self.holders,
-        };
-        let verdicts = evaluate(&ec, &candidates);
-        self.candidate_buf = candidates;
-        PHASE_EVALUATE_NS.record(&phase);
-
-        // Phase 4 — serial commit in ascending RuleId order of the
-        // verdicts that change something: held-for transitions, state
-        // edges, until releases, contender pools.
+        // Phase 3 — evaluate each candidate and commit its verdict, in
+        // ascending RuleId order: held-for observations, state edges,
+        // until releases, contender pools.
         let phase = Stopwatch::start();
         let mut newly_true: BTreeSet<RuleId> = BTreeSet::new();
         let mut releases: Vec<(RuleId, DeviceId)> = Vec::new();
         // Devices whose current holder's condition just lapsed: suppressed
         // contenders must get a chance to take over.
         let mut holder_lapsed: BTreeSet<DeviceId> = BTreeSet::new();
-        let evaluated = verdicts.len() as u64;
-        self.commit_verdicts(
-            verdicts,
+        let evaluated = self.evaluate_and_commit(
+            &candidates,
             now,
             &mut newly_true,
             &mut releases,
             &mut holder_lapsed,
         );
-        PHASE_COMMIT_NS.record(&phase);
+        self.candidate_buf = candidates;
+        PHASE_EVALUATE_NS.record(&phase);
 
-        // Phase 5 — re-arbitrate every device whose outcome could have changed:
+        // Phase 4 — re-arbitrate every device whose outcome could have changed:
         //    any device with a fresh edge, and any device with several
         //    live contenders (a context change alone can flip priorities).
         let phase = Stopwatch::start();
@@ -663,9 +646,6 @@ impl Engine {
     fn ingest(&mut self, now: SimTime) -> (usize, usize) {
         let changes = self.subscription.drain();
         self.ctx.set_now(now);
-        // Catch the slot boards up with names interned since the last step
-        // (mutators keep them current otherwise).
-        self.ctx.sync_ir();
         // Index of the last write per (device, variable) within this
         // batch; earlier writes to the same sensor are invisible to every
         // observer (evaluation only sees post-batch state) and are
@@ -729,63 +709,72 @@ impl Engine {
         }
     }
 
-    /// Phase 4 of [`step`](Self::step): applies evaluation verdicts
-    /// serially in ascending `RuleId` order — held-for transitions, state
-    /// edges, `until` releases and contender-pool maintenance.
+    /// Phase 3 of [`step`](Self::step): evaluates each candidate and
+    /// commits its verdict before the next, in ascending `RuleId` order —
+    /// held-for observations, state edges, `until` releases and
+    /// contender-pool maintenance. Returns the number of rules evaluated;
+    /// vanished and disabled candidates are skipped.
     ///
-    /// Only a verdict that changes something does this bookkeeping: an
-    /// edge or a rule's first verdict, one that carries dwell
-    /// transitions, or one that demands an `until` release. Any other
-    /// verdict repeats the rule's last committed one, and every mutation
-    /// below would be a no-op for it: a rule that stays false is already
-    /// out of the contender pool and unlatched, and one that stays true is
-    /// already in the pool unless latched. One consequence is deliberate:
-    /// a lapsed holder's device is re-arbitrated on the step its
-    /// condition falls, not again on every later step it stays false.
-    fn commit_verdicts(
+    /// Committing one rule cannot change how a later one evaluates: the
+    /// context is not written before arbitration, a dwell fingerprint is
+    /// a pure function of its atom (every rule sharing it observes the
+    /// same inner truth), and a release removes only the releasing rule's
+    /// own hold.
+    ///
+    /// Only an edge, a rule's first verdict or an `until` release is
+    /// committed. Any other verdict repeats the rule's last committed
+    /// one, and every mutation below would be a no-op for it: a rule that
+    /// stays false is already out of the contender pool and unlatched, and
+    /// one that stays true is already in the pool unless latched. One
+    /// consequence is deliberate: a lapsed holder's device is re-arbitrated
+    /// on the step its condition falls, not again on every later step it
+    /// stays false.
+    fn evaluate_and_commit(
         &mut self,
-        verdicts: Vec<EvalVerdict>,
+        candidates: &[RuleId],
         now: SimTime,
         newly_true: &mut BTreeSet<RuleId>,
         releases: &mut Vec<(RuleId, DeviceId)>,
         holder_lapsed: &mut BTreeSet<DeviceId>,
-    ) {
-        for verdict in verdicts {
-            let id = verdict.rule;
+    ) -> u64 {
+        let mut evaluated = 0;
+        for &id in candidates {
+            let Some(rule) = self.rules.get(id).filter(|rule| rule.is_enabled()) else {
+                continue;
+            };
+            let Some(program) = self.rules.program_ref(id) else {
+                continue;
+            };
+            // Evaluation runs over the rule's span in the shared program
+            // arena (contiguous predicate/opcode tables) rather than a
+            // per-rule allocation.
+            let arena = self.rules.arena();
+            let device = rule.action().device();
+            let mut dwell = DwellObserver {
+                held: &mut self.held,
+                index: &mut self.index,
+            };
+            let now_true = arena.condition_holds(program, &self.ctx, &mut dwell);
+            // `until` releases apply to the active holder even after its
+            // trigger condition has passed ("turn on … until 10 pm" turns
+            // the light off at 10 pm however long ago the arrival was), and
+            // the clause is evaluated only while the rule holds its device.
+            let until_release = rule.until().is_some()
+                && self.holders.get(device).is_some_and(|h| h.rule == id)
+                && arena
+                    .until_holds(program, &self.ctx, &mut dwell)
+                    .unwrap_or(false);
+            evaluated += 1;
             if let Some(hook) = &mut self.eval_hook {
                 hook(id, now);
             }
-            if verdict.held.is_empty()
-                && !verdict.until_release
-                && self.last_state.get(&id) == Some(&verdict.now_true)
-            {
+            if !until_release && self.last_state.get(&id) == Some(&now_true) {
                 continue;
             }
-            // Apply observed held-for transitions before this rule's
-            // bookkeeping: in the serial engine the tracker was mutated
-            // *during* this rule's evaluation, i.e. before anything
-            // below ran.
-            for (fingerprint, change) in verdict.held {
-                // Arm the dwell deadline before `apply` consumes the
-                // fingerprint string.
-                self.index.on_held_transition(&fingerprint, change);
-                self.held.apply(fingerprint, change);
-            }
-            let Some(rule) = self.rules.get(id) else {
-                continue;
-            };
-            let device = rule.action().device();
-            let now_true = verdict.now_true;
             let prev = self.last_state.insert(id, now_true).unwrap_or(false);
             self.index.on_committed(id, now_true);
 
-            // `until` releases apply to the active holder even after its
-            // trigger condition has passed ("turn on … until 10 pm" turns
-            // the light off at 10 pm however long ago the arrival was).
-            // The verdict already folds in the holder check — see
-            // `EvalContext::eval_rule` for why the holder table cannot
-            // have changed since the snapshot.
-            if verdict.until_release {
+            if until_release {
                 // Inlined `release`: invoke the inverse action and
                 // free the device (a method call would require
                 // `&mut self` while `rule` is borrowed). Inverse
@@ -867,6 +856,7 @@ impl Engine {
                 }
             }
         }
+        evaluated
     }
 
     /// Raises the conflict-channel event for a suppressed/displaced rule
@@ -888,18 +878,16 @@ impl Engine {
         debug_assert!(!contenders.is_empty());
         let ctx = &self.ctx;
         let guards = &self.priority_guards;
-        // Priority-store context conditions may contain `held for`:
-        // observe them through an overlay so the committed transitions
-        // also arm the index's dwell deadlines.
-        let mut overlay = HeldOverlay::new(&self.held);
+        // Priority-store context conditions may contain `held for`: they
+        // observe through the dwell observer, like rule conditions.
+        let mut dwell = DwellObserver {
+            held: &mut self.held,
+            index: &mut self.index,
+        };
         let resolution = self.priorities.resolve(device, contenders, |order| {
             let (preds, code) = &guards[order];
-            eval_code(code, preds, ctx, &mut overlay)
+            eval_code(code, preds, ctx, &mut dwell)
         });
-        for (fingerprint, change) in overlay.take_transitions() {
-            self.index.on_held_transition(&fingerprint, change);
-            self.held.apply(fingerprint, change);
-        }
         match resolution {
             Resolution::Winner(id) => id,
             Resolution::Unresolved(mut ids) => {
@@ -1721,6 +1709,105 @@ mod tests {
             "the retry at 00:04 must take the device over"
         );
         assert_eq!(holder, Some(RuleId::new(2)));
+    }
+
+    /// A lapsed holder whose dwell window opens makes a repeated false
+    /// verdict, which commits nothing: its device is not re-arbitrated,
+    /// so the replacement whose takeover hit a transient fault is
+    /// dispatched once, by its retry, not a second time at the dwell step.
+    #[test]
+    fn a_lapsed_holders_dwell_transition_does_not_redispatch_its_replacement() {
+        let aircon = DeviceId::new("aircon-lr");
+        let at = |m: u64, s: u64| mins(m) + SimDuration::from_secs(s);
+        let run = |trigger_index: bool| {
+            let plan = FaultPlan::new().fail_between(mins(3), at(3, 10));
+            let (mut engine, _home) = faulty_setup("aircon-lr", plan);
+            engine.set_use_trigger_index(trigger_index);
+            let above = |sensor: &str| {
+                Atom::Constraint(ConstraintAtom::new(
+                    SensorKey::new(DeviceId::new(sensor), "reading"),
+                    RelOp::Gt,
+                    Quantity::from_integer(5, Unit::Celsius),
+                ))
+            };
+            let dwell = Atom::held_for(above("z"), SimDuration::from_minutes(60));
+            let rule1 = Rule::builder(PersonId::new("tom"))
+                .condition(Condition::Atom(above("x")).or(Condition::Atom(dwell)))
+                .action(ActionSpec::new(aircon.clone(), Verb::TurnOn))
+                .build(RuleId::new(1))
+                .unwrap();
+            engine.add_rule(rule1).unwrap();
+            engine.add_rule(reading_rule(2, "y", 22)).unwrap();
+            engine.add_priority(PriorityOrder::new(
+                aircon.clone(),
+                vec![RuleId::new(1), RuleId::new(2)],
+            ));
+            let set = |engine: &mut Engine, sensor: &str, v: i64| {
+                engine.context_mut().set_value(
+                    SensorKey::new(DeviceId::new(sensor), "reading"),
+                    Value::Number(Quantity::from_integer(v, Unit::Celsius)),
+                );
+            };
+            set(&mut engine, "x", 10);
+            set(&mut engine, "y", 10);
+            set(&mut engine, "z", 0);
+            let mut reports = vec![engine.step(mins(1)), engine.step(mins(2))];
+            // x drops: rule 1 lapses, rule 2 takes over into the fault.
+            set(&mut engine, "x", 0);
+            reports.push(engine.step(mins(3)));
+            // z rises: rule 1's dwell window opens, its verdict stays false.
+            set(&mut engine, "z", 10);
+            reports.push(engine.step(at(3, 11)));
+            reports.push(engine.step(mins(4)));
+            (reports, engine.holder(&aircon))
+        };
+        let (indexed, holder) = run(true);
+        assert_eq!(
+            indexed,
+            run(false).0,
+            "the index and the full scan disagree"
+        );
+        assert!(matches!(
+            indexed[2].firings[0].outcome,
+            FiringOutcome::Failed(ref e) if e.is_retryable()
+        ));
+        assert!(
+            indexed[3].is_empty(),
+            "the dwell step re-arbitrated the aircon: {}",
+            indexed[3]
+        );
+        let retried: Vec<RuleId> = indexed[4].dispatched().iter().map(|f| f.rule).collect();
+        assert_eq!(retried, [RuleId::new(2)], "the retry takes the device over");
+        assert_eq!(holder, Some(RuleId::new(2)));
+    }
+
+    /// A reading and an event fact written before any rule mentions them
+    /// are there for a rule registered afterwards.
+    #[test]
+    fn a_rule_registered_after_a_reading_sees_it() {
+        let (mut engine, home) = setup();
+        home.thermometer
+            .set_reading(Rational::from_integer(28), mins(1))
+            .unwrap();
+        engine
+            .context_mut()
+            .set_persistent_event("tv-guide", "Baseball Game");
+        assert!(engine.step(mins(1)).is_empty());
+
+        engine.add_rule(hot_rule("tom", 1, 26, 25)).unwrap();
+        let baseball = Rule::builder(PersonId::new("alan"))
+            .condition(Condition::Atom(Atom::Event(EventAtom::new(
+                "tv-guide",
+                "baseball game",
+            ))))
+            .action(ActionSpec::new(DeviceId::new("tv-lr"), Verb::TurnOn))
+            .build(RuleId::new(2))
+            .unwrap();
+        engine.add_rule(baseball).unwrap();
+        let report = engine.step(mins(2));
+        let fired: Vec<RuleId> = report.dispatched().iter().map(|f| f.rule).collect();
+        assert_eq!(fired, [RuleId::new(1), RuleId::new(2)], "{report}");
+        assert!(engine.context().event_active("tv-guide", "baseball game"));
     }
 
     #[test]

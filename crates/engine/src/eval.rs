@@ -1,25 +1,24 @@
-//! The temporal state needed for "held for" atoms, the read-only
-//! evaluation phase of the engine step, and the reference interpreter
-//! for conditions.
+//! The temporal state needed for "held for" atoms, the observer rule
+//! evaluation feeds it through, and the reference interpreter for
+//! conditions.
 //!
 //! The engine evaluates every condition from compiled `cadel-ir` code:
-//! [`Engine::step`](crate::Engine::step) evaluates its candidates against
-//! an immutable view of its state — the [`ContextStore`], the rule
-//! database with its compiled programs, the step-start [`HeldTracker`]
-//! and the holder table — and gets back per-rule `EvalVerdict`s plus the
-//! held-for transitions they *observed* (via `HeldOverlay`) instead of
-//! mutating anything. The serial commit phase then applies verdicts in
-//! ascending `RuleId` order, so the order in which rules are evaluated
-//! can never change an outcome; see `docs/CONCURRENCY.md`.
+//! [`Engine::step`](crate::Engine::step) evaluates each candidate against
+//! the [`ContextStore`] and commits its verdict before the next, in
+//! ascending `RuleId` order. `held for` observations go straight to the
+//! [`HeldTracker`] through the engine's dwell observer, which also arms
+//! the trigger index's deadline when a window opens; see
+//! `docs/CONCURRENCY.md` for why committing one rule cannot change how a
+//! later one evaluates.
 //!
 //! [`Evaluator`] walks the source tree instead and exists as the oracle
 //! that tests compare the compiled programs against.
 
 use crate::context::ContextStore;
-use crate::engine::ActiveHolder;
+use crate::index::TriggerIndex;
 use cadel_ir::{HeldObserver, SensorRead};
-use cadel_rule::{Atom, Condition, PresenceAtom, RuleDb, Subject};
-use cadel_types::{DeviceId, RuleId, SimTime, Value};
+use cadel_rule::{Atom, Condition, PresenceAtom, Subject};
+use cadel_types::{SimTime, Value};
 use std::collections::HashMap;
 
 /// Tracks since when each duration-qualified atom's inner fact has been
@@ -75,156 +74,30 @@ impl HeldTracker {
     }
 
     /// Since when a fingerprint's inner fact has been continuously true,
-    /// without observing (read-only; the [`HeldOverlay`] base lookup).
+    /// without observing.
     pub(crate) fn held_since(&self, fingerprint: &str) -> Option<SimTime> {
         self.since.get(fingerprint).copied()
     }
-
-    /// Applies one transition recorded by a [`HeldOverlay`] during
-    /// read-only evaluation: `Some(since)` starts tracking, `None` stops.
-    pub(crate) fn apply(&mut self, fingerprint: String, change: Option<SimTime>) {
-        match change {
-            Some(since) => {
-                self.since.insert(fingerprint, since);
-            }
-            None => {
-                self.since.remove(&fingerprint);
-            }
-        }
-    }
 }
 
-/// Held-for observation against an *immutable* [`HeldTracker`], recording
-/// transitions instead of applying them — the observer of the read-only
-/// evaluation phase, which must not mutate shared state.
-///
-/// Within one rule the overlay gives the same read-your-writes visibility
-/// the mutable tracker would (an `until` clause sees its trigger's
-/// observations). Across rules every evaluation sees the step-start
-/// snapshot; that is sound because fingerprints are pure functions of the
-/// atom, so two rules sharing a fingerprint evaluate its inner fact
-/// identically against the same immutable context and can never record
-/// conflicting transitions. The serial commit phase drains the recorded
-/// transitions and applies them in ascending `RuleId` order.
-#[derive(Debug)]
-pub(crate) struct HeldOverlay<'a> {
-    base: &'a HeldTracker,
-    overlay: HashMap<String, Option<SimTime>>,
+/// The engine's held-for observer: it updates the tracker and, when an
+/// observation opens a dwell window, arms the trigger index's deadline
+/// for every rule on the fingerprint. Rule evaluation and the priority
+/// guards in arbitration both observe through it.
+pub(crate) struct DwellObserver<'a> {
+    pub held: &'a mut HeldTracker,
+    pub index: &'a mut TriggerIndex,
 }
 
-impl<'a> HeldOverlay<'a> {
-    /// An empty overlay over the step-start tracker snapshot.
-    pub(crate) fn new(base: &'a HeldTracker) -> HeldOverlay<'a> {
-        HeldOverlay {
-            base,
-            overlay: HashMap::new(),
-        }
-    }
-
-    /// Drains the recorded transitions, sorted by fingerprint so commit
-    /// application (and anything derived from it) is byte-stable.
-    pub(crate) fn take_transitions(&mut self) -> Vec<(String, Option<SimTime>)> {
-        if self.overlay.is_empty() {
-            return Vec::new();
-        }
-        let mut out: Vec<_> = self.overlay.drain().collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-}
-
-impl HeldObserver for HeldOverlay<'_> {
+impl HeldObserver for DwellObserver<'_> {
     fn observe(&mut self, fingerprint: &str, inner_true: bool, now: SimTime) -> Option<SimTime> {
-        let current = match self.overlay.get(fingerprint) {
-            Some(entry) => *entry,
-            None => self.base.held_since(fingerprint),
-        };
-        if inner_true {
-            if let Some(since) = current {
-                return Some(since);
-            }
-            self.overlay.insert(fingerprint.to_owned(), Some(now));
-            Some(now)
-        } else {
-            // Record the removal only when there is something to remove,
-            // mirroring `HeldTracker::observe`'s no-op remove.
-            if current.is_some() {
-                self.overlay.insert(fingerprint.to_owned(), None);
-            }
-            None
+        let opens = inner_true && self.held.held_since(fingerprint).is_none();
+        let since = self.held.observe(fingerprint, inner_true, now);
+        if opens {
+            self.index.on_dwell_opened(fingerprint, now);
         }
+        since
     }
-}
-
-/// The outcome of evaluating one candidate rule against the snapshot:
-/// everything the serial commit phase needs.
-pub(crate) struct EvalVerdict {
-    /// The evaluated rule.
-    pub rule: RuleId,
-    /// Whether the trigger condition holds.
-    pub now_true: bool,
-    /// Whether the `until` clause demands a release: the rule has one,
-    /// currently holds its device, and the clause evaluates true.
-    pub until_release: bool,
-    /// Held-for transitions observed while evaluating this rule, sorted
-    /// by fingerprint; `Some(since)` starts tracking, `None` stops it.
-    pub held: Vec<(String, Option<SimTime>)>,
-}
-
-/// Immutable borrows of everything evaluation reads, built once per step.
-pub(crate) struct EvalContext<'a> {
-    pub rules: &'a RuleDb,
-    pub ctx: &'a ContextStore,
-    pub held: &'a HeldTracker,
-    pub holders: &'a HashMap<DeviceId, ActiveHolder>,
-}
-
-impl EvalContext<'_> {
-    /// Evaluates one rule against the snapshot. `None` for vanished or
-    /// disabled rules: they produce no verdict. The overlay is drained
-    /// into the verdict, so one overlay serves the whole pass.
-    fn eval_rule(&self, id: RuleId, overlay: &mut HeldOverlay<'_>) -> Option<EvalVerdict> {
-        let rule = self.rules.get(id)?;
-        if !rule.is_enabled() {
-            return None;
-        }
-        // Evaluation runs over the rule's span in the shared program arena
-        // (contiguous predicate/opcode tables) rather than a per-rule
-        // allocation.
-        let arena = self.rules.arena();
-        let program = self.rules.program_ref(id)?;
-        let now_true = arena.condition_holds(program, self.ctx, overlay);
-        // The `until` clause is evaluated only while the rule holds its
-        // device. The holder table cannot change between the step-start
-        // snapshot and this rule's turn in the commit loop: commits only
-        // *remove* a device's holder when that holder itself releases, so
-        // a rule that was not holding at snapshot time is not holding at
-        // commit time either (and vice versa).
-        let until_release = rule.until().is_some()
-            && self
-                .holders
-                .get(rule.action().device())
-                .is_some_and(|h| h.rule == id)
-            && arena
-                .until_holds(program, self.ctx, overlay)
-                .unwrap_or(false);
-        Some(EvalVerdict {
-            rule: id,
-            now_true,
-            until_release,
-            held: overlay.take_transitions(),
-        })
-    }
-}
-
-/// Evaluates every candidate against the snapshot, returning verdicts
-/// in the candidates' (ascending `RuleId`) order.
-pub(crate) fn evaluate(ec: &EvalContext<'_>, candidates: &[RuleId]) -> Vec<EvalVerdict> {
-    let mut overlay = HeldOverlay::new(ec.held);
-    candidates
-        .iter()
-        .filter_map(|&id| ec.eval_rule(id, &mut overlay))
-        .collect()
 }
 
 /// Compiled programs and the reference interpreter share one tracker
@@ -503,10 +376,9 @@ mod tests {
         assert!(!ev.condition_holds(&baseball.and(movie)));
     }
 
-    /// The evaluation phase reads these through shared references only;
-    /// pin that they stay `Sync`, so a read-only view of an engine can be
-    /// handed to any thread, and a regression surfaces here rather than
-    /// far from the cause.
+    /// An engine's evaluation state; pin that it stays `Sync`, so a
+    /// read-only view of an engine can be handed to any thread, and a
+    /// regression surfaces here rather than far from the cause.
     #[test]
     fn shared_eval_state_is_sync() {
         fn assert_sync<T: Sync>() {}
@@ -515,6 +387,5 @@ mod tests {
         assert_sync::<crate::eval::HeldTracker>();
         assert_sync::<cadel_ir::RuleProgram>();
         assert_sync::<cadel_ir::ProgramArena>();
-        assert_sync::<super::EvalContext<'_>>();
     }
 }

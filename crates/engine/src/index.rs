@@ -19,10 +19,9 @@
 //!   comparing the slot by state; when either reading is not a usable
 //!   number, every rule on the slot;
 //! * the posting lists of every dirtied place and event channel;
-//! * `held for` dwell deadlines that have come due (a tracker
-//!   transition to `Some(since)` schedules `since + duration` on a
-//!   min-heap; ineligible dwells — over events or clock windows — are
-//!   temporal instead);
+//! * `held for` dwell deadlines that have come due (a window opening at
+//!   `since` schedules `since + duration` on a min-heap; ineligible
+//!   dwells — over events or clock windows — are temporal instead);
 //! * freshness deadlines (`stamp + max_age + 1ms`) for stamped sensors
 //!   under an active [`FreshnessPolicy`](crate::FreshnessPolicy), which
 //!   mark every rule on the slot;
@@ -47,7 +46,7 @@
 
 use crate::context::{ContextStore, SensorDirt};
 use crate::eval::HeldTracker;
-use cadel_ir::{ChannelSlot, ClockPred, PlaceSlot, SensorSlot, SharedInterner};
+use cadel_ir::{ChannelSlot, ClockPred, PlaceSlot, SensorSlot};
 use cadel_rule::RuleDb;
 use cadel_simplex::RelOp;
 use cadel_types::unit::Dimension;
@@ -185,9 +184,8 @@ impl Marks {
 /// Slot-keyed inverted indexes and deadline heaps mapping context
 /// changes to the rules whose verdicts could have changed. See the module
 /// docs for the candidate-set contract.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TriggerIndex {
-    interner: SharedInterner,
     ord_of: HashMap<RuleId, u32>,
     id_of: Vec<RuleId>,
     live: Vec<bool>,
@@ -224,28 +222,9 @@ pub struct TriggerIndex {
 }
 
 impl TriggerIndex {
-    /// Creates an empty index over the rule database's interner.
-    pub fn new(interner: SharedInterner) -> TriggerIndex {
-        TriggerIndex {
-            interner,
-            ord_of: HashMap::new(),
-            id_of: Vec::new(),
-            live: Vec::new(),
-            reads_event: Vec::new(),
-            free: Vec::new(),
-            by_sensor: Vec::new(),
-            by_place: Vec::new(),
-            by_channel: Vec::new(),
-            temporal: BTreeSet::new(),
-            true_set: BTreeSet::new(),
-            pending: BTreeSet::new(),
-            by_fingerprint: HashMap::new(),
-            held_heap: BinaryHeap::new(),
-            fresh_heap: BinaryHeap::new(),
-            clock_heap: BinaryHeap::new(),
-            clock_due: Vec::new(),
-            marks: Marks::default(),
-        }
+    /// Creates an empty index.
+    pub fn new() -> TriggerIndex {
+        TriggerIndex::default()
     }
 
     /// Number of indexed rules.
@@ -337,16 +316,10 @@ impl TriggerIndex {
         }
         self.arm_clock(ord, arena.clock_preds(&r), ctx);
         if let Some(max_age) = ctx.freshness_policy().max_age {
-            let interner = self.interner.read().expect("interner lock poisoned");
             for &slot in arena.sensor_slots(&r) {
-                // Resolve the stamp through the string-keyed store: the
-                // mirror boards may not have synced a newly-interned
-                // slot yet.
-                if let Some(key) = interner.sensor_key(slot) {
-                    if let Some(stamp) = ctx.sensor_updated_at(key) {
-                        self.fresh_heap
-                            .push(Reverse((stamp + max_age + ONE_MS, slot.index() as u32)));
-                    }
+                if let Some(stamp) = ctx.sensor_stamp(slot) {
+                    self.fresh_heap
+                        .push(Reverse((stamp + max_age + ONE_MS, slot.index() as u32)));
                 }
             }
         }
@@ -562,14 +535,11 @@ impl TriggerIndex {
         }
     }
 
-    /// Observes a committed dwell-tracker transition. An opening window
-    /// (`Some(since)`) arms `since + duration` for every rule sharing
-    /// the fingerprint; a reset needs nothing — stale deadlines mark
-    /// rules whose dwell then evaluates false, a harmless no-op.
-    pub(crate) fn on_held_transition(&mut self, fingerprint: &str, change: Option<SimTime>) {
-        let Some(since) = change else {
-            return;
-        };
+    /// Observes a dwell window opening at `since`: arms `since + duration`
+    /// for every rule sharing the fingerprint. A reset needs nothing —
+    /// stale deadlines mark rules whose dwell then evaluates false, a
+    /// harmless no-op.
+    pub(crate) fn on_dwell_opened(&mut self, fingerprint: &str, since: SimTime) {
         if let Some(entry) = self.by_fingerprint.get(fingerprint) {
             let deadline = since + entry.duration;
             for &ord in &entry.rules {
@@ -850,10 +820,10 @@ mod tests {
     impl Fixture {
         fn new(rules: Vec<Rule>) -> Fixture {
             let mut db = RuleDb::new();
-            let mut ctx = ContextStore::new(Date::new(2005, 6, 6).unwrap());
-            ctx.attach_interner(db.interner().clone());
+            let ctx =
+                ContextStore::with_interner(Date::new(2005, 6, 6).unwrap(), db.interner().clone());
             let held = HeldTracker::new();
-            let mut index = TriggerIndex::new(db.interner().clone());
+            let mut index = TriggerIndex::new();
             for rule in rules {
                 let id = rule.id();
                 db.insert(rule).unwrap();
@@ -871,7 +841,6 @@ mod tests {
         /// engine's candidate phase does, and collects at `now`.
         fn candidates(&mut self, now: SimTime) -> Vec<u64> {
             self.ctx.set_now(now);
-            self.ctx.sync_ir();
             for dirt in self.ctx.dirty_sensors() {
                 self.index.note_sensor_dirt(dirt, &self.ctx);
             }
@@ -1114,12 +1083,10 @@ mod tests {
         f.settle();
 
         let fingerprint = f.index.by_fingerprint.keys().next().unwrap().clone();
-        f.index.on_held_transition(&fingerprint, Some(mins(5)));
+        f.index.on_dwell_opened(&fingerprint, mins(5));
         assert_eq!(f.candidates(mins(14)), NONE);
         assert_eq!(f.candidates(mins(15)), [1]);
         assert_eq!(f.candidates(mins(16)), NONE);
-        // A reset arms nothing.
-        f.index.on_held_transition(&fingerprint, None);
         assert_eq!(f.candidates(mins(30)), NONE);
     }
 
@@ -1247,7 +1214,7 @@ mod tests {
             f.index.insert(RuleId::new(id), &f.db, &f.ctx, &f.held);
         }
 
-        let mut rebuilt = TriggerIndex::new(f.db.interner().clone());
+        let mut rebuilt = TriggerIndex::new();
         let ids: Vec<RuleId> = f.db.iter().map(|r| r.id()).collect();
         for id in ids {
             rebuilt.insert(id, &f.db, &f.ctx, &f.held);

@@ -30,7 +30,7 @@
 //!
 //! Import refuses a negative time, duration, count or rule id with a
 //! typed error instead of letting it wrap into the engine's unsigned
-//! clock arithmetic.
+//! clock arithmetic, and a refused document leaves the engine as it was.
 //!
 //! This is a child module of `engine` so it can reach the engine's
 //! private runtime fields without widening their visibility.
@@ -38,13 +38,14 @@
 use super::{ActiveHolder, Engine};
 use crate::context::{FreshnessMode, FreshnessPolicy};
 use crate::error::EngineError;
+use crate::eval::HeldTracker;
 use crate::resilience::{
     BreakerState, DeadLetter, Resilience, ResilienceConfig, RetryEntry, RetryKind,
 };
 use cadel_rule::codec::{action_from_json, action_to_json, value_from_json, value_to_json};
 use cadel_types::json::Json;
 use cadel_types::{DeviceId, PersonId, PlaceId, RuleId, SensorKey, SimDuration, SimTime};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Schema version of the runtime checkpoint document that export
 /// writes. Import also reads version 1 (see the module docs).
@@ -250,9 +251,10 @@ impl Engine {
     ///
     /// Returns [`EngineError::Persist`] on an out-of-schema document: a
     /// missing member, a wrong type, a negative time, duration, count or
-    /// rule id, or a rule in both `last_true` and `last_false`.
-    /// The engine's runtime state is unspecified after an error — import
-    /// into a fresh engine (the recovery path always does).
+    /// rule id, or a rule in both `last_true` and `last_false`. A refused
+    /// document changes nothing: the import decodes every member into a
+    /// staged context and locals, and swaps them in only after the last
+    /// one has been read.
     pub fn import_runtime_json(&mut self, doc: &Json) -> Result<(), EngineError> {
         let version = get_int(doc, "version")?;
         if !(1..=RUNTIME_VERSION).contains(&version) {
@@ -262,14 +264,11 @@ impl Engine {
         }
 
         // Clock first: restores below must not be expired by a later
-        // set_now, and set_now itself expires nothing when the maps are
-        // already clear.
-        self.ctx.clear_dynamic_state();
-        self.ctx.set_now(time_of(doc, "now")?);
-        self.ctx
-            .set_event_window(duration_of(doc, "event_window_ms")?);
-        self.ctx
-            .set_freshness_policy(freshness_policy_from_json(require(doc, "freshness")?)?);
+        // set_now.
+        let mut ctx = self.ctx.emptied();
+        ctx.set_now(time_of(doc, "now")?);
+        ctx.set_event_window(duration_of(doc, "event_window_ms")?);
+        ctx.set_freshness_policy(freshness_policy_from_json(require(doc, "freshness")?)?);
 
         for entry in arr_of(doc, "sensors")? {
             let key = SensorKey::new(
@@ -278,47 +277,46 @@ impl Engine {
             );
             let value = value_from_json(require(entry, "value")?)
                 .map_err(|e| bad(format!("sensor value: {e}")))?;
-            self.ctx.restore_sensor(key, value, time_of(entry, "at")?);
+            ctx.write_sensor(&key, value, time_of(entry, "at")?);
         }
         for entry in arr_of(doc, "presence")? {
-            self.ctx.set_presence(
+            ctx.set_presence(
                 PersonId::new(get_str(entry, "person")?),
                 Some(PlaceId::new(get_str(entry, "place")?)),
             );
         }
         for entry in arr_of(doc, "persistent_events")? {
-            self.ctx
-                .set_persistent_event(get_str(entry, "channel")?, get_str(entry, "name")?);
+            ctx.set_persistent_event(get_str(entry, "channel")?, get_str(entry, "name")?);
         }
         for entry in arr_of(doc, "transient_events")? {
-            self.ctx.restore_transient_event(
+            ctx.restore_transient_event(
                 get_str(entry, "channel")?,
                 get_str(entry, "name")?,
                 time_of(entry, "expires_at")?,
             );
         }
 
-        self.held = crate::eval::HeldTracker::new();
+        let mut held = HeldTracker::new();
         for entry in arr_of(doc, "held")? {
-            self.held.restore(
+            held.restore(
                 get_str(entry, "fingerprint")?.to_owned(),
                 time_of(entry, "since")?,
             );
         }
 
-        self.last_state.clear();
+        let mut last_state = HashMap::new();
         if version == 1 {
             for entry in arr_of(doc, "last_state")? {
                 let state = require(entry, "state")?
                     .as_bool()
                     .ok_or_else(|| bad("'state' must be a boolean"))?;
-                self.last_state.insert(rule_of(entry, "rule")?, state);
+                last_state.insert(rule_of(entry, "rule")?, state);
             }
         } else {
             for (key, state) in [("last_true", true), ("last_false", false)] {
                 for id in arr_of(doc, key)? {
                     let id = RuleId::new(num_of(id, key)?);
-                    if self.last_state.insert(id, state) == Some(!state) {
+                    if last_state.insert(id, state) == Some(!state) {
                         return Err(bad(format!(
                             "rule {} is in both 'last_true' and 'last_false'",
                             id.raw()
@@ -327,25 +325,24 @@ impl Engine {
                 }
             }
         }
-        self.holders.clear();
+        let mut holders = HashMap::new();
         for entry in arr_of(doc, "holders")? {
-            self.holders.insert(
+            holders.insert(
                 DeviceId::new(get_str(entry, "device")?),
                 ActiveHolder {
                     rule: rule_of(entry, "rule")?,
                 },
             );
         }
-        self.contenders.clear();
+        let mut contenders = HashMap::new();
         for entry in arr_of(doc, "contenders")? {
             let device = DeviceId::new(get_str(entry, "device")?);
-            self.contenders
-                .insert(device, rule_set_from_json(entry, "rules")?);
+            contenders.insert(device, rule_set_from_json(entry, "rules")?);
         }
-        self.latched = rule_set_from_json(doc, "latched")?;
-        self.suppress_noted = rule_set_from_json(doc, "suppress_noted")?;
-        self.defer_noted = rule_set_from_json(doc, "defer_noted")?;
-        self.deferred_devices = arr_of(doc, "deferred_devices")?
+        let latched = rule_set_from_json(doc, "latched")?;
+        let suppress_noted = rule_set_from_json(doc, "suppress_noted")?;
+        let defer_noted = rule_set_from_json(doc, "defer_noted")?;
+        let deferred_devices = arr_of(doc, "deferred_devices")?
             .iter()
             .map(|d| {
                 d.as_str()
@@ -353,8 +350,18 @@ impl Engine {
                     .ok_or_else(|| bad("deferred device ids must be strings"))
             })
             .collect::<Result<_, _>>()?;
+        let resilience = resilience_from_json(require(doc, "resilience")?)?;
 
-        self.resilience = resilience_from_json(require(doc, "resilience")?)?;
+        self.ctx = ctx;
+        self.held = held;
+        self.last_state = last_state;
+        self.holders = holders;
+        self.contenders = contenders;
+        self.latched = latched;
+        self.suppress_noted = suppress_noted;
+        self.defer_noted = defer_noted;
+        self.deferred_devices = deferred_devices;
+        self.resilience = resilience;
 
         // Re-arm the trigger index's runtime-derived state (dwell,
         // freshness and clock deadlines, true/pending membership) from the
@@ -931,6 +938,36 @@ mod tests {
             .unwrap();
         engine.context_mut().raise_event("home", "doorbell");
         engine.step(mins(4));
+    }
+
+    /// A document refused after its first members decode changes
+    /// nothing: the engine exports what it exported before.
+    #[test]
+    fn a_refused_import_leaves_the_engine_as_it_was() {
+        let (mut engine, _home) = busy_engine();
+        let before = engine.export_runtime_json().to_compact();
+        let Json::Obj(members) = engine.export_runtime_json() else {
+            unreachable!("an export is an object")
+        };
+        let refused = Json::Obj(
+            members
+                .into_iter()
+                .map(|(key, value)| {
+                    let value = match (key.as_str(), value) {
+                        ("now", _) => Json::Int(mins(600).as_millis() as i64),
+                        ("resilience", _) => Json::Null,
+                        (_, Json::Arr(_)) => Json::Arr(Vec::new()),
+                        (_, value) => value,
+                    };
+                    (key, value)
+                })
+                .collect(),
+        );
+        assert!(matches!(
+            engine.import_runtime_json(&refused),
+            Err(EngineError::Persist(_))
+        ));
+        assert_eq!(engine.export_runtime_json().to_compact(), before);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! give it holders, contenders and latches). Each case applies a few
 //! seeded mutations — dropped members, wrong types, negative and extreme
 //! integers, truncated arrays, a rule in both edge lists, unknown
-//! versions — and imports the result into a fresh engine. The import
-//! must return `Ok` or `EngineError::Persist`, never panic, and the
-//! engine must then survive one raised event and ten steps, whether the
+//! versions — and imports the result into an engine that has imported
+//! the unmutated document first. The import must return `Ok` or
+//! `EngineError::Persist`, never panic; a refused import must leave the
+//! engine exporting exactly what it exported before; and the engine
+//! must then survive one raised event and ten steps, whether the
 //! document was accepted or refused.
 //!
 //! A failing seed is shrunk to its fewest mutations and printed; commit
@@ -328,15 +330,25 @@ fn arb_mutations(rng: &mut Rng, doc: &Json) -> Vec<Mutation> {
         .collect()
 }
 
-/// Imports `doc` into a fresh engine, then raises an event and steps
-/// ten times after `resume_at`. A refused import steps too: recovery
-/// skips a refused record and carries on with the engine it left.
-/// `Err` carries the fault.
-fn check(doc: &Json, resume_at: SimTime) -> Result<(), String> {
+/// Imports the valid `base`, then `doc`, into a fresh engine, then
+/// raises an event and steps ten times after `resume_at`. A refused
+/// import must change nothing the engine exports, and steps too:
+/// recovery skips a refused record and carries on with the engine it
+/// left. `Err` carries the fault.
+fn check(base: &Json, doc: &Json, resume_at: SimTime) -> Result<(), String> {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut engine = fresh_engine();
+        engine
+            .import_runtime_json(base)
+            .map_err(|e| format!("the base document was refused: {e}"))?;
+        let imported = engine.export_runtime_json().to_compact();
         match engine.import_runtime_json(doc) {
-            Ok(()) | Err(EngineError::Persist(_)) => {}
+            Ok(()) => {}
+            Err(EngineError::Persist(_)) => {
+                if engine.export_runtime_json().to_compact() != imported {
+                    return Err("a refused import changed the engine".to_owned());
+                }
+            }
             Err(other) => return Err(format!("untyped refusal: {other:?}")),
         }
         engine.context_mut().raise_event("chan", "event-0");
@@ -373,7 +385,7 @@ fn shrink(base: &Json, mut mutations: Vec<Mutation>) -> Vec<Mutation> {
     while i < mutations.len() {
         let mut fewer = mutations.clone();
         fewer.remove(i);
-        if check(&mutated(base, &fewer), now_of(base)).is_err() {
+        if check(base, &mutated(base, &fewer), now_of(base)).is_err() {
             mutations = fewer;
         } else {
             i += 1;
@@ -405,7 +417,7 @@ fn the_valid_documents_import_and_resume() {
     );
     for doc in &bases {
         for version in [to_v1(doc), doc.clone()] {
-            check(&version, now_of(doc)).unwrap();
+            check(&version, &version, now_of(doc)).unwrap();
             let mut engine = fresh_engine();
             engine.import_runtime_json(&version).unwrap();
             assert_eq!(&engine.export_runtime_json(), doc);
@@ -426,7 +438,7 @@ fn mutated_documents_are_refused_typed_or_survive_stepping() {
         let base = &bases[rng.below(bases.len() as u64) as usize];
         let mutations = arb_mutations(&mut rng, base);
         let doc = mutated(base, &mutations);
-        match check(&doc, now_of(base)) {
+        match check(base, &doc, now_of(base)) {
             Ok(()) => {
                 accepted += usize::from(fresh_engine().import_runtime_json(&doc).is_ok());
             }
@@ -462,7 +474,7 @@ fn shrunk_a_clock_at_i64_max_imports_and_steps() {
             &base,
             &[Mutation::Set(vec![key("now")], Json::Int(i64::MAX))],
         );
-        check(&doc, now_of(&base)).unwrap();
+        check(&base, &doc, now_of(&base)).unwrap();
     }
 }
 
@@ -496,6 +508,6 @@ fn shrunk_a_closed_breaker_at_u32_max_failures_fails_again() {
                 Mutation::Set(path("failures"), Json::Int(u32::MAX.into())),
             ],
         );
-        check(&doc, now_of(&base)).unwrap();
+        check(&base, &doc, now_of(&base)).unwrap();
     }
 }

@@ -55,9 +55,10 @@ fn steady_state_heldfor_evaluation_does_not_allocate() {
     let program = *db.program_ref(id).expect("stored rules are compiled");
     let arena = db.arena();
 
-    let mut ctx = ContextStore::new(Date::new(2005, 6, 6).expect("static date"));
-    ctx.attach_interner(db.interner().clone());
-    ctx.sync_ir();
+    let mut ctx = ContextStore::with_interner(
+        Date::new(2005, 6, 6).expect("static date"),
+        db.interner().clone(),
+    );
     ctx.set_now(SimTime::EPOCH);
     ctx.set_value(
         sensor,

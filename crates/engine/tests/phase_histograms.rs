@@ -1,5 +1,5 @@
-//! The engine's five phase histograms account for its step time:
-//! `engine_phase_{ingest,candidates,evaluate,commit,arbitrate}_ns` sum to
+//! The engine's four phase histograms account for its step time:
+//! `engine_phase_{ingest,candidates,evaluate,arbitrate}_ns` sum to
 //! `engine_step_duration_ns` within 10 %.
 //!
 //! Lives in its own integration binary because it flips the
@@ -14,11 +14,10 @@ use cadel_types::{
 };
 use cadel_upnp::{ControlPoint, Registry};
 
-const PHASES: [&str; 5] = [
+const PHASES: [&str; 4] = [
     "engine_phase_ingest_ns",
     "engine_phase_candidates_ns",
     "engine_phase_evaluate_ns",
-    "engine_phase_commit_ns",
     "engine_phase_arbitrate_ns",
 ];
 

@@ -2,29 +2,18 @@
 
 use std::time::Duration;
 
-/// What admission control does when a tenant's inbox is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Drop the oldest *coalescible* queued entry to make room — the
-    /// same classification the engine's ingest coalescer uses
-    /// ([`cadel_engine::coalescible`]): a superseded sensor reading is
-    /// safe to lose, an event-bearing payload is not. When nothing
-    /// queued is coalescible the new entry is rejected instead.
-    DropOldestCoalescible,
-    /// Reject the new entry; everything already queued is kept.
-    FailNew,
-}
-
 /// Fleet runtime configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FleetConfig {
     /// Worker threads per step wave (clamped to at least 1; 1 = serial).
     pub workers: usize,
-    /// Bounded inbox size per tenant; admission beyond it sheds
-    /// according to [`FleetConfig::shed_policy`].
+    /// Bounded inbox size per tenant. A full inbox sheds its oldest
+    /// *coalescible* entry to admit a newcomer — the classification the
+    /// engine's ingest coalescer uses ([`cadel_engine::coalescible`]): a
+    /// superseded sensor reading is safe to lose, an event-bearing
+    /// payload is not. When nothing queued is coalescible the newcomer is
+    /// refused instead.
     pub inbox_capacity: usize,
-    /// What to do when a tenant's inbox is full.
-    pub shed_policy: ShedPolicy,
     /// Quarantine strikes (panics, deadline overruns, store faults) a
     /// tenant may accumulate and still be restarted automatically; past
     /// the budget it stays quarantined until [`revive`]d.
@@ -55,7 +44,6 @@ impl Default for FleetConfig {
         FleetConfig {
             workers: 4,
             inbox_capacity: 64,
-            shed_policy: ShedPolicy::DropOldestCoalescible,
             panic_budget: 3,
             step_deadline: Duration::from_secs(5),
             checkpoint_every: 8,

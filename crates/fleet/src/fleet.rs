@@ -1,6 +1,6 @@
 //! The fleet runtime: admission control, step waves, supervision.
 
-use crate::config::{FleetConfig, ShedPolicy};
+use crate::config::FleetConfig;
 use crate::tenant::{Ingress, Tenant, TenantBuilder, TenantParts, TenantState};
 use cadel_obs::{Event, LazyCounter, LazyGauge, LazyHistogram, Level, NoisyNeighbourRollup};
 use cadel_server::{HomeServer, ServerError};
@@ -344,18 +344,19 @@ impl Fleet {
 
     /// Offers one ingress entry to a tenant by index. Admission control
     /// runs here: a coalescible reading replaces a queued reading of
-    /// the same device variable in place; a full inbox sheds per the
-    /// configured [`ShedPolicy`]. Quarantined tenants keep accepting
+    /// the same device variable in place; a full inbox sheds its oldest
+    /// coalescible entry to admit the newcomer, and refuses the newcomer
+    /// when nothing queued is coalescible. Quarantined tenants keep accepting
     /// ingress (bounded — readings survive a quarantine window and are
     /// replayed after the restart).
     ///
     /// # Errors
     ///
     /// [`FleetError::UnknownTenant`] for a bad index,
-    /// [`FleetError::InboxFull`] when the shed policy rejects the entry.
+    /// [`FleetError::InboxFull`] when the full inbox holds nothing
+    /// coalescible to shed.
     pub fn offer_at(&mut self, index: usize, ingress: Ingress) -> Result<Admission, FleetError> {
         let capacity = self.config.inbox_capacity.max(1);
-        let policy = self.config.shed_policy;
         let tenant = self
             .tenants
             .get_mut(index)
@@ -380,18 +381,13 @@ impl Fleet {
         self.shed_total += 1;
         SHED.inc();
         let name = tenant.name.clone();
-        let admitted = match policy {
-            ShedPolicy::DropOldestCoalescible => {
-                match tenant.inbox.iter().position(Ingress::coalescible) {
-                    Some(oldest) => {
-                        tenant.inbox.remove(oldest);
-                        tenant.inbox.push_back(ingress);
-                        true
-                    }
-                    None => false,
-                }
+        let admitted = match tenant.inbox.iter().position(Ingress::coalescible) {
+            Some(oldest) => {
+                tenant.inbox.remove(oldest);
+                tenant.inbox.push_back(ingress);
+                true
             }
-            ShedPolicy::FailNew => false,
+            None => false,
         };
         self.rollup.note_shed(&name, 1);
         BACKLOG.set(self.backlog() as i64);

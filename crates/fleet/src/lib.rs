@@ -48,7 +48,7 @@ pub mod config;
 pub mod fleet;
 pub mod tenant;
 
-pub use config::{FleetConfig, ShedPolicy};
+pub use config::FleetConfig;
 pub use fleet::{
     Admission, Fleet, FleetError, FleetHealth, FleetStepReport, ShutdownReport, StepStatus,
     TenantStepOutcome,

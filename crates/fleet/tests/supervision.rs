@@ -7,8 +7,8 @@
 
 use cadel_devices::{EnvironmentSensor, LivingRoomHome};
 use cadel_fleet::{
-    Admission, Fleet, FleetConfig, FleetError, Ingress, ShedPolicy, StepStatus, TenantParts,
-    TenantState, TenantWorld,
+    Admission, Fleet, FleetConfig, FleetError, Ingress, StepStatus, TenantParts, TenantState,
+    TenantWorld,
 };
 use cadel_rule::{ActionSpec, Atom, Condition, ConstraintAtom, Rule, Verb};
 use cadel_server::HomeServer;
@@ -150,27 +150,7 @@ fn admission_coalesces_readings_and_sheds_by_policy() {
         Err(FleetError::UnknownTenant("missing".to_owned()))
     );
 
-    // FailNew keeps the queue and rejects the newcomer even when the
-    // queue holds coalescible entries.
-    let root2 = fleet_root("admission-failnew");
-    let mut strict = Fleet::new(
-        &root2,
-        FleetConfig {
-            inbox_capacity: 1,
-            shed_policy: ShedPolicy::FailNew,
-            ..FleetConfig::default()
-        },
-    );
-    strict.add_tenant("t0", lr_tenant).unwrap();
-    strict.offer("t0", arrival("tom", mins(1))).unwrap();
-    assert!(matches!(
-        strict.offer("t0", temp_reading(30, mins(2))),
-        Err(FleetError::InboxFull { .. })
-    ));
-    assert_eq!(strict.inbox_len_of("t0"), Some(1));
-
     let _ = std::fs::remove_dir_all(&root);
-    let _ = std::fs::remove_dir_all(&root2);
 }
 
 #[test]

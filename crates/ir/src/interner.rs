@@ -2,8 +2,9 @@
 //!
 //! Compiled rule programs never hash strings at evaluation time: every
 //! sensor variable and event pattern a registered rule mentions is interned
-//! here once, at compile time, and the engine's context store mirrors its
-//! string-keyed maps onto dense boards indexed by these slots.
+//! here once, at compile time. The engine's context store shares the
+//! interner and keeps its readings and event facts on dense boards indexed
+//! by these slots, interning each name it is first written under.
 
 use cadel_obs::LazyGauge;
 use cadel_types::{PlaceId, SensorKey};
@@ -88,10 +89,8 @@ impl ChannelSlot {
 /// Maps sensor keys and event patterns to dense slots.
 ///
 /// The interner is append-only: slots are never reused, so a compiled
-/// program's slot references stay valid for the interner's lifetime. A
-/// monotonically increasing [`Interner::revision`] lets consumers (the
-/// engine's dense context boards) detect that new slots appeared and
-/// resize/backfill lazily.
+/// program's slot references, and a context board's entries, stay valid
+/// for the interner's lifetime.
 #[derive(Debug, Default)]
 pub struct Interner {
     sensors: HashMap<SensorKey, SensorSlot>,
@@ -108,18 +107,12 @@ pub struct Interner {
     channels: HashMap<String, ChannelSlot>,
     /// Channel slot of each event slot, parallel to `event_keys`.
     event_channels: Vec<ChannelSlot>,
-    revision: u64,
 }
 
 impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Interner {
         Interner::default()
-    }
-
-    /// The current revision; bumped whenever a new slot is interned.
-    pub fn revision(&self) -> u64 {
-        self.revision
     }
 
     /// The slot of a sensor key, interning it on first use.
@@ -130,7 +123,6 @@ impl Interner {
         let slot = SensorSlot::new(self.sensor_keys.len() as u32);
         self.sensors.insert(key.clone(), slot);
         self.sensor_keys.push(key.clone());
-        self.revision += 1;
         SENSOR_SLOTS.set(self.sensor_keys.len() as i64);
         slot
     }
@@ -174,7 +166,6 @@ impl Interner {
         let channel_slot = self.intern_normalized_channel(&channel);
         self.event_channels.push(channel_slot);
         self.event_keys.push((channel, name));
-        self.revision += 1;
         EVENT_SLOTS.set(self.event_keys.len() as i64);
         slot
     }
@@ -220,7 +211,6 @@ impl Interner {
         let slot = PlaceSlot::new(self.place_keys.len() as u32);
         self.places.insert(place.clone(), slot);
         self.place_keys.push(place.clone());
-        self.revision += 1;
         PLACE_SLOTS.set(self.place_keys.len() as i64);
         slot
     }
@@ -253,7 +243,6 @@ impl Interner {
         }
         let slot = ChannelSlot::new(self.channels.len() as u32);
         self.channels.insert(channel.to_owned(), slot);
-        self.revision += 1;
         CHANNEL_SLOTS.set(self.channels.len() as i64);
         slot
     }
@@ -271,8 +260,8 @@ impl Interner {
 }
 
 /// An interner shared between the rule database (which interns at compile
-/// time) and the engine's context store (which mirrors its boards onto the
-/// slots).
+/// time) and the engine's context store (which interns at write time and
+/// indexes its boards by the slots).
 pub type SharedInterner = Arc<RwLock<Interner>>;
 
 #[cfg(test)]
@@ -294,18 +283,6 @@ mod tests {
         assert_eq!(i.sensor_count(), 2);
         assert_eq!(i.sensor_key(a), Some(&key("thermo", "temperature")));
         assert_eq!(i.lookup_sensor(&key("nope", "x")), None);
-    }
-
-    #[test]
-    fn revision_bumps_only_on_new_slots() {
-        let mut i = Interner::new();
-        assert_eq!(i.revision(), 0);
-        i.sensor_slot(&key("thermo", "temperature"));
-        let r1 = i.revision();
-        i.sensor_slot(&key("thermo", "temperature"));
-        assert_eq!(i.revision(), r1);
-        i.event_slot("tv-guide", "news");
-        assert!(i.revision() > r1);
     }
 
     #[test]

@@ -232,20 +232,6 @@ impl HomeServer {
         Ok((server, report))
     }
 
-    /// Alias for [`HomeServer::open_at`]: recovery *is* opening the
-    /// store — a fresh directory simply recovers to the empty state.
-    ///
-    /// # Errors
-    ///
-    /// See [`HomeServer::open_at`].
-    pub fn recover(
-        control: ControlPoint,
-        topology: Topology,
-        dir: impl AsRef<Path>,
-    ) -> Result<(HomeServer, RecoveryReport), ServerError> {
-        HomeServer::open_at(control, topology, dir)
-    }
-
     /// The durable store, when this server was opened with one.
     pub fn store(&self) -> Option<&Store> {
         self.store.as_ref()
