@@ -10,10 +10,12 @@
 //! [`PriorityStore`] keeps the paper's simplified interface: per-device
 //! *total orders* (ranked lists), each optionally guarded by a context
 //! condition, at most one per device and context. Context-scoped orders
-//! are consulted before default ones.
+//! are consulted before default ones. The store indexes its orders by
+//! device, so arbitrating one device visits only that device's orders.
 
 use cadel_rule::Condition;
 use cadel_types::{DeviceId, RuleId};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A ranked list of rules for one device, optionally scoped to a context.
@@ -124,6 +126,8 @@ impl Resolution {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PriorityStore {
     orders: Vec<PriorityOrder>,
+    /// Each device's order indices, in registration sequence.
+    by_device: HashMap<DeviceId, Vec<usize>>,
 }
 
 impl PriorityStore {
@@ -137,17 +141,35 @@ impl PriorityStore {
     /// index; otherwise the order is appended. Indices are stable for the
     /// store's lifetime (orders are never removed).
     pub fn add_order(&mut self, order: PriorityOrder) -> usize {
-        let same_key = |o: &PriorityOrder| o.device == order.device && o.context == order.context;
-        match self.orders.iter().position(same_key) {
+        let indices = self.by_device.entry(order.device.clone()).or_default();
+        let same_key = indices
+            .iter()
+            .copied()
+            .find(|&index| self.orders[index].context == order.context);
+        match same_key {
             Some(index) => {
                 self.orders[index] = order;
                 index
             }
             None => {
+                indices.push(self.orders.len());
                 self.orders.push(order);
                 self.orders.len() - 1
             }
         }
+    }
+
+    /// The orders on one device with their store indices, in
+    /// registration sequence.
+    fn for_device<'a>(
+        &'a self,
+        device: &DeviceId,
+    ) -> impl Iterator<Item = (usize, &'a PriorityOrder)> + Clone + 'a {
+        self.by_device
+            .get(device)
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .map(|&index| (index, &self.orders[index]))
     }
 
     /// All orders, registration sequence.
@@ -162,9 +184,8 @@ impl PriorityStore {
     /// order, when no context holds). Outside a scoped order's context
     /// the pair falls back to the runtime's tie rule.
     pub fn covers(&self, device: &DeviceId, a: RuleId, b: RuleId) -> bool {
-        self.orders
-            .iter()
-            .any(|o| o.device() == device && o.rank_of(a).is_some() && o.rank_of(b).is_some())
+        self.for_device(device)
+            .any(|(_, o)| o.rank_of(a).is_some() && o.rank_of(b).is_some())
     }
 
     /// Arbitrates among candidate rules that fired simultaneously on
@@ -192,13 +213,10 @@ impl PriorityStore {
         if candidates.len() == 1 {
             return Resolution::Winner(candidates[0]);
         }
-        let for_device = |scoped: bool| {
-            self.orders
-                .iter()
-                .enumerate()
-                .filter(move |(_, o)| o.device() == device && o.context().is_some() == scoped)
-        };
-        for (index, order) in for_device(true).chain(for_device(false)) {
+        let orders = self.for_device(device);
+        let scoped = orders.clone().filter(|(_, o)| o.context().is_some());
+        let default = orders.filter(|(_, o)| o.context().is_none());
+        for (index, order) in scoped.chain(default) {
             if order.context().is_some() && !context_holds(index) {
                 continue;
             }

@@ -13,7 +13,7 @@ use crate::context::{
 };
 use crate::error::EngineError;
 use crate::eval::{DwellObserver, HeldTracker};
-use crate::index::TriggerIndex;
+use crate::index::{Candidate, TriggerIndex};
 use crate::resilience::{ActuationError, Resilience, ResilienceConfig, RetryKind};
 use cadel_conflict::{PriorityOrder, PriorityStore, Resolution};
 use cadel_ir::{eval_code, CondCode, Pred};
@@ -21,7 +21,7 @@ use cadel_obs::{Event as ObsEvent, LazyCounter, LazyGauge, LazyHistogram, Level,
 use cadel_rule::{compile_condition, ActionSpec, Rule, RuleDb, RuleError, Verb};
 use cadel_types::{DeviceId, RuleId, SimTime, Value};
 use cadel_upnp::{ControlPoint, Subscription, UpnpError};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Runtime-state checkpoint export/import. A child of this module so it
@@ -173,9 +173,43 @@ impl fmt::Display for StepReport {
     }
 }
 
-/// The rule currently holding a device.
-pub(crate) struct ActiveHolder {
-    pub(crate) rule: RuleId,
+/// What the engine remembers about one rule between steps, kept in a
+/// column indexed by the rule's ordinal in the database.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct RuleState {
+    /// The last committed verdict; `None` before the first.
+    verdict: Option<bool>,
+    /// Released by its `until` clause: kept out of contention until its
+    /// condition goes false (prevents release/re-fire flap).
+    latched: bool,
+    /// Its current suppression was already announced on the conflict
+    /// channel (avoids re-raising every step).
+    suppress_noted: bool,
+    /// Its current deferral was already reported in a step report
+    /// (avoids one `Deferred` row per step while a breaker stays open).
+    defer_noted: bool,
+}
+
+/// What the engine remembers about one device, kept in a column indexed
+/// by the device's slot in the database.
+#[derive(Clone, Debug, Default)]
+struct DeviceState {
+    /// The rule holding the device.
+    holder: Option<RuleId>,
+    /// The rules whose condition currently holds and that are not
+    /// latched, ascending by id, with their ordinals. Losers stay in here
+    /// and re-contend whenever arbitration runs again — so a context
+    /// change (Alan arrives) can promote a previously suppressed rule
+    /// without a fresh condition edge.
+    pool: Vec<Candidate>,
+    /// A firing on the device is deferred: the device is re-arbitrated
+    /// every step so an open breaker is re-probed as soon as its cooldown
+    /// elapses.
+    deferred: bool,
+    /// On the step's arbitration list.
+    marked: bool,
+    /// On the engine's list of devices whose pool was ever non-empty.
+    pooled: bool,
 }
 
 /// The rule execution engine.
@@ -186,6 +220,11 @@ pub(crate) struct ActiveHolder {
 /// drains pending UPnP events, re-evaluates the affected rules, arbitrates
 /// simultaneous firings per device by priority, and dispatches winning
 /// actions.
+///
+/// Per-rule and per-device state lives in columns indexed by the rule
+/// ordinals and device slots the rule database assigns. The ordinals are
+/// never exported and never decide an order: candidates commit in
+/// ascending id order and devices are arbitrated in name order.
 pub struct Engine {
     control: ControlPoint,
     subscription: Subscription,
@@ -202,35 +241,33 @@ pub struct Engine {
     /// The freshness policy the index deadlines were armed under;
     /// compared each step so `context_mut()` policy edits re-arm them.
     last_freshness: FreshnessPolicy,
-    /// Reusable candidate-id buffer: collected into each step, capacity
+    /// Reusable candidate buffer: collected into each step, capacity
     /// retained so the steady-state candidate path allocates nothing.
-    candidate_buf: Vec<RuleId>,
+    candidate_buf: Vec<Candidate>,
     /// Whether ingest coalesces redundant same-sensor readings within a
     /// batch (last-write-wins). Off only for the P-series ablation.
     coalesce_events: bool,
-    last_state: HashMap<RuleId, bool>,
-    holders: HashMap<DeviceId, ActiveHolder>,
-    /// Rules whose condition currently holds, per target device. Losers
-    /// stay in here and re-contend whenever arbitration runs again — so a
-    /// context change (Alan arrives) can promote a previously suppressed
-    /// rule without a fresh condition edge.
-    contenders: HashMap<DeviceId, BTreeSet<RuleId>>,
-    /// Rules released by their `until` clause; excluded from contention
-    /// until their condition goes false (prevents release/re-fire flap).
-    latched: BTreeSet<RuleId>,
-    /// Rules whose current suppression was already announced on the
-    /// conflict channel (avoids re-raising every step).
-    suppress_noted: BTreeSet<RuleId>,
+    /// Per rule ordinal: verdict, latch and notes.
+    rule_state: Vec<RuleState>,
+    /// Per device slot: holder, contender pool and deferral.
+    device_state: Vec<DeviceState>,
+    /// The device slots whose pool was ever non-empty: each step
+    /// re-arbitrates the contested and deferred ones among them.
+    pooled: Vec<u32>,
+    /// Per device slot: the rank of the device's name in name order,
+    /// recomputed when slots were added since.
+    device_rank: Vec<u32>,
+    /// Per step: the rules with a fresh true edge, ascending by id.
+    newly_true: Vec<RuleId>,
+    /// Per step: the device slots to arbitrate.
+    marked: Vec<u32>,
+    /// Arbitration scratch: one device's pool, and its contenders with
+    /// the holder first.
+    pool_buf: Vec<Candidate>,
+    contender_buf: Vec<RuleId>,
     /// Fault tolerance: per-device circuit breakers, the sim-time retry
     /// queue and the dead-letter queue.
     resilience: Resilience,
-    /// Devices with a deferred firing: re-arbitrated every step so an
-    /// open breaker is re-probed as soon as its cooldown elapses.
-    deferred_devices: BTreeSet<DeviceId>,
-    /// Rules whose current deferral was already reported in a step
-    /// report (avoids one `Deferred` row per step while a breaker
-    /// stays open).
-    defer_noted: BTreeSet<RuleId>,
     /// Chaos hook invoked for every evaluated rule, right after its
     /// evaluation. Fleet soaks install a panicking hook here to prove the
     /// supervisor contains a poisoned rule set; `None` in production.
@@ -264,14 +301,15 @@ impl Engine {
             last_freshness,
             candidate_buf: Vec::new(),
             coalesce_events: true,
-            last_state: HashMap::new(),
-            holders: HashMap::new(),
-            contenders: HashMap::new(),
-            latched: BTreeSet::new(),
-            suppress_noted: BTreeSet::new(),
+            rule_state: Vec::new(),
+            device_state: Vec::new(),
+            pooled: Vec::new(),
+            device_rank: Vec::new(),
+            newly_true: Vec::new(),
+            marked: Vec::new(),
+            pool_buf: Vec::new(),
+            contender_buf: Vec::new(),
             resilience: Resilience::default(),
-            deferred_devices: BTreeSet::new(),
-            defer_noted: BTreeSet::new(),
             eval_hook: None,
         }
     }
@@ -383,39 +421,39 @@ impl Engine {
         // Insert first: a rejected duplicate must not touch the index,
         // and indexing reads the compiled footprint out of the database.
         self.rules.insert(rule)?;
-        self.index.insert(id, &self.rules, &self.ctx, &self.held);
+        let ord = self.ordinal(id)?;
+        self.cover();
+        self.rule_state[ord as usize] = RuleState::default();
+        self.index.insert(ord, &self.rules, &self.ctx, &self.held);
         Ok(id)
     }
 
-    /// Removes a rule and de-indexes it.
+    /// Removes a rule and de-indexes it. Its runtime state (verdict,
+    /// hold, contention, retries) goes with it, and so does any `held
+    /// for` window that no enabled rule and no priority guard reads any
+    /// more.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Rule`] for unknown ids.
     pub fn remove_rule(&mut self, id: RuleId) -> Result<(), EngineError> {
-        if self.rules.get(id).is_none() {
-            return Err(EngineError::Rule(RuleError::UnknownRule(id)));
-        }
+        let ord = self.ordinal(id)?;
+        let device = self.device_of(ord);
+        let dwells = self.dwell_fingerprints(ord);
         // De-index while the compiled footprint is still in the database.
-        self.index.remove(id, &self.rules);
+        self.index.remove(ord, &self.rules);
         self.rules.remove(id)?;
-        self.last_state.remove(&id);
-        self.holders.retain(|_, h| h.rule != id);
-        self.latched.remove(&id);
-        self.suppress_noted.remove(&id);
-        self.defer_noted.remove(&id);
-        self.resilience.purge_rule(id);
-        for set in self.contenders.values_mut() {
-            set.remove(&id);
-        }
+        self.purge(id, ord, device);
+        self.forget_unobserved(dwells);
         Ok(())
     }
 
     /// Replaces a rule in place under its existing id (customization:
     /// edit or enable/disable). The replacement is recompiled with a
     /// fresh revision — so the conflict graph rebuilds its node — and the
-    /// old rule's runtime state (holds, contention, retries) is purged,
-    /// exactly as a remove-then-add would.
+    /// old rule's runtime state (holds, contention, retries, and `held
+    /// for` windows nothing else reads) is purged, exactly as a
+    /// remove-then-add would.
     ///
     /// # Errors
     ///
@@ -423,26 +461,104 @@ impl Engine {
     /// that does not compile; the incumbent then stays live.
     pub fn update_rule(&mut self, rule: Rule) -> Result<(), EngineError> {
         let id = rule.id();
-        if self.rules.get(id).is_none() {
-            return Err(EngineError::Rule(RuleError::UnknownRule(id)));
-        }
+        let ord = self.ordinal(id)?;
+        let device = self.device_of(ord);
+        let dwells = self.dwell_fingerprints(ord);
         // De-index the old footprint before the replacement overwrites
-        // it, then index whatever is stored: the replacement, or the
-        // incumbent a refused replacement left in place.
-        self.index.remove(id, &self.rules);
+        // it, then index whatever is stored under the ordinal, which a
+        // replacement keeps: the replacement, or the incumbent a refused
+        // replacement left in place.
+        self.index.remove(ord, &self.rules);
         let replaced = self.rules.replace(rule);
-        self.index.insert(id, &self.rules, &self.ctx, &self.held);
+        self.cover();
+        self.index.insert(ord, &self.rules, &self.ctx, &self.held);
         replaced?;
-        self.last_state.remove(&id);
-        self.holders.retain(|_, h| h.rule != id);
-        self.latched.remove(&id);
-        self.suppress_noted.remove(&id);
-        self.defer_noted.remove(&id);
-        self.resilience.purge_rule(id);
-        for set in self.contenders.values_mut() {
-            set.remove(&id);
-        }
+        self.purge(id, ord, device);
+        self.forget_unobserved(dwells);
         Ok(())
+    }
+
+    /// The ordinal of a stored rule.
+    fn ordinal(&self, id: RuleId) -> Result<u32, EngineError> {
+        self.rules
+            .ordinal(id)
+            .ok_or(EngineError::Rule(RuleError::UnknownRule(id)))
+    }
+
+    /// The device slot of the rule stored under `ord`.
+    fn device_of(&self, ord: u32) -> u32 {
+        self.rules
+            .entry(ord)
+            .expect("a stored rule has an entry")
+            .device
+    }
+
+    /// Grows the rule and device columns to cover every ordinal and slot
+    /// the database has assigned.
+    fn cover(&mut self) {
+        let rules = self.rules.ordinal_bound();
+        if self.rule_state.len() < rules {
+            self.rule_state.resize(rules, RuleState::default());
+        }
+        let devices = self.rules.device_slot_count();
+        if self.device_state.len() < devices {
+            self.device_state.resize_with(devices, DeviceState::default);
+        }
+    }
+
+    /// Drops a removed or replaced rule's runtime state: its column entry,
+    /// its hold on and place in the pool of `device` (the only device it
+    /// can hold or contend for), and its queued retries and dead letters.
+    /// A device no stored rule targets any more stops being deferred.
+    fn purge(&mut self, id: RuleId, ord: u32, device: u32) {
+        self.rule_state[ord as usize] = RuleState::default();
+        let untargeted = self
+            .rules
+            .device_slot(self.rules.device_at(device))
+            .is_none();
+        let state = &mut self.device_state[device as usize];
+        if state.holder == Some(id) {
+            state.holder = None;
+        }
+        leave_pool(&mut state.pool, id);
+        if untargeted {
+            state.deferred = false;
+        }
+        self.resilience.purge_rule(id);
+    }
+
+    /// The `held for` fingerprints the program under `ord` reads.
+    fn dwell_fingerprints(&self, ord: u32) -> Vec<String> {
+        let arena = self.rules.arena();
+        arena.program_ref(ord).map_or_else(Vec::new, |r| {
+            arena
+                .held_keys(r)
+                .iter()
+                .map(|&key| arena.held_fingerprint(key).0.to_owned())
+                .collect()
+        })
+    }
+
+    /// Forgets the dwell windows among `fingerprints` that no enabled rule
+    /// and no priority guard reads: nothing observes them any more, so a
+    /// rule that reads one later must open its window afresh instead of
+    /// inheriting a stale one.
+    fn forget_unobserved(&mut self, fingerprints: Vec<String>) {
+        for fingerprint in fingerprints {
+            let read_by_rule = self
+                .index
+                .fingerprint_rules(&fingerprint)
+                .iter()
+                .any(|&ord| self.rules.entry(ord).is_some_and(|e| e.enabled));
+            let read_by_guard = self.priority_guards.iter().any(|(preds, _)| {
+                preds.iter().any(|pred| {
+                    matches!(pred, Pred::HeldFor { fingerprint: fp, .. } if **fp == *fingerprint)
+                })
+            });
+            if !read_by_rule && !read_by_guard {
+                self.held.forget(&fingerprint);
+            }
+        }
     }
 
     /// Drains device events, advances the clock, re-evaluates rules,
@@ -450,6 +566,7 @@ impl Engine {
     pub fn step(&mut self, now: SimTime) -> StepReport {
         let sw = Stopwatch::start();
         let mut span = Span::new("engine.step");
+        self.cover();
 
         // Phase 1 — batched ingest: drain the subscription, advance the
         // clock and apply the batch with per-sensor coalescing. Every
@@ -474,141 +591,42 @@ impl Engine {
 
         // Phase 3 — evaluate each candidate and commit its verdict, in
         // ascending RuleId order: held-for observations, state edges,
-        // until releases, contender pools.
+        // until releases, contender pools. Devices whose outcome the
+        // commits may change are marked for phase 4.
         let phase = Stopwatch::start();
-        let mut newly_true: BTreeSet<RuleId> = BTreeSet::new();
         let mut releases: Vec<(RuleId, DeviceId)> = Vec::new();
-        // Devices whose current holder's condition just lapsed: suppressed
-        // contenders must get a chance to take over.
-        let mut holder_lapsed: BTreeSet<DeviceId> = BTreeSet::new();
-        let evaluated = self.evaluate_and_commit(
-            &candidates,
-            now,
-            &mut newly_true,
-            &mut releases,
-            &mut holder_lapsed,
-        );
+        let evaluated = self.evaluate_and_commit(&candidates, now, &mut releases);
         self.candidate_buf = candidates;
         PHASE_EVALUATE_NS.record(&phase);
 
-        // Phase 4 — re-arbitrate every device whose outcome could have changed:
-        //    any device with a fresh edge, and any device with several
-        //    live contenders (a context change alone can flip priorities).
+        // Phase 4 — re-arbitrate every device whose outcome could have
+        //    changed, in device-name order: the devices phase 3 marked
+        //    (a fresh edge, a lapsed holder, a release, contenders left
+        //    with no live holder), every device
+        //    with several live contenders (a context change alone can
+        //    flip priorities), and every deferred device (so the open
+        //    breaker gets probed as soon as its cooldown elapses).
         let phase = Stopwatch::start();
-        let mut devices: BTreeSet<DeviceId> = BTreeSet::new();
-        for id in &newly_true {
-            if let Some(rule) = self.rules.get(*id) {
-                devices.insert(rule.action().device().clone());
+        for &slot in &self.pooled {
+            let device = &mut self.device_state[slot as usize];
+            if (device.pool.len() >= 2 || device.deferred) && !device.marked {
+                device.marked = true;
+                self.marked.push(slot);
             }
         }
-        for (device, set) in &self.contenders {
-            if set.len() >= 2 {
-                devices.insert(device.clone());
-            }
+        let mut marked = std::mem::take(&mut self.marked);
+        if !marked.is_empty() {
+            self.rank_devices();
+            let rank = &self.device_rank;
+            marked.sort_unstable_by_key(|&slot| rank[slot as usize]);
         }
-        devices.extend(holder_lapsed);
-        // Deferred devices re-arbitrate every step so the open breaker
-        // gets probed as soon as its cooldown elapses.
-        devices.extend(self.deferred_devices.iter().cloned());
-
-        for device in devices {
-            let contenders: Vec<RuleId> = self
-                .contenders
-                .get(&device)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            if contenders.is_empty() {
-                self.deferred_devices.remove(&device);
-                continue;
-            }
-            // Put the current live holder first for the unresolved
-            // fallback (prefer the status quo).
-            let holder = self
-                .holders
-                .get(&device)
-                .map(|h| h.rule)
-                .filter(|id| contenders.contains(id));
-            let mut ordered = contenders.clone();
-            if let Some(h) = holder {
-                ordered.retain(|id| *id != h);
-                ordered.insert(0, h);
-            }
-
-            let winner = self.arbitrate(&device, &ordered);
-
-            // Dispatch when the winner is not already holding the device —
-            // or re-assert on a fresh edge of the holder itself. A holder
-            // whose condition has lapsed is not "displaced": only live
-            // holders count as previous for the Replaced outcome and its
-            // conflict-channel announcement.
-            if holder != Some(winner) || newly_true.contains(&winner) {
-                let outcome = self.dispatch(winner, holder);
-                let mut report = true;
-                match &outcome {
-                    FiringOutcome::Deferred => {
-                        // The breaker is open: keep the contender and
-                        // re-try on later steps; report only the first
-                        // deferral of a continuous stretch.
-                        self.deferred_devices.insert(device.clone());
-                        report = self.defer_noted.insert(winner);
-                    }
-                    FiringOutcome::Failed(err) if err.is_retryable() => {
-                        // Transient device fault: the retry queue owns
-                        // the re-attempts, so the contender stays and
-                        // the state stays true (no synthetic edge).
-                        self.schedule_rule_retry(winner, now);
-                    }
-                    FiringOutcome::Failed(_) => {
-                        // Final failure (validation error, vanished
-                        // rule): do not retry every step; wait for a
-                        // fresh edge.
-                        if let Some(set) = self.contenders.get_mut(&device) {
-                            set.remove(&winner);
-                        }
-                        self.last_state.insert(winner, false);
-                        self.index.force_false(winner);
-                    }
-                    _ => {
-                        self.suppress_noted.remove(&winner);
-                        self.defer_noted.remove(&winner);
-                        self.deferred_devices.remove(&device);
-                        // Announce the displaced holder's defeat so
-                        // fallback rules ("record it instead") can
-                        // react.
-                        if let FiringOutcome::Replaced(old) = &outcome {
-                            self.note_suppression(&device, *old);
-                        }
-                    }
-                }
-                if report {
-                    firings.push(Firing {
-                        rule: winner,
-                        device: device.clone(),
-                        outcome,
-                    });
-                }
-            }
-
-            // Report fresh losers (and announce each continuous
-            // suppression once).
-            for id in contenders {
-                if id == winner {
-                    continue;
-                }
-                let fresh = newly_true.contains(&id);
-                let unannounced = !self.suppress_noted.contains(&id);
-                if fresh || unannounced {
-                    self.note_suppression(&device, id);
-                }
-                if fresh {
-                    firings.push(Firing {
-                        rule: id,
-                        device: device.clone(),
-                        outcome: FiringOutcome::SuppressedBy(winner),
-                    });
-                }
-            }
+        for &slot in &marked {
+            self.device_state[slot as usize].marked = false;
+            self.arbitrate_device(slot, now, &mut firings);
         }
+        marked.clear();
+        self.marked = marked;
+        self.newly_true.clear();
 
         STEPS.inc();
         EVENTS_INGESTED.add(ingested as u64);
@@ -636,6 +654,138 @@ impl Engine {
         drop(span);
 
         StepReport { firings, releases }
+    }
+
+    /// Ranks the device slots by device name, when slots were added
+    /// since the last ranking: phase 4 sorts its devices by rank.
+    fn rank_devices(&mut self) {
+        let slots = self.rules.device_slot_count();
+        if self.device_rank.len() == slots {
+            return;
+        }
+        let mut by_name: Vec<u32> = (0..slots as u32).collect();
+        by_name.sort_unstable_by(|&a, &b| self.rules.device_at(a).cmp(self.rules.device_at(b)));
+        self.device_rank.resize(slots, 0);
+        for (rank, slot) in by_name.into_iter().enumerate() {
+            self.device_rank[slot as usize] = rank as u32;
+        }
+    }
+
+    /// Puts a device on the step's arbitration list.
+    fn mark_device(&mut self, slot: u32) {
+        let device = &mut self.device_state[slot as usize];
+        if !device.marked {
+            device.marked = true;
+            self.marked.push(slot);
+        }
+    }
+
+    /// Phase 4 for one device: picks the winner among its pool, holder
+    /// first, dispatches it unless it already holds the device (a fresh
+    /// edge of the holder re-asserts), and reports fresh losers.
+    fn arbitrate_device(&mut self, slot: u32, now: SimTime, firings: &mut Vec<Firing>) {
+        let mut pool = std::mem::take(&mut self.pool_buf);
+        pool.clone_from(&self.device_state[slot as usize].pool);
+        if pool.is_empty() {
+            self.device_state[slot as usize].deferred = false;
+            self.pool_buf = pool;
+            return;
+        }
+        // Put the current live holder first for the unresolved fallback
+        // (prefer the status quo).
+        let holder = self.device_state[slot as usize]
+            .holder
+            .filter(|h| pool.binary_search_by_key(h, |&(id, _)| id).is_ok());
+        let mut ordered = std::mem::take(&mut self.contender_buf);
+        ordered.clear();
+        ordered.extend(holder);
+        ordered.extend(
+            pool.iter()
+                .map(|&(id, _)| id)
+                .filter(|&id| Some(id) != holder),
+        );
+        let winner = self.arbitrate(slot, &ordered, holder);
+        self.contender_buf = ordered;
+        let winner_ord = pool[pool
+            .binary_search_by_key(&winner, |&(id, _)| id)
+            .expect("the winner is a contender")]
+        .1;
+        let is_fresh = |newly_true: &[RuleId], id: RuleId| newly_true.binary_search(&id).is_ok();
+
+        // Dispatch when the winner is not already holding the device — or
+        // re-assert on a fresh edge of the holder itself. A holder whose
+        // condition has lapsed is not "displaced": only live holders
+        // count as previous for the Replaced outcome and its
+        // conflict-channel announcement.
+        if holder != Some(winner) || is_fresh(&self.newly_true, winner) {
+            let outcome = self.dispatch(winner, winner_ord, holder);
+            let mut report = true;
+            match &outcome {
+                FiringOutcome::Deferred => {
+                    // The breaker is open: keep the contender and re-try
+                    // on later steps; report only the first deferral of a
+                    // continuous stretch.
+                    self.device_state[slot as usize].deferred = true;
+                    let state = &mut self.rule_state[winner_ord as usize];
+                    report = !state.defer_noted;
+                    state.defer_noted = true;
+                }
+                FiringOutcome::Failed(err) if err.is_retryable() => {
+                    // Transient device fault: the retry queue owns the
+                    // re-attempts, so the contender stays and the state
+                    // stays true (no synthetic edge).
+                    self.schedule_rule_retry(winner, now);
+                }
+                FiringOutcome::Failed(_) => {
+                    // Final failure (validation error, vanished rule): do
+                    // not retry every step; wait for a fresh edge.
+                    leave_pool(&mut self.device_state[slot as usize].pool, winner);
+                    self.rule_state[winner_ord as usize].verdict = Some(false);
+                    self.index.force_false(winner_ord);
+                }
+                _ => {
+                    let state = &mut self.rule_state[winner_ord as usize];
+                    state.suppress_noted = false;
+                    state.defer_noted = false;
+                    self.device_state[slot as usize].deferred = false;
+                    // Announce the displaced holder's defeat so fallback
+                    // rules ("record it instead") can react. It was a
+                    // live holder, so it is in the pool.
+                    if let FiringOutcome::Replaced(old) = outcome {
+                        if let Ok(at) = pool.binary_search_by_key(&old, |&(id, _)| id) {
+                            self.note_suppression(slot, pool[at]);
+                        }
+                    }
+                }
+            }
+            if report {
+                firings.push(Firing {
+                    rule: winner,
+                    device: self.rules.device_at(slot).clone(),
+                    outcome,
+                });
+            }
+        }
+
+        // Report fresh losers (and announce each continuous suppression
+        // once).
+        for &(id, ord) in &pool {
+            if id == winner {
+                continue;
+            }
+            let fresh = is_fresh(&self.newly_true, id);
+            if fresh || !self.rule_state[ord as usize].suppress_noted {
+                self.note_suppression(slot, (id, ord));
+            }
+            if fresh {
+                firings.push(Firing {
+                    rule: id,
+                    device: self.rules.device_at(slot).clone(),
+                    outcome: FiringOutcome::SuppressedBy(winner),
+                });
+            }
+        }
+        self.pool_buf = pool;
     }
 
     /// Phase 1 of [`step`](Self::step): drains the subscription, advances
@@ -682,7 +832,7 @@ impl Engine {
     /// pending rules into `out`, ascending. With the index ablated the
     /// dirt and heaps are still drained (so they stay bounded) but the
     /// candidate set is every rule.
-    fn refresh_candidates(&mut self, now: SimTime, out: &mut Vec<RuleId>) {
+    fn refresh_candidates(&mut self, now: SimTime, out: &mut Vec<Candidate>) {
         let policy = self.ctx.freshness_policy();
         if policy != self.last_freshness {
             self.index
@@ -703,17 +853,18 @@ impl Engine {
             .collect_candidates(now, &self.rules, &self.ctx, out);
         if !self.use_trigger_index {
             out.clear();
-            // `RuleDb` iterates its BTree map in ascending id order, the
-            // same order `collect_candidates` guarantees.
-            out.extend(self.rules.iter().map(|r| r.id()));
+            // `RuleDb` lists its ordinals in ascending id order, the same
+            // order `collect_candidates` guarantees.
+            out.extend(self.rules.ordinals());
         }
     }
 
     /// Phase 3 of [`step`](Self::step): evaluates each candidate and
     /// commits its verdict before the next, in ascending `RuleId` order —
     /// held-for observations, state edges, `until` releases and
-    /// contender-pool maintenance. Returns the number of rules evaluated;
-    /// vanished and disabled candidates are skipped.
+    /// contender-pool maintenance — and marks the devices phase 4 must
+    /// arbitrate. Returns the number of rules evaluated; vanished and
+    /// disabled candidates are skipped.
     ///
     /// Committing one rule cannot change how a later one evaluates: the
     /// context is not written before arbitration, a dwell fingerprint is
@@ -731,25 +882,23 @@ impl Engine {
     /// stays false.
     fn evaluate_and_commit(
         &mut self,
-        candidates: &[RuleId],
+        candidates: &[Candidate],
         now: SimTime,
-        newly_true: &mut BTreeSet<RuleId>,
         releases: &mut Vec<(RuleId, DeviceId)>,
-        holder_lapsed: &mut BTreeSet<DeviceId>,
     ) -> u64 {
         let mut evaluated = 0;
-        for &id in candidates {
-            let Some(rule) = self.rules.get(id).filter(|rule| rule.is_enabled()) else {
-                continue;
-            };
-            let Some(program) = self.rules.program_ref(id) else {
+        for &(id, ord) in candidates {
+            let Some(entry) = self.rules.entry(ord).filter(|entry| entry.enabled) else {
                 continue;
             };
             // Evaluation runs over the rule's span in the shared program
             // arena (contiguous predicate/opcode tables) rather than a
             // per-rule allocation.
             let arena = self.rules.arena();
-            let device = rule.action().device();
+            let Some(program) = arena.program_ref(ord) else {
+                continue;
+            };
+            let device = entry.device;
             let mut dwell = DwellObserver {
                 held: &mut self.held,
                 index: &mut self.index,
@@ -759,8 +908,8 @@ impl Engine {
             // trigger condition has passed ("turn on … until 10 pm" turns
             // the light off at 10 pm however long ago the arrival was), and
             // the clause is evaluated only while the rule holds its device.
-            let until_release = rule.until().is_some()
-                && self.holders.get(device).is_some_and(|h| h.rule == id)
+            let until_release = entry.until
+                && self.device_state[device as usize].holder == Some(id)
                 && arena
                     .until_holds(program, &self.ctx, &mut dwell)
                     .unwrap_or(false);
@@ -768,113 +917,141 @@ impl Engine {
             if let Some(hook) = &mut self.eval_hook {
                 hook(id, now);
             }
-            if !until_release && self.last_state.get(&id) == Some(&now_true) {
+            let state = &mut self.rule_state[ord as usize];
+            if !until_release && state.verdict == Some(now_true) {
                 continue;
             }
-            let prev = self.last_state.insert(id, now_true).unwrap_or(false);
-            self.index.on_committed(id, now_true);
+            let prev = state.verdict.replace(now_true).unwrap_or(false);
+            self.index.on_committed(ord, now_true);
 
             if until_release {
-                // Inlined `release`: invoke the inverse action and
-                // free the device (a method call would require
-                // `&mut self` while `rule` is borrowed). Inverse
-                // failures are not swallowed: they are counted,
-                // reported, and — for transient faults — retried,
-                // so a flaky device does not stay stuck on.
-                if let Some(inverse) = rule.action().verb().inverse() {
-                    let inverse_action = ActionSpec::new(device.clone(), inverse);
-                    let blocked = self.resilience.breaker_blocks(device, now);
-                    let result = if blocked {
-                        Err(UpnpError::DeviceFault("circuit open".into()))
-                    } else {
-                        self.invoke_action(&inverse_action)
-                    };
-                    if let Err(err) = result {
-                        RELEASE_FAILED.inc();
-                        if cadel_obs::enabled() {
-                            cadel_obs::emit(
-                                ObsEvent::new("engine.release_failed", Level::Warn)
-                                    .with_field("rule", id.raw())
-                                    .with_field("device", device.as_str())
-                                    .with_field("error", err.to_string()),
-                            );
-                        }
-                        if matches!(err, UpnpError::DeviceFault(_)) {
-                            if !blocked {
-                                self.resilience.note_failure(device, now);
-                            }
-                            self.resilience.schedule(
-                                id,
-                                device.clone(),
-                                inverse_action,
-                                RetryKind::Release,
-                                1,
-                                now,
-                            );
-                        }
-                    }
-                }
-                self.holders.remove(device);
-                releases.push((id, device.clone()));
-                // Latch until the condition goes false so the rule
-                // does not immediately re-acquire the device.
-                if now_true {
-                    self.latched.insert(id);
-                }
-                if let Some(set) = self.contenders.get_mut(device) {
-                    set.remove(&id);
-                }
+                self.release((id, ord), device, now_true, now, releases);
             }
 
             if !now_true {
                 // A false condition clears the latch and any suppression
                 // or deferral note, and leaves the contender pool.
-                self.latched.remove(&id);
-                self.suppress_noted.remove(&id);
-                self.defer_noted.remove(&id);
-                if let Some(set) = self.contenders.get_mut(device) {
-                    set.remove(&id);
-                }
-                if self.holders.get(device).map(|h| h.rule) == Some(id) {
-                    holder_lapsed.insert(device.clone());
+                let state = &mut self.rule_state[ord as usize];
+                state.latched = false;
+                state.suppress_noted = false;
+                state.defer_noted = false;
+                let target = &mut self.device_state[device as usize];
+                let left = leave_pool(&mut target.pool, id);
+                let held_by_contender = target
+                    .holder
+                    .is_some_and(|h| target.pool.binary_search_by_key(&h, |&(id, _)| id).is_ok());
+                // A lapsed holder: suppressed contenders must get a
+                // chance to take over. So must they when a contender
+                // leaves a device no live contender holds (its takeover
+                // failed and waited on a retry).
+                let orphaned = left && !held_by_contender && !target.pool.is_empty();
+                if target.holder == Some(id) || orphaned {
+                    self.mark_device(device);
                 }
                 continue;
             }
             if !prev {
-                newly_true.insert(id);
+                self.newly_true.push(id);
+                self.mark_device(device);
             }
-            if !self.latched.contains(&id) {
-                // Clone the key only when this device has no contender set
-                // yet.
-                match self.contenders.get_mut(device) {
-                    Some(set) => {
-                        set.insert(id);
-                    }
-                    None => {
-                        self.contenders.insert(device.clone(), BTreeSet::from([id]));
-                    }
+            if !self.rule_state[ord as usize].latched {
+                let target = &mut self.device_state[device as usize];
+                if let Err(at) = target.pool.binary_search_by_key(&id, |&(id, _)| id) {
+                    target.pool.insert(at, (id, ord));
+                }
+                if !target.pooled {
+                    target.pooled = true;
+                    self.pooled.push(device);
                 }
             }
         }
         evaluated
     }
 
+    /// An `until` release: invokes the inverse action and frees the
+    /// device, latching the rule while its condition still holds so it
+    /// does not immediately re-acquire it. The device is re-arbitrated in
+    /// the same step, so a remaining contender takes it over. Inverse
+    /// failures are not swallowed: they are counted, reported, and — for
+    /// transient faults — retried, so a flaky device does not stay stuck
+    /// on.
+    fn release(
+        &mut self,
+        (id, ord): Candidate,
+        slot: u32,
+        now_true: bool,
+        now: SimTime,
+        releases: &mut Vec<(RuleId, DeviceId)>,
+    ) {
+        let device = self.rules.device_at(slot).clone();
+        let inverse = self
+            .rules
+            .get(id)
+            .and_then(|rule| rule.action().verb().inverse());
+        if let Some(inverse) = inverse {
+            let inverse_action = ActionSpec::new(device.clone(), inverse);
+            let blocked = self.resilience.breaker_blocks(&device, now);
+            let result = if blocked {
+                Err(UpnpError::DeviceFault("circuit open".into()))
+            } else {
+                self.invoke_action(&inverse_action)
+            };
+            if let Err(err) = result {
+                RELEASE_FAILED.inc();
+                if cadel_obs::enabled() {
+                    cadel_obs::emit(
+                        ObsEvent::new("engine.release_failed", Level::Warn)
+                            .with_field("rule", id.raw())
+                            .with_field("device", device.as_str())
+                            .with_field("error", err.to_string()),
+                    );
+                }
+                if matches!(err, UpnpError::DeviceFault(_)) {
+                    if !blocked {
+                        self.resilience.note_failure(&device, now);
+                    }
+                    self.resilience.schedule(
+                        id,
+                        device.clone(),
+                        inverse_action,
+                        RetryKind::Release,
+                        1,
+                        now,
+                    );
+                }
+            }
+        }
+        let state = &mut self.device_state[slot as usize];
+        state.holder = None;
+        leave_pool(&mut state.pool, id);
+        if now_true {
+            self.rule_state[ord as usize].latched = true;
+        }
+        releases.push((id, device));
+        self.mark_device(slot);
+    }
+
     /// Raises the conflict-channel event for a suppressed/displaced rule
     /// (once per continuous suppression).
-    fn note_suppression(&mut self, device: &DeviceId, loser: RuleId) {
-        if self.suppress_noted.insert(loser) {
-            if let Some(rule) = self.rules.get(loser) {
-                let owner = rule.owner().clone();
-                self.ctx
-                    .raise_event(CONFLICT_CHANNEL, &format!("{device}:{owner}"));
-            }
+    fn note_suppression(&mut self, slot: u32, (loser, ord): Candidate) {
+        let state = &mut self.rule_state[ord as usize];
+        if state.suppress_noted {
+            return;
+        }
+        state.suppress_noted = true;
+        if let Some(rule) = self.rules.get(loser) {
+            let device = self.rules.device_at(slot);
+            let owner = rule.owner();
+            self.ctx
+                .raise_event(CONFLICT_CHANNEL, &format!("{device}:{owner}"));
         }
     }
 
     /// Picks the winning rule among simultaneous contenders on a device,
     /// consulting the context-scoped priority store; ties fall back to the
     /// current holder, then to the earliest-registered rule.
-    fn arbitrate(&mut self, device: &DeviceId, contenders: &[RuleId]) -> RuleId {
+    /// `contenders` lists the holder first, then the rest ascending.
+    fn arbitrate(&mut self, slot: u32, contenders: &[RuleId], holder: Option<RuleId>) -> RuleId {
         debug_assert!(!contenders.is_empty());
         let ctx = &self.ctx;
         let guards = &self.priority_guards;
@@ -884,26 +1061,21 @@ impl Engine {
             held: &mut self.held,
             index: &mut self.index,
         };
+        let device = self.rules.device_at(slot);
         let resolution = self.priorities.resolve(device, contenders, |order| {
             let (preds, code) = &guards[order];
             eval_code(code, preds, ctx, &mut dwell)
         });
         match resolution {
             Resolution::Winner(id) => id,
-            Resolution::Unresolved(mut ids) => {
-                ids.sort();
-                // Holder first (it is placed at the front by the caller),
-                // else the earliest rule.
-                self.holders
-                    .get(device)
-                    .map(|h| h.rule)
-                    .filter(|id| contenders.contains(id))
-                    .unwrap_or_else(|| ids[0])
-            }
+            // Holder first, else the earliest rule.
+            Resolution::Unresolved(ids) => holder
+                .or_else(|| ids.iter().copied().min())
+                .expect("arbitration has contenders"),
         }
     }
 
-    fn dispatch(&mut self, id: RuleId, previous_holder: Option<RuleId>) -> FiringOutcome {
+    fn dispatch(&mut self, id: RuleId, ord: u32, previous_holder: Option<RuleId>) -> FiringOutcome {
         let Some(rule) = self.rules.get(id) else {
             return FiringOutcome::Failed(ActuationError::RuleVanished(id));
         };
@@ -916,7 +1088,7 @@ impl Engine {
         match self.invoke_action(&action) {
             Ok(()) => {
                 self.resilience.note_success(&device, now);
-                self.acquire(device, id);
+                self.acquire(ord);
                 match previous_holder {
                     Some(old) if old != id => FiringOutcome::Replaced(old),
                     _ => FiringOutcome::Dispatched,
@@ -934,14 +1106,18 @@ impl Engine {
         }
     }
 
-    /// Records a rule as its device's holder. A rule with an `until`
-    /// clause is marked for the next collection: its release is evaluated
-    /// only while it holds the device, and the clause may already hold.
-    fn acquire(&mut self, device: DeviceId, id: RuleId) {
-        if self.rules.get(id).is_some_and(|r| r.until().is_some()) {
-            self.index.mark_rule(id);
+    /// Records the rule stored under `ord` as its device's holder. A rule
+    /// with an `until` clause is marked for the next collection: its
+    /// release is evaluated only while it holds the device, and the
+    /// clause may already hold.
+    fn acquire(&mut self, ord: u32) {
+        let Some(entry) = self.rules.entry(ord) else {
+            return;
+        };
+        if entry.until {
+            self.index.mark_rule(ord);
         }
-        self.holders.insert(device, ActiveHolder { rule: id });
+        self.device_state[entry.device as usize].holder = Some(entry.id);
     }
 
     /// Queues the first retry of a rule's action after a transient
@@ -957,35 +1133,49 @@ impl Engine {
     }
 
     /// Re-invokes every queued retry due at `now`. Stale entries (rule
-    /// gone or disabled, condition lapsed, device taken over) are
-    /// cancelled; entries whose breaker is still open are requeued for
-    /// the next probe window; transient failures reschedule with the
-    /// next backoff or dead-letter after `max_attempts`.
+    /// gone or disabled, condition lapsed, rule released by its `until`
+    /// clause, device taken over) are cancelled; entries whose breaker is
+    /// still open are requeued for the next probe window; transient
+    /// failures reschedule with the next backoff or dead-letter after
+    /// `max_attempts`.
     fn process_retries(&mut self, now: SimTime, firings: &mut Vec<Firing>) {
         if self.resilience.queue_len() == 0 && self.resilience.dead_letters().is_empty() {
             return;
         }
         for entry in self.resilience.take_due(now) {
-            let alive = self
+            let stored = self
                 .rules
-                .get(entry.rule)
-                .map(|r| r.is_enabled())
-                .unwrap_or(false);
-            if !alive {
+                .ordinal(entry.rule)
+                .and_then(|ord| Some((ord, self.rules.entry(ord)?)))
+                .filter(|(_, rule)| rule.enabled);
+            let Some((ord, rule)) = stored else {
                 self.resilience.cancel(&entry, "rule removed or disabled");
                 continue;
-            }
+            };
             if entry.kind == RetryKind::Fire {
-                if self.last_state.get(&entry.rule).copied() != Some(true) {
+                let state = self.rule_state[ord as usize];
+                if state.verdict != Some(true) {
                     self.resilience.cancel(&entry, "condition no longer holds");
+                    continue;
+                }
+                if state.latched {
+                    self.resilience
+                        .cancel(&entry, "released by its until clause");
                     continue;
                 }
                 // A holder whose condition has lapsed does not keep the
                 // device from its replacement; its `until` release still
-                // applies while it holds.
-                let taken_over = self.holders.get(&entry.device).is_some_and(|h| {
-                    h.rule != entry.rule && self.last_state.get(&h.rule) == Some(&true)
-                });
+                // applies while it holds. A rule's retries target its own
+                // device: replacing or removing a rule purges them.
+                let taken_over = self.device_state[rule.device as usize]
+                    .holder
+                    .is_some_and(|h| {
+                        h != entry.rule
+                            && self
+                                .rules
+                                .ordinal(h)
+                                .is_some_and(|h| self.rule_state[h as usize].verdict == Some(true))
+                    });
                 if taken_over {
                     self.resilience
                         .cancel(&entry, "device held by another rule");
@@ -1003,8 +1193,8 @@ impl Engine {
                     RETRIES_SUCCEEDED.inc();
                     self.resilience.note_success(&entry.device, now);
                     if entry.kind == RetryKind::Fire {
-                        self.acquire(entry.device.clone(), entry.rule);
-                        self.defer_noted.remove(&entry.rule);
+                        self.acquire(ord);
+                        self.rule_state[ord as usize].defer_noted = false;
                         firings.push(Firing {
                             rule: entry.rule,
                             device: entry.device,
@@ -1075,8 +1265,18 @@ impl Engine {
 
     /// The rule currently holding a device, if any.
     pub fn holder(&self, device: &DeviceId) -> Option<RuleId> {
-        self.holders.get(device).map(|h| h.rule)
+        let slot = self.rules.device_slot(device)?;
+        self.device_state.get(slot as usize)?.holder
     }
+}
+
+/// Takes a rule out of a device's contender pool; whether it was in it.
+fn leave_pool(pool: &mut Vec<Candidate>, id: RuleId) -> bool {
+    let at = pool.binary_search_by_key(&id, |&(id, _)| id);
+    if let Ok(at) = at {
+        pool.remove(at);
+    }
+    at.is_ok()
 }
 
 /// Whether a variable's readings may be coalesced last-write-wins within
@@ -1779,6 +1979,278 @@ mod tests {
         let retried: Vec<RuleId> = indexed[4].dispatched().iter().map(|f| f.rule).collect();
         assert_eq!(retried, [RuleId::new(2)], "the retry takes the device over");
         assert_eq!(holder, Some(RuleId::new(2)));
+    }
+
+    /// `x > 5` on the aircon: turn it on until `y > 5`.
+    fn until_rule(id: u64) -> Rule {
+        let above = |sensor: &str| {
+            Condition::Atom(Atom::Constraint(ConstraintAtom::new(
+                SensorKey::new(DeviceId::new(sensor), "reading"),
+                RelOp::Gt,
+                Quantity::from_integer(5, Unit::Celsius),
+            )))
+        };
+        Rule::builder(PersonId::new("tom"))
+            .condition(above("x"))
+            .action(ActionSpec::new(DeviceId::new("aircon-lr"), Verb::TurnOn))
+            .until(above("y"))
+            .build(RuleId::new(id))
+            .unwrap()
+    }
+
+    /// `z > 5 held for 60 minutes` on the aircon.
+    fn dwell_rule(id: u64) -> Rule {
+        let inner = Atom::Constraint(ConstraintAtom::new(
+            SensorKey::new(DeviceId::new("z"), "reading"),
+            RelOp::Gt,
+            Quantity::from_integer(5, Unit::Celsius),
+        ));
+        Rule::builder(PersonId::new("tom"))
+            .condition(Condition::Atom(Atom::held_for(
+                inner,
+                SimDuration::from_minutes(60),
+            )))
+            .action(ActionSpec::new(DeviceId::new("aircon-lr"), Verb::TurnOn))
+            .build(RuleId::new(id))
+            .unwrap()
+    }
+
+    fn set_reading(engine: &mut Engine, sensor: &str, v: i64) {
+        engine.context_mut().set_value(
+            SensorKey::new(DeviceId::new(sensor), "reading"),
+            Value::Number(Quantity::from_integer(v, Unit::Celsius)),
+        );
+    }
+
+    /// Drives a dwell rule's window open at 00:01, then lets `churn` take
+    /// the rule out of play and `rejoin` bring a rule over the same atom
+    /// back at 03:20, while z dips at 00:30 and rises again at 03:20.
+    /// Returns the minute of the first dispatch after 03:20.
+    fn first_dwell_dispatch(
+        trigger_index: bool,
+        churn: impl Fn(&mut Engine),
+        rejoin: impl Fn(&mut Engine),
+    ) -> Option<u64> {
+        let (mut engine, _home) = setup();
+        engine.set_use_trigger_index(trigger_index);
+        engine.add_rule(dwell_rule(1)).unwrap();
+        set_reading(&mut engine, "z", 10);
+        engine.step(mins(1));
+        churn(&mut engine);
+        for m in 2..=200 {
+            match m {
+                30 => set_reading(&mut engine, "z", 0),
+                200 => set_reading(&mut engine, "z", 10),
+                _ => {}
+            }
+            assert!(engine.step(mins(m)).is_empty(), "nothing observes z");
+        }
+        rejoin(&mut engine);
+        (201..=300).find(|&m| !engine.step(mins(m)).dispatched().is_empty())
+    }
+
+    /// Regression: the dwell window of a removed rule stayed open with no
+    /// rule observing it, and a later rule over the same atom inherited
+    /// it: it fired one minute after it was added, after z had dipped.
+    #[test]
+    fn a_removed_rules_dwell_window_does_not_leak_to_a_later_rule() {
+        for trigger_index in [true, false] {
+            let fired = first_dwell_dispatch(
+                trigger_index,
+                |engine| engine.remove_rule(RuleId::new(1)).unwrap(),
+                |engine| {
+                    engine.add_rule(dwell_rule(2)).unwrap();
+                },
+            );
+            // Added at 03:20, observed from 03:21: 04:21.
+            assert_eq!(fired, Some(4 * 60 + 21), "index {trigger_index}");
+        }
+    }
+
+    /// The same leak through disabling: a re-enabled rule opens its window
+    /// when it is first evaluated again.
+    #[test]
+    fn a_re_enabled_rules_dwell_window_starts_afresh() {
+        let toggle = |enabled: bool| {
+            move |engine: &mut Engine| {
+                engine
+                    .update_rule(dwell_rule(1).with_enabled(enabled))
+                    .unwrap();
+            }
+        };
+        for trigger_index in [true, false] {
+            let fired = first_dwell_dispatch(trigger_index, toggle(false), toggle(true));
+            assert_eq!(fired, Some(4 * 60 + 21), "index {trigger_index}");
+        }
+    }
+
+    /// A window that another enabled rule still observes survives the
+    /// removal: the remaining rule fires when its hour is up.
+    #[test]
+    fn a_dwell_window_another_rule_reads_survives_a_removal() {
+        let (mut engine, _home) = setup();
+        engine.add_rule(dwell_rule(1)).unwrap();
+        engine.add_rule(dwell_rule(2)).unwrap();
+        set_reading(&mut engine, "z", 10);
+        engine.step(mins(1));
+        engine.remove_rule(RuleId::new(1)).unwrap();
+        let fired = (2..=120).find(|&m| !engine.step(mins(m)).dispatched().is_empty());
+        assert_eq!(fired, Some(61));
+    }
+
+    /// Regression: a fire retry queued before its rule was released by
+    /// its `until` clause dispatched the latched rule again, and the same
+    /// step released it again.
+    #[test]
+    fn a_latched_rules_queued_retry_does_not_fire_it() {
+        let at = |m: u64, s: u64| mins(m) + SimDuration::from_secs(s);
+        for trigger_index in [true, false] {
+            let plan = FaultPlan::new().fail_between(mins(180), at(180, 5));
+            let (mut engine, _home) = faulty_setup("aircon-lr", plan);
+            engine.set_use_trigger_index(trigger_index);
+            engine.add_rule(until_rule(1)).unwrap();
+            set_reading(&mut engine, "x", 10);
+            assert_eq!(engine.step(mins(60)).dispatched().len(), 1);
+            set_reading(&mut engine, "x", 0);
+            engine.step(mins(120));
+            // The re-dispatch hits the fault: a retry is queued.
+            set_reading(&mut engine, "x", 10);
+            let failed = engine.step(mins(180));
+            assert!(matches!(
+                failed.firings[0].outcome,
+                FiringOutcome::Failed(ref e) if e.is_retryable()
+            ));
+            // Released (and latched) before the retry comes due.
+            set_reading(&mut engine, "y", 10);
+            let released = engine.step(at(180, 10));
+            assert_eq!(released.releases.len(), 1, "{released}");
+            let report = engine.step(mins(220));
+            assert!(report.is_empty(), "the retry fired: {report}");
+            assert_eq!(engine.holder(&DeviceId::new("aircon-lr")), None);
+            assert_eq!(engine.resilience().queue_len(), 0);
+        }
+    }
+
+    /// Regression: a release freed the device without re-arbitrating it,
+    /// so a suppressed rule whose condition still held stayed out of it.
+    #[test]
+    fn a_release_hands_the_device_to_its_remaining_contender() {
+        let aircon = DeviceId::new("aircon-lr");
+        for trigger_index in [true, false] {
+            let (mut engine, home) = setup();
+            engine.set_use_trigger_index(trigger_index);
+            engine.add_rule(until_rule(1)).unwrap();
+            engine.add_rule(reading_rule(2, "x", 22)).unwrap();
+            engine.add_priority(PriorityOrder::new(
+                aircon.clone(),
+                vec![RuleId::new(1), RuleId::new(2)],
+            ));
+            set_reading(&mut engine, "x", 10);
+            let first = engine.step(mins(1));
+            assert_eq!(
+                first.to_string(),
+                "rule#1 -> aircon-lr: dispatched; rule#2 -> aircon-lr: suppressed by rule#1"
+            );
+            set_reading(&mut engine, "y", 10);
+            let release = engine.step(mins(2));
+            assert_eq!(
+                release.to_string(),
+                "rule#2 -> aircon-lr: dispatched; rule#1 released aircon-lr"
+            );
+            assert_eq!(engine.holder(&aircon), Some(RuleId::new(2)));
+            assert_eq!(
+                home.aircon.query("setpoint").unwrap(),
+                Value::Number(Quantity::from_integer(22, Unit::Celsius))
+            );
+            assert!(engine.step(mins(3)).is_empty());
+        }
+    }
+
+    /// Regression, shrunk from the runtime-invariant run (seed 159): a
+    /// takeover that failed into a retry left the device to a rule whose
+    /// condition then fell; the remaining contender waited for the device
+    /// until its next edge. Now the device is re-arbitrated when a
+    /// contender leaves it with no live holder.
+    #[test]
+    fn a_contender_left_alone_by_a_failed_takeover_gets_the_device() {
+        let aircon = DeviceId::new("aircon-lr");
+        let at = |m: u64, s: u64| mins(m) + SimDuration::from_secs(s);
+        for trigger_index in [true, false] {
+            let plan = FaultPlan::new().fail_between(mins(2), at(2, 5));
+            let (mut engine, _home) = faulty_setup("aircon-lr", plan);
+            engine.set_use_trigger_index(trigger_index);
+            for (id, sensor) in [(1, "x"), (2, "y"), (3, "z")] {
+                engine.add_rule(reading_rule(id, sensor, 20)).unwrap();
+            }
+            engine.add_priority(PriorityOrder::new(
+                aircon.clone(),
+                vec![RuleId::new(2), RuleId::new(3)],
+            ));
+            set_reading(&mut engine, "x", 10);
+            engine.step(mins(1));
+            // Rule 1 lapses; rule 2 wins over rule 3 but hits the fault.
+            set_reading(&mut engine, "x", 0);
+            set_reading(&mut engine, "y", 10);
+            set_reading(&mut engine, "z", 10);
+            let failed = engine.step(mins(2));
+            assert!(matches!(
+                failed.firings[0].outcome,
+                FiringOutcome::Failed(ref e) if e.is_retryable()
+            ));
+            // Rule 2 falls before its retry comes due: rule 3 takes over.
+            set_reading(&mut engine, "y", 0);
+            let report = engine.step(at(2, 20));
+            assert_eq!(report.to_string(), "rule#3 -> aircon-lr: dispatched");
+            assert_eq!(engine.holder(&aircon), Some(RuleId::new(3)));
+            assert!(engine.step(mins(5)).is_empty());
+        }
+    }
+
+    /// A step reports its firings in device-name order, whatever order
+    /// the devices were first targeted in (which is the order their
+    /// slots were assigned), with a winner before its suppressed rivals.
+    #[test]
+    fn firings_follow_device_name_order_not_registration_order() {
+        let (mut engine, _home) = setup();
+        for (id, device) in [
+            (1, "tv-lr"),
+            (2, "stereo-lr"),
+            (3, "lamp-lr"),
+            (4, "aircon-lr"),
+        ] {
+            let rule = Rule::builder(PersonId::new("tom"))
+                .condition(Condition::Atom(Atom::Constraint(ConstraintAtom::new(
+                    SensorKey::new(DeviceId::new("x"), "reading"),
+                    RelOp::Gt,
+                    Quantity::from_integer(5, Unit::Celsius),
+                ))))
+                .action(ActionSpec::new(DeviceId::new(device), Verb::TurnOn))
+                .build(RuleId::new(id))
+                .unwrap();
+            engine.add_rule(rule.clone()).unwrap();
+            if id == 1 {
+                engine
+                    .add_rule(rule.reassigned(RuleId::new(5), PersonId::new("alan")))
+                    .unwrap();
+            }
+        }
+        set_reading(&mut engine, "x", 10);
+        let devices: Vec<String> = engine
+            .step(mins(1))
+            .firings
+            .iter()
+            .map(|f| format!("{} {}", f.device, f.rule))
+            .collect();
+        assert_eq!(
+            devices,
+            [
+                "aircon-lr rule#4",
+                "lamp-lr rule#3",
+                "stereo-lr rule#2",
+                "tv-lr rule#1",
+                "tv-lr rule#5"
+            ]
+        );
     }
 
     /// A reading and an event fact written before any rule mentions them

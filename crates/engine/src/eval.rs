@@ -78,6 +78,12 @@ impl HeldTracker {
     pub(crate) fn held_since(&self, fingerprint: &str) -> Option<SimTime> {
         self.since.get(fingerprint).copied()
     }
+
+    /// Stops tracking a fingerprint: its next true observation opens a
+    /// new window.
+    pub(crate) fn forget(&mut self, fingerprint: &str) {
+        self.since.remove(fingerprint);
+    }
 }
 
 /// The engine's held-for observer: it updates the tracker and, when an

@@ -4,8 +4,9 @@
 //! candidate set holds only the rules whose verdict could have changed
 //! since the last step rather than every registered rule.
 //!
-//! Rules are mapped to dense ordinals (with a free-list so churn does
-//! not grow the tables) and posted on inverted lists keyed by interned
+//! Rules are addressed by the dense ordinals the rule database assigns
+//! (a freed ordinal is reused, so churn does not grow the tables) and
+//! posted on inverted lists keyed by interned
 //! [`SensorSlot`]/[`PlaceSlot`]/[`ChannelSlot`] — the same slots the
 //! arena extracted from each rule's condition *and* `until` footprint.
 //! Candidate collection unions, into a reusable scratch bitset:
@@ -54,6 +55,10 @@ use cadel_types::{Rational, RuleId, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::ops::Bound;
+
+/// A candidate rule: its id, which decides the evaluation order, and its
+/// ordinal in the rule database, which addresses its state.
+pub(crate) type Candidate = (RuleId, u32);
 
 /// One millisecond: freshness deadlines fire the step *after* the last
 /// instant a reading is still fresh (`now - stamp <= max_age` is
@@ -186,13 +191,11 @@ impl Marks {
 /// docs for the candidate-set contract.
 #[derive(Debug, Default)]
 pub struct TriggerIndex {
-    ord_of: HashMap<RuleId, u32>,
-    id_of: Vec<RuleId>,
+    /// Per ordinal: whether a rule is indexed under it.
     live: Vec<bool>,
     /// Per ordinal: whether the rule listens on an event channel, so a
     /// true verdict can fall when a transient event expires.
     reads_event: Vec<bool>,
-    free: Vec<u32>,
     /// Per sensor slot index.
     by_sensor: Vec<SlotPostings>,
     /// Sorted ordinal posting lists, indexed by slot index.
@@ -227,44 +230,29 @@ impl TriggerIndex {
         TriggerIndex::default()
     }
 
-    /// Number of indexed rules.
-    pub fn len(&self) -> usize {
-        self.ord_of.len()
-    }
-
-    /// Whether no rules are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.ord_of.is_empty()
-    }
-
-    /// Indexes a rule already present in `db`. Posts its arena footprint
+    /// Indexes the rule `db` stores under `ord`. Posts its arena footprint
     /// on the inverted lists, registers its dwell fingerprints (arming
     /// deadlines for windows already open in `held`), arms its clock
     /// deadline and, when a policy is active, freshness deadlines for its
     /// already-stamped sensors. An enabled rule is marked pending so it is
     /// evaluated until its first committed verdict; a disabled one never
     /// commits, and is re-indexed when it is re-enabled.
-    pub(crate) fn insert(
-        &mut self,
-        id: RuleId,
-        db: &RuleDb,
-        ctx: &ContextStore,
-        held: &HeldTracker,
-    ) {
-        if self.ord_of.contains_key(&id) {
-            // Callers deindex before replacing; tolerate a stray
-            // re-insert by unposting the current footprint first.
-            self.remove(id, db);
-        }
-        let (Some(rule), Some(r)) = (db.get(id), db.program_ref(id).copied()) else {
+    pub(crate) fn insert(&mut self, ord: u32, db: &RuleDb, ctx: &ContextStore, held: &HeldTracker) {
+        let arena = db.arena();
+        let (Some(entry), Some(r)) = (db.entry(ord), arena.program_ref(ord).copied()) else {
             // Not stored: nothing to index.
             return;
         };
-        let ord = self.alloc_ord(id);
-        if rule.is_enabled() {
+        if self.live.get(ord as usize) == Some(&true) {
+            // Callers deindex before replacing; tolerate a stray
+            // re-insert by unposting the current footprint first.
+            self.remove(ord, db);
+        }
+        self.cover(ord);
+        self.live[ord as usize] = true;
+        if entry.enabled {
             self.pending.insert(ord);
         }
-        let arena = db.arena();
         if r.temporal() {
             self.temporal.insert(ord);
         }
@@ -325,22 +313,22 @@ impl TriggerIndex {
         }
     }
 
-    /// Unposts a rule and frees its ordinal. Must be called while the
+    /// Unposts the rule indexed under `ord`. Must be called while the
     /// rule (and its arena footprint) is still present in `db`. Stale
-    /// heap entries for the freed ordinal are left behind and skipped
-    /// lazily.
-    pub(crate) fn remove(&mut self, id: RuleId, db: &RuleDb) {
-        let Some(ord) = self.ord_of.remove(&id) else {
+    /// heap entries for the ordinal are left behind: they are skipped
+    /// while it is free, and mark its next rule once, which is harmless.
+    pub(crate) fn remove(&mut self, ord: u32, db: &RuleDb) {
+        if self.live.get(ord as usize) != Some(&true) {
             return;
-        };
+        }
         self.live[ord as usize] = false;
         self.reads_event[ord as usize] = false;
         self.clock_due[ord as usize] = None;
         self.temporal.remove(&ord);
         self.true_set.remove(&ord);
         self.pending.remove(&ord);
-        if let Some(r) = db.program_ref(id).copied() {
-            let arena = db.arena();
+        let arena = db.arena();
+        if let Some(r) = arena.program_ref(ord).copied() {
             for &slot in arena.state_slots(&r) {
                 if let Some(postings) = self.by_sensor.get_mut(slot.index()) {
                     unpost(&mut postings.plain, ord);
@@ -391,7 +379,6 @@ impl TriggerIndex {
                 }
             }
         }
-        self.free.push(ord);
     }
 
     /// Marks the rules a sensor slot's first write since the last drain
@@ -448,23 +435,23 @@ impl TriggerIndex {
     }
 
     /// Marks one rule for the next collection.
-    pub(crate) fn mark_rule(&mut self, id: RuleId) {
-        if let Some(&ord) = self.ord_of.get(&id) {
+    pub(crate) fn mark_rule(&mut self, ord: u32) {
+        if self.live.get(ord as usize) == Some(&true) {
             self.marks.mark(&self.live, ord);
         }
     }
 
     /// Drains due deadlines (re-arming clock deadlines from `ctx`'s
     /// instant, which is `now`), unions the always-on sets into the
-    /// scratch bitset, and writes the candidate rule ids (ascending,
-    /// deduped) into `out`. Clears the scratch for the next step; `out`'s
-    /// capacity is retained by the caller.
+    /// scratch bitset, and writes the candidates into `out`, deduped and
+    /// in ascending id order. Clears the scratch for the next step;
+    /// `out`'s capacity is retained by the caller.
     pub(crate) fn collect_candidates(
         &mut self,
         now: SimTime,
         db: &RuleDb,
         ctx: &ContextStore,
-        out: &mut Vec<RuleId>,
+        out: &mut Vec<Candidate>,
     ) {
         out.clear();
         while let Some(&Reverse((deadline, ord))) = self.held_heap.peek() {
@@ -492,7 +479,7 @@ impl TriggerIndex {
                 continue;
             }
             self.marks.mark(&self.live, ord);
-            if let Some(r) = db.program_ref(self.id_of[ord as usize]).copied() {
+            if let Some(r) = db.arena().program_ref(ord).copied() {
                 self.arm_clock(ord, db.arena().clock_preds(&r), ctx);
             }
         }
@@ -500,8 +487,8 @@ impl TriggerIndex {
             self.marks.mark_all(&self.live, set.iter().copied());
         }
         for &ord in &self.marks.out {
-            if self.live[ord as usize] {
-                out.push(self.id_of[ord as usize]);
+            if let Some(entry) = db.entry(ord).filter(|_| self.live[ord as usize]) {
+                out.push((entry.id, ord));
             }
             self.marks.words[(ord / 64) as usize] &= !(1u64 << (ord % 64));
         }
@@ -512,10 +499,10 @@ impl TriggerIndex {
     /// Records a committed edge or first verdict: the rule leaves
     /// `pending`, and enters or leaves the `true` set when it reads an
     /// event.
-    pub(crate) fn on_committed(&mut self, id: RuleId, now_true: bool) {
-        let Some(&ord) = self.ord_of.get(&id) else {
+    pub(crate) fn on_committed(&mut self, ord: u32, now_true: bool) {
+        if self.live.get(ord as usize) != Some(&true) {
             return;
-        };
+        }
         self.pending.remove(&ord);
         if now_true && self.reads_event[ord as usize] {
             self.true_set.insert(ord);
@@ -528,11 +515,19 @@ impl TriggerIndex {
     /// rule's last state to `false` so it can re-fire. The condition may
     /// still hold, in which case a full scan sees a fresh edge on the
     /// very next step — so the rule is marked for it.
-    pub(crate) fn force_false(&mut self, id: RuleId) {
-        if let Some(&ord) = self.ord_of.get(&id) {
+    pub(crate) fn force_false(&mut self, ord: u32) {
+        if self.live.get(ord as usize) == Some(&true) {
             self.true_set.remove(&ord);
             self.marks.mark(&self.live, ord);
         }
+    }
+
+    /// The ordinals of the rules whose condition contains a `held for`
+    /// fingerprint, ascending; empty when no indexed rule reads it.
+    pub(crate) fn fingerprint_rules(&self, fingerprint: &str) -> &[u32] {
+        self.by_fingerprint
+            .get(fingerprint)
+            .map_or(&[], |entry| &entry.rules)
     }
 
     /// Observes a dwell window opening at `since`: arms `since + duration`
@@ -570,15 +565,15 @@ impl TriggerIndex {
     /// Rebuilds all runtime-derived state after a snapshot import: dwell
     /// deadlines from the restored tracker, freshness deadlines from the
     /// restored stamps and policy, clock deadlines from the restored
-    /// clock, `true`/`pending` membership from the restored last-state
-    /// map, and one full dirty sweep so the first step re-evaluates
-    /// everything against the restored context.
+    /// clock, `true`/`pending` membership from each ordinal's restored
+    /// last verdict, and one full dirty sweep so the first step
+    /// re-evaluates everything against the restored context.
     pub(crate) fn rearm_after_import(
         &mut self,
         db: &RuleDb,
         ctx: &ContextStore,
         held: &HeldTracker,
-        last_state: &HashMap<RuleId, bool>,
+        verdict: impl Fn(u32) -> Option<bool>,
     ) {
         self.held_heap.clear();
         for (fingerprint, since) in held.entries() {
@@ -599,18 +594,20 @@ impl TriggerIndex {
         self.clock_heap.clear();
         self.true_set.clear();
         self.pending.clear();
-        let rules: Vec<(RuleId, u32)> = self.ord_of.iter().map(|(&id, &ord)| (id, ord)).collect();
-        for (id, ord) in rules {
-            if let Some(r) = db.program_ref(id).copied() {
+        for ord in 0..self.live.len() as u32 {
+            if !self.live[ord as usize] {
+                continue;
+            }
+            if let Some(r) = db.arena().program_ref(ord).copied() {
                 self.arm_clock(ord, db.arena().clock_preds(&r), ctx);
             }
-            match last_state.get(&id) {
+            match verdict(ord) {
                 Some(true) if self.reads_event[ord as usize] => {
                     self.true_set.insert(ord);
                 }
                 Some(_) => {}
                 None => {
-                    if db.get(id).is_some_and(|rule| rule.is_enabled()) {
+                    if db.entry(ord).is_some_and(|entry| entry.enabled) {
                         self.pending.insert(ord);
                     }
                 }
@@ -641,33 +638,23 @@ impl TriggerIndex {
         &mut self.by_sensor[slot.index()]
     }
 
-    /// Allocates a dense ordinal for a new rule, reusing freed slots.
-    fn alloc_ord(&mut self, id: RuleId) -> u32 {
-        let ord = match self.free.pop() {
-            Some(ord) => {
-                self.id_of[ord as usize] = id;
-                self.live[ord as usize] = true;
-                ord
-            }
-            None => {
-                let ord = self.id_of.len() as u32;
-                self.id_of.push(id);
-                self.live.push(true);
-                self.reads_event.push(false);
-                self.clock_due.push(None);
-                ord
-            }
-        };
-        while self.marks.words.len() * 64 <= ord as usize {
+    /// Grows the per-ordinal columns and the scratch bitset to cover
+    /// `ord`.
+    fn cover(&mut self, ord: u32) {
+        let len = ord as usize + 1;
+        if self.live.len() < len {
+            self.live.resize(len, false);
+            self.reads_event.resize(len, false);
+            self.clock_due.resize(len, None);
+        }
+        while self.marks.words.len() * 64 < len {
             self.marks.words.push(0);
         }
-        self.ord_of.insert(id, ord);
-        ord
     }
 
     /// Marks every live rule dirty (policy changes, snapshot import).
     fn mark_all(&mut self) {
-        self.marks.mark_all(&self.live, 0..self.id_of.len() as u32);
+        self.marks.mark_all(&self.live, 0..self.live.len() as u32);
     }
 
     /// Structural view for churn tests: every posting, membership and
@@ -675,9 +662,10 @@ impl TriggerIndex {
     /// order. Runtime state (true/pending sets, heaps, scratch) is
     /// excluded — it depends on history, not structure.
     #[cfg(test)]
-    fn structure(&self) -> IndexStructure {
+    fn structure(&self, db: &RuleDb) -> IndexStructure {
+        let id_at = |ord: u32| db.entry(ord).expect("an indexed ordinal is stored").id;
         let ids = |ords: &[u32]| -> Vec<RuleId> {
-            let mut ids: Vec<RuleId> = ords.iter().map(|&o| self.id_of[o as usize]).collect();
+            let mut ids: Vec<RuleId> = ords.iter().map(|&o| id_at(o)).collect();
             ids.sort_unstable();
             ids
         };
@@ -699,7 +687,7 @@ impl TriggerIndex {
                                 slot,
                                 format!("{:?} {kind}", c.dim),
                                 threshold,
-                                self.id_of[ord as usize],
+                                id_at(ord),
                             ));
                         }
                     }
@@ -715,10 +703,9 @@ impl TriggerIndex {
             .map(|(fp, e)| (fp.clone(), e.duration.as_millis(), ids(&e.rules)))
             .collect();
         fingerprints.sort();
-        let mut clocks: Vec<(RuleId, Option<SimTime>)> = self
-            .ord_of
-            .iter()
-            .map(|(&id, &ord)| (id, self.clock_due[ord as usize]))
+        let mut clocks: Vec<(RuleId, Option<SimTime>)> = (0..self.live.len() as u32)
+            .filter(|&ord| self.live[ord as usize])
+            .map(|ord| (id_at(ord), self.clock_due[ord as usize]))
             .collect();
         clocks.sort();
         IndexStructure {
@@ -827,7 +814,7 @@ mod tests {
             for rule in rules {
                 let id = rule.id();
                 db.insert(rule).unwrap();
-                index.insert(id, &db, &ctx, &held);
+                index.insert(db.ordinal(id).unwrap(), &db, &ctx, &held);
             }
             Fixture {
                 db,
@@ -854,15 +841,20 @@ mod tests {
             let mut out = Vec::new();
             self.index
                 .collect_candidates(now, &self.db, &self.ctx, &mut out);
-            out.iter().map(|id| id.raw()).collect()
+            out.iter().map(|(id, _)| id.raw()).collect()
         }
 
         /// Commits a false first verdict for every rule.
         fn settle(&mut self) {
-            let ids: Vec<RuleId> = self.db.iter().map(|r| r.id()).collect();
-            for id in ids {
-                self.index.on_committed(id, false);
+            let ords: Vec<u32> = self.db.ordinals().map(|(_, ord)| ord).collect();
+            for ord in ords {
+                self.index.on_committed(ord, false);
             }
+        }
+
+        /// The ordinal of a stored rule.
+        fn ord(&self, id: u64) -> u32 {
+            self.db.ordinal(RuleId::new(id)).unwrap()
         }
 
         fn write(&mut self, value: Value) {
@@ -1017,17 +1009,18 @@ mod tests {
             Condition::Atom(Atom::Event(EventAtom::new("door", "ding"))),
         );
         let mut f = Fixture::new(vec![event, rule_with(2, Condition::Atom(temp_atom()))]);
-        f.index.on_committed(RuleId::new(1), true);
-        f.index.on_committed(RuleId::new(2), true);
+        let (one, two) = (f.ord(1), f.ord(2));
+        f.index.on_committed(one, true);
+        f.index.on_committed(two, true);
         assert_eq!(f.candidates(mins(1)), [1]);
         assert_eq!(f.candidates(mins(2)), [1]);
-        f.index.on_committed(RuleId::new(1), false);
+        f.index.on_committed(one, false);
         assert_eq!(f.candidates(mins(3)), NONE);
-        // A final dispatch failure resets last_state to false while the
-        // condition may still hold: a full scan sees a fresh edge on the
-        // next step, so the rule is a candidate there.
-        f.index.on_committed(RuleId::new(2), true);
-        f.index.force_false(RuleId::new(2));
+        // A final dispatch failure resets the last verdict to false while
+        // the condition may still hold: a full scan sees a fresh edge on
+        // the next step, so the rule is a candidate there.
+        f.index.on_committed(two, true);
+        f.index.force_false(two);
         assert_eq!(f.candidates(mins(4)), [2]);
         assert_eq!(f.candidates(mins(5)), NONE);
     }
@@ -1037,7 +1030,8 @@ mod tests {
         let disabled = rule_with(1, Condition::Atom(temp_atom())).with_enabled(false);
         let mut f = Fixture::new(vec![disabled, rule_with(2, Condition::Atom(temp_atom()))]);
         assert_eq!(f.candidates(mins(0)), [2]);
-        f.index.on_committed(RuleId::new(2), false);
+        let two = f.ord(2);
+        f.index.on_committed(two, false);
         assert_eq!(f.candidates(mins(1)), NONE);
     }
 
@@ -1197,29 +1191,35 @@ mod tests {
         // Deterministic churn: remove every third, re-add some fresh ids,
         // replace a few in place with a different condition shape.
         for id in (0..36u64).step_by(3) {
-            f.index.remove(RuleId::new(id), &f.db);
+            let ord = f.ord(id);
+            f.index.remove(ord, &f.db);
             f.db.remove(RuleId::new(id)).unwrap();
         }
         for id in (0..36u64).step_by(6) {
             let rule = mk(id + 1000);
             let rid = rule.id();
             f.db.insert(rule).unwrap();
-            f.index.insert(rid, &f.db, &f.ctx, &f.held);
+            // The database hands a freed ordinal to the newcomer.
+            let ord = f.ord(rid.raw());
+            assert!(ord < 36, "ordinal {ord} was not reused");
+            f.index.insert(ord, &f.db, &f.ctx, &f.held);
         }
         for id in [1u64, 5, 7, 10] {
             let shape = mk(id + 2);
             let replacement = rule_with(id, shape.condition().clone());
-            f.index.remove(RuleId::new(id), &f.db);
+            let ord = f.ord(id);
+            f.index.remove(ord, &f.db);
             f.db.replace(replacement).unwrap();
-            f.index.insert(RuleId::new(id), &f.db, &f.ctx, &f.held);
+            assert_eq!(f.ord(id), ord, "a replacement keeps its ordinal");
+            f.index.insert(ord, &f.db, &f.ctx, &f.held);
         }
 
         let mut rebuilt = TriggerIndex::new();
-        let ids: Vec<RuleId> = f.db.iter().map(|r| r.id()).collect();
-        for id in ids {
-            rebuilt.insert(id, &f.db, &f.ctx, &f.held);
+        let ords: Vec<u32> = f.db.ordinals().map(|(_, ord)| ord).collect();
+        for ord in ords {
+            rebuilt.insert(ord, &f.db, &f.ctx, &f.held);
         }
-        assert_eq!(f.index.structure(), rebuilt.structure());
+        assert_eq!(f.index.structure(&f.db), rebuilt.structure(&f.db));
 
         // Identical candidate sets for the same dirt (all rules are
         // still pending in both, so runtime state matches too).

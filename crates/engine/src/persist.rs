@@ -12,7 +12,9 @@
 //!   freshness policy);
 //! * `held_for` trackers (since-instants of duration-qualified atoms);
 //! * edge-detection state (each rule's last verdict), device holds,
-//!   contenders, latches and notation sets;
+//!   contenders, latches and notation sets, by rule id and device name
+//!   (the rule ordinals and device slots the engine keeps them under are
+//!   never written);
 //! * the fault-tolerance layer: breaker machines (including grown
 //!   cooldowns), the retry queue, the dead-letter queue and the
 //!   sequence counter.
@@ -30,12 +32,15 @@
 //!
 //! Import refuses a negative time, duration, count or rule id with a
 //! typed error instead of letting it wrap into the engine's unsigned
-//! clock arithmetic, and a refused document leaves the engine as it was.
+//! clock arithmetic. It also refuses commit state for a rule the database
+//! does not hold, or for a device no stored rule targets, or that puts a
+//! rule on a device it does not target. A refused document leaves the
+//! engine as it was.
 //!
 //! This is a child module of `engine` so it can reach the engine's
 //! private runtime fields without widening their visibility.
 
-use super::{ActiveHolder, Engine};
+use super::{DeviceState, Engine, RuleState};
 use crate::context::{FreshnessMode, FreshnessPolicy};
 use crate::error::EngineError;
 use crate::eval::HeldTracker;
@@ -45,7 +50,7 @@ use crate::resilience::{
 use cadel_rule::codec::{action_from_json, action_to_json, value_from_json, value_to_json};
 use cadel_types::json::Json;
 use cadel_types::{DeviceId, PersonId, PlaceId, RuleId, SensorKey, SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Schema version of the runtime checkpoint document that export
 /// writes. Import also reads version 1 (see the module docs).
@@ -153,50 +158,81 @@ impl Engine {
                 .collect(),
         );
 
-        let mut last_true = Vec::new();
-        let mut last_false = Vec::new();
-        for (&id, &state) in &self.last_state {
-            if state {
-                last_true.push(id);
-            } else {
-                last_false.push(id);
+        // Rule state by id, ascending.
+        let (mut last_true, mut last_false) = (Vec::new(), Vec::new());
+        let (mut latched, mut suppress_noted, mut defer_noted) =
+            (Vec::new(), Vec::new(), Vec::new());
+        for (ord, state) in self.rule_state.iter().enumerate() {
+            let Some(entry) = self.rules.entry(ord as u32) else {
+                continue;
+            };
+            let id = entry.id;
+            match state.verdict {
+                Some(true) => last_true.push(id),
+                Some(false) => last_false.push(id),
+                None => {}
+            }
+            if state.latched {
+                latched.push(id);
+            }
+            if state.suppress_noted {
+                suppress_noted.push(id);
+            }
+            if state.defer_noted {
+                defer_noted.push(id);
             }
         }
-        last_true.sort_unstable();
-        last_false.sort_unstable();
+        for ids in [
+            &mut last_true,
+            &mut last_false,
+            &mut latched,
+            &mut suppress_noted,
+            &mut defer_noted,
+        ] {
+            ids.sort_unstable();
+        }
 
-        let mut holders: Vec<_> = self.holders.iter().collect();
-        holders.sort_by_key(|(device, _)| (*device).clone());
+        // Device state by device name.
+        let mut devices: Vec<(&DeviceId, &DeviceState)> = self
+            .device_state
+            .iter()
+            .enumerate()
+            .map(|(slot, state)| (self.rules.device_at(slot as u32), state))
+            .filter(|(_, state)| state.holder.is_some() || !state.pool.is_empty() || state.deferred)
+            .collect();
+        devices.sort_unstable_by_key(|&(device, _)| device);
         let holders = Json::Arr(
-            holders
-                .into_iter()
-                .map(|(device, holder)| {
-                    Json::obj(vec![
+            devices
+                .iter()
+                .filter_map(|(device, state)| {
+                    let holder = state.holder?;
+                    Some(Json::obj(vec![
                         ("device", Json::str(device.as_str())),
-                        ("rule", Json::Int(holder.rule.raw() as i64)),
-                    ])
+                        ("rule", Json::Int(holder.raw() as i64)),
+                    ]))
                 })
                 .collect(),
         );
-
-        let mut contenders: Vec<_> = self
-            .contenders
-            .iter()
-            .filter(|(_, rules)| !rules.is_empty())
-            .collect();
-        contenders.sort_by_key(|(device, _)| (*device).clone());
         let contenders = Json::Arr(
-            contenders
-                .into_iter()
-                .map(|(device, rules)| {
+            devices
+                .iter()
+                .filter(|(_, state)| !state.pool.is_empty())
+                .map(|(device, state)| {
                     Json::obj(vec![
                         ("device", Json::str(device.as_str())),
                         (
                             "rules",
-                            Json::Arr(rules.iter().map(|id| Json::Int(id.raw() as i64)).collect()),
+                            rule_ids_to_json(state.pool.iter().map(|(id, _)| id)),
                         ),
                     ])
                 })
+                .collect(),
+        );
+        let deferred_devices = Json::Arr(
+            devices
+                .iter()
+                .filter(|(_, state)| state.deferred)
+                .map(|(device, _)| Json::str(device.as_str()))
                 .collect(),
         );
 
@@ -222,18 +258,10 @@ impl Engine {
             ("last_false", rule_ids_to_json(&last_false)),
             ("holders", holders),
             ("contenders", contenders),
-            ("latched", rule_ids_to_json(&self.latched)),
-            ("suppress_noted", rule_ids_to_json(&self.suppress_noted)),
-            ("defer_noted", rule_ids_to_json(&self.defer_noted)),
-            (
-                "deferred_devices",
-                Json::Arr(
-                    self.deferred_devices
-                        .iter()
-                        .map(|d| Json::str(d.as_str()))
-                        .collect(),
-                ),
-            ),
+            ("latched", rule_ids_to_json(&latched)),
+            ("suppress_noted", rule_ids_to_json(&suppress_noted)),
+            ("defer_noted", rule_ids_to_json(&defer_noted)),
+            ("deferred_devices", deferred_devices),
             ("resilience", resilience),
         ])
     }
@@ -251,10 +279,12 @@ impl Engine {
     ///
     /// Returns [`EngineError::Persist`] on an out-of-schema document: a
     /// missing member, a wrong type, a negative time, duration, count or
-    /// rule id, or a rule in both `last_true` and `last_false`. A refused
-    /// document changes nothing: the import decodes every member into a
-    /// staged context and locals, and swaps them in only after the last
-    /// one has been read.
+    /// rule id, a rule in both `last_true` and `last_false`, commit state
+    /// for a rule the database does not hold or a device no stored rule
+    /// targets, or a holder or contender that does not target its device.
+    /// A refused document changes nothing: the import decodes every
+    /// member into a staged context and locals, and swaps them in only
+    /// after the last one has been read.
     pub fn import_runtime_json(&mut self, doc: &Json) -> Result<(), EngineError> {
         let version = get_int(doc, "version")?;
         if !(1..=RUNTIME_VERSION).contains(&version) {
@@ -304,19 +334,51 @@ impl Engine {
             );
         }
 
-        let mut last_state = HashMap::new();
+        let db = &self.rules;
+        let ordinal_of = |id: RuleId, key: &str| {
+            db.ordinal(id).ok_or_else(|| {
+                bad(format!(
+                    "'{key}' names rule {}, which is not stored",
+                    id.raw()
+                ))
+            })
+        };
+        let slot_of = |device: &str, key: &str| {
+            db.device_slot(&DeviceId::new(device)).ok_or_else(|| {
+                bad(format!(
+                    "'{key}' names device '{device}', which no stored rule targets"
+                ))
+            })
+        };
+        // A holder or contender of a device must target it.
+        let ord_on = |id: RuleId, slot: u32, key: &str| {
+            let ord = ordinal_of(id, key)?;
+            if db.entry(ord).is_some_and(|entry| entry.device == slot) {
+                Ok(ord)
+            } else {
+                Err(bad(format!(
+                    "'{key}' puts rule {} on device '{}', which it does not target",
+                    id.raw(),
+                    db.device_at(slot)
+                )))
+            }
+        };
+
+        let mut rule_state = vec![RuleState::default(); db.ordinal_bound()];
         if version == 1 {
             for entry in arr_of(doc, "last_state")? {
                 let state = require(entry, "state")?
                     .as_bool()
                     .ok_or_else(|| bad("'state' must be a boolean"))?;
-                last_state.insert(rule_of(entry, "rule")?, state);
+                let ord = ordinal_of(rule_of(entry, "rule")?, "last_state")?;
+                rule_state[ord as usize].verdict = Some(state);
             }
         } else {
             for (key, state) in [("last_true", true), ("last_false", false)] {
                 for id in arr_of(doc, key)? {
                     let id = RuleId::new(num_of(id, key)?);
-                    if last_state.insert(id, state) == Some(!state) {
+                    let verdict = &mut rule_state[ordinal_of(id, key)? as usize].verdict;
+                    if verdict.replace(state) == Some(!state) {
                         return Err(bad(format!(
                             "rule {} is in both 'last_true' and 'last_false'",
                             id.raw()
@@ -325,50 +387,61 @@ impl Engine {
                 }
             }
         }
-        let mut holders = HashMap::new();
+        let mut device_state = vec![DeviceState::default(); db.device_slot_count()];
         for entry in arr_of(doc, "holders")? {
-            holders.insert(
-                DeviceId::new(get_str(entry, "device")?),
-                ActiveHolder {
-                    rule: rule_of(entry, "rule")?,
-                },
-            );
+            let slot = slot_of(get_str(entry, "device")?, "holders")?;
+            let id = rule_of(entry, "rule")?;
+            ord_on(id, slot, "holders")?;
+            device_state[slot as usize].holder = Some(id);
         }
-        let mut contenders = HashMap::new();
         for entry in arr_of(doc, "contenders")? {
-            let device = DeviceId::new(get_str(entry, "device")?);
-            contenders.insert(device, rule_set_from_json(entry, "rules")?);
+            let slot = slot_of(get_str(entry, "device")?, "contenders")?;
+            let mut pool = Vec::new();
+            for id in rule_set_from_json(entry, "rules")? {
+                pool.push((id, ord_on(id, slot, "contenders")?));
+            }
+            device_state[slot as usize].pool = pool;
         }
-        let latched = rule_set_from_json(doc, "latched")?;
-        let suppress_noted = rule_set_from_json(doc, "suppress_noted")?;
-        let defer_noted = rule_set_from_json(doc, "defer_noted")?;
-        let deferred_devices = arr_of(doc, "deferred_devices")?
-            .iter()
-            .map(|d| {
-                d.as_str()
-                    .map(DeviceId::new)
-                    .ok_or_else(|| bad("deferred device ids must be strings"))
-            })
-            .collect::<Result<_, _>>()?;
+        for id in rule_set_from_json(doc, "latched")? {
+            rule_state[ordinal_of(id, "latched")? as usize].latched = true;
+        }
+        for id in rule_set_from_json(doc, "suppress_noted")? {
+            rule_state[ordinal_of(id, "suppress_noted")? as usize].suppress_noted = true;
+        }
+        for id in rule_set_from_json(doc, "defer_noted")? {
+            rule_state[ordinal_of(id, "defer_noted")? as usize].defer_noted = true;
+        }
+        for device in arr_of(doc, "deferred_devices")? {
+            let device = device
+                .as_str()
+                .ok_or_else(|| bad("deferred device ids must be strings"))?;
+            device_state[slot_of(device, "deferred_devices")? as usize].deferred = true;
+        }
         let resilience = resilience_from_json(require(doc, "resilience")?)?;
 
+        let mut pooled = Vec::new();
+        for (slot, state) in device_state.iter_mut().enumerate() {
+            if !state.pool.is_empty() || state.deferred {
+                state.pooled = true;
+                pooled.push(slot as u32);
+            }
+        }
         self.ctx = ctx;
         self.held = held;
-        self.last_state = last_state;
-        self.holders = holders;
-        self.contenders = contenders;
-        self.latched = latched;
-        self.suppress_noted = suppress_noted;
-        self.defer_noted = defer_noted;
-        self.deferred_devices = deferred_devices;
+        self.rule_state = rule_state;
+        self.device_state = device_state;
+        self.pooled = pooled;
         self.resilience = resilience;
 
         // Re-arm the trigger index's runtime-derived state (dwell,
         // freshness and clock deadlines, true/pending membership) from the
         // restored snapshot, and remember which policy the deadlines cover.
         self.last_freshness = self.ctx.freshness_policy();
+        let rule_state = &self.rule_state;
         self.index
-            .rearm_after_import(&self.rules, &self.ctx, &self.held, &self.last_state);
+            .rearm_after_import(&self.rules, &self.ctx, &self.held, |ord| {
+                rule_state[ord as usize].verdict
+            });
         Ok(())
     }
 }
@@ -766,6 +839,49 @@ mod tests {
         );
     }
 
+    /// Ordinals are never written: an engine that stored the same rules
+    /// in another order, so under other ordinals, imports the checkpoint,
+    /// exports it byte for byte and steps in lockstep with the original.
+    #[test]
+    fn a_checkpoint_moves_between_engines_that_number_rules_differently() {
+        let (mut original, _home_a) = busy_engine();
+        let doc = original.export_runtime_json();
+
+        let registry = Registry::new();
+        let home_b = LivingRoomHome::install(&registry);
+        FaultyDevice::wrap(
+            &registry,
+            &DeviceId::new("aircon-lr"),
+            FaultPlan::new().fail_between(SimTime::EPOCH, mins(45)),
+        )
+        .unwrap();
+        let mut restored = Engine::new(ControlPoint::new(registry));
+        restored.add_rule(held_rule("alan", 2)).unwrap();
+        restored.add_rule(hot_rule("tom", 1, 26)).unwrap();
+        assert_ne!(
+            restored.rules().ordinal(RuleId::new(1)),
+            original.rules().ordinal(RuleId::new(1))
+        );
+        restored.import_runtime_json(&doc).unwrap();
+        assert_eq!(restored.export_runtime_json(), doc);
+
+        home_b
+            .thermometer
+            .set_reading(Rational::from_integer(28), mins(1))
+            .unwrap();
+        for m in 6..60 {
+            assert_eq!(
+                original.step(mins(m)).to_string(),
+                restored.step(mins(m)).to_string(),
+                "step reports diverge at minute {m}"
+            );
+        }
+        assert_eq!(
+            original.export_runtime_json(),
+            restored.export_runtime_json()
+        );
+    }
+
     #[test]
     fn freshness_policy_round_trips() {
         let policies = [
@@ -829,11 +945,14 @@ mod tests {
         r#""next_seq":0,"breakers":[],"queue":[],"dlq":[]}}"#,
     );
 
+    /// The engine the literals above were exported from: both rules they
+    /// name are stored.
     fn living_room_engine() -> Engine {
         let registry = Registry::new();
         LivingRoomHome::install(&registry);
         let mut engine = Engine::new(ControlPoint::new(registry));
         engine.add_rule(hot_rule("tom", 1, 26)).unwrap();
+        engine.add_rule(hot_rule("alan", 2, 30)).unwrap();
         engine
     }
 
@@ -861,7 +980,6 @@ mod tests {
         from_v2
             .import_runtime_json(&cadel_types::json::parse(CHECKPOINT_V2).unwrap())
             .unwrap();
-        assert_eq!(from_v1.last_state, from_v2.last_state);
         assert_eq!(from_v1.export_runtime_json(), from_v2.export_runtime_json());
     }
 

@@ -20,7 +20,9 @@
 //!   indexes are built without ever touching the AST (and a new predicate
 //!   kind is a compile error here, not a silent every-step fallback).
 //!
-//! Removal tombstones a rule's spans; the arena compacts (rebuilds and
+//! Rules are addressed by the dense ordinal their database assigns (see
+//! `cadel_rule::RuleDb`), so a span record is one indexed load. Removal
+//! tombstones a rule's spans; the arena compacts (rebuilds and
 //! rebase-remaps all spans) once dead entries outnumber live ones. Spans
 //! are only meaningful between mutations — consumers hold a [`ProgramRef`]
 //! no longer than one evaluation phase.
@@ -30,8 +32,7 @@ use crate::program::{Op, Pred, RuleProgram};
 use crate::{ContextView, HeldObserver};
 use cadel_simplex::RelOp;
 use cadel_types::unit::Dimension;
-use cadel_types::{Date, Rational, RuleId, SimDuration, SimTime, TimeWindow, Weekday};
-use std::collections::HashMap;
+use cadel_types::{Date, Rational, SimDuration, SimTime, TimeWindow, Weekday};
 
 /// One [`Pred::NumCmp`] of a rule: the sensor it reads, the operator, and
 /// the threshold it compares against, in canonical units of `dim`. Its
@@ -142,7 +143,10 @@ pub struct ProgramArena {
     place_col: Vec<PlaceSlot>,
     channel_col: Vec<ChannelSlot>,
     held_col: Vec<HeldKey>,
-    refs: HashMap<RuleId, ProgramRef>,
+    /// Span records indexed by rule ordinal; `None` for a free ordinal.
+    refs: Vec<Option<ProgramRef>>,
+    /// Number of `Some` entries in `refs`.
+    live: usize,
     dead_preds: usize,
     dead_ops: usize,
 }
@@ -173,9 +177,9 @@ impl ProgramArena {
     /// global tables and extracting its slot footprint. Places and
     /// channels are interned here — the caller passes the same (locked)
     /// interner the program was compiled against. Replaces any previous
-    /// entry for the id.
-    pub fn insert(&mut self, id: RuleId, program: &RuleProgram, interner: &mut Interner) {
-        self.remove(id);
+    /// entry for the ordinal.
+    pub fn insert(&mut self, ord: u32, program: &RuleProgram, interner: &mut Interner) {
+        self.remove(ord);
         let pred_base = self.preds.len() as u32;
         for pred in program.preds() {
             self.preds.push(match pred {
@@ -250,22 +254,30 @@ impl ProgramArena {
         sort_dedup_tail(&mut self.place_col, places as usize);
         sort_dedup_tail(&mut self.channel_col, channels as usize);
 
-        self.refs.insert(
-            id,
-            ProgramRef {
-                preds: (pred_base, self.preds.len() as u32),
-                condition,
-                until,
-                sensors: (sensors, self.sensor_col.len() as u32),
-                states: (states, self.state_col.len() as u32),
-                numerics: (numerics, self.num_col.len() as u32),
-                clocks: (clocks, self.clock_col.len() as u32),
-                places: (places, self.place_col.len() as u32),
-                channels: (channels, self.channel_col.len() as u32),
-                helds: (helds, self.held_col.len() as u32),
-                temporal,
-            },
-        );
+        let r = ProgramRef {
+            preds: (pred_base, self.preds.len() as u32),
+            condition,
+            until,
+            sensors: (sensors, self.sensor_col.len() as u32),
+            states: (states, self.state_col.len() as u32),
+            numerics: (numerics, self.num_col.len() as u32),
+            clocks: (clocks, self.clock_col.len() as u32),
+            places: (places, self.place_col.len() as u32),
+            channels: (channels, self.channel_col.len() as u32),
+            helds: (helds, self.held_col.len() as u32),
+            temporal,
+        };
+        self.set_ref(ord, r);
+    }
+
+    /// Stores the span record of an ordinal, growing the table to cover it.
+    fn set_ref(&mut self, ord: u32, r: ProgramRef) {
+        let at = ord as usize;
+        if self.refs.len() <= at {
+            self.refs.resize(at + 1, None);
+        }
+        self.live += 1;
+        self.refs[at] = Some(r);
     }
 
     fn append_code(&mut self, code: &[Op], pred_base: u32) -> (u32, u32) {
@@ -282,10 +294,11 @@ impl ProgramArena {
 
     /// Tombstones a rule's spans, compacting the tables once dead entries
     /// outnumber live ones.
-    pub fn remove(&mut self, id: RuleId) {
-        let Some(r) = self.refs.remove(&id) else {
+    pub fn remove(&mut self, ord: u32) {
+        let Some(r) = self.refs.get_mut(ord as usize).and_then(Option::take) else {
             return;
         };
+        self.live -= 1;
         self.dead_preds += (r.preds.1 - r.preds.0) as usize;
         let (s, e) = r.condition;
         self.dead_ops += (e - s) as usize;
@@ -301,11 +314,11 @@ impl ProgramArena {
 
     /// Rebuilds the tables with only live spans, remapping every ref.
     fn compact(&mut self) {
-        let mut ids: Vec<RuleId> = self.refs.keys().copied().collect();
-        ids.sort_unstable();
         let mut next = ProgramArena::new();
-        for id in ids {
-            let r = self.refs[&id];
+        for (ord, r) in self.refs.iter().enumerate() {
+            let Some(r) = *r else {
+                continue;
+            };
             let pred_base = next.preds.len() as u32;
             let old_base = r.preds.0;
             for pred in &self.preds[r.preds.0 as usize..r.preds.1 as usize] {
@@ -357,29 +370,27 @@ impl ProgramArena {
                         eligible: k.eligible,
                     }),
             );
-            next.refs.insert(
-                id,
-                ProgramRef {
-                    preds: (pred_base, next.preds.len() as u32),
-                    condition,
-                    until,
-                    sensors,
-                    states,
-                    numerics,
-                    clocks,
-                    places,
-                    channels,
-                    helds: (helds_start, next.held_col.len() as u32),
-                    temporal: r.temporal,
-                },
-            );
+            let r = ProgramRef {
+                preds: (pred_base, next.preds.len() as u32),
+                condition,
+                until,
+                sensors,
+                states,
+                numerics,
+                clocks,
+                places,
+                channels,
+                helds: (helds_start, next.held_col.len() as u32),
+                temporal: r.temporal,
+            };
+            next.set_ref(ord as u32, r);
         }
         *self = next;
     }
 
-    /// The span record of a rule's program, if it compiled.
-    pub fn program_ref(&self, id: RuleId) -> Option<&ProgramRef> {
-        self.refs.get(&id)
+    /// The span record of the program stored under a rule ordinal.
+    pub fn program_ref(&self, ord: u32) -> Option<&ProgramRef> {
+        self.refs.get(ord as usize)?.as_ref()
     }
 
     /// The sensor slots a rule's condition and `until` read (sorted,
@@ -492,12 +503,12 @@ impl ProgramArena {
 
     /// Number of rules with live spans.
     pub fn len(&self) -> usize {
-        self.refs.len()
+        self.live
     }
 
     /// Whether the arena holds no live spans.
     pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
+        self.live == 0
     }
 }
 
@@ -629,10 +640,10 @@ mod tests {
         );
 
         let mut arena = ProgramArena::new();
-        arena.insert(RuleId::new(1), &p1, &mut interner);
-        arena.insert(RuleId::new(2), &p2, &mut interner);
+        arena.insert(1, &p1, &mut interner);
+        arena.insert(2, &p2, &mut interner);
 
-        let r1 = *arena.program_ref(RuleId::new(1)).unwrap();
+        let r1 = *arena.program_ref(1).unwrap();
         assert!(!r1.temporal());
         assert_eq!(arena.sensor_slots(&r1), &[slot_a]);
         let keys = arena.held_keys(&r1).to_vec();
@@ -641,7 +652,7 @@ mod tests {
         let fps: Vec<&str> = keys.iter().map(|&k| arena.held_fingerprint(k).0).collect();
         assert_eq!(fps, ["leaf~1", "mid~2"]);
 
-        let r2 = *arena.program_ref(RuleId::new(2)).unwrap();
+        let r2 = *arena.program_ref(2).unwrap();
         // A clock window is scheduled, not evaluated every step.
         assert!(!r2.temporal());
         assert_eq!(arena.sensor_slots(&r2), &[slot_a, slot_b]);
@@ -707,8 +718,8 @@ mod tests {
             Vec::new(),
         );
         let mut arena = ProgramArena::new();
-        arena.insert(RuleId::new(7), &program, &mut interner);
-        let r = *arena.program_ref(RuleId::new(7)).unwrap();
+        arena.insert(7, &program, &mut interner);
+        let r = *arena.program_ref(7).unwrap();
         assert!(r.temporal());
         assert!(!arena.held_keys(&r)[0].eligible);
         let chan = interner.lookup_channel_normalized("chan").unwrap();
@@ -719,22 +730,22 @@ mod tests {
     fn remove_tombstones_and_compaction_preserves_spans() {
         let mut interner = Interner::new();
         let mut arena = ProgramArena::new();
-        for i in 0..8u64 {
+        for ord in 0..8 {
             let program = presence_program("living room");
-            arena.insert(RuleId::new(i), &program, &mut interner);
+            arena.insert(ord, &program, &mut interner);
         }
         assert_eq!(arena.len(), 8);
-        for i in 0..7u64 {
-            arena.remove(RuleId::new(i));
+        for ord in 0..7 {
+            arena.remove(ord);
         }
         assert_eq!(arena.len(), 1);
         // The survivor still evaluates after compaction.
-        let r = *arena.program_ref(RuleId::new(7)).unwrap();
+        let r = *arena.program_ref(7).unwrap();
         let mut h = MapHeld::default();
         assert!(arena.condition_holds(&r, &NullView, &mut h));
         assert_eq!(arena.place_slots(&r).len(), 1);
-        // Removing an unknown id is a no-op.
-        arena.remove(RuleId::new(99));
+        // Removing an unknown ordinal is a no-op.
+        arena.remove(99);
         assert_eq!(arena.len(), 1);
     }
 
@@ -763,13 +774,13 @@ mod tests {
             )
         };
         let mut arena = ProgramArena::new();
-        for i in 0..8u64 {
-            arena.insert(RuleId::new(i), &program(i as i64), &mut interner);
+        for ord in 0..8 {
+            arena.insert(ord, &program(ord as i64), &mut interner);
         }
-        for i in 0..7u64 {
-            arena.remove(RuleId::new(i));
+        for ord in 0..7 {
+            arena.remove(ord);
         }
-        let r = *arena.program_ref(RuleId::new(7)).unwrap();
+        let r = *arena.program_ref(7).unwrap();
         let thresholds: Vec<NumThreshold> = arena.numeric_thresholds(&r).collect();
         assert_eq!(
             thresholds,

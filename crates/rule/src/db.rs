@@ -19,6 +19,15 @@
 //! feed*: a reader keeps a [`ChangeCursor`] and asks
 //! [`RuleDb::changes_since`] which ids changed after it, instead of
 //! rescanning the whole database. The feed does not know its readers.
+//!
+//! Each stored rule also has a dense *ordinal*, and each device a rule
+//! targets a dense *device slot*, so per-rule and per-device state
+//! elsewhere (the program arena, the engine's trigger index and commit
+//! state) lives in plain vectors. An insert takes a freed ordinal if
+//! there is one, a removal frees it, and a replacement keeps it. A device
+//! slot is never freed. Ordinals are a storage detail of one database:
+//! they are never persisted and never decide an order, and a rebuilt
+//! database may number the same rules differently.
 
 use crate::compile::compile_rule;
 use crate::error::RuleError;
@@ -96,12 +105,35 @@ impl ChangeFeed {
     }
 }
 
-/// A rule with its compiled artifact and revision stamp.
+/// A rule with its compiled artifact, revision stamp and ordinal.
 #[derive(Clone, Debug)]
 struct StoredRule {
     rule: Rule,
     revision: u64,
     program: Arc<RuleProgram>,
+    ord: u32,
+}
+
+/// What a stored rule's ordinal says about it without touching the rule:
+/// the facts the engine reads for every candidate it evaluates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RuleEntry {
+    /// The rule's id.
+    pub id: RuleId,
+    /// The slot of the device its action targets (see
+    /// [`RuleDb::device_at`]).
+    pub device: u32,
+    /// Whether the rule is enabled.
+    pub enabled: bool,
+    /// Whether the rule has an `until` clause.
+    pub until: bool,
+}
+
+/// A device slot: the device's name and the rules that target it.
+#[derive(Clone, Debug)]
+struct DeviceEntry {
+    id: DeviceId,
+    rules: BTreeSet<RuleId>,
 }
 
 /// An indexed store of compiled rules.
@@ -131,7 +163,15 @@ struct StoredRule {
 #[derive(Clone, Debug, Default)]
 pub struct RuleDb {
     rules: BTreeMap<RuleId, StoredRule>,
-    by_device: HashMap<DeviceId, BTreeSet<RuleId>>,
+    /// Per ordinal: the stored rule's entry, `None` while the ordinal is
+    /// free.
+    entries: Vec<Option<RuleEntry>>,
+    /// Freed ordinals, reused by later inserts.
+    free: Vec<u32>,
+    /// Device slots by device.
+    by_device: HashMap<DeviceId, u32>,
+    /// Per device slot: the device and the ids of the rules targeting it.
+    devices: Vec<DeviceEntry>,
     by_owner: HashMap<PersonId, BTreeSet<RuleId>>,
     next_id: RuleId,
     interner: SharedInterner,
@@ -246,9 +286,10 @@ impl RuleDb {
 
     /// Compiles a rule, appends it to the arena and the indexes, and
     /// stores it under a fresh revision, displacing a stored rule with
-    /// the same id; the id goes to the change feed once. A rule that does
-    /// not compile touches nothing: no interned name, index entry or
-    /// arena span, no displaced rule and no feed entry.
+    /// the same id and keeping its ordinal; the id goes to the change feed
+    /// once. A rule that does not compile touches nothing: no interned
+    /// name, index entry, ordinal or arena span, no displaced rule and no
+    /// feed entry.
     fn store(&mut self, rule: Rule) -> Result<(), RuleError> {
         let sw = Stopwatch::start();
         LOWERED.inc();
@@ -256,17 +297,30 @@ impl RuleDb {
         let mut interner = interner.write().expect("interner lock poisoned");
         let program = Arc::new(compile_rule(&rule, &mut interner)?);
         let id = rule.id();
-        self.unstore(id);
+        let ord = match self.unstore(id) {
+            Some((_, ord)) => ord,
+            None => self.free.pop().unwrap_or_else(|| {
+                self.entries.push(None);
+                (self.entries.len() - 1) as u32
+            }),
+        };
         // Appended under the same lock the program was compiled under, so
         // the arena's interned footprint matches the program's slots.
-        self.arena.insert(id, &program, &mut interner);
+        self.arena.insert(ord, &program, &mut interner);
         drop(interner);
         LOWER_NS.record(&sw);
-        self.index(&rule);
+        let device = self.index(&rule);
+        self.entries[ord as usize] = Some(RuleEntry {
+            id,
+            device,
+            enabled: rule.is_enabled(),
+            until: rule.until().is_some(),
+        });
         let stored = StoredRule {
             rule,
             revision: NEXT_REVISION.fetch_add(1, Ordering::Relaxed),
             program,
+            ord,
         };
         self.rules.insert(id, stored);
         self.feed.record(id);
@@ -296,15 +350,28 @@ impl RuleDb {
         }
     }
 
-    fn index(&mut self, rule: &Rule) {
-        self.by_device
-            .entry(rule.action().device().clone())
-            .or_default()
-            .insert(rule.id());
+    /// Adds a rule to the device and owner indexes, giving its device a
+    /// slot on first use, and returns that slot.
+    fn index(&mut self, rule: &Rule) -> u32 {
+        let device = rule.action().device();
+        let slot = match self.by_device.get(device) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.devices.len() as u32;
+                self.devices.push(DeviceEntry {
+                    id: device.clone(),
+                    rules: BTreeSet::new(),
+                });
+                self.by_device.insert(device.clone(), slot);
+                slot
+            }
+        };
+        self.devices[slot as usize].rules.insert(rule.id());
         self.by_owner
             .entry(rule.owner().clone())
             .or_default()
             .insert(rule.id());
+        slot
     }
 
     /// Removes a rule.
@@ -313,21 +380,20 @@ impl RuleDb {
     ///
     /// Returns [`RuleError::UnknownRule`] if absent.
     pub fn remove(&mut self, id: RuleId) -> Result<Rule, RuleError> {
-        let rule = self.unstore(id).ok_or(RuleError::UnknownRule(id))?;
+        let (rule, ord) = self.unstore(id).ok_or(RuleError::UnknownRule(id))?;
+        self.free.push(ord);
         self.feed.record(id);
         Ok(rule)
     }
 
     /// Takes a rule out of the map, the arena and the indexes, without a
-    /// feed entry.
-    fn unstore(&mut self, id: RuleId) -> Option<Rule> {
-        let rule = self.rules.remove(&id)?.rule;
-        self.arena.remove(id);
-        if let Some(set) = self.by_device.get_mut(rule.action().device()) {
-            set.remove(&id);
-            if set.is_empty() {
-                self.by_device.remove(rule.action().device());
-            }
+    /// feed entry, and returns it with its ordinal, which the caller
+    /// either frees or reuses.
+    fn unstore(&mut self, id: RuleId) -> Option<(Rule, u32)> {
+        let StoredRule { rule, ord, .. } = self.rules.remove(&id)?;
+        self.arena.remove(ord);
+        if let Some(entry) = self.entries[ord as usize].take() {
+            self.devices[entry.device as usize].rules.remove(&id);
         }
         if let Some(set) = self.by_owner.get_mut(rule.owner()) {
             set.remove(&id);
@@ -335,7 +401,7 @@ impl RuleDb {
                 self.by_owner.remove(rule.owner());
             }
         }
-        Some(rule)
+        Some((rule, ord))
     }
 
     /// The feed's current position. Passed to [`RuleDb::changes_since`]
@@ -375,6 +441,50 @@ impl RuleDb {
         self.rules.get(&id).map(|s| &s.program)
     }
 
+    /// The ordinal of a stored rule.
+    pub fn ordinal(&self, id: RuleId) -> Option<u32> {
+        self.rules.get(&id).map(|s| s.ord)
+    }
+
+    /// The entry of the rule stored under an ordinal; `None` for a free
+    /// or never-assigned ordinal.
+    pub fn entry(&self, ord: u32) -> Option<RuleEntry> {
+        self.entries.get(ord as usize).copied().flatten()
+    }
+
+    /// One more than the highest ordinal ever assigned: every ordinal is
+    /// below it, so a vector this long covers them all.
+    pub fn ordinal_bound(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Every stored rule's id and ordinal, in id order.
+    pub fn ordinals(&self) -> impl Iterator<Item = (RuleId, u32)> + '_ {
+        self.rules.iter().map(|(&id, s)| (id, s.ord))
+    }
+
+    /// The slot of a device that at least one stored rule targets.
+    pub fn device_slot(&self, device: &DeviceId) -> Option<u32> {
+        let slot = *self.by_device.get(device)?;
+        (!self.devices[slot as usize].rules.is_empty()).then_some(slot)
+    }
+
+    /// The device a slot stands for.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slot` was never assigned; slots come from
+    /// [`RuleEntry::device`] and [`RuleDb::device_slot`].
+    pub fn device_at(&self, slot: u32) -> &DeviceId {
+        &self.devices[slot as usize].id
+    }
+
+    /// Number of device slots ever assigned: every slot is below it. A
+    /// slot stays assigned after its last rule is removed.
+    pub fn device_slot_count(&self) -> usize {
+        self.devices.len()
+    }
+
     /// The arena holding every compiled program in contiguous SoA layout.
     pub fn arena(&self) -> &ProgramArena {
         &self.arena
@@ -383,7 +493,7 @@ impl RuleDb {
     /// A rule's span record in the arena; `None` only for an unknown id.
     /// Invalidated by the next database mutation.
     pub fn program_ref(&self, id: RuleId) -> Option<&ProgramRef> {
-        self.arena.program_ref(id)
+        self.arena.program_ref(self.ordinal(id)?)
     }
 
     /// The revision stamp of a rule: unique per stored artifact across the
@@ -404,8 +514,10 @@ impl RuleDb {
     pub fn rules_for_device(&self, device: &DeviceId) -> Vec<&Rule> {
         self.by_device
             .get(device)
-            .map(|ids| {
-                ids.iter()
+            .map(|&slot| {
+                self.devices[slot as usize]
+                    .rules
+                    .iter()
                     .filter_map(|id| self.rules.get(id).map(|s| &s.rule))
                     .collect()
             })
@@ -426,7 +538,12 @@ impl RuleDb {
 
     /// All devices that at least one rule targets.
     pub fn targeted_devices(&self) -> Vec<&DeviceId> {
-        let mut devices: Vec<_> = self.by_device.keys().collect();
+        let mut devices: Vec<_> = self
+            .devices
+            .iter()
+            .filter(|d| !d.rules.is_empty())
+            .map(|d| &d.id)
+            .collect();
         devices.sort();
         devices
     }
@@ -698,6 +815,66 @@ mod tests {
         db.replace(replacement).unwrap();
         assert!(db.program_ref(b).is_some());
         assert_eq!(db.arena().len(), 1);
+    }
+
+    #[test]
+    fn ordinals_are_reused_after_removal_and_kept_by_a_replacement() {
+        let mut db = RuleDb::new();
+        let a = db.register(builder("tom", "tv", "a")).unwrap();
+        let b = db.register(builder("tom", "stereo", "b")).unwrap();
+        let (oa, ob) = (db.ordinal(a).unwrap(), db.ordinal(b).unwrap());
+        assert_ne!(oa, ob);
+        assert_eq!(db.ordinal_bound(), 2);
+        let entry = db.entry(oa).unwrap();
+        assert_eq!(entry.id, a);
+        assert_eq!(db.device_at(entry.device), &DeviceId::new("tv"));
+        assert!(entry.enabled && !entry.until);
+        assert_eq!(db.entry(ob).map(|e| e.id), Some(b));
+
+        // A replacement keeps the ordinal and refreshes the entry.
+        let moved = builder("tom", "stereo", "c")
+            .build(a)
+            .unwrap()
+            .with_enabled(false);
+        db.replace(moved).unwrap();
+        assert_eq!(db.ordinal(a), Some(oa));
+        let entry = db.entry(oa).unwrap();
+        assert_eq!(db.device_at(entry.device), &DeviceId::new("stereo"));
+        assert!(!entry.enabled);
+        // A refused store touches no ordinal.
+        assert!(db.register(clash_rule("tom", "tv")).is_err());
+        assert_eq!(db.ordinal_bound(), 2);
+
+        // A removal frees the ordinal; the next insert takes it.
+        db.remove(b).unwrap();
+        assert_eq!(db.entry(ob), None);
+        let c = db.register(builder("alan", "tv", "d")).unwrap();
+        assert_eq!(db.ordinal(c), Some(ob));
+        assert_eq!(db.ordinal_bound(), 2);
+        let listed: Vec<(RuleId, u32)> = db.ordinals().collect();
+        assert_eq!(listed, vec![(a, oa), (c, ob)]);
+    }
+
+    #[test]
+    fn device_slots_are_assigned_once_and_answer_while_targeted() {
+        let mut db = RuleDb::new();
+        let a = db.register(builder("tom", "tv", "a")).unwrap();
+        db.register(builder("tom", "stereo", "b")).unwrap();
+        let tv = db.device_slot(&DeviceId::new("tv")).unwrap();
+        let stereo = db.device_slot(&DeviceId::new("stereo")).unwrap();
+        assert_ne!(tv, stereo);
+        assert_eq!(db.device_slot_count(), 2);
+        assert_eq!(db.device_slot(&DeviceId::new("toaster")), None);
+
+        // The last rule leaving a device keeps its slot but stops the
+        // lookup; a rule targeting it again gets the same slot.
+        db.remove(a).unwrap();
+        assert_eq!(db.device_slot(&DeviceId::new("tv")), None);
+        assert_eq!(db.targeted_devices(), vec![&DeviceId::new("stereo")]);
+        let again = db.register(builder("tom", "tv", "c")).unwrap();
+        assert_eq!(db.entry(db.ordinal(again).unwrap()).unwrap().device, tv);
+        assert_eq!(db.device_slot(&DeviceId::new("tv")), Some(tv));
+        assert_eq!(db.device_slot_count(), 2);
     }
 
     #[test]

@@ -43,6 +43,6 @@ pub use atom::{Atom, ConstraintAtom, EventAtom, PresenceAtom, StateAtom, Subject
 pub use compile::{compile_condition, compile_conjunct, compile_conjuncts, compile_rule};
 pub use condition::{Condition, Conjunct, Dnf};
 pub use convert::VarPool;
-pub use db::{ChangeCursor, RuleDb, CHANGE_LOG_CAPACITY};
+pub use db::{ChangeCursor, RuleDb, RuleEntry, CHANGE_LOG_CAPACITY};
 pub use error::RuleError;
 pub use rule::{Rule, RuleBuilder};
