@@ -23,7 +23,8 @@
 //! The run asserts the shape: `e2_full_check/graph/100` within 3× the
 //! oracle, `analyze` at 40,000 rules within 3× `analyze` at 1,000, and a
 //! repeat analysis of an unchanged base rebuilds no graph node
-//! (`conflict_graph_rebuilds_total`).
+//! (`conflict_graph_rebuilds_total`), nor does disabling a rule, while
+//! re-enabling it rebuilds one.
 
 use cadel_bench::timing::{run, section};
 use cadel_bench::{e2_database, e2_probe, two_inequality_condition, SHARED_DEVICE};
@@ -149,13 +150,20 @@ fn main() {
         let before = rebuilds();
         graph.analyze(&db, &probe).unwrap();
         let unchanged = rebuilds() - before;
+        // A disable drops the rule's node; re-enabling it builds one node.
         let rule = db.get(RuleId::new(1)).unwrap().clone();
-        db.replace(rule.with_enabled(false)).unwrap();
+        db.replace(rule.clone().with_enabled(false)).unwrap();
         graph.analyze(&db, &probe).unwrap();
-        let after_one_change = rebuilds() - before - unchanged;
-        println!("e2_rebuilds/unchanged {unchanged}, after one change {after_one_change}");
+        let after_disable = rebuilds() - before;
+        db.replace(rule).unwrap();
+        graph.analyze(&db, &probe).unwrap();
+        let after_enable = rebuilds() - before - after_disable;
+        println!(
+            "e2_rebuilds/unchanged {unchanged}, after a disable {after_disable}, after the re-enable {after_enable}"
+        );
         assert_eq!(unchanged, 0, "a repeat analysis rebuilt nodes");
-        assert_eq!(after_one_change, 1);
+        assert_eq!(after_disable, 0, "a disable rebuilt nodes");
+        assert_eq!(after_enable, 1);
     }
 
     section("e2_registration_checks_total (consistency + conflicts)");

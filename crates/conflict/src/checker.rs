@@ -167,11 +167,11 @@ mod tests {
         );
         let plain = find_conflicts(&db, &tom).unwrap();
         // Every pair shares the thermometer, so every pair takes the
-        // solver path against the stored program's own systems.
+        // solver path against the stored rule's own systems.
         let tom_sys = compile_conjuncts(&tom).unwrap();
         let mut compiled = Vec::new();
         for existing in db.rules_for_device(tom.action().device()) {
-            let stored = db.program(existing.id()).unwrap().conjuncts();
+            let stored = db.conjuncts(existing.id()).unwrap();
             compiled.extend(solved_pair(&tom, &tom_sys, existing, stored).unwrap());
         }
         assert_eq!(plain, compiled);

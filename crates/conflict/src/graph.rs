@@ -78,10 +78,11 @@ static PAIRS_SOLVED: LazyCounter = LazyCounter::new("conflict_graph_simplex_pair
 static PAIRS_CONFLICTING: LazyCounter = LazyCounter::new("conflict_pairs_conflicting_total");
 /// Advisories produced by analyses and sweeps.
 static ADVISORIES: LazyCounter = LazyCounter::new("conflict_graph_advisories_total");
-/// Node (re)builds — one per new or changed rule observed by `sync`;
-/// zero when the rule base has not changed since the last one.
+/// Node (re)builds — one per new or changed enabled rule observed by
+/// `sync`; zero when the rule base has not changed since the last one, and
+/// zero for a disable, which drops the rule's node.
 static REBUILDS: LazyCounter = LazyCounter::new("conflict_graph_rebuilds_total");
-/// Rules currently held in the graph.
+/// Rules currently held in the graph: the enabled stored rules.
 static NODES: LazyGauge = LazyGauge::new("conflict_graph_nodes");
 /// Wall-clock latency of one whole analysis.
 static ANALYZE_NS: LazyHistogram = LazyHistogram::new("conflict_graph_analyze_duration_ns");
@@ -252,7 +253,6 @@ pub struct GraphReport {
 #[derive(Clone, Debug)]
 struct NodeInfo {
     revision: u64,
-    enabled: bool,
     /// The actuated device.
     device: DeviceId,
     /// Sensors the condition (and until clause) reads — a conservative
@@ -272,7 +272,7 @@ struct NodeInfo {
     /// Event channels the action raises, from the [`EnvTable`].
     raises: Vec<String>,
     /// The per-conjunct constraint systems, aligned with the rule's DNF.
-    /// A stored rule's are the [`RuleDb`] program's own, shared.
+    /// A stored rule's are the [`RuleDb`]'s own, shared.
     systems: Arc<[CompiledConjunct]>,
     /// `None` when a conjunct system errored in the solver — every
     /// device pair touching such a node takes the solver path, which
@@ -325,7 +325,6 @@ fn build_node(
         .collect();
     NodeInfo {
         revision,
-        enabled: rule.is_enabled(),
         device: rule.action().device().clone(),
         sensors,
         reads_devices,
@@ -450,6 +449,9 @@ fn condition_implies(
 /// last sync — so the graph stays correct across registration,
 /// customization, removal, and whole-database replacement (replay,
 /// import, a clone) without explicit invalidation hooks.
+///
+/// Only enabled rules have a node: a disabled rule conflicts with
+/// nothing and triggers nothing, so no pass ever has to skip one.
 #[derive(Clone, Debug)]
 pub struct ConflictGraph {
     env: EnvTable,
@@ -497,7 +499,8 @@ impl ConflictGraph {
         &self.env
     }
 
-    /// Rules currently represented in the graph.
+    /// Rules currently represented in the graph: the enabled rules of the
+    /// database it last synced with.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -528,8 +531,8 @@ impl ConflictGraph {
     }
 
     /// Brings one rule's node in line with `db`: dropped when the rule is
-    /// gone, rebuilt when its stored revision differs from the node's,
-    /// left alone otherwise.
+    /// gone or disabled, rebuilt when its stored revision differs from the
+    /// node's, left alone otherwise.
     fn refresh(&mut self, db: &RuleDb, id: RuleId) {
         let revision = db.revision(id);
         if self.nodes.get(&id).map(|n| n.revision) == revision {
@@ -538,11 +541,12 @@ impl ConflictGraph {
         if let Some(old) = self.nodes.remove(&id) {
             self.unindex(id, &old);
         }
-        let (Some(rule), Some(program), Some(revision)) = (db.get(id), db.program(id), revision)
+        let enabled = db.get(id).filter(|rule| rule.is_enabled());
+        let (Some(rule), Some(systems), Some(revision)) = (enabled, db.conjuncts(id), revision)
         else {
             return;
         };
-        let systems = Arc::clone(program.conjuncts());
+        let systems = Arc::clone(systems);
         // A solver error leaves the node without witnesses; see
         // `NodeInfo::witnesses`.
         let witnesses = solve_each(&systems).ok();
@@ -676,9 +680,6 @@ impl ConflictGraph {
             let (Some(existing), Some(node)) = (db.get(id), self.nodes.get(&id)) else {
                 continue;
             };
-            if !node.enabled {
-                continue;
-            }
             PAIRS.inc();
             if !probe.action().conflicts_with(existing.action()) {
                 PAIRS_PRUNED.inc();
@@ -718,7 +719,6 @@ impl ConflictGraph {
         }
         Successors {
             sources: sources.into_iter().map(|s| s.iter().peekable()).collect(),
-            nodes: &self.nodes,
             skip: self_id,
         }
     }
@@ -798,7 +798,6 @@ impl ConflictGraph {
                 }
             }
             out.remove(&self_id);
-            out.retain(|id| self.nodes.get(id).is_some_and(|n| n.enabled));
             out
         };
         let first = successors_of(pnode, probe.id());
@@ -856,9 +855,6 @@ impl ConflictGraph {
             let Some(node) = self.nodes.get(&id) else {
                 continue;
             };
-            if !node.enabled {
-                continue;
-            }
             if let Some(advisory) = shadow_verdict(probe, pnode, existing, node)? {
                 out.push(advisory);
             }
@@ -887,7 +883,7 @@ impl ConflictGraph {
                 let Some(node) = self.nodes.get(&id) else {
                     continue;
                 };
-                if !node.enabled || node.device == *probe.action().device() {
+                if node.device == *probe.action().device() {
                     continue;
                 }
                 if self.cosatisfiable(db, probe, pnode, id)? {
@@ -964,12 +960,7 @@ impl ConflictGraph {
 
         // Chains and loops.
         for &id in &ids {
-            let Some(node) = self.nodes.get(&id) else {
-                continue;
-            };
-            if !node.enabled {
-                continue;
-            }
+            let node = &self.nodes[&id];
             let Some(rule) = db.get(id) else { continue };
             let mut found = Vec::new();
             self.probe_chains(rule, node, &mut found);
@@ -997,9 +988,6 @@ impl ConflictGraph {
                     else {
                         continue;
                     };
-                    if !na.enabled || !nb.enabled {
-                        continue;
-                    }
                     if let Some(advisory) = shadow_verdict(a, na, b, nb)? {
                         out.push(advisory);
                     }
@@ -1022,9 +1010,6 @@ impl ConflictGraph {
                     continue;
                 };
                 let Some(a) = db.get(a_id) else { continue };
-                if !na.enabled {
-                    continue;
-                }
                 let Some(opposing) = writers(da.opposite()) else {
                     continue;
                 };
@@ -1032,7 +1017,7 @@ impl ConflictGraph {
                     let Some(nb) = self.nodes.get(&b_id) else {
                         continue;
                     };
-                    if !nb.enabled || nb.device == na.device {
+                    if nb.device == na.device {
                         continue;
                     }
                     if self.cosatisfiable(db, a, na, b_id)? {
@@ -1051,11 +1036,9 @@ impl ConflictGraph {
 }
 
 /// The rules a node's action can trigger, in ascending id order: the
-/// merge of its reader sets without duplicates, skipping the node itself
-/// and disabled rules.
+/// merge of its reader sets without duplicates, skipping the node itself.
 struct Successors<'g> {
     sources: Vec<Peekable<btree_set::Iter<'g, RuleId>>>,
-    nodes: &'g HashMap<RuleId, NodeInfo>,
     skip: RuleId,
 }
 
@@ -1072,7 +1055,7 @@ impl Iterator for Successors<'_> {
             for source in &mut self.sources {
                 source.next_if_eq(&&id);
             }
-            if id != self.skip && self.nodes.get(&id).is_some_and(|n| n.enabled) {
+            if id != self.skip {
                 return Some(id);
             }
         }
@@ -1520,11 +1503,15 @@ mod tests {
         let mut graph = ConflictGraph::default();
         assert_eq!(graph.analyze(&db, &probe).unwrap().conflicts.len(), 1);
         assert_eq!(graph.node_count(), 1);
-        // Disabling drops the conflict (fresh revision → node rebuild).
-        let disabled = db.get(RuleId::new(50)).unwrap().clone().with_enabled(false);
-        db.replace(disabled).unwrap();
+        // Disabling drops the conflict and the node.
+        let rule = db.get(RuleId::new(50)).unwrap().clone();
+        db.replace(rule.clone().with_enabled(false)).unwrap();
         assert!(graph.analyze(&db, &probe).unwrap().conflicts.is_empty());
-        // Removal drops the node.
+        assert_eq!(graph.node_count(), 0);
+        // Re-enabling builds it again; removal drops it.
+        db.replace(rule).unwrap();
+        assert_eq!(graph.analyze(&db, &probe).unwrap().conflicts.len(), 1);
+        assert_eq!(graph.node_count(), 1);
         db.remove(RuleId::new(50)).unwrap();
         assert!(graph.analyze(&db, &probe).unwrap().conflicts.is_empty());
         assert_eq!(graph.node_count(), 0);
@@ -1649,7 +1636,6 @@ mod tests {
                 let opposes = direction_of(node, channel).is_some_and(|d| direction.opposes(d));
                 if id != probe.id()
                     && opposes
-                    && node.enabled
                     && node.device != pnode.device
                     && graph.cosatisfiable(db, probe, pnode, id).unwrap()
                 {
@@ -1676,9 +1662,7 @@ mod tests {
                 for &b in &ids[i + 1..] {
                     let nb = &graph.nodes[&b];
                     let opposes = direction_of(nb, channel).is_some_and(|d| da.opposes(d));
-                    if na.enabled
-                        && nb.enabled
-                        && opposes
+                    if opposes
                         && na.device != nb.device
                         && graph.cosatisfiable(db, db.get(a).unwrap(), na, b).unwrap()
                     {
@@ -1713,9 +1697,10 @@ mod tests {
     }
 
     /// A long-lived graph against a fresh one on `db`: the same report for
-    /// `probe` and the same sweep, environmental advisories equal to a
-    /// scan of every node, and the lazy chain walk equal to the eager one
-    /// from the probe and from every stored rule.
+    /// `probe` and the same sweep, a node for each enabled rule,
+    /// environmental advisories equal to a scan of every node, and the
+    /// lazy chain walk equal to the eager one from the probe and from
+    /// every enabled stored rule, the only rules any caller walks from.
     fn check_against_fresh(
         graph: &mut ConflictGraph,
         db: &RuleDb,
@@ -1734,7 +1719,8 @@ mod tests {
         assert_eq!(kept.advisories, anew.advisories, "{context}");
         let swept = graph.advisories(db).unwrap();
         assert_eq!(swept, fresh.advisories(db).unwrap(), "{context}");
-        assert_eq!(graph.node_count(), db.len(), "{context}");
+        let enabled: Vec<&Rule> = db.iter().filter(|rule| rule.is_enabled()).collect();
+        assert_eq!(graph.node_count(), enabled.len(), "{context}");
 
         let (pnode, _) = graph.probe_node(probe).unwrap();
         if kept.consistency.is_satisfiable() {
@@ -1743,7 +1729,9 @@ mod tests {
             assert_eq!(environmental(&swept), scanned, "{context}");
             seen.environmental += probed.len() + scanned.len();
         }
-        let stored = db.iter().map(|rule| (rule, &graph.nodes[&rule.id()]));
+        let stored = enabled
+            .into_iter()
+            .map(|rule| (rule, &graph.nodes[&rule.id()]));
         for (from, node) in std::iter::once((probe, &pnode)).chain(stored) {
             let (mut lazy, mut eager) = (Vec::new(), Vec::new());
             graph.probe_chains(from, node, &mut lazy);

@@ -347,10 +347,20 @@ impl Engine {
         &self.rules
     }
 
-    /// Mutable access to the rule database. Prefer [`Engine::add_rule`] /
-    /// [`Engine::remove_rule`], which maintain the trigger index.
-    pub fn rules_mut(&mut self) -> &mut RuleDb {
-        &mut self.rules
+    /// Allocates the next free rule id without storing anything (see
+    /// [`RuleDb::allocate_id`]). Only [`Engine::add_rule`],
+    /// [`Engine::remove_rule`] and [`Engine::update_rule`] change the rule
+    /// database, so the trigger index, the commit state and the dwell
+    /// windows stay in step with it.
+    pub fn allocate_rule_id(&mut self) -> RuleId {
+        self.rules.allocate_id()
+    }
+
+    /// Advances the rule id allocator so the next id is at least
+    /// `at_least`; never moves it backwards (see
+    /// [`RuleDb::ensure_next_id`]).
+    pub fn ensure_next_rule_id(&mut self, at_least: RuleId) {
+        self.rules.ensure_next_id(at_least);
     }
 
     /// The priority store.
@@ -532,9 +542,12 @@ impl Engine {
         let arena = self.rules.arena();
         arena.program_ref(ord).map_or_else(Vec::new, |r| {
             arena
-                .held_keys(r)
+                .preds(r)
                 .iter()
-                .map(|&key| arena.held_fingerprint(key).0.to_owned())
+                .filter_map(|pred| match pred {
+                    Pred::HeldFor { fingerprint, .. } => Some(fingerprint.to_string()),
+                    _ => None,
+                })
                 .collect()
         })
     }
@@ -2490,7 +2503,7 @@ mod tests {
 
     /// A reading past its freshness window degrades by mode: `FailClosed`
     /// drops the condition, `FailOpen` and `HoldLastValue` keep it. The
-    /// engine's compiled program and the reference interpreter agree on
+    /// rule's arena span and the reference interpreter agree on
     /// that verdict at every step; the rule fires once on the fresh
     /// reading in every mode and never re-fires on stale data.
     #[test]
@@ -2498,7 +2511,6 @@ mod tests {
         for mode in FRESHNESS_MODES {
             let (mut engine, _home) = hot_at_epoch(mode);
             let rule = hot_rule("tom", 1, 26, 25);
-            let program = engine.rules().program(RuleId::new(1)).unwrap().clone();
             for m in [1u64, 5, 11, 20, 30] {
                 let report = engine.step(mins(m));
                 assert_eq!(
@@ -2507,7 +2519,11 @@ mod tests {
                     "mode {mode}, minute {m}"
                 );
                 let ctx = engine.context();
-                let compiled = cadel_ir::condition_holds(&program, ctx, &mut HeldTracker::new());
+                let rules = engine.rules();
+                let program = rules.program_ref(RuleId::new(1)).unwrap();
+                let compiled = rules
+                    .arena()
+                    .condition_holds(program, ctx, &mut HeldTracker::new());
                 let ast = crate::Evaluator::new(ctx, &mut HeldTracker::new())
                     .condition_holds(rule.condition());
                 let expected = m <= 10 || mode != FreshnessMode::FailClosed;

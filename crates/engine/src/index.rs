@@ -7,9 +7,11 @@
 //! Rules are addressed by the dense ordinals the rule database assigns
 //! (a freed ordinal is reused, so churn does not grow the tables) and
 //! posted on inverted lists keyed by interned
-//! [`SensorSlot`]/[`PlaceSlot`]/[`ChannelSlot`] — the same slots the
-//! arena extracted from each rule's condition *and* `until` footprint.
-//! Candidate collection unions, into a reusable scratch bitset:
+//! [`SensorSlot`]/[`PlaceSlot`]/[`ChannelSlot`]. A rule's footprint is
+//! read in one pass over its arena predicates, which cover its condition
+//! *and* its `until` clause, once when it is indexed and once when it is
+//! unindexed. Candidate collection unions, into a reusable scratch
+//! bitset:
 //!
 //! * for every sensor slot the [`ContextStore`] dirt log recorded since
 //!   the last drain, the numeric comparisons whose truth differs between
@@ -47,7 +49,7 @@
 
 use crate::context::{ContextStore, SensorDirt};
 use crate::eval::HeldTracker;
-use cadel_ir::{ChannelSlot, ClockPred, PlaceSlot, SensorSlot};
+use cadel_ir::{ChannelSlot, ClockPred, PlaceSlot, Pred, SensorSlot};
 use cadel_rule::RuleDb;
 use cadel_simplex::RelOp;
 use cadel_types::unit::Dimension;
@@ -230,8 +232,8 @@ impl TriggerIndex {
         TriggerIndex::default()
     }
 
-    /// Indexes the rule `db` stores under `ord`. Posts its arena footprint
-    /// on the inverted lists, registers its dwell fingerprints (arming
+    /// Indexes the rule `db` stores under `ord`. Posts its footprint on
+    /// the inverted lists, registers its dwell fingerprints (arming
     /// deadlines for windows already open in `held`), arms its clock
     /// deadline and, when a policy is active, freshness deadlines for its
     /// already-stamped sensors. An enabled rule is marked pending so it is
@@ -256,67 +258,103 @@ impl TriggerIndex {
         if r.temporal() {
             self.temporal.insert(ord);
         }
-        self.reads_event[ord as usize] = !arena.channel_slots(&r).is_empty();
-        for &slot in arena.state_slots(&r) {
-            post(&mut self.postings(slot).plain, ord);
-        }
-        for n in arena.numeric_thresholds(&r) {
-            let crossings = &mut self.postings(n.slot).crossings;
-            let pos = match crossings.iter().position(|c| c.dim == n.dim) {
-                Some(pos) => pos,
-                None => {
-                    crossings.push(Crossings {
-                        dim: n.dim,
-                        from_lo: Groups::new(),
-                        to_hi: Groups::new(),
-                        at: Groups::new(),
-                    });
-                    crossings.len() - 1
+        let max_age = ctx.freshness_policy().max_age;
+        let interner = db.interner().read().expect("interner lock poisoned");
+        // Deliberately exhaustive: adding a `Pred` variant must force a
+        // decision about how it is indexed. A rule that reads a slot,
+        // place, channel or fingerprint twice is posted there once, since
+        // sorted posting lists are idempotent, but gets one crossing entry
+        // per comparison, and `remove` takes one per comparison. It may
+        // push two equal freshness deadlines, which mark the same slot.
+        for pred in arena.preds(&r) {
+            // The sensor slot the predicate reads, for its freshness
+            // deadline.
+            let sensor = match pred {
+                Pred::NumCmp {
+                    slot,
+                    op,
+                    threshold,
+                    dim,
+                } => {
+                    let crossings = &mut self.postings(*slot).crossings;
+                    let at = match crossings.iter().position(|c| c.dim == *dim) {
+                        Some(at) => at,
+                        None => {
+                            crossings.push(Crossings {
+                                dim: *dim,
+                                from_lo: Groups::new(),
+                                to_hi: Groups::new(),
+                                at: Groups::new(),
+                            });
+                            crossings.len() - 1
+                        }
+                    };
+                    crossings[at]
+                        .groups(*op)
+                        .entry(*threshold)
+                        .or_default()
+                        .push(ord);
+                    Some(*slot)
+                }
+                Pred::StateEq { slot, .. } => {
+                    post(&mut self.postings(*slot).plain, ord);
+                    Some(*slot)
+                }
+                Pred::PersonAt { place, .. } | Pred::SomebodyAt(place) | Pred::NobodyAt(place) => {
+                    // The arena interned the place when it stored the rule.
+                    if let Some(slot) = interner.lookup_place(place) {
+                        post_at(&mut self.by_place, slot.index(), ord);
+                    }
+                    None
+                }
+                Pred::Event(slot) => {
+                    // A pattern without a channel slot makes the rule
+                    // temporal instead.
+                    if let Some(channel) = interner.event_channel_of(*slot) {
+                        post_at(&mut self.by_channel, channel.index(), ord);
+                        self.reads_event[ord as usize] = true;
+                    }
+                    None
+                }
+                // Scheduled by `arm_clock` below.
+                Pred::TimeIn(_) | Pred::WeekdayIs(_) | Pred::DateIs(_) => None,
+                Pred::HeldFor {
+                    duration,
+                    fingerprint,
+                    ..
+                } => {
+                    let entry = self
+                        .by_fingerprint
+                        .entry(fingerprint.to_string())
+                        .or_insert_with(|| FpEntry {
+                            duration: *duration,
+                            rules: Vec::new(),
+                        });
+                    post(&mut entry.rules, ord);
+                    // A dwell window may already be open (rule added after
+                    // restore, or sharing a fingerprint with an existing
+                    // rule).
+                    if let Some(since) = held.held_since(fingerprint) {
+                        self.held_heap.push(Reverse((since + *duration, ord)));
+                    }
+                    None
                 }
             };
-            crossings[pos]
-                .groups(n.op)
-                .entry(n.threshold)
-                .or_default()
-                .push(ord);
-        }
-        for &slot in arena.place_slots(&r) {
-            post_at(&mut self.by_place, slot.index(), ord);
-        }
-        for &slot in arena.channel_slots(&r) {
-            post_at(&mut self.by_channel, slot.index(), ord);
-        }
-        for &key in arena.held_keys(&r) {
-            let (fingerprint, duration) = arena.held_fingerprint(key);
-            let entry = self
-                .by_fingerprint
-                .entry(fingerprint.to_owned())
-                .or_insert_with(|| FpEntry {
-                    duration,
-                    rules: Vec::new(),
-                });
-            post(&mut entry.rules, ord);
-            // A dwell window may already be open (rule added after
-            // restore, or sharing a fingerprint with an existing rule).
-            if let Some(since) = held.held_since(fingerprint) {
-                self.held_heap.push(Reverse((since + duration, ord)));
-            }
-        }
-        self.arm_clock(ord, arena.clock_preds(&r), ctx);
-        if let Some(max_age) = ctx.freshness_policy().max_age {
-            for &slot in arena.sensor_slots(&r) {
+            if let (Some(slot), Some(max_age)) = (sensor, max_age) {
                 if let Some(stamp) = ctx.sensor_stamp(slot) {
                     self.fresh_heap
                         .push(Reverse((stamp + max_age + ONE_MS, slot.index() as u32)));
                 }
             }
         }
+        self.arm_clock(ord, arena.clock_preds(&r), ctx);
     }
 
-    /// Unposts the rule indexed under `ord`. Must be called while the
-    /// rule (and its arena footprint) is still present in `db`. Stale
-    /// heap entries for the ordinal are left behind: they are skipped
-    /// while it is free, and mark its next rule once, which is harmless.
+    /// Unposts the rule indexed under `ord`, predicate by predicate as
+    /// [`TriggerIndex::insert`] posted it. Must be called while the rule
+    /// (and its arena span) is still present in `db`. Stale heap entries
+    /// for the ordinal are left behind: they are skipped while it is free,
+    /// and mark its next rule once, which is harmless.
     pub(crate) fn remove(&mut self, ord: u32, db: &RuleDb) {
         if self.live.get(ord as usize) != Some(&true) {
             return;
@@ -328,54 +366,64 @@ impl TriggerIndex {
         self.true_set.remove(&ord);
         self.pending.remove(&ord);
         let arena = db.arena();
-        if let Some(r) = arena.program_ref(ord).copied() {
-            for &slot in arena.state_slots(&r) {
-                if let Some(postings) = self.by_sensor.get_mut(slot.index()) {
-                    unpost(&mut postings.plain, ord);
-                }
-            }
-            for n in arena.numeric_thresholds(&r) {
-                let Some(postings) = self.by_sensor.get_mut(n.slot.index()) else {
-                    continue;
-                };
-                let crossings = &mut postings.crossings;
-                let Some(pos) = crossings.iter().position(|c| c.dim == n.dim) else {
-                    continue;
-                };
-                let groups = crossings[pos].groups(n.op);
-                if let Some(group) = groups.get_mut(&n.threshold) {
-                    if let Some(at) = group.iter().position(|&o| o == ord) {
-                        group.swap_remove(at);
+        let Some(r) = arena.program_ref(ord) else {
+            return;
+        };
+        let interner = db.interner().read().expect("interner lock poisoned");
+        // Exhaustive for the same reason as in `insert`.
+        for pred in arena.preds(r) {
+            match pred {
+                Pred::NumCmp {
+                    slot,
+                    op,
+                    threshold,
+                    dim,
+                } => {
+                    let Some(postings) = self.by_sensor.get_mut(slot.index()) else {
+                        continue;
+                    };
+                    let crossings = &mut postings.crossings;
+                    let Some(at) = crossings.iter().position(|c| c.dim == *dim) else {
+                        continue;
+                    };
+                    let groups = crossings[at].groups(*op);
+                    if let Some(group) = groups.get_mut(threshold) {
+                        if let Some(at) = group.iter().position(|&o| o == ord) {
+                            group.swap_remove(at);
+                        }
+                        if group.is_empty() {
+                            groups.remove(threshold);
+                        }
                     }
-                    if group.is_empty() {
-                        groups.remove(&n.threshold);
+                    if crossings[at].is_empty() {
+                        crossings.swap_remove(at);
                     }
                 }
-                if crossings[pos].is_empty() {
-                    crossings.swap_remove(pos);
+                Pred::StateEq { slot, .. } => {
+                    if let Some(postings) = self.by_sensor.get_mut(slot.index()) {
+                        unpost(&mut postings.plain, ord);
+                    }
                 }
-            }
-            for &slot in arena.place_slots(&r) {
-                if let Some(list) = self.by_place.get_mut(slot.index()) {
-                    unpost(list, ord);
+                Pred::PersonAt { place, .. } | Pred::SomebodyAt(place) | Pred::NobodyAt(place) => {
+                    let slot = interner.lookup_place(place);
+                    if let Some(list) = slot.and_then(|slot| self.by_place.get_mut(slot.index())) {
+                        unpost(list, ord);
+                    }
                 }
-            }
-            for &slot in arena.channel_slots(&r) {
-                if let Some(list) = self.by_channel.get_mut(slot.index()) {
-                    unpost(list, ord);
+                Pred::Event(slot) => {
+                    let channel = interner.event_channel_of(*slot);
+                    if let Some(list) = channel.and_then(|c| self.by_channel.get_mut(c.index())) {
+                        unpost(list, ord);
+                    }
                 }
-            }
-            for &key in arena.held_keys(&r) {
-                let (fingerprint, _) = arena.held_fingerprint(key);
-                let emptied = match self.by_fingerprint.get_mut(fingerprint) {
-                    Some(entry) => {
+                Pred::TimeIn(_) | Pred::WeekdayIs(_) | Pred::DateIs(_) => {}
+                Pred::HeldFor { fingerprint, .. } => {
+                    if let Some(entry) = self.by_fingerprint.get_mut(&**fingerprint) {
                         unpost(&mut entry.rules, ord);
-                        entry.rules.is_empty()
+                        if entry.rules.is_empty() {
+                            self.by_fingerprint.remove(&**fingerprint);
+                        }
                     }
-                    None => false,
-                };
-                if emptied {
-                    self.by_fingerprint.remove(fingerprint);
                 }
             }
         }
@@ -1154,7 +1202,23 @@ mod tests {
 
     #[test]
     fn churned_index_matches_fresh_rebuild() {
-        let mk = |id: u64| match id % 6 {
+        let tv_on = || {
+            Atom::State(StateAtom::new(
+                DeviceId::new("tv"),
+                "power",
+                Value::Bool(true),
+            ))
+        };
+        let kitchen = |subject| {
+            Condition::Atom(Atom::Presence(PresenceAtom::new(
+                subject,
+                PlaceId::new("kitchen"),
+            )))
+        };
+        let door = |name| Condition::Atom(Atom::Event(EventAtom::new("door", name)));
+        // Shapes 6 to 9 read one slot, place or channel twice, so removal
+        // must unpost every posting a rule made, not only its first.
+        let mk = |id: u64| match id % 10 {
             0 => rule_with(id, Condition::Atom(cmp_atom(RelOp::Ge, id as i64))),
             1 => rule_with(
                 id,
@@ -1182,10 +1246,28 @@ mod tests {
                     TimeOfDay::hm(9, 0).unwrap(),
                 ))),
             ),
-            _ => rule_with(
+            5 => rule_with(
                 id,
                 Condition::Atom(Atom::held_for(temp_atom(), SimDuration::from_minutes(id))),
             ),
+            6 => {
+                let n = id as i64;
+                rule_with(
+                    id,
+                    Condition::Atom(cmp_atom(RelOp::Ge, n))
+                        .and(Condition::Atom(cmp_atom(RelOp::Lt, n + 5)))
+                        .and(Condition::Atom(cmp_atom(RelOp::Ge, n))),
+                )
+            }
+            7 => rule_with(
+                id,
+                Condition::Atom(tv_on()).and(Condition::Atom(Atom::held_for(
+                    tv_on(),
+                    SimDuration::from_minutes(id),
+                ))),
+            ),
+            8 => rule_with(id, kitchen(Subject::Somebody).or(kitchen(Subject::Nobody))),
+            _ => rule_with(id, door("ding").or(door("dong"))),
         };
         let mut f = Fixture::new((0..36).map(mk).collect());
         // Deterministic churn: remove every third, re-add some fresh ids,

@@ -4,7 +4,8 @@
 //! An engine steps through a randomized workload (deterministic
 //! SplitMix64 seeds) under each of the three freshness modes, with the
 //! trigger index on and off. After every step, for every rule, the
-//! rule's compiled program and the tree-walking interpreter must agree on
+//! rule's span in the rule database's program arena (the code the engine
+//! evaluates) and the tree-walking interpreter must agree on
 //! the trigger condition and the `until` clause over the engine's live
 //! context — and the condition must hold exactly when its DNF (the form
 //! the conflict checker reasons over) holds, and every constraint atom
@@ -137,21 +138,22 @@ fn run_against_oracle(seed: u64, mode: FreshnessMode, trigger_index: bool) -> [u
         let ctx = engine.context();
         for rule in &rules {
             let at = format!("{} at step {step} (seed {seed}, {mode})", rule.id());
+            let arena = engine.rules().arena();
             let program = engine
                 .rules()
-                .program(rule.id())
-                .expect("stored rules are compiled");
+                .program_ref(rule.id())
+                .expect("stored rules have an arena span");
 
             let before = oracle_held.clone();
             let tree = Evaluator::new(ctx, &mut oracle_held).condition_holds(rule.condition());
-            let compiled = cadel_ir::condition_holds(program, ctx, &mut program_held);
+            let compiled = arena.condition_holds(program, ctx, &mut program_held);
             assert_eq!(compiled, tree, "condition of {at}");
             tally[1 + usize::from(tree)] += 1;
 
             let until_tree = rule
                 .until()
                 .map(|until| Evaluator::new(ctx, &mut oracle_held).condition_holds(until));
-            let until_compiled = cadel_ir::until_holds(program, ctx, &mut program_held);
+            let until_compiled = arena.until_holds(program, ctx, &mut program_held);
             assert_eq!(until_compiled, until_tree, "until of {at}");
 
             // A condition holds exactly when its DNF does. Observation is

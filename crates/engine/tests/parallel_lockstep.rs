@@ -159,10 +159,13 @@ fn event_expiry_boundary_compiled_and_interpreted_agree() {
     engine.context_mut().raise_event("chan", "ding");
     // Both evaluators' verdicts over the engine's context right now.
     let verdicts = |engine: &Engine| {
-        let program = engine.rules().program(RuleId::new(1)).unwrap();
+        let rules = engine.rules();
+        let program = rules.program_ref(RuleId::new(1)).unwrap();
         let ctx = engine.context();
         (
-            cadel_ir::condition_holds(program, ctx, &mut HeldTracker::new()),
+            rules
+                .arena()
+                .condition_holds(program, ctx, &mut HeldTracker::new()),
             Evaluator::new(ctx, &mut HeldTracker::new()).condition_holds(rule.condition()),
         )
     };

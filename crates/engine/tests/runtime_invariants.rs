@@ -301,9 +301,11 @@ fn ids_of_one(doc: &Json) -> RuleId {
 
 /// The `held for` fingerprints a stored rule reads.
 fn fingerprints(engine: &Engine, id: RuleId) -> Vec<String> {
-    let program = engine.rules().program(id).expect("a stored rule");
-    program
-        .preds()
+    let rules = engine.rules();
+    let program = rules.program_ref(id).expect("a stored rule");
+    rules
+        .arena()
+        .preds(program)
         .iter()
         .filter_map(|pred| match pred {
             Pred::HeldFor { fingerprint, .. } => Some(fingerprint.to_string()),

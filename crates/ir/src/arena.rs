@@ -1,24 +1,20 @@
 //! A workspace-level arena of compiled rule programs in data-oriented
 //! (structure-of-arrays) layout.
 //!
-//! Per-[`RuleProgram`] `Vec<Pred>`/`Vec<Op>` storage
-//! scatters a fleet's programs across the heap and leaves the engine's
-//! trigger index to re-derive footprints from the AST. The
-//! [`ProgramArena`] instead appends every registered program into shared
-//! contiguous tables:
-//!
-//! * `preds` / `ops` — one global predicate table and one global opcode
-//!   table; each rule owns a dense span of both, with `Op::Pred` and
-//!   `HeldFor::inner` indexes rebased to the global table at append time
-//!   (`And`/`Or` `end` offsets stay span-local, so evaluation slices the
-//!   span and passes the global predicate table);
-//! * footprint columns — the interned [`SensorSlot`]s, [`PlaceSlot`]s and
-//!   [`ChannelSlot`]s a rule's condition *and* `until` clause read, its
-//!   numeric thresholds ([`NumThreshold`]) and clock predicates
-//!   ([`ClockPred`]), plus its `held for` fingerprints ([`HeldKey`]),
-//!   extracted once with an exhaustive match over [`Pred`] so inverted
-//!   indexes are built without ever touching the AST (and a new predicate
-//!   kind is a compile error here, not a silent every-step fallback).
+//! Per-[`RuleProgram`] `Vec<Pred>`/`Vec<Op>` storage scatters a fleet's
+//! programs across the heap. The [`ProgramArena`] instead appends every
+//! registered program into one global predicate table and one global
+//! opcode table; each rule owns a dense span of both, with `Op::Pred` and
+//! `HeldFor::inner` indexes rebased to the global table at append time
+//! (`And`/`Or` `end` offsets stay span-local, so evaluation slices the
+//! span and passes the global predicate table). The spans are the only
+//! stored executable form of a rule: the engine evaluates them, and its
+//! trigger index reads a rule's footprint (the slots, places, channels,
+//! thresholds, clock predicates and `held for` fingerprints it reads) in
+//! one pass over [`ProgramArena::preds`]. The arena derives one flag per
+//! rule, [`ProgramRef::temporal`], with an exhaustive match over [`Pred`],
+//! so a new predicate kind is a compile error here, not a silent
+//! every-step fallback.
 //!
 //! Rules are addressed by the dense ordinal their database assigns (see
 //! `cadel_rule::RuleDb`), so a span record is one indexed load. Removal
@@ -27,29 +23,10 @@
 //! are only meaningful between mutations — consumers hold a [`ProgramRef`]
 //! no longer than one evaluation phase.
 
-use crate::interner::{ChannelSlot, Interner, PlaceSlot, SensorSlot};
+use crate::interner::Interner;
 use crate::program::{Op, Pred, RuleProgram};
 use crate::{ContextView, HeldObserver};
-use cadel_simplex::RelOp;
-use cadel_types::unit::Dimension;
-use cadel_types::{Date, Rational, SimDuration, SimTime, TimeWindow, Weekday};
-
-/// One [`Pred::NumCmp`] of a rule: the sensor it reads, the operator, and
-/// the threshold it compares against, in canonical units of `dim`. Its
-/// truth can change only when a usable reading of `dim` moves across
-/// `threshold` (or onto or off it), which is what the engine's crossing
-/// postings key on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NumThreshold {
-    /// The sensor board slot read.
-    pub slot: SensorSlot,
-    /// The comparison operator.
-    pub op: RelOp,
-    /// The dimension a reading must have to satisfy the predicate.
-    pub dim: Dimension,
-    /// The canonical threshold.
-    pub threshold: Rational,
-}
+use cadel_types::{Date, SimTime, TimeWindow, Weekday};
 
 /// A predicate over the clock or the calendar alone: its truth changes
 /// only at instants it can compute in advance.
@@ -64,6 +41,17 @@ pub enum ClockPred {
 }
 
 impl ClockPred {
+    /// The clock predicate `pred` is, or `None` when it reads anything
+    /// but the clock and the calendar.
+    pub fn of(pred: &Pred) -> Option<ClockPred> {
+        match pred {
+            Pred::TimeIn(window) => Some(ClockPred::TimeIn(*window)),
+            Pred::WeekdayIs(day) => Some(ClockPred::WeekdayIs(*day)),
+            Pred::DateIs(date) => Some(ClockPred::DateIs(*date)),
+            _ => None,
+        }
+    }
+
     /// The first instant strictly after `now` at which the predicate's
     /// truth can change, given the weekday and date at `now`; `None` when
     /// it can never change again. A date still ahead re-arms at every
@@ -85,21 +73,6 @@ impl ClockPred {
     }
 }
 
-/// One `held for` predicate of a rule: where its [`Pred::HeldFor`] lives
-/// in the arena table, and whether its inner subtree is purely
-/// property-driven (see [`ProgramRef::temporal`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HeldKey {
-    /// Index of the `HeldFor` predicate in the arena's global table.
-    pub pred: u32,
-    /// Whether the dwell window can be scheduled on a deadline heap: true
-    /// iff the inner subtree contains only property-driven predicates
-    /// (numeric/state comparisons, presence) or nested eligible dwells.
-    /// Time-of-day, date and event predicates flip without a property
-    /// change, so dwells over them fall back to every-step evaluation.
-    pub eligible: bool,
-}
-
 /// A rule's spans into the arena tables. Obtained from
 /// [`ProgramArena::program_ref`]; invalidated by the next arena mutation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,13 +80,6 @@ pub struct ProgramRef {
     preds: (u32, u32),
     condition: (u32, u32),
     until: Option<(u32, u32)>,
-    sensors: (u32, u32),
-    states: (u32, u32),
-    numerics: (u32, u32),
-    clocks: (u32, u32),
-    places: (u32, u32),
-    channels: (u32, u32),
-    helds: (u32, u32),
     temporal: bool,
 }
 
@@ -134,15 +100,6 @@ impl ProgramRef {
 pub struct ProgramArena {
     preds: Vec<Pred>,
     ops: Vec<Op>,
-    sensor_col: Vec<SensorSlot>,
-    state_col: Vec<SensorSlot>,
-    /// Indexes of each rule's `NumCmp` predicates in the global table.
-    num_col: Vec<u32>,
-    /// Indexes of each rule's clock predicates in the global table.
-    clock_col: Vec<u32>,
-    place_col: Vec<PlaceSlot>,
-    channel_col: Vec<ChannelSlot>,
-    held_col: Vec<HeldKey>,
     /// Span records indexed by rule ordinal; `None` for a free ordinal.
     refs: Vec<Option<ProgramRef>>,
     /// Number of `Some` entries in `refs`.
@@ -154,7 +111,9 @@ pub struct ProgramArena {
 /// Whether the subtree rooted at `index` is heap-eligible: only
 /// property-driven predicates (or nested eligible dwells), so its truth
 /// can change only at steps where its sensors/places are dirty or a dwell
-/// deadline fires.
+/// deadline fires. Time-of-day, date and event predicates flip without a
+/// property change, so dwells over them fall back to every-step
+/// evaluation.
 fn subtree_eligible(preds: &[Pred], index: u32) -> bool {
     match &preds[index as usize] {
         Pred::NumCmp { .. }
@@ -173,101 +132,82 @@ impl ProgramArena {
         ProgramArena::default()
     }
 
-    /// Appends a compiled program, rebasing its predicate indexes into the
-    /// global tables and extracting its slot footprint. Places and
-    /// channels are interned here — the caller passes the same (locked)
-    /// interner the program was compiled against. Replaces any previous
-    /// entry for the ordinal.
+    /// Appends a compiled program under a rule ordinal, rebasing its
+    /// predicate indexes into the global tables and replacing any previous
+    /// entry for the ordinal. The caller passes the same (locked) interner
+    /// the program was compiled against: the places the program names are
+    /// interned here, so presence dirt finds a slot for each of them and a
+    /// place no stored rule names gets none.
     pub fn insert(&mut self, ord: u32, program: &RuleProgram, interner: &mut Interner) {
         self.remove(ord);
-        let pred_base = self.preds.len() as u32;
-        for pred in program.preds() {
-            self.preds.push(match pred {
-                Pred::HeldFor {
-                    inner,
-                    duration,
-                    fingerprint,
-                } => Pred::HeldFor {
-                    inner: inner + pred_base,
-                    duration: *duration,
-                    fingerprint: fingerprint.clone(),
-                },
-                other => other.clone(),
-            });
-        }
-        let condition = self.append_code(program.condition(), pred_base);
-        let until = program
-            .until()
-            .map(|code| self.append_code(code, pred_base));
-
-        // Footprint extraction. The predicate span already contains every
-        // `HeldFor` inner as its own entry, so a flat pass covers nested
-        // subtrees too. This match is deliberately exhaustive: adding a
-        // `Pred` variant must force a decision about how it is indexed.
-        let sensors = self.sensor_col.len() as u32;
-        let states = self.state_col.len() as u32;
-        let numerics = self.num_col.len() as u32;
-        let clocks = self.clock_col.len() as u32;
-        let places = self.place_col.len() as u32;
-        let channels = self.channel_col.len() as u32;
-        let helds = self.held_col.len() as u32;
-        let mut temporal = false;
-        for index in pred_base as usize..self.preds.len() {
-            match &self.preds[index] {
-                Pred::NumCmp { slot, .. } => {
-                    self.sensor_col.push(*slot);
-                    self.num_col.push(index as u32);
-                }
-                Pred::StateEq { slot, .. } => {
-                    self.sensor_col.push(*slot);
-                    self.state_col.push(*slot);
-                }
+        let base = self.preds.len();
+        let until = program.until().map(Vec::as_slice);
+        let mut r = self.append(program.preds(), program.condition(), until, 0);
+        // Deliberately exhaustive: adding a `Pred` variant must force a
+        // decision about whether it makes a rule temporal. The span holds
+        // every `HeldFor` inner as its own entry, so a flat pass covers
+        // nested subtrees too, and inner indexes are already rebased, so
+        // eligibility walks the global table.
+        for (index, pred) in self.preds.iter().enumerate().skip(base) {
+            r.temporal |= match pred {
+                Pred::NumCmp { .. }
+                | Pred::StateEq { .. }
+                | Pred::TimeIn(_)
+                | Pred::WeekdayIs(_)
+                | Pred::DateIs(_) => false,
                 Pred::PersonAt { place, .. } | Pred::SomebodyAt(place) | Pred::NobodyAt(place) => {
-                    self.place_col.push(interner.place_slot(place));
+                    interner.place_slot(place);
+                    false
                 }
-                Pred::Event(slot) => {
-                    // The channel slot exists: `event_slot` interned it
-                    // when the pattern itself was interned at compile time.
-                    if let Some(channel) = interner.event_channel_of(*slot) {
-                        self.channel_col.push(channel);
-                    } else {
-                        temporal = true;
-                    }
-                }
-                Pred::TimeIn(_) | Pred::WeekdayIs(_) | Pred::DateIs(_) => {
-                    self.clock_col.push(index as u32);
-                }
-                Pred::HeldFor { .. } => {
-                    // Inner indexes were already rebased, so eligibility
-                    // walks the global table.
-                    let eligible = subtree_eligible(&self.preds, index as u32);
-                    temporal |= !eligible;
-                    self.held_col.push(HeldKey {
-                        pred: index as u32,
-                        eligible,
-                    });
-                }
-            }
+                // `event_slot` interns a pattern's channel with the
+                // pattern; a pattern without one cannot be indexed, so its
+                // rule is evaluated every step.
+                Pred::Event(slot) => interner.event_channel_of(*slot).is_none(),
+                Pred::HeldFor { .. } => !subtree_eligible(&self.preds, index as u32),
+            };
         }
-        sort_dedup_tail(&mut self.sensor_col, sensors as usize);
-        sort_dedup_tail(&mut self.state_col, states as usize);
-        sort_dedup_tail(&mut self.place_col, places as usize);
-        sort_dedup_tail(&mut self.channel_col, channels as usize);
-
-        let r = ProgramRef {
-            preds: (pred_base, self.preds.len() as u32),
-            condition,
-            until,
-            sensors: (sensors, self.sensor_col.len() as u32),
-            states: (states, self.state_col.len() as u32),
-            numerics: (numerics, self.num_col.len() as u32),
-            clocks: (clocks, self.clock_col.len() as u32),
-            places: (places, self.place_col.len() as u32),
-            channels: (channels, self.channel_col.len() as u32),
-            helds: (helds, self.held_col.len() as u32),
-            temporal,
-        };
         self.set_ref(ord, r);
+    }
+
+    /// Appends one rule's predicates and code, moving its predicate
+    /// indexes from a table where its predicates start at `old_base` to
+    /// the arena's global table. `And`/`Or` `end` offsets are local to a
+    /// code span and stay valid when the span is evaluated as a slice.
+    fn append(
+        &mut self,
+        preds: &[Pred],
+        condition: &[Op],
+        until: Option<&[Op]>,
+        old_base: u32,
+    ) -> ProgramRef {
+        let base = self.preds.len() as u32;
+        let moved = |index: u32| index - old_base + base;
+        self.preds.extend(preds.iter().map(|pred| match pred {
+            Pred::HeldFor {
+                inner,
+                duration,
+                fingerprint,
+            } => Pred::HeldFor {
+                inner: moved(*inner),
+                duration: *duration,
+                fingerprint: fingerprint.clone(),
+            },
+            other => other.clone(),
+        }));
+        let mut append_code = |code: &[Op]| {
+            let start = self.ops.len() as u32;
+            self.ops.extend(code.iter().map(|op| match op {
+                Op::Pred(index) => Op::Pred(moved(*index)),
+                other => *other,
+            }));
+            (start, self.ops.len() as u32)
+        };
+        ProgramRef {
+            preds: (base, self.preds.len() as u32),
+            condition: append_code(condition),
+            until: until.map(append_code),
+            temporal: false,
+        }
     }
 
     /// Stores the span record of an ordinal, growing the table to cover it.
@@ -278,18 +218,6 @@ impl ProgramArena {
         }
         self.live += 1;
         self.refs[at] = Some(r);
-    }
-
-    fn append_code(&mut self, code: &[Op], pred_base: u32) -> (u32, u32) {
-        let start = self.ops.len() as u32;
-        // `And`/`Or` `end` offsets are local to the code span and stay
-        // valid when the span is evaluated as a slice; only predicate
-        // indexes are rebased to the global table.
-        self.ops.extend(code.iter().map(|op| match op {
-            Op::Pred(i) => Op::Pred(i + pred_base),
-            other => *other,
-        }));
-        (start, self.ops.len() as u32)
     }
 
     /// Tombstones a rule's spans, compacting the tables once dead entries
@@ -319,71 +247,15 @@ impl ProgramArena {
             let Some(r) = *r else {
                 continue;
             };
-            let pred_base = next.preds.len() as u32;
-            let old_base = r.preds.0;
-            for pred in &self.preds[r.preds.0 as usize..r.preds.1 as usize] {
-                next.preds.push(match pred {
-                    Pred::HeldFor {
-                        inner,
-                        duration,
-                        fingerprint,
-                    } => Pred::HeldFor {
-                        inner: inner - old_base + pred_base,
-                        duration: *duration,
-                        fingerprint: fingerprint.clone(),
-                    },
-                    other => other.clone(),
-                });
-            }
-            let rebase_code = |next: &mut ProgramArena, (s, e): (u32, u32)| {
-                let start = next.ops.len() as u32;
-                next.ops
-                    .extend(self.ops[s as usize..e as usize].iter().map(|op| match op {
-                        Op::Pred(i) => Op::Pred(i - old_base + pred_base),
-                        other => *other,
-                    }));
-                (start, next.ops.len() as u32)
-            };
-            let condition = rebase_code(&mut next, r.condition);
-            let until = r.until.map(|span| rebase_code(&mut next, span));
-            let sensors = copy_col(&mut next.sensor_col, &self.sensor_col, r.sensors);
-            let states = copy_col(&mut next.state_col, &self.state_col, r.states);
-            let rebase = |col: &mut Vec<u32>, src: &[u32], (s, e): (u32, u32)| {
-                let start = col.len() as u32;
-                col.extend(
-                    src[s as usize..e as usize]
-                        .iter()
-                        .map(|&i| i - old_base + pred_base),
-                );
-                (start, col.len() as u32)
-            };
-            let numerics = rebase(&mut next.num_col, &self.num_col, r.numerics);
-            let clocks = rebase(&mut next.clock_col, &self.clock_col, r.clocks);
-            let places = copy_col(&mut next.place_col, &self.place_col, r.places);
-            let channels = copy_col(&mut next.channel_col, &self.channel_col, r.channels);
-            let helds_start = next.held_col.len() as u32;
-            next.held_col.extend(
-                self.held_col[r.helds.0 as usize..r.helds.1 as usize]
-                    .iter()
-                    .map(|k| HeldKey {
-                        pred: k.pred - old_base + pred_base,
-                        eligible: k.eligible,
-                    }),
+            let code = |(s, e): (u32, u32)| &self.ops[s as usize..e as usize];
+            let mut moved = next.append(
+                self.preds(&r),
+                code(r.condition),
+                r.until.map(code),
+                r.preds.0,
             );
-            let r = ProgramRef {
-                preds: (pred_base, next.preds.len() as u32),
-                condition,
-                until,
-                sensors,
-                states,
-                numerics,
-                clocks,
-                places,
-                channels,
-                helds: (helds_start, next.held_col.len() as u32),
-                temporal: r.temporal,
-            };
-            next.set_ref(ord as u32, r);
+            moved.temporal = r.temporal;
+            next.set_ref(ord as u32, moved);
         }
         *self = next;
     }
@@ -393,85 +265,16 @@ impl ProgramArena {
         self.refs.get(ord as usize)?.as_ref()
     }
 
-    /// The sensor slots a rule's condition and `until` read (sorted,
-    /// deduplicated).
-    pub fn sensor_slots(&self, r: &ProgramRef) -> &[SensorSlot] {
-        &self.sensor_col[r.sensors.0 as usize..r.sensors.1 as usize]
-    }
-
-    /// The sensor slots a rule reads through state comparisons
-    /// ([`Pred::StateEq`]; sorted, deduplicated).
-    pub fn state_slots(&self, r: &ProgramRef) -> &[SensorSlot] {
-        &self.state_col[r.states.0 as usize..r.states.1 as usize]
-    }
-
-    /// The rule's numeric comparisons, one per [`Pred::NumCmp`] in its
-    /// condition and `until` clause (in predicate order; may repeat).
-    pub fn numeric_thresholds<'a>(
-        &'a self,
-        r: &ProgramRef,
-    ) -> impl Iterator<Item = NumThreshold> + 'a {
-        self.num_col[r.numerics.0 as usize..r.numerics.1 as usize]
-            .iter()
-            .map(|&i| match &self.preds[i as usize] {
-                Pred::NumCmp {
-                    slot,
-                    op,
-                    threshold,
-                    dim,
-                } => NumThreshold {
-                    slot: *slot,
-                    op: *op,
-                    dim: *dim,
-                    threshold: *threshold,
-                },
-                other => unreachable!("numeric column points at {other:?}"),
-            })
+    /// A rule's predicates: those of its condition and of its `until`
+    /// clause, each `held for` inner an entry of its own whose `inner`
+    /// index points into the arena's global table.
+    pub fn preds(&self, r: &ProgramRef) -> &[Pred] {
+        &self.preds[r.preds.0 as usize..r.preds.1 as usize]
     }
 
     /// The rule's clock and calendar predicates, in predicate order.
     pub fn clock_preds<'a>(&'a self, r: &ProgramRef) -> impl Iterator<Item = ClockPred> + 'a {
-        self.clock_col[r.clocks.0 as usize..r.clocks.1 as usize]
-            .iter()
-            .map(|&i| match &self.preds[i as usize] {
-                Pred::TimeIn(window) => ClockPred::TimeIn(*window),
-                Pred::WeekdayIs(day) => ClockPred::WeekdayIs(*day),
-                Pred::DateIs(date) => ClockPred::DateIs(*date),
-                other => unreachable!("clock column points at {other:?}"),
-            })
-    }
-
-    /// The place slots a rule's presence predicates read.
-    pub fn place_slots(&self, r: &ProgramRef) -> &[PlaceSlot] {
-        &self.place_col[r.places.0 as usize..r.places.1 as usize]
-    }
-
-    /// The channel slots a rule's event predicates listen on.
-    pub fn channel_slots(&self, r: &ProgramRef) -> &[ChannelSlot] {
-        &self.channel_col[r.channels.0 as usize..r.channels.1 as usize]
-    }
-
-    /// The rule's `held for` predicates.
-    pub fn held_keys(&self, r: &ProgramRef) -> &[HeldKey] {
-        &self.held_col[r.helds.0 as usize..r.helds.1 as usize]
-    }
-
-    /// The fingerprint and duration of a [`HeldKey`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the key does not point at a `HeldFor` predicate (keys
-    /// are only produced by the arena itself, so this cannot happen for
-    /// keys obtained from [`ProgramArena::held_keys`]).
-    pub fn held_fingerprint(&self, key: HeldKey) -> (&str, SimDuration) {
-        match &self.preds[key.pred as usize] {
-            Pred::HeldFor {
-                duration,
-                fingerprint,
-                ..
-            } => (fingerprint, *duration),
-            other => panic!("held key points at {other:?}"),
-        }
+        self.preds(r).iter().filter_map(ClockPred::of)
     }
 
     /// Evaluates a rule's trigger condition over its arena span.
@@ -512,33 +315,13 @@ impl ProgramArena {
     }
 }
 
-/// Copies one rule's span of a footprint column during compaction.
-fn copy_col<T: Copy>(col: &mut Vec<T>, src: &[T], (s, e): (u32, u32)) -> (u32, u32) {
-    let start = col.len() as u32;
-    col.extend_from_slice(&src[s as usize..e as usize]);
-    (start, col.len() as u32)
-}
-
-/// Sorts and deduplicates the tail of a column appended since `start`.
-fn sort_dedup_tail<T: Ord + Copy>(col: &mut Vec<T>, start: usize) {
-    let tail = &mut col[start..];
-    tail.sort_unstable();
-    let mut write = start;
-    for read in start..col.len() {
-        if write == start || col[write - 1] != col[read] {
-            col[write] = col[read];
-            write += 1;
-        }
-    }
-    col.truncate(write);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SensorSlot;
     use cadel_simplex::RelOp;
     use cadel_types::unit::Dimension;
-    use cadel_types::{DeviceId, PlaceId, Rational, SensorKey, SimTime, TimeWindow, Value};
+    use cadel_types::{DeviceId, PlaceId, Rational, SensorKey, SimDuration, Value};
     use std::collections::HashMap;
 
     struct NullView;
@@ -610,7 +393,23 @@ mod tests {
         let mut interner = Interner::new();
         let slot_a = interner.sensor_slot(&SensorKey::new(DeviceId::new("a"), "t"));
         let slot_b = interner.sensor_slot(&SensorKey::new(DeviceId::new("b"), "t"));
+        let window = TimeWindow::new(
+            cadel_types::TimeOfDay::hm(6, 0).unwrap(),
+            cadel_types::TimeOfDay::hm(12, 0).unwrap(),
+        );
 
+        // Rule 2: numeric + time window, with an until over another
+        // sensor.
+        let p2 = RuleProgram::new(
+            vec![
+                num(slot_b.index() as u32),
+                Pred::TimeIn(window),
+                num(slot_a.index() as u32),
+            ],
+            vec![Op::And { end: 3 }, Op::Pred(0), Op::Pred(1)],
+            Some(vec![Op::Pred(2)]),
+            Vec::new(),
+        );
         // Rule 1: nested dwell over a numeric read — heap-eligible.
         // preds = [leaf, inner-held, outer-held], like the compiler emits.
         let p1 = RuleProgram::new(
@@ -623,49 +422,33 @@ mod tests {
             None,
             Vec::new(),
         );
-        // Rule 2: numeric + time window — temporal, different sensor,
-        // with an until over the same sensor (footprint must include it).
-        let p2 = RuleProgram::new(
-            vec![
-                num(slot_b.index() as u32),
-                Pred::TimeIn(TimeWindow::new(
-                    cadel_types::TimeOfDay::hm(6, 0).unwrap(),
-                    cadel_types::TimeOfDay::hm(12, 0).unwrap(),
-                )),
-                num(slot_a.index() as u32),
-            ],
-            vec![Op::And { end: 3 }, Op::Pred(0), Op::Pred(1)],
-            Some(vec![Op::Pred(2)]),
-            Vec::new(),
-        );
 
         let mut arena = ProgramArena::new();
-        arena.insert(1, &p1, &mut interner);
         arena.insert(2, &p2, &mut interner);
+        arena.insert(1, &p1, &mut interner);
 
-        let r1 = *arena.program_ref(1).unwrap();
-        assert!(!r1.temporal());
-        assert_eq!(arena.sensor_slots(&r1), &[slot_a]);
-        let keys = arena.held_keys(&r1).to_vec();
-        assert_eq!(keys.len(), 2);
-        assert!(keys.iter().all(|k| k.eligible));
-        let fps: Vec<&str> = keys.iter().map(|&k| arena.held_fingerprint(k).0).collect();
-        assert_eq!(fps, ["leaf~1", "mid~2"]);
-
-        let r2 = *arena.program_ref(2).unwrap();
         // A clock window is scheduled, not evaluated every step.
+        let r2 = *arena.program_ref(2).unwrap();
         assert!(!r2.temporal());
-        assert_eq!(arena.sensor_slots(&r2), &[slot_a, slot_b]);
-        assert!(arena.state_slots(&r2).is_empty());
+        assert_eq!(arena.preds(&r2), p2.preds());
         assert_eq!(
             arena.clock_preds(&r2).collect::<Vec<_>>(),
-            [ClockPred::TimeIn(TimeWindow::new(
-                cadel_types::TimeOfDay::hm(6, 0).unwrap(),
-                cadel_types::TimeOfDay::hm(12, 0).unwrap(),
-            ))]
+            [ClockPred::TimeIn(window)]
         );
-        let thresholds: Vec<SensorSlot> = arena.numeric_thresholds(&r2).map(|n| n.slot).collect();
-        assert_eq!(thresholds, [slot_b, slot_a]);
+
+        // Rule 1's span follows rule 2's three predicates, and its dwell
+        // inners point into the global table.
+        let r1 = *arena.program_ref(1).unwrap();
+        assert!(!r1.temporal());
+        assert_eq!(
+            arena.preds(&r1),
+            [
+                num(slot_a.index() as u32),
+                held(3, "leaf~1"),
+                held(4, "mid~2")
+            ]
+        );
+        assert_eq!(arena.clock_preds(&r1).count(), 0);
 
         // Evaluating through the arena matches evaluating the program.
         let view = NullView;
@@ -673,7 +456,7 @@ mod tests {
         let mut h2 = MapHeld::default();
         assert_eq!(
             arena.condition_holds(&r1, &view, &mut h1),
-            crate::condition_holds(&p1, &view, &mut h2)
+            crate::eval_code(p1.condition(), p1.preds(), &view, &mut h2)
         );
         assert_eq!(h1.0, h2.0);
         let mut h = MapHeld::default();
@@ -686,6 +469,7 @@ mod tests {
                 &mut h
             ))
         );
+        assert_eq!(arena.until_holds(&r1, &view, &mut h), None);
     }
 
     #[test]
@@ -719,21 +503,21 @@ mod tests {
         );
         let mut arena = ProgramArena::new();
         arena.insert(7, &program, &mut interner);
-        let r = *arena.program_ref(7).unwrap();
-        assert!(r.temporal());
-        assert!(!arena.held_keys(&r)[0].eligible);
-        let chan = interner.lookup_channel_normalized("chan").unwrap();
-        assert_eq!(arena.channel_slots(&r), &[chan]);
+        assert!(arena.program_ref(7).unwrap().temporal());
     }
 
     #[test]
     fn remove_tombstones_and_compaction_preserves_spans() {
         let mut interner = Interner::new();
         let mut arena = ProgramArena::new();
+        let program = presence_program("living room");
         for ord in 0..8 {
-            let program = presence_program("living room");
             arena.insert(ord, &program, &mut interner);
         }
+        // Inserting interns the place a presence predicate names.
+        assert!(interner
+            .lookup_place(&PlaceId::new("living room"))
+            .is_some());
         assert_eq!(arena.len(), 8);
         for ord in 0..7 {
             arena.remove(ord);
@@ -743,7 +527,7 @@ mod tests {
         let r = *arena.program_ref(7).unwrap();
         let mut h = MapHeld::default();
         assert!(arena.condition_holds(&r, &NullView, &mut h));
-        assert_eq!(arena.place_slots(&r).len(), 1);
+        assert_eq!(arena.preds(&r), program.preds());
         // Removing an unknown ordinal is a no-op.
         arena.remove(99);
         assert_eq!(arena.len(), 1);
@@ -767,8 +551,9 @@ mod tests {
                         dim: Dimension::Temperature,
                     },
                     Pred::TimeIn(window),
+                    held(0, "ge~5"),
                 ],
-                vec![Op::And { end: 3 }, Op::Pred(0), Op::Pred(1)],
+                vec![Op::And { end: 3 }, Op::Pred(2), Op::Pred(1)],
                 None,
                 Vec::new(),
             )
@@ -780,17 +565,10 @@ mod tests {
         for ord in 0..7 {
             arena.remove(ord);
         }
+        // Compaction moved the survivor to the front of the table, and
+        // its dwell's inner index with it.
         let r = *arena.program_ref(7).unwrap();
-        let thresholds: Vec<NumThreshold> = arena.numeric_thresholds(&r).collect();
-        assert_eq!(
-            thresholds,
-            [NumThreshold {
-                slot,
-                op: RelOp::Ge,
-                dim: Dimension::Temperature,
-                threshold: Rational::from_integer(7),
-            }]
-        );
+        assert_eq!(arena.preds(&r), program(7).preds());
         assert_eq!(
             arena.clock_preds(&r).collect::<Vec<_>>(),
             [ClockPred::TimeIn(window)]

@@ -13,7 +13,7 @@
 //! interpreter exactly: `HeldFor` observation is side-effectful, so a
 //! skipped child is a semantic fact, not an optimization.
 
-use crate::program::{Op, Pred, RuleProgram};
+use crate::program::{Op, Pred};
 use cadel_obs::{Event as ObsEvent, LazyCounter, Level};
 use cadel_types::{Date, PersonId, PlaceId, SimTime, Value, Weekday};
 use std::fmt;
@@ -118,27 +118,6 @@ pub trait HeldObserver {
     /// Records the inner fact's truth under `fingerprint` and returns since
     /// when it has been continuously true (`None` when currently false).
     fn observe(&mut self, fingerprint: &str, inner_true: bool, now: SimTime) -> Option<SimTime>;
-}
-
-/// Whether a program's trigger condition holds right now.
-pub fn condition_holds(
-    program: &RuleProgram,
-    view: &impl ContextView,
-    held: &mut impl HeldObserver,
-) -> bool {
-    eval_code(program.condition(), program.preds(), view, held)
-}
-
-/// Whether a program's `until` condition holds right now (`None` when the
-/// rule has no release clause).
-pub fn until_holds(
-    program: &RuleProgram,
-    view: &impl ContextView,
-    held: &mut impl HeldObserver,
-) -> Option<bool> {
-    program
-        .until()
-        .map(|code| eval_code(code, program.preds(), view, held))
 }
 
 /// Evaluates flattened condition bytecode over a predicate table.

@@ -3,8 +3,12 @@
 //! The CADEL paper describes registered rules becoming "rule objects" inside
 //! the framework: a resident, pre-processed form the rule processor executes
 //! against incoming context, distinct from the textual rule the user wrote.
-//! This crate is that form. A [`RuleProgram`] is built once when a rule is
-//! registered and then evaluated many times per simulation step:
+//! This crate is that form. A rule is lowered once, when it is registered,
+//! into a [`RuleProgram`]. The rule database appends the program's
+//! predicates and code to the shared [`ProgramArena`], whose span is the
+//! rule's only stored executable form and is evaluated many times per
+//! simulation step; of the program itself it keeps only the conjunct
+//! systems. Lowering does three things:
 //!
 //! * names are interned — every sensor `(device, variable)` pair and event
 //!   `(channel, name)` pattern is mapped to a dense `u32` slot by the shared
@@ -31,11 +35,8 @@ pub mod eval;
 pub mod interner;
 pub mod program;
 
-pub use arena::{ClockPred, HeldKey, NumThreshold, ProgramArena, ProgramRef};
+pub use arena::{ClockPred, ProgramArena, ProgramRef};
 pub use error::IrError;
-pub use eval::{
-    condition_holds, eval_code, note_type_mismatch, until_holds, ContextView, HeldObserver,
-    SensorRead,
-};
+pub use eval::{eval_code, note_type_mismatch, ContextView, HeldObserver, SensorRead};
 pub use interner::{ChannelSlot, EventSlot, Interner, PlaceSlot, SensorSlot, SharedInterner};
 pub use program::{merge_conjuncts, CompiledConjunct, CondCode, Op, Pred, RuleProgram};

@@ -1,19 +1,21 @@
 //! The rule database: storage, per-device index, compiled programs, and
-//! import/export.
+//! export.
 //!
 //! The home server's conflict check begins by "extract\[ing\] from the
 //! database the set of rules which control the same device" (paper §4.4) —
 //! that extraction is served by the [`RuleDb::rules_for_device`] index and
 //! is the first timed phase of experiment E2.
 //!
-//! Alongside each source [`Rule`], the database keeps the rule's compiled
-//! [`RuleProgram`] (built on registration against a shared
-//! [`Interner`](cadel_ir::Interner))
-//! and a monotonically increasing *revision* stamp. Lowering is total over
+//! Each source [`Rule`] is lowered on registration, against a shared
+//! [`Interner`](cadel_ir::Interner), to a
+//! [`RuleProgram`](cadel_ir::RuleProgram). The program's predicates and
+//! code go to the [`ProgramArena`], the only stored executable form of a
+//! rule, and its conjunct systems stay beside the rule with a
+//! monotonically increasing *revision* stamp. Lowering is total over
 //! stored rules: a rule that does not compile is refused, so every stored
-//! rule has a program. The engine evaluates the program instead of
-//! re-walking the condition tree; the conflict graph shares the program's
-//! conjunct systems and rebuilds a rule's node when its revision changes.
+//! rule has an arena span. The engine evaluates the span instead of
+//! re-walking the condition tree; the conflict graph shares the conjunct
+//! systems and rebuilds a rule's node when its revision changes.
 //!
 //! Every insert, replace and removal is also written to a bounded *change
 //! feed*: a reader keeps a [`ChangeCursor`] and asks
@@ -32,14 +34,14 @@
 use crate::compile::compile_rule;
 use crate::error::RuleError;
 use crate::rule::{Rule, RuleBuilder};
-use cadel_ir::{ProgramArena, ProgramRef, RuleProgram, SharedInterner};
+use cadel_ir::{CompiledConjunct, ProgramArena, ProgramRef, SharedInterner};
 use cadel_obs::{LazyCounter, LazyHistogram, Stopwatch};
-use cadel_types::{DeviceId, PersonId, RuleId};
+use cadel_types::{DeviceId, RuleId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Lowerings attempted on storage (register, insert, import).
+/// Lowerings attempted on storage (register, insert, replace).
 static LOWERED: LazyCounter = LazyCounter::new("rule_lower_total");
 /// Wall-clock latency of lowering one rule to its compiled program.
 static LOWER_NS: LazyHistogram = LazyHistogram::new("rule_lower_duration_ns");
@@ -105,12 +107,13 @@ impl ChangeFeed {
     }
 }
 
-/// A rule with its compiled artifact, revision stamp and ordinal.
+/// A rule with its conjunct systems, revision stamp and ordinal; its
+/// predicates and code are in the arena, under the ordinal.
 #[derive(Clone, Debug)]
 struct StoredRule {
     rule: Rule,
     revision: u64,
-    program: Arc<RuleProgram>,
+    conjuncts: Arc<[CompiledConjunct]>,
     ord: u32,
 }
 
@@ -156,7 +159,7 @@ struct DeviceEntry {
 /// )?;
 /// assert_eq!(db.rules_for_device(&DeviceId::new("stereo")).len(), 1);
 /// assert!(db.get(id).is_some());
-/// assert!(db.program(id).is_some());
+/// assert!(db.conjuncts(id).is_some());
 /// # Ok(())
 /// # }
 /// ```
@@ -172,14 +175,12 @@ pub struct RuleDb {
     by_device: HashMap<DeviceId, u32>,
     /// Per device slot: the device and the ids of the rules targeting it.
     devices: Vec<DeviceEntry>,
-    by_owner: HashMap<PersonId, BTreeSet<RuleId>>,
     next_id: RuleId,
     interner: SharedInterner,
     feed: ChangeFeed,
-    /// Compiled programs in contiguous SoA layout, appended alongside the
-    /// per-rule `Arc<RuleProgram>` at compile time. The engine's hot path
-    /// and inverted indexes read rules through the arena; the `Arc`s stay
-    /// for the conflict graph and public API.
+    /// Compiled programs in contiguous SoA layout, appended at compile
+    /// time. The engine evaluates rules and indexes their footprints
+    /// through the arena.
     arena: ProgramArena,
 }
 
@@ -241,31 +242,6 @@ impl RuleDb {
         Ok(())
     }
 
-    /// Inserts an already-built rule, allocating a fresh id if the rule's
-    /// own id is already taken (restore/merge path). Returns the id the
-    /// rule ended up under and whether it was remapped.
-    ///
-    /// Unlike [`RuleDb::insert`], a collision is not an error — but it is
-    /// never a silent overwrite either: the incumbent rule keeps its id
-    /// and the newcomer moves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuleError::DimensionMismatch`] when the rule does not
-    /// compile (nothing is stored).
-    pub fn insert_remapped(&mut self, rule: Rule) -> Result<(RuleId, bool), RuleError> {
-        if !self.rules.contains_key(&rule.id()) {
-            let id = rule.id();
-            self.insert(rule)?;
-            return Ok((id, false));
-        }
-        let id = self.allocate_id();
-        let owner = rule.owner().clone();
-        let rule = rule.reassigned(id, owner);
-        self.insert(rule)?;
-        Ok((id, true))
-    }
-
     /// Replaces an existing rule in place (customization path), keeping
     /// its id. The replacement is compiled once and stamped with a
     /// **fresh revision**, so anything derived from the old
@@ -295,7 +271,7 @@ impl RuleDb {
         LOWERED.inc();
         let interner = Arc::clone(&self.interner);
         let mut interner = interner.write().expect("interner lock poisoned");
-        let program = Arc::new(compile_rule(&rule, &mut interner)?);
+        let program = compile_rule(&rule, &mut interner)?;
         let id = rule.id();
         let ord = match self.unstore(id) {
             Some((_, ord)) => ord,
@@ -305,7 +281,7 @@ impl RuleDb {
             }),
         };
         // Appended under the same lock the program was compiled under, so
-        // the arena's interned footprint matches the program's slots.
+        // the places the arena interns share the program's slot universe.
         self.arena.insert(ord, &program, &mut interner);
         drop(interner);
         LOWER_NS.record(&sw);
@@ -319,7 +295,7 @@ impl RuleDb {
         let stored = StoredRule {
             rule,
             revision: NEXT_REVISION.fetch_add(1, Ordering::Relaxed),
-            program,
+            conjuncts: Arc::clone(program.conjuncts()),
             ord,
         };
         self.rules.insert(id, stored);
@@ -350,8 +326,8 @@ impl RuleDb {
         }
     }
 
-    /// Adds a rule to the device and owner indexes, giving its device a
-    /// slot on first use, and returns that slot.
+    /// Adds a rule to the device index, giving its device a slot on first
+    /// use, and returns that slot.
     fn index(&mut self, rule: &Rule) -> u32 {
         let device = rule.action().device();
         let slot = match self.by_device.get(device) {
@@ -367,10 +343,6 @@ impl RuleDb {
             }
         };
         self.devices[slot as usize].rules.insert(rule.id());
-        self.by_owner
-            .entry(rule.owner().clone())
-            .or_default()
-            .insert(rule.id());
         slot
     }
 
@@ -394,12 +366,6 @@ impl RuleDb {
         self.arena.remove(ord);
         if let Some(entry) = self.entries[ord as usize].take() {
             self.devices[entry.device as usize].rules.remove(&id);
-        }
-        if let Some(set) = self.by_owner.get_mut(rule.owner()) {
-            set.remove(&id);
-            if set.is_empty() {
-                self.by_owner.remove(rule.owner());
-            }
         }
         Some((rule, ord))
     }
@@ -436,9 +402,10 @@ impl RuleDb {
         self.rules.get(&id).map(|s| &s.rule)
     }
 
-    /// The compiled program of a rule; `None` only for an unknown id.
-    pub fn program(&self, id: RuleId) -> Option<&Arc<RuleProgram>> {
-        self.rules.get(&id).map(|s| &s.program)
+    /// The precompiled constraint system of each of a rule's DNF
+    /// conjuncts, in DNF order; `None` only for an unknown id.
+    pub fn conjuncts(&self, id: RuleId) -> Option<&Arc<[CompiledConjunct]>> {
+        self.rules.get(&id).map(|s| &s.conjuncts)
     }
 
     /// The ordinal of a stored rule.
@@ -524,18 +491,6 @@ impl RuleDb {
             .unwrap_or_default()
     }
 
-    /// The rules registered by `owner`, in id order.
-    pub fn rules_of_owner(&self, owner: &PersonId) -> Vec<&Rule> {
-        self.by_owner
-            .get(owner)
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|id| self.rules.get(id).map(|s| &s.rule))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// All devices that at least one rule targets.
     pub fn targeted_devices(&self) -> Vec<&DeviceId> {
         let mut devices: Vec<_> = self
@@ -556,25 +511,6 @@ impl RuleDb {
     pub fn export_json(&self) -> Result<String, RuleError> {
         Ok(crate::codec::rules_to_json(self.iter()))
     }
-
-    /// Parses rules from JSON produced by [`RuleDb::export_json`] and
-    /// inserts them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuleError::Serialization`] on malformed JSON and the
-    /// [`RuleDb::insert`] errors (id collision, a rule that does not
-    /// compile); rules inserted before the failing one remain inserted.
-    pub fn import_json(&mut self, json: &str) -> Result<Vec<RuleId>, RuleError> {
-        let rules = crate::codec::rules_from_json(json)?;
-        let mut ids = Vec::with_capacity(rules.len());
-        for rule in rules {
-            let id = rule.id();
-            self.insert(rule)?;
-            ids.push(id);
-        }
-        Ok(ids)
-    }
 }
 
 #[cfg(test)]
@@ -582,8 +518,9 @@ mod tests {
     use super::*;
     use crate::atom::{Atom, ConstraintAtom, EventAtom};
     use crate::{ActionSpec, Condition, Verb};
+    use cadel_ir::Pred;
     use cadel_simplex::RelOp;
-    use cadel_types::{Quantity, SensorKey, Unit};
+    use cadel_types::{PersonId, Quantity, SensorKey, Unit};
 
     fn builder(owner: &str, device: &str, event: &str) -> RuleBuilder {
         Rule::builder(PersonId::new(owner))
@@ -606,8 +543,8 @@ mod tests {
     fn registration_compiles_a_program_and_interns_names() {
         let mut db = RuleDb::new();
         let id = db.register(builder("tom", "stereo", "jazz")).unwrap();
-        let program = db.program(id).expect("compiled");
-        assert_eq!(program.preds().len(), 1);
+        let r = *db.program_ref(id).expect("compiled");
+        assert_eq!(db.arena().preds(&r).len(), 1);
         assert_eq!(db.interner().read().unwrap().event_count(), 1);
         assert!(db.revision(id).is_some());
     }
@@ -656,14 +593,9 @@ mod tests {
             .insert(clash_rule("tom", "tv").build(RuleId::new(50)).unwrap())
             .unwrap_err();
         assert!(matches!(err, RuleError::DimensionMismatch { .. }), "{err}");
-        let err = db
-            .insert_remapped(clash_rule("tom", "tv").build(RuleId::new(1)).unwrap())
-            .unwrap_err();
-        assert!(matches!(err, RuleError::DimensionMismatch { .. }), "{err}");
 
         assert_eq!(db.len(), 1);
         assert_eq!(db.rules_for_device(&tv).len(), 1);
-        assert_eq!(db.rules_of_owner(&PersonId::new("tom")).len(), 1);
         assert_eq!(db.arena().len(), 1);
         assert_eq!(db.interner().read().unwrap().sensor_count(), interned);
         // A refused import does not advance the id allocator either.
@@ -680,7 +612,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RuleError::DimensionMismatch { .. }), "{err}");
         assert_eq!(db.revision(id), revision);
-        assert!(db.program(id).is_some());
+        assert!(db.program_ref(id).is_some());
         assert_eq!(db.rules_for_device(&DeviceId::new("tv")).len(), 1);
         assert_eq!(db.arena().len(), 1);
     }
@@ -703,16 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn owner_index() {
-        let mut db = RuleDb::new();
-        db.register(builder("tom", "tv", "a")).unwrap();
-        db.register(builder("alan", "tv", "b")).unwrap();
-        db.register(builder("tom", "stereo", "c")).unwrap();
-        assert_eq!(db.rules_of_owner(&PersonId::new("tom")).len(), 2);
-        assert_eq!(db.rules_of_owner(&PersonId::new("emily")).len(), 0);
-    }
-
-    #[test]
     fn remove_updates_indices() {
         let mut db = RuleDb::new();
         let id = db.register(builder("tom", "tv", "a")).unwrap();
@@ -720,9 +642,9 @@ mod tests {
         let removed = db.remove(id).unwrap();
         assert_eq!(removed.id(), id);
         assert_eq!(db.rules_for_device(&DeviceId::new("tv")).len(), 1);
-        assert_eq!(db.rules_of_owner(&PersonId::new("tom")).len(), 1);
         assert!(matches!(db.remove(id), Err(RuleError::UnknownRule(_))));
-        assert!(db.program(id).is_none());
+        assert!(db.conjuncts(id).is_none());
+        assert!(db.program_ref(id).is_none());
         assert!(db.revision(id).is_none());
     }
 
@@ -735,28 +657,6 @@ mod tests {
         // Fresh registrations continue past the imported id.
         let next = db.register(builder("tom", "tv", "b")).unwrap();
         assert!(next.raw() > 41);
-    }
-
-    #[test]
-    fn insert_remapped_moves_the_newcomer_not_the_incumbent() {
-        let mut db = RuleDb::new();
-        let incumbent = builder("tom", "tv", "a").build(RuleId::new(5)).unwrap();
-        db.insert(incumbent).unwrap();
-
-        let newcomer = builder("emily", "stereo", "b")
-            .build(RuleId::new(5))
-            .unwrap();
-        let (id, remapped) = db.insert_remapped(newcomer).unwrap();
-        assert!(remapped);
-        assert_ne!(id, RuleId::new(5));
-        // The incumbent is untouched; the newcomer landed whole.
-        assert_eq!(db.get(RuleId::new(5)).unwrap().owner().as_str(), "tom");
-        assert_eq!(db.get(id).unwrap().owner().as_str(), "emily");
-        assert!(db.program(id).is_some());
-
-        // No collision → no remap.
-        let free = builder("tom", "tv", "c").build(RuleId::new(90)).unwrap();
-        assert_eq!(db.insert_remapped(free).unwrap(), (RuleId::new(90), false));
     }
 
     #[test]
@@ -775,7 +675,7 @@ mod tests {
         assert!(after > before);
         // Indices track the replacement, and it is recompiled.
         assert_eq!(db.rules_for_device(&DeviceId::new("tv")).len(), 1);
-        assert!(db.program(id).is_some());
+        assert!(db.program_ref(id).is_some());
         // Replacing a missing id is an error, not an insert.
         let ghost = builder("tom", "tv", "c").build(RuleId::new(77)).unwrap();
         assert!(matches!(db.replace(ghost), Err(RuleError::UnknownRule(_))));
@@ -801,10 +701,9 @@ mod tests {
         assert_eq!(db.arena().len(), 2);
         assert!(db.program_ref(a).is_some());
 
-        // The arena footprint reflects the compiled predicates.
+        // The arena span holds the compiled predicate: one event pattern.
         let r = *db.program_ref(a).unwrap();
-        assert_eq!(db.arena().channel_slots(&r).len(), 1);
-        assert!(db.arena().sensor_slots(&r).is_empty());
+        assert!(matches!(db.arena().preds(&r), [Pred::Event(_)]));
 
         db.remove(a).unwrap();
         assert!(db.program_ref(a).is_none());
@@ -885,14 +784,22 @@ mod tests {
         let json = db.export_json().unwrap();
 
         let mut restored = RuleDb::new();
-        let ids = restored.import_json(&json).unwrap();
-        assert_eq!(ids.len(), 2);
+        for rule in crate::codec::rules_from_json(&json).unwrap() {
+            restored.insert(rule).unwrap();
+        }
         assert_eq!(restored.len(), 2);
         assert_eq!(restored.rules_for_device(&DeviceId::new("tv")).len(), 1);
         // Imported rules are compiled too.
-        assert!(ids.iter().all(|id| restored.program(*id).is_some()));
+        assert!(restored
+            .iter()
+            .all(|rule| restored.program_ref(rule.id()).is_some()));
         // Importing the same JSON again collides.
-        assert!(restored.import_json(&json).is_err());
+        for rule in crate::codec::rules_from_json(&json).unwrap() {
+            assert!(matches!(
+                restored.insert(rule),
+                Err(RuleError::DuplicateRule(_))
+            ));
+        }
     }
 
     #[test]
@@ -974,14 +881,5 @@ mod tests {
             CHANGE_LOG_CAPACITY
         );
         assert_eq!(db.changes_since(db.cursor()).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn import_rejects_malformed_json() {
-        let mut db = RuleDb::new();
-        assert!(matches!(
-            db.import_json("not json"),
-            Err(RuleError::Serialization(_))
-        ));
     }
 }

@@ -355,7 +355,7 @@ impl HomeServer {
                 .map(|raw| {
                     // `raw` fits an i64, so `next` cannot overflow.
                     let id = RuleId::new(raw);
-                    self.engine.rules_mut().ensure_next_id(id.next());
+                    self.engine.ensure_next_rule_id(id.next());
                 }),
             "rule_removed" => record
                 .get("id")
@@ -533,9 +533,7 @@ impl HomeServer {
             }
         }
         if let Some(next) = snapshot.get("next_rule_id").and_then(Json::as_int) {
-            self.engine
-                .rules_mut()
-                .ensure_next_id(RuleId::new(next as u64));
+            self.engine.ensure_next_rule_id(RuleId::new(next as u64));
         }
         if let Some(runtime) = snapshot.get("runtime") {
             if let Err(e) = self.engine.import_runtime_json(runtime) {
@@ -886,7 +884,7 @@ impl HomeServer {
                 .compile_rule(ast)
                 .map_err(cadel_lang::LangError::from)?
         };
-        let id = self.engine.rules_mut().allocate_id();
+        let id = self.engine.allocate_rule_id();
         Ok(builder.label(sentence).build(id)?)
     }
 
@@ -1138,7 +1136,7 @@ impl HomeServer {
                 .label()
                 .map(str::to_owned)
                 .unwrap_or_else(|| rule.id().to_string());
-            let id = self.engine.rules_mut().allocate_id();
+            let id = self.engine.allocate_rule_id();
             let rule = rule.reassigned(id, new_owner.clone());
             let outcome = match self.decide(rule, Commit::Register) {
                 Ok(outcome) => outcome,

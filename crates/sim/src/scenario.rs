@@ -333,7 +333,7 @@ impl LivingRoomScenario {
 
         // ---- Alan's fallback (r2): record the game when his TV rule is
         //      displaced (IR level — see module docs) -------------------
-        let r2_id = server.engine_mut().rules_mut().allocate_id();
+        let r2_id = server.engine_mut().allocate_rule_id();
         let r2_rule = Rule::builder(alan.clone())
             .condition(
                 Condition::Atom(Atom::Event(EventAtom::new(CONFLICT_CHANNEL, "tv-lr:alan"))).and(
